@@ -21,10 +21,12 @@ from .errors import (
     ConfigTypeError,
     FieldFileError,
     MissingRequiredError,
+    ShellResonanceError,
     TruncatedPayloadError,
     UnknownKeyError,
     VersionMismatchError,
 )
+from .dual_functional import Exponents
 from .kernel import Field, GridSpec
 
 MAGIC = b"HLMF"
@@ -142,6 +144,15 @@ def _validate(cfg: RunConfig):
         )
     if cfg.coefficient_kind == "file" and not cfg.coefficient_path:
         raise MissingRequiredError("coefficient.path required when coefficient.kind = file")
+    # the domain objects own their range rules; a resonant box is a run-time failure
+    try:
+        GridSpec(cfg.grid_dimension, cfg.grid_box_length, cfg.grid_points_per_axis,
+                 cfg.grid_shell_epsilon)
+        Exponents(cfg.grid_dimension, cfg.exponents_p)
+    except ShellResonanceError:
+        pass
+    except ValueError as exc:
+        raise ConfigTypeError(str(exc)) from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -194,11 +205,16 @@ def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:
         )
     if len(payload) > expected:
         raise FieldFileError(f"{len(payload) - expected} trailing bytes after payload")
-    grid = GridSpec(
-        dimension=dimension,
-        box_length=box_length,
-        points_per_axis=n,
-        shell_epsilon=shell_epsilon,
-    )
+    try:
+        grid = GridSpec(
+            dimension=dimension,
+            box_length=box_length,
+            points_per_axis=n,
+            shell_epsilon=shell_epsilon,
+        )
+    except ValueError as exc:
+        raise FieldFileError(f"bad header: {exc}") from exc
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(grid.shape)
+    if not np.all(np.isfinite(values)):
+        raise FieldFileError("payload holds non-finite values")
     return Field(grid, values)

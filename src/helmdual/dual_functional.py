@@ -132,13 +132,15 @@ class FunctionalContext:
         pc = self.exponents.p_conj
         return self.dual_mass(v) / pc - 0.5 * self.inner(v, kv)
 
-    def dual_residual_arrays(self, v: np.ndarray, kv: np.ndarray) -> float:
-        """Scale-invariant residual ||J'(v)||_p / ||v||_{p'}^{p'-1}."""
-        g = self.gradient_arrays(v, kv)
+    def dual_residual_arrays(self, v: np.ndarray, kv: np.ndarray, return_norms: bool = False):
+        """Scale-invariant residual ||J'(v)||_p / ||v||_{p'}^{p'-1}.
+
+        With return_norms, returns (residual, ||J'(v)||_p, ||v||_{p'}).
+        """
+        gnorm = self.lp_norm(self.gradient_arrays(v, kv), self.exponents.p)
         vnorm = self.lp_norm(v, self.exponents.p_conj)
-        if vnorm == 0.0:
-            return float(self.lp_norm(g, self.exponents.p))
-        return float(self.lp_norm(g, self.exponents.p) / vnorm ** (self.exponents.p_conj - 1.0))
+        res = gnorm / vnorm ** (self.exponents.p_conj - 1.0) if vnorm != 0.0 else gnorm
+        return (res, gnorm, vnorm) if return_norms else res
 
     # -- public operations ---------------------------------------------------
 

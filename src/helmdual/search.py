@@ -13,7 +13,11 @@ flow.
 Two accelerations wrap the plain iteration without weakening the gate:
 
 * Anderson extrapolation over a short history of Picard images (combinations
-  reuse the cached linear images of K, so no extra transforms);
+  reuse the cached linear images of K, so no extra transforms).  The
+  least-squares mix works on a QR factorization of the residual differences
+  that is updated as the window slides (Walker & Ni, SIAM J. Numer. Anal.
+  2011): a new column costs a few passes over the grid, and the solve itself
+  is on the small triangular factor;
 * once the residual settles, a Levenberg-regularized Newton-GMRES polish of
   the smooth residual r(v) = v - |Kv|^{p-2} Kv.  The polish is accepted only
   if it reaches the requested dual-residual tolerance; otherwise the
@@ -27,6 +31,7 @@ DivergedError (energy under the configured floor), or MaxIterationsError.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +241,104 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
     return v, kv, steps, ctx.dual_residual_arrays(v, kv) <= tol
 
 
+class _AndersonWindow:
+    """The last depth + 1 Picard images with a QR factorization of their residual differences.
+
+    Residuals f_j = G(v_j) - v_j enter through their differences
+    Delta = [f_1 - f_0, ...] = Q R (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    Q is stored by rows, one orthonormal grid vector each.  A new difference
+    is orthogonalized by two classical Gram-Schmidt passes; dropping the
+    oldest column restores the triangle with Givens rotations.  A column that
+    is numerically dependent on the others gets a zero Q vector and a zero
+    row in R, so Q R = Delta still holds and the truncated mix stays finite.
+    The images G(v_j) and K G(v_j) sit in a ring buffer, so the mixed
+    candidate is one matrix-vector product per image.
+    """
+
+    def __init__(self, depth, shape):
+        size = int(np.prod(shape))
+        self.depth = depth
+        self.shape = shape
+        self.images = np.zeros((2, depth + 1, size))
+        self.pushes = 0
+        self.q = np.zeros((depth, size))
+        self.r = np.zeros((depth, depth))
+        self.cols = 0
+        self.last = None
+        # lstsq(Delta, f, rcond=None) truncates at eps * size; R has Delta's singular values
+        self.rcond = np.finfo(float).eps * size
+
+    def push(self, v, gv, kgv):
+        """Add the Picard image gv = G(v) and its transform kgv."""
+        slot = self.pushes % (self.depth + 1)
+        self.images[0, slot] = gv.ravel()
+        self.images[1, slot] = kgv.ravel()
+        self.pushes += 1
+        f = self.images[0, slot] - v.ravel()
+        if self.last is not None and self.depth > 0:
+            if self.cols == self.depth:
+                self._drop_first()
+            self._append(f - self.last)
+        self.last = f
+
+    def _append(self, d):
+        k = self.cols
+        q = self.q[:k]
+        h = q @ d
+        w = d - h @ q
+        h2 = q @ w
+        w -= h2 @ q
+        self.r[:k, k] = h + h2
+        norm = np.linalg.norm(w)
+        if norm > self.rcond * np.linalg.norm(d):
+            self.q[k] = w / norm
+            self.r[k, k] = norm
+        else:
+            self.q[k] = 0.0
+            self.r[k, k] = 0.0
+        self.cols = k + 1
+
+    def _drop_first(self):
+        k = self.cols
+        r = self.r[:k, 1:k].tolist()  # upper Hessenberg once the first column is gone
+        rot = np.eye(k).tolist()
+        for i in range(k - 1):
+            a, b = r[i][i], r[i + 1][i]
+            hyp = math.hypot(a, b)
+            if hyp == 0.0:
+                continue
+            c, s = a / hyp, b / hyp
+            for rows in (r, rot):
+                top, bottom = rows[i], rows[i + 1]
+                rows[i] = [c * x + s * y for x, y in zip(top, bottom)]
+                rows[i + 1] = [c * y - s * x for x, y in zip(top, bottom)]
+            r[i + 1][i] = 0.0
+        self.q[:k - 1] = np.asarray(rot)[:k - 1] @ self.q[:k]
+        self.r[:] = 0.0
+        self.r[:k - 1, :k - 1] = np.asarray(r)[:k - 1]
+        self.cols = k - 1
+
+    def gamma(self):
+        """Coefficients minimizing ||Delta gamma - f|| for the newest residual f."""
+        k = self.cols
+        gamma, *_ = np.linalg.lstsq(self.r[:k, :k], self.q[:k] @ self.last, rcond=self.rcond)
+        return gamma
+
+    def candidate(self):
+        """Mixed image sum_j theta_j G(v_j) and its transform; None below two images."""
+        count = min(self.pushes, self.depth + 1)
+        if count < 2:
+            return None
+        gamma = self.gamma()
+        theta = np.zeros(self.depth + 1)
+        theta[count - 1] = 1.0
+        theta[1:count] -= gamma
+        theta[:count - 1] += gamma
+        theta = np.roll(theta, self.pushes - count)  # the oldest image's ring slot
+        v_cand, kv_cand = theta @ self.images[0], theta @ self.images[1]
+        return v_cand.reshape(self.shape), kv_cand.reshape(self.shape)
+
+
 class _SnapshotReservoir:
     """Deterministically thinned trajectory snapshots with bounded memory."""
 
@@ -283,7 +386,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     snapshots = _SnapshotReservoir(ctx.grid)
     snapshots.offer(0, v)
 
-    history_v, history_g, history_kg = [], [], []
+    anderson = _AndersonWindow(cfg.anderson_depth, v.shape)
     iterations = 0
     newton_steps = 0
     res_window = [res]
@@ -372,38 +475,21 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 iterations=iterations, residual=res, level=level,
             )
         gv, kgv, _ = projected
-        history_v.append(v)
-        history_g.append(gv)
-        history_kg.append(kgv)
-        if len(history_v) > cfg.anderson_depth + 1:
-            history_v.pop(0)
-            history_g.pop(0)
-            history_kg.pop(0)
+        anderson.push(v, gv, kgv)
 
         plateau = PLATEAU_SLACK * max(1.0, abs(level))
         accepted = False
 
-        if len(history_v) >= 2:
-            residual_mat = np.stack(
-                [(history_g[j] - history_v[j]).ravel() for j in range(len(history_v))],
-                axis=1,
-            )
-            delta = residual_mat[:, 1:] - residual_mat[:, :-1]
-            gamma, *_ = np.linalg.lstsq(delta, residual_mat[:, -1], rcond=None)
-            theta = np.zeros(len(history_v))
-            theta[-1] = 1.0
-            theta[1:] -= gamma
-            theta[:-1] += gamma
-            v_cand = sum(t * history_g[j] for j, t in enumerate(theta))
-            kv_cand = sum(t * history_kg[j] for j, t in enumerate(theta))
-            projected = _project(ctx, v_cand, kv_cand)
+        mixed = anderson.candidate()
+        if mixed is not None:
+            projected = _project(ctx, *mixed)
             if projected is not None:
                 v_new, kv_new, level_new = projected
-                res_new = ctx.dual_residual_arrays(v_new, kv_new)
+                res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
                 if level_new < level or (
                     level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
                 ):
-                    v, kv, level, res = v_new, kv_new, level_new, res_new
+                    v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
                     accepted = True
 
         if not accepted:
@@ -417,11 +503,11 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 projected = _project(ctx, w, kw)
                 if projected is not None:
                     v_new, kv_new, level_new = projected
-                    res_new = ctx.dual_residual_arrays(v_new, kv_new)
+                    res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
                     if level_new <= level - cfg.armijo_c * s * slope or (
                         level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
                     ):
-                        v, kv, level, res = v_new, kv_new, level_new, res_new
+                        v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
                         accepted = True
                         break
                 s *= cfg.armijo_shrink
@@ -441,11 +527,11 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                     projected = _project(ctx, w, kw)
                     if projected is not None:
                         v_new, kv_new, level_new = projected
-                        res_new = ctx.dual_residual_arrays(v_new, kv_new)
+                        res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
                         if level_new <= level - cfg.armijo_c * s * slope or (
                             level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
                         ):
-                            v, kv, level, res = v_new, kv_new, level_new, res_new
+                            v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
                             accepted = True
                             break
                     s *= cfg.armijo_shrink
@@ -459,8 +545,8 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         iterations += 1
         if iterations % KREFRESH == 0:
             kv = ctx.apply_k_array(v)
-            res = ctx.dual_residual_arrays(v, kv)
-        _record(level, ctx.lp_norm(ctx.gradient_arrays(v, kv), p), ctx.lp_norm(v, pc))
+            res, *norms = ctx.dual_residual_arrays(v, kv, return_norms=True)
+        _record(level, *norms)
         snapshots.offer(iterations, v)
         res_window.append(res)
         if len(res_window) > SETTLE_WINDOW + 1:

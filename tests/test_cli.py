@@ -99,6 +99,20 @@ class TestErrors:
         cfg_file.write_text("gird.n = 64\n")
         assert main(["solve", "--config", str(cfg_file)]) == 2
 
+    def test_odd_grid_is_config_error(self, tmp_path):
+        cfg_file = tmp_path / "odd.cfg"
+        cfg_file.write_text("mode = solve\ngrid.points_per_axis = 7\n")
+        out = tmp_path / "odd"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_inadmissible_p_is_config_error(self, tmp_path):
+        cfg_file = tmp_path / "low_p.cfg"
+        cfg_file.write_text("mode = solve\nexponents.p = 3.0\n")
+        out = tmp_path / "low_p"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_run_error_writes_record(self, tmp_path):
         # resonant box with eps = 0 fails inside the run, not at parse time
         cfg_file = tmp_path / "resonant.cfg"

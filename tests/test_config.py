@@ -1,5 +1,7 @@
 """Config text format and HLMF binary round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,23 @@ grid.points_per_axis = 48
         with pytest.raises(MissingRequiredError):
             parse_config("mode = solve\ncoefficient.kind = file\n")
 
+    @pytest.mark.parametrize("line", [
+        "grid.points_per_axis = 7",
+        "grid.points_per_axis = 0",
+        "grid.box_length = nan",
+        "grid.shell_epsilon = -1.0",
+        "grid.dimension = 4",
+        "exponents.p = 3.0",
+    ])
+    def test_unbuildable_values_rejected(self, line):
+        with pytest.raises(ConfigTypeError):
+            parse_config(f"mode = solve\n{line}\n")
+
+    def test_resonant_box_parses(self):
+        # the shell resonance is reported by the run, with error.json
+        cfg = parse_config("mode = solve\ngrid.box_length = 6.283185307179586\n")
+        assert cfg.grid_box_length == 6.283185307179586
+
     def test_vector_values(self):
         cfg = parse_config("mode = compare\nbump.center = 3.0, 2.5\n")
         assert cfg.bump_center == (3.0, 2.5)
@@ -103,6 +122,25 @@ class TestFieldFile:
         blob[4] = 99
         with pytest.raises(VersionMismatchError):
             read_field(bytes(blob))
+
+    @pytest.mark.parametrize("n, box_length", [
+        (15, 6.0),            # odd points per axis
+        (0, 6.0),             # nonpositive points per axis
+        (16, float("nan")),   # NaN box length
+        (16, -6.0),           # nonpositive box length
+    ])
+    def test_bad_header_values(self, n, box_length):
+        blob = struct.pack("<4sIIId", b"HLMF", 1, 2, n, box_length) + bytes(8 * n * n)
+        with pytest.raises(FieldFileError):
+            read_field(blob)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_payload(self, bad):
+        values = np.zeros((16, 16))
+        values[3, 5] = bad
+        blob = struct.pack("<4sIIId", b"HLMF", 1, 2, 16, 6.0) + values.astype("<f8").tobytes()
+        with pytest.raises(FieldFileError):
+            read_field(blob)
 
     def test_truncated_payload(self):
         grid = GridSpec(2, 6.0, 16)

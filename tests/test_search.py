@@ -8,6 +8,7 @@ from helmdual import (
     DivergedError,
     Field,
     GridMismatchError,
+    MaxIterationsError,
     NotInUPlusError,
     descent_direction,
     find_critical_point,
@@ -16,6 +17,7 @@ from helmdual import (
     orbit_distance,
     ps_boundedness_check,
 )
+from helmdual.search import _AndersonWindow
 from conftest import make_sine_context, random_field
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
@@ -104,6 +106,74 @@ class TestFindCriticalPoint:
         # 1e-12 floor where the primal residual bottoms out on rounding
         for rec in mini_result.records:
             assert rec.primal_residual <= 1e2 * max(rec.dual_residual, 1e-12)
+
+
+class TestAndersonWindow:
+    def test_matches_explicit_lstsq_as_window_slides(self):
+        rng = np.random.default_rng(5)
+        depth, size = 4, 300
+        window = _AndersonWindow(depth, (size,))
+        history = []
+        for step in range(3 * (depth + 1)):
+            scale = 10.0 ** rng.uniform(-2, 2)
+            v, gv, kgv = (scale * rng.standard_normal(size) for _ in range(3))
+            window.push(v, gv, kgv)
+            history = (history + [(v, gv, kgv)])[-(depth + 1):]
+            if len(history) < 2:
+                assert window.candidate() is None
+                continue
+            residuals = np.stack([g - x for x, g, _ in history], axis=1)
+            delta = residuals[:, 1:] - residuals[:, :-1]
+            expected, *_ = np.linalg.lstsq(delta, residuals[:, -1], rcond=None)
+            gamma = window.gamma()
+            assert gamma.shape == expected.shape
+            assert np.linalg.norm(gamma - expected) <= 1e-10 * np.linalg.norm(expected)
+            # the mixed images are the same theta-combination of the stored images
+            theta = np.zeros(len(history))
+            theta[-1] = 1.0
+            theta[1:] -= expected
+            theta[:-1] += expected
+            v_cand, kv_cand = window.candidate()
+            for got, column in ((v_cand, 1), (kv_cand, 2)):
+                want = sum(t * entry[column] for t, entry in zip(theta, history))
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_repeated_column_stays_finite(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(200), rng.standard_normal(200)
+        zero = np.zeros(200)
+        window = _AndersonWindow(3, (200,))
+        for f in (a, b, a, b, a, b, a):  # every difference is +-(b - a); the window slides
+            window.push(zero, f, f)
+        gamma = window.gamma()
+        assert np.all(np.isfinite(gamma))
+        # the truncated solve still gives the least-squares fit of f
+        delta = np.stack([a - b, b - a, a - b], axis=1)
+        expected, *_ = np.linalg.lstsq(delta, a, rcond=None)
+        np.testing.assert_allclose(delta @ gamma, delta @ expected, rtol=0, atol=1e-10)
+        assert all(np.all(np.isfinite(x)) for x in window.candidate())
+
+    def test_depth_zero_never_mixes(self, mini_ctx, monkeypatch):
+        calls = []
+        original = _AndersonWindow.gamma
+
+        def counted(self):
+            calls.append(self.cols)
+            return original(self)
+
+        monkeypatch.setattr(_AndersonWindow, "gamma", counted)
+        v0 = initial_field(mini_ctx, np.random.default_rng(7))
+        for depth in (0, 1):
+            calls.clear()
+            cfg = DescentConfig(multistart_count=1, max_iters=40, anderson_depth=depth)
+            try:
+                find_critical_point(mini_ctx, v0, cfg)
+            except MaxIterationsError:
+                pass
+            if depth == 0:
+                assert calls == []
+            else:
+                assert calls and set(calls) == {1}
 
 
 class TestOrbitDistance:
