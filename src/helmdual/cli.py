@@ -23,7 +23,7 @@ from .dual_functional import Coefficient, Exponents, FunctionalContext
 from .errors import HelmdualError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
-from .search import DescentConfig, multistart_search
+from .search import multistart_search
 from .selftest import run_selftest
 
 FLOAT_FORMAT = "%.17g"
@@ -73,21 +73,6 @@ def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
         raise ValueError(kind)
     periodic = cfg.coefficient_periodic and kind in ("constant", "sine_product", "file")
     return Coefficient.build(Field(grid, values), cfg.exponents_p, periodic=periodic)
-
-
-def build_descent_config(cfg: cfgmod.RunConfig) -> DescentConfig:
-    return DescentConfig(
-        tol_residual=cfg.descent_tol_residual,
-        max_iters=cfg.descent_max_iters,
-        armijo_c=cfg.descent_armijo_c,
-        armijo_shrink=cfg.descent_armijo_shrink,
-        step_init=cfg.descent_step_init,
-        dedup_rel_threshold=cfg.descent_dedup_rel_threshold,
-        multistart_count=cfg.descent_multistart_count,
-        rng_seed=cfg.seed,
-        divergence_floor=cfg.descent_divergence_floor,
-        anderson_depth=cfg.descent_anderson_depth,
-    )
 
 
 def build_context(cfg: cfgmod.RunConfig) -> FunctionalContext:
@@ -155,7 +140,7 @@ _SOLUTION_HEADER = [
 
 def _run_solve(cfg, out: _OutputDir) -> int:
     ctx = build_context(cfg)
-    result = multistart_search(ctx, build_descent_config(cfg), workers=_workers())
+    result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
     out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
     out.write_csv(
         "starts.csv", ["start", "status", "detail"],
@@ -174,7 +159,7 @@ def _run_compare(cfg, out: _OutputDir) -> int:
     center = cfg.bump_center or (grid.box_length / 2.0,) * grid.dimension
     bump = BumpDescriptor(center=tuple(center), radius=cfg.bump_radius, amplitude=cfg.bump_amplitude)
     pair = build_asymptotic_coefficient(q_inf, bump)
-    report = compare_levels(pair, exps, build_descent_config(cfg), workers=_workers())
+    report = compare_levels(pair, exps, cfgmod.descent_config(cfg), workers=_workers())
     out.write_csv(
         "compare.csv",
         ["c_est", "c_inf_est", "gap", "transplant_check", "transplant_level",
@@ -190,7 +175,7 @@ def _run_compare(cfg, out: _OutputDir) -> int:
 
 def _run_farfield(cfg, out: _OutputDir) -> int:
     ctx = build_context(cfg)
-    result = multistart_search(ctx, build_descent_config(cfg), workers=_workers())
+    result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
     rec = result.records[0]
     out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
     out.write_bytes("u_best.hlmf", cfgmod.write_field(rec.u_star))

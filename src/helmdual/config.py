@@ -28,6 +28,7 @@ from .errors import (
 )
 from .dual_functional import Exponents
 from .kernel import Field, GridSpec
+from .search import DescentConfig
 
 MAGIC = b"HLMF"
 VERSION = 1
@@ -146,13 +147,31 @@ def _validate(cfg: RunConfig):
         raise MissingRequiredError("coefficient.path required when coefficient.kind = file")
     # the domain objects own their range rules; a resonant box is a run-time failure
     try:
-        GridSpec(cfg.grid_dimension, cfg.grid_box_length, cfg.grid_points_per_axis,
-                 cfg.grid_shell_epsilon)
+        try:
+            GridSpec(cfg.grid_dimension, cfg.grid_box_length, cfg.grid_points_per_axis,
+                     cfg.grid_shell_epsilon)
+        except ShellResonanceError:
+            pass
         Exponents(cfg.grid_dimension, cfg.exponents_p)
-    except ShellResonanceError:
-        pass
+        descent_config(cfg)
     except ValueError as exc:
         raise ConfigTypeError(str(exc)) from exc
+
+
+def descent_config(cfg: RunConfig) -> DescentConfig:
+    """The descent tolerances and budgets of a run."""
+    return DescentConfig(
+        tol_residual=cfg.descent_tol_residual,
+        max_iters=cfg.descent_max_iters,
+        armijo_c=cfg.descent_armijo_c,
+        armijo_shrink=cfg.descent_armijo_shrink,
+        step_init=cfg.descent_step_init,
+        dedup_rel_threshold=cfg.descent_dedup_rel_threshold,
+        multistart_count=cfg.descent_multistart_count,
+        rng_seed=cfg.seed,
+        divergence_floor=cfg.descent_divergence_floor,
+        anderson_depth=cfg.descent_anderson_depth,
+    )
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, NotInUPlusError, ZeroFieldError
+from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
 from .kernel import Field, GridSpec, helmholtz_multiplier
 
 
@@ -73,9 +73,9 @@ class Coefficient:
     def build(cls, q: Field, p: float, periodic: bool = False) -> "Coefficient":
         vals = q.values
         if np.any(vals < 0.0):
-            raise ValueError("coefficient must be nonnegative")
+            raise DomainError("coefficient must be nonnegative")
         if not np.any(vals > 0.0):
-            raise ValueError("coefficient must not vanish identically")
+            raise DomainError("coefficient must not vanish identically")
         if periodic:
             shift = q.grid.unit_shift_points
             if shift is None:
@@ -84,7 +84,7 @@ class Coefficient:
                 )
             for axis in range(q.grid.dimension):
                 if not np.array_equal(np.roll(vals, shift, axis=axis), vals):
-                    raise ValueError(f"coefficient not unit-periodic along axis {axis}")
+                    raise DomainError(f"coefficient not unit-periodic along axis {axis}")
         return cls(field=q, q_root=Field(q.grid, vals ** (1.0 / p)), p=p, periodic=periodic)
 
 
@@ -132,15 +132,11 @@ class FunctionalContext:
         pc = self.exponents.p_conj
         return self.dual_mass(v) / pc - 0.5 * self.inner(v, kv)
 
-    def dual_residual_arrays(self, v: np.ndarray, kv: np.ndarray, return_norms: bool = False):
-        """Scale-invariant residual ||J'(v)||_p / ||v||_{p'}^{p'-1}.
-
-        With return_norms, returns (residual, ||J'(v)||_p, ||v||_{p'}).
-        """
+    def dual_residual_arrays(self, v: np.ndarray, kv: np.ndarray) -> float:
+        """Scale-invariant residual ||J'(v)||_p / ||v||_{p'}^{p'-1}."""
         gnorm = self.lp_norm(self.gradient_arrays(v, kv), self.exponents.p)
         vnorm = self.lp_norm(v, self.exponents.p_conj)
-        res = gnorm / vnorm ** (self.exponents.p_conj - 1.0) if vnorm != 0.0 else gnorm
-        return (res, gnorm, vnorm) if return_norms else res
+        return gnorm / vnorm ** (self.exponents.p_conj - 1.0) if vnorm != 0.0 else gnorm
 
     # -- public operations ---------------------------------------------------
 

@@ -10,7 +10,7 @@ class ShellResonanceError(HelmdualError):
 
 
 class DomainError(HelmdualError, ValueError):
-    """Argument outside the mathematical domain of a special function."""
+    """Argument outside the mathematical domain of a function or coefficient."""
 
 
 class GridMismatchError(HelmdualError):

@@ -123,18 +123,36 @@ def descent_direction(ctx: FunctionalContext, v: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _project(ctx, v, kv):
-    """Fibering projection onto the Nehari constraint; None outside U^+."""
-    qf = ctx.inner(v, kv)
+def _project_scored(ctx, w, kw):
+    """Fibering projection v = t_w w onto the Nehari constraint, scored in the same pass.
+
+    Returns (v, kv, level, residual, ||J'(v)||_p, ||v||_{p'}, J'(v)), or None
+    outside U^+.  The projected point shares every power with w up to a scalar
+    factor: with a = |w|^{p'-1}, the mass is sum a |w|, J'(v) = t^{p'-1}
+    sign(w) a - t Kw and ||v||_{p'} = t ||w||_{p'}, so |w|^{p'-1} and |J'(v)|^p
+    are the only powers over the grid.  The inputs are left untouched.
+    """
+    pc, p = ctx.exponents.p_conj, ctx.exponents.p
+    qf = ctx.weight * float(np.vdot(w, kw))
     if not np.isfinite(qf) or qf <= 0.0:
         return None
-    m = ctx.dual_mass(v)
+    g = np.abs(w)
+    g **= pc - 1.0
+    np.copysign(g, w, out=g)
+    m = ctx.weight * float(np.vdot(g, w))
     if m == 0.0:
         return None
-    t = (m / qf) ** (1.0 / (2.0 - ctx.exponents.p_conj))
-    pc = ctx.exponents.p_conj
+    t = (m / qf) ** (1.0 / (2.0 - pc))
+    kv = t * kw
+    g *= t ** (pc - 1.0)
+    g -= kv
+    power = np.abs(g)
+    power **= p
+    grad_norm = float((ctx.weight * power.sum()) ** (1.0 / p))
+    del power
+    v_norm = t * m ** (1.0 / pc)
     level = (1.0 / pc - 0.5) * t ** pc * m
-    return t * v, t * kv, level
+    return t * w, kv, level, grad_norm / v_norm ** (pc - 1.0), grad_norm, v_norm, g
 
 
 def _gmres(apply_a, b, maxk, rtol):
@@ -193,12 +211,9 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
     fails = 0
     for _ in range(max_steps):
         picard = odd_power(kv, p - 1.0)
-        k_picard = ctx.apply_k_array(picard)
-        projected = _project(ctx, picard, k_picard)
-        if projected is not None:
-            vs, kvs, _ = projected
-            if ctx.dual_residual_arrays(vs, kvs) <= tol:
-                return vs, kvs, steps, True
+        projected = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+        if projected is not None and projected[3] <= tol:
+            return projected[0], projected[1], steps, True
         if ctx.dual_residual_arrays(v, kv) <= tol:
             return v, kv, steps, True
 
@@ -233,11 +248,9 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
         else:
             fails = 0
     picard = odd_power(kv, p - 1.0)
-    projected = _project(ctx, picard, ctx.apply_k_array(picard))
-    if projected is not None:
-        vs, kvs, _ = projected
-        if ctx.dual_residual_arrays(vs, kvs) <= tol:
-            return vs, kvs, steps, True
+    projected = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+    if projected is not None and projected[3] <= tol:
+        return projected[0], projected[1], steps, True
     return v, kv, steps, ctx.dual_residual_arrays(v, kv) <= tol
 
 
@@ -369,16 +382,10 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     v = np.asarray(ctx._own(v0), dtype=float).copy()
     if not np.any(v):
         raise NotInUPlusError("zero initial field is inadmissible")
-    kv = ctx.apply_k_array(v)
-    projected = _project(ctx, v, kv)
+    projected = _project_scored(ctx, v, ctx.apply_k_array(v))
     if projected is None:
         raise NotInUPlusError("initial field has nonpositive quadratic form")
-    v, kv, level = projected
-
-    g = ctx.gradient_arrays(v, kv)
-    grad_norm = ctx.lp_norm(g, p)
-    v_norm = ctx.lp_norm(v, pc)
-    res = grad_norm / v_norm ** (pc - 1.0)
+    v, kv, level, res, grad_norm, v_norm, g = projected
 
     j_values = [level]
     grad_norms = [grad_norm]
@@ -398,11 +405,14 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         grad_norms.append(gn)
         v_norms.append(vn)
 
-    def _finish(v_fin, kv_fin):
-        g_fin = ctx.gradient_arrays(v_fin, kv_fin)
-        grad_fin = ctx.lp_norm(g_fin, p)
-        vn_fin = ctx.lp_norm(v_fin, pc)
-        res_fin = grad_fin / vn_fin ** (pc - 1.0)
+    def _passes(candidate, bound):
+        """Monotone gate: energy at most bound, or a plateau with residual progress."""
+        level_new, res_new = candidate[2], candidate[3]
+        return level_new <= bound or (
+            level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
+        )
+
+    def _finish(v_fin, kv_fin, res_fin):
         level_fin = ctx.energy_arrays(v_fin, kv_fin)
         vf = Field(ctx.grid, v_fin)
         u = ctx.dual_to_primal(vf)
@@ -433,7 +443,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             kv = ctx.apply_k_array(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
-                return _finish(v, kv)
+                return _finish(v, kv, res)
         if level < cfg.divergence_floor:
             raise DivergedError(
                 f"energy {level:.3e} fell under the divergence floor",
@@ -455,11 +465,9 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             newton_steps += steps
             iterations += max(steps, 1)
             if ok:
-                projected = _project(ctx, v_try, ctx.apply_k_array(v_try))
-                if projected is not None:
-                    v_fin, kv_fin, _ = projected
-                    if ctx.dual_residual_arrays(v_fin, kv_fin) <= cfg.tol_residual:
-                        return _finish(v_fin, kv_fin)
+                projected = _project_scored(ctx, v_try, ctx.apply_k_array(v_try))
+                if projected is not None and projected[3] <= cfg.tol_residual:
+                    return _finish(projected[0], projected[1], projected[3])
             # restore the pre-polish state and demand real progress before retrying
             polish_gate = res / 4.0
             cooldown = POLISH_COOLDOWN
@@ -467,86 +475,70 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
         # -- one descent step -------------------------------------------------
         picard = odd_power(kv, p - 1.0)
-        k_picard = ctx.apply_k_array(picard)
-        projected = _project(ctx, picard, k_picard)
-        if projected is None:
+        image = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+        if image is None:
             raise MaxIterationsError(
                 "iteration left the admissible cone",
                 iterations=iterations, residual=res, level=level,
             )
-        gv, kgv, _ = projected
+        gv, kgv = image[0], image[1]
         anderson.push(v, gv, kgv)
 
         plateau = PLATEAU_SLACK * max(1.0, abs(level))
-        accepted = False
+        accepted = None
 
         mixed = anderson.candidate()
         if mixed is not None:
-            projected = _project(ctx, *mixed)
-            if projected is not None:
-                v_new, kv_new, level_new = projected
-                res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
-                if level_new < level or (
-                    level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
-                ):
-                    v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
-                    accepted = True
+            candidate = _project_scored(ctx, *mixed)
+            # strict energy decrease, or the plateau branch
+            if candidate is not None and _passes(candidate, np.nextafter(level, -np.inf)):
+                accepted = candidate
 
-        if not accepted:
-            # damped Picard line search; w = (1-s) v + s G(v) reuses cached images
-            d = v - gv
-            slope = max(ctx.inner(ctx.gradient_arrays(v, kv), d), 0.0)
+        if accepted is None:
+            # damped Picard line search; w = (1-s) v + s G(v) reuses cached images,
+            # and the full step s = 1 is the projected image G(v), already scored
+            slope = max(ctx.inner(g, v - gv), 0.0)
             s = min(cfg.step_init, 1.0)
             for _bt in range(60):
-                w = (1.0 - s) * v + s * gv
-                kw = (1.0 - s) * kv + s * kgv
-                projected = _project(ctx, w, kw)
-                if projected is not None:
-                    v_new, kv_new, level_new = projected
-                    res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
-                    if level_new <= level - cfg.armijo_c * s * slope or (
-                        level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
-                    ):
-                        v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
-                        accepted = True
-                        break
+                if s == 1.0:
+                    candidate = image
+                else:
+                    candidate = _project_scored(ctx, (1.0 - s) * v + s * gv, (1.0 - s) * kv + s * kgv)
+                if candidate is not None and _passes(candidate, level - cfg.armijo_c * s * slope):
+                    accepted = candidate
+                    break
                 s *= cfg.armijo_shrink
 
-        if not accepted:
-            # duality-map fallback direction (requires a fresh transform per trial)
-            g_now = ctx.gradient_arrays(v, kv)
-            d = odd_power(g_now, p - 1.0)
+        if accepted is None:
+            # duality-map fallback direction (requires a fresh transform per trial);
+            # its pairing with J'(v) is ||J'(v)||_p
+            d = odd_power(g, p - 1.0)
             dn = ctx.lp_norm(d, pc)
             if dn > 0.0:
-                d = d / dn
-                slope = ctx.lp_norm(g_now, p)
+                d /= dn
                 s = min(cfg.step_init, 1.0)
                 for _bt in range(40):
                     w = v - s * d
-                    kw = ctx.apply_k_array(w)
-                    projected = _project(ctx, w, kw)
-                    if projected is not None:
-                        v_new, kv_new, level_new = projected
-                        res_new, *norms_new = ctx.dual_residual_arrays(v_new, kv_new, return_norms=True)
-                        if level_new <= level - cfg.armijo_c * s * slope or (
-                            level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
-                        ):
-                            v, kv, level, res, norms = v_new, kv_new, level_new, res_new, norms_new
-                            accepted = True
-                            break
+                    candidate = _project_scored(ctx, w, ctx.apply_k_array(w))
+                    if candidate is not None and _passes(candidate, level - cfg.armijo_c * s * grad_norm):
+                        accepted = candidate
+                        break
                     s *= cfg.armijo_shrink
 
-        if not accepted:
+        if accepted is None:
             raise MaxIterationsError(
                 f"line search stalled at residual {res:.3e}",
                 iterations=iterations, residual=res, level=level,
             )
+        v, kv, level, res, grad_norm, v_norm, g = accepted
 
         iterations += 1
         if iterations % KREFRESH == 0:
             kv = ctx.apply_k_array(v)
-            res, *norms = ctx.dual_residual_arrays(v, kv, return_norms=True)
-        _record(level, *norms)
+            g = ctx.gradient_arrays(v, kv)  # v and its norm are unchanged
+            grad_norm = ctx.lp_norm(g, p)
+            res = grad_norm / v_norm ** (pc - 1.0)
+        _record(level, grad_norm, v_norm)
         snapshots.offer(iterations, v)
         res_window.append(res)
         if len(res_window) > SETTLE_WINDOW + 1:

@@ -2,6 +2,8 @@
 
 import csv
 
+import pytest
+
 from helmdual import read_field
 from helmdual.cli import main
 
@@ -112,6 +114,32 @@ class TestErrors:
         out = tmp_path / "low_p"
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_zero_starts_is_config_error(self, tmp_path):
+        cfg_file = tmp_path / "no_starts.cfg"
+        cfg_file.write_text(
+            "mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 0\n"
+        )
+        out = tmp_path / "no_starts"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_bad_coefficient_writes_record(self, tmp_path, value):
+        # a nonpositive constant coefficient is a run-time domain error
+        cfg_file = tmp_path / "bad_q.cfg"
+        cfg_file.write_text(
+            "mode = solve\ngrid.points_per_axis = 48\n"
+            f"coefficient.kind = constant\ncoefficient.value = {value!r}\n"
+        )
+        out = tmp_path / "bad_q"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert {p.name for p in out.iterdir()} == {
+            "effective_config.cfg", "error.json", "manifest.csv",
+        }
+        assert "DomainError" in (out / "error.json").read_text()
+        manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+        assert manifest == {"effective_config.cfg", "error.json"}
 
     def test_run_error_writes_record(self, tmp_path):
         # resonant box with eps = 0 fails inside the run, not at parse time

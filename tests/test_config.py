@@ -74,6 +74,11 @@ grid.points_per_axis = 48
         "grid.shell_epsilon = -1.0",
         "grid.dimension = 4",
         "exponents.p = 3.0",
+        "grid.box_length = 6.283185307179586\nexponents.p = 3.0",
+        "descent.multistart_count = 0",
+        "descent.max_iters = 0",
+        "descent.tol_residual = -1e-8",
+        "descent.armijo_shrink = 1.0",
     ])
     def test_unbuildable_values_rejected(self, line):
         with pytest.raises(ConfigTypeError):

@@ -1,12 +1,16 @@
 """Descent, orbit bookkeeping, and multistart behavior at desk scale."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from helmdual import dual_functional, search
 from helmdual import (
     DescentConfig,
     DivergedError,
     Field,
+    FunctionalContext,
     GridMismatchError,
     MaxIterationsError,
     NotInUPlusError,
@@ -17,7 +21,7 @@ from helmdual import (
     orbit_distance,
     ps_boundedness_check,
 )
-from helmdual.search import _AndersonWindow
+from helmdual.search import KREFRESH, _AndersonWindow, _project_scored
 from conftest import make_sine_context, random_field
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
@@ -106,6 +110,85 @@ class TestFindCriticalPoint:
         # 1e-12 floor where the primal residual bottoms out on rounding
         for rec in mini_result.records:
             assert rec.primal_residual <= 1e2 * max(rec.dual_residual, 1e-12)
+
+
+class TestProjectScored:
+    @pytest.mark.parametrize("ctx", [
+        make_sine_context(n=48),
+        make_sine_context(n=16, L=4.0, p=5.0, dimension=3),
+    ], ids=["2d", "3d"])
+    def test_matches_public_methods(self, ctx):
+        rng = np.random.default_rng(8)
+        p, pc = ctx.exponents.p, ctx.exponents.p_conj
+        for _ in range(3):
+            w = initial_field(ctx, rng)
+            kw = ctx.apply_k_array(w.values)
+            v, kv, level, res, grad_norm, v_norm, g = _project_scored(ctx, w.values, kw)
+
+            t = ctx.fibering_scale(w)
+            vf = Field(ctx.grid, v)
+            g_ref = ctx.gradient(vf)
+            np.testing.assert_allclose(v, t * w.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(kv, t * kw, rtol=1e-12, atol=0)
+            assert level == pytest.approx(ctx.nehari_energy(w), rel=1e-12, abs=0)
+            assert res == pytest.approx(ctx.dual_residual(vf), rel=1e-12, abs=0)
+            assert grad_norm == pytest.approx(g_ref.lp_norm(p), rel=1e-12, abs=0)
+            assert v_norm == pytest.approx(vf.lp_norm(pc), rel=1e-12, abs=0)
+            assert np.max(np.abs(g - g_ref.values)) <= 1e-12 * np.max(np.abs(g_ref.values))
+
+    def test_inputs_untouched(self, mini_ctx):
+        w = initial_field(mini_ctx, np.random.default_rng(9)).values
+        kw = mini_ctx.apply_k_array(w)
+        w0, kw0 = w.copy(), kw.copy()
+        _project_scored(mini_ctx, w, kw)
+        np.testing.assert_array_equal(w, w0)
+        np.testing.assert_array_equal(kw, kw0)
+
+    def test_none_outside_u_plus(self, mini_ctx):
+        zero = np.zeros(mini_ctx.grid.shape)
+        assert _project_scored(mini_ctx, zero, mini_ctx.apply_k_array(zero)) is None
+        const = Field(mini_ctx.grid, np.full(mini_ctx.grid.shape, 1.0))
+        assert mini_ctx.quadratic_form(const) <= 0.0
+        assert _project_scored(mini_ctx, const.values, mini_ctx.apply_k_array(const.values)) is None
+        assert _project_scored(mini_ctx, const.values, -mini_ctx.apply_k_array(const.values)) is not None
+
+    def test_descent_power_and_residual_calls(self, mini_ctx, monkeypatch):
+        # outside the polish a descent step makes one odd_power call (the Picard
+        # image); candidates are scored by _project_scored, and dual_residual_arrays
+        # is reached only on the cached-image refresh and termination paths
+        counts = Counter()
+        phase = ["descent"]
+        power, residual, polish = (dual_functional.odd_power,
+                                   FunctionalContext.dual_residual_arrays, search._newton_polish)
+
+        def counted_power(*args):
+            counts[phase[0], "odd_power"] += 1
+            return power(*args)
+
+        def counted_residual(*args, **kwargs):
+            counts[phase[0], "dual_residual_arrays"] += 1
+            return residual(*args, **kwargs)
+
+        def counted_polish(*args, **kwargs):
+            phase[0] = "polish"
+            try:
+                return polish(*args, **kwargs)
+            finally:
+                phase[0] = "descent"
+
+        for module in (dual_functional, search):
+            monkeypatch.setattr(module, "odd_power", counted_power)
+        monkeypatch.setattr(FunctionalContext, "dual_residual_arrays", counted_residual)
+        monkeypatch.setattr(search, "_newton_polish", counted_polish)
+
+        v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
+        rec = find_critical_point(mini_ctx, v0, MINI_CFG)
+        steps = len(rec.j_values) - 1
+        refreshes = steps // KREFRESH
+        assert steps > 2 * KREFRESH
+        # Picard images, plus one J'(v) per refresh and J'(v), Q|u|^{p-2}u at the end
+        assert counts["descent", "odd_power"] <= steps + refreshes + 2
+        assert counts["descent", "dual_residual_arrays"] <= 1
 
 
 class TestAndersonWindow:
