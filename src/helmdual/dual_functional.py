@@ -13,6 +13,12 @@ scale-invariant level (1/p' - 1/2) t_v^{p'} ||v||_{p'}^{p'}.
 
 Norms use the exact torus quadrature (uniform weight h^N), so trigonometric
 identities used in tests hold to rounding.
+
+K vanishes off the support S = {Q > 0}, and the critical equation
+|v|^{p'-2} v = K v then forces v = 0 there, so the search carries v as a
+vector over S (`restrict` / `extend`) and touches the grid only inside the
+FFT pair of R.  When Q > 0 everywhere S is the whole grid and both maps are
+views.
 """
 
 from dataclasses import dataclass
@@ -25,7 +31,9 @@ from .kernel import Field, GridSpec, helmholtz_multiplier
 
 def odd_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """sign(x) |x|^exponent with the continuous extension 0 at x = 0."""
-    return np.sign(values) * np.abs(values) ** exponent
+    out = np.abs(values)
+    out **= exponent
+    return np.copysign(out, values, out=out)
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,10 @@ class FunctionalContext:
         self.sigma = helmholtz_multiplier(grid)
         self.q_root = coefficient.q_root.values
         self.weight = grid.weight
+        # Coefficient.build rejects Q == 0, so the support is never empty
+        self.support = np.flatnonzero(self.q_root > 0.0)
+        self.full_support = self.support.size == grid.size
+        self.q_support = self.restrict(self.q_root)
 
     # -- quadrature helpers ------------------------------------------------
 
@@ -117,13 +129,32 @@ class FunctionalContext:
         """||v||_{p'}^{p'} without the final root."""
         return float(self.weight * np.sum(np.abs(values) ** self.exponents.p_conj))
 
+    # -- the support of Q --------------------------------------------------
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """Grid values at the support points, as a flat vector (a view on full support)."""
+        flat = values.reshape(-1)
+        return flat if self.full_support else flat[self.support]
+
+    def extend(self, vs: np.ndarray) -> np.ndarray:
+        """Support vector back on the grid, zero off the support (a view on full support)."""
+        if self.full_support:
+            return vs.reshape(self.grid.shape)
+        out = np.zeros(self.grid.size)
+        out[self.support] = vs
+        return out.reshape(self.grid.shape)
+
     # -- array-level core (hot path for the solver) -------------------------
 
     def resolvent_array(self, values: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(self.sigma * np.fft.fftn(values)).real
 
+    def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
+        """K on support vectors: q_S R(extend(q_S v))|_S."""
+        return self.q_support * self.restrict(self.resolvent_array(self.extend(self.q_support * vs)))
+
     def apply_k_array(self, values: np.ndarray) -> np.ndarray:
-        return self.q_root * self.resolvent_array(self.q_root * values)
+        return self.extend(self.apply_k_support(self.restrict(values)))
 
     def gradient_arrays(self, v: np.ndarray, kv: np.ndarray) -> np.ndarray:
         return odd_power(v, self.exponents.p_conj - 1.0) - kv

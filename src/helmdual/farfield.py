@@ -17,6 +17,7 @@ eps -> 0.  The decay fit removes the known attenuation exp(-Im k+ r) and
 compares only the power of r, so it stays constant-free.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,21 +156,29 @@ class FarfieldReport:
 
 def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
     """All monomials of total degree <= degree in the direction components;
-    restricted to the unit sphere these span the harmonics up to that degree."""
-    dim = directions.shape[1]
-    columns = []
-    if dim == 2:
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                columns.append(directions[:, 0] ** a * directions[:, 1] ** b)
-    else:
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                for c in range(degree + 1 - a - b):
-                    columns.append(
-                        directions[:, 0] ** a * directions[:, 1] ** b * directions[:, 2] ** c
-                    )
-    return np.stack(columns, axis=1)
+    restricted to the unit sphere these span the harmonics up to that degree.
+
+    Columns come from per-axis power tables, one multiply each, written into
+    one preallocated array; the result is its Fortran-ordered transpose.
+    """
+    count, dim = directions.shape
+    powers = np.empty((dim, degree + 1, count))
+    powers[:, 0] = 1.0
+    for k in range(1, degree + 1):
+        np.multiply(powers[:, k - 1], directions.T, out=powers[:, k])
+    out = np.empty((math.comb(degree + dim, dim), count))
+    col = 0
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            if dim == 2:
+                np.multiply(powers[0, a], powers[1, b], out=out[col])
+                col += 1
+                continue
+            pair = powers[0, a] * powers[1, b]
+            for c in range(degree + 1 - a - b):
+                np.multiply(pair, powers[2, c], out=out[col])
+                col += 1
+    return out.T
 
 
 def decay_and_expansion_check(

@@ -26,6 +26,10 @@ Two accelerations wrap the plain iteration without weakening the gate:
   guarantee (they move the energy by O(residual) at most); the recorded
   trajectory is the descent phase.
 
+The iterate lives on the support of Q (see dual_functional): every power,
+norm, Anderson column and Krylov vector has one entry per support point, and
+the grid is touched only inside the FFT pair of K.
+
 Every run ends in exactly one of three ways: a converged SolutionRecord,
 DivergedError (energy under the configured floor), or MaxIterationsError.
 """
@@ -123,14 +127,15 @@ def descent_direction(ctx: FunctionalContext, v: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _project_scored(ctx, w, kw):
+def _project_scored(ctx, w, kw, ceiling=None):
     """Fibering projection v = t_w w onto the Nehari constraint, scored in the same pass.
 
     Returns (v, kv, level, residual, ||J'(v)||_p, ||v||_{p'}, J'(v)), or None
-    outside U^+.  The projected point shares every power with w up to a scalar
+    outside U^+ or when the level exceeds `ceiling` (checked before J'(v) is
+    built).  The projected point shares every power with w up to a scalar
     factor: with a = |w|^{p'-1}, the mass is sum a |w|, J'(v) = t^{p'-1}
     sign(w) a - t Kw and ||v||_{p'} = t ||w||_{p'}, so |w|^{p'-1} and |J'(v)|^p
-    are the only powers over the grid.  The inputs are left untouched.
+    are the only powers over the vector.  The inputs are left untouched.
     """
     pc, p = ctx.exponents.p_conj, ctx.exponents.p
     qf = ctx.weight * float(np.vdot(w, kw))
@@ -143,6 +148,9 @@ def _project_scored(ctx, w, kw):
     if m == 0.0:
         return None
     t = (m / qf) ** (1.0 / (2.0 - pc))
+    level = (1.0 / pc - 0.5) * t ** pc * m
+    if ceiling is not None and level > ceiling:
+        return None
     kv = t * kw
     g *= t ** (pc - 1.0)
     g -= kv
@@ -151,7 +159,6 @@ def _project_scored(ctx, w, kw):
     grad_norm = float((ctx.weight * power.sum()) ** (1.0 / p))
     del power
     v_norm = t * m ** (1.0 / pc)
-    level = (1.0 / pc - 0.5) * t ** pc * m
     return t * w, kv, level, grad_norm / v_norm ** (pc - 1.0), grad_norm, v_norm, g
 
 
@@ -205,36 +212,34 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
     (p'-1)-th root would floor the dual residual.
     """
     p = ctx.exponents.p
-    shape = v.shape
     steps = 0
     enter_norm = ctx.lp_norm(v, ctx.exponents.p_conj)
     fails = 0
     for _ in range(max_steps):
         picard = odd_power(kv, p - 1.0)
-        projected = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+        projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
         if projected is not None and projected[3] <= tol:
             return projected[0], projected[1], steps, True
         if ctx.dual_residual_arrays(v, kv) <= tol:
             return v, kv, steps, True
 
         r = v - picard
-        rn0 = np.linalg.norm(r.ravel())
+        rn0 = np.linalg.norm(r)
         damping = np.abs(kv) ** (p - 2.0) * (p - 1.0)
-        mu = rn0 / max(np.linalg.norm(v.ravel()), 1e-300)
+        mu = rn0 / max(np.linalg.norm(v), 1e-300)
 
-        def apply_a(wflat):
-            w = wflat.reshape(shape)
-            return ((1.0 + mu) * w - damping * ctx.apply_k_array(w)).ravel()
+        def apply_a(w):
+            return (1.0 + mu) * w - damping * ctx.apply_k_support(w)
 
-        step = _gmres(apply_a, r.ravel(), maxk=120, rtol=1e-10).reshape(shape)
+        step = _gmres(apply_a, r, maxk=120, rtol=1e-10)
         s, ok = 1.0, False
         for _bt in range(12):
             vn = v - s * step
             if ctx.lp_norm(vn, ctx.exponents.p_conj) < 0.3 * enter_norm:
                 s *= 0.5
                 continue
-            kvn = ctx.apply_k_array(vn)
-            rn = np.linalg.norm((vn - odd_power(kvn, p - 1.0)).ravel())
+            kvn = ctx.apply_k_support(vn)
+            rn = np.linalg.norm(vn - odd_power(kvn, p - 1.0))
             if rn < rn0 * (1.0 - 0.1 * s):
                 v, kv = vn, kvn
                 ok = True
@@ -248,7 +253,7 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
         else:
             fails = 0
     picard = odd_power(kv, p - 1.0)
-    projected = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+    projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
     if projected is not None and projected[3] <= tol:
         return projected[0], projected[1], steps, True
     return v, kv, steps, ctx.dual_residual_arrays(v, kv) <= tol
@@ -259,7 +264,7 @@ class _AndersonWindow:
 
     Residuals f_j = G(v_j) - v_j enter through their differences
     Delta = [f_1 - f_0, ...] = Q R (Walker & Ni, SIAM J. Numer. Anal. 2011).
-    Q is stored by rows, one orthonormal grid vector each.  A new difference
+    Q is stored by rows, one orthonormal vector each.  A new difference
     is orthogonalized by two classical Gram-Schmidt passes; dropping the
     oldest column restores the triangle with Givens rotations.  A column that
     is numerically dependent on the others gets a zero Q vector and a zero
@@ -268,13 +273,12 @@ class _AndersonWindow:
     candidate is one matrix-vector product per image.
     """
 
-    def __init__(self, depth, shape):
-        size = int(np.prod(shape))
+    def __init__(self, depth, size):
         self.depth = depth
-        self.shape = shape
         self.images = np.zeros((2, depth + 1, size))
         self.pushes = 0
         self.q = np.zeros((depth, size))
+        self.q_spare = np.zeros((depth, size))  # rotation target of _drop_first
         self.r = np.zeros((depth, depth))
         self.cols = 0
         self.last = None
@@ -284,10 +288,10 @@ class _AndersonWindow:
     def push(self, v, gv, kgv):
         """Add the Picard image gv = G(v) and its transform kgv."""
         slot = self.pushes % (self.depth + 1)
-        self.images[0, slot] = gv.ravel()
-        self.images[1, slot] = kgv.ravel()
+        self.images[0, slot] = gv
+        self.images[1, slot] = kgv
         self.pushes += 1
-        f = self.images[0, slot] - v.ravel()
+        f = self.images[0, slot] - v
         if self.last is not None and self.depth > 0:
             if self.cols == self.depth:
                 self._drop_first()
@@ -326,7 +330,8 @@ class _AndersonWindow:
                 rows[i] = [c * x + s * y for x, y in zip(top, bottom)]
                 rows[i + 1] = [c * y - s * x for x, y in zip(top, bottom)]
             r[i + 1][i] = 0.0
-        self.q[:k - 1] = np.asarray(rot)[:k - 1] @ self.q[:k]
+        np.matmul(np.asarray(rot)[:k - 1], self.q[:k], out=self.q_spare[:k - 1])
+        self.q, self.q_spare = self.q_spare, self.q
         self.r[:] = 0.0
         self.r[:k - 1, :k - 1] = np.asarray(r)[:k - 1]
         self.cols = k - 1
@@ -343,13 +348,13 @@ class _AndersonWindow:
         if count < 2:
             return None
         gamma = self.gamma()
+        # image j of the window (oldest first) sits in ring slot (pushes - count + j) mod (depth + 1)
+        slots = (self.pushes - count + np.arange(count)) % (self.depth + 1)
         theta = np.zeros(self.depth + 1)
-        theta[count - 1] = 1.0
-        theta[1:count] -= gamma
-        theta[:count - 1] += gamma
-        theta = np.roll(theta, self.pushes - count)  # the oldest image's ring slot
-        v_cand, kv_cand = theta @ self.images[0], theta @ self.images[1]
-        return v_cand.reshape(self.shape), kv_cand.reshape(self.shape)
+        theta[slots[-1]] = 1.0
+        theta[slots[1:]] -= gamma
+        theta[slots[:-1]] += gamma
+        return theta @ self.images[0], theta @ self.images[1]
 
 
 class _SnapshotReservoir:
@@ -375,14 +380,16 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
     Raises NotInUPlusError when the projected seed is inadmissible,
     DivergedError when the energy crosses cfg.divergence_floor, and
-    MaxIterationsError when the budget runs out.
+    MaxIterationsError when the budget runs out.  The descent starts from v0
+    restricted to the support of Q, which has the same quadratic form and a
+    smaller norm, hence a lower fibering level.
     """
     pc = ctx.exponents.p_conj
     p = ctx.exponents.p
-    v = np.asarray(ctx._own(v0), dtype=float).copy()
+    v = ctx.restrict(np.asarray(ctx._own(v0), dtype=float))
     if not np.any(v):
         raise NotInUPlusError("zero initial field is inadmissible")
-    projected = _project_scored(ctx, v, ctx.apply_k_array(v))
+    projected = _project_scored(ctx, v, ctx.apply_k_support(v))
     if projected is None:
         raise NotInUPlusError("initial field has nonpositive quadratic form")
     v, kv, level, res, grad_norm, v_norm, g = projected
@@ -393,7 +400,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     snapshots = _SnapshotReservoir(ctx.grid)
     snapshots.offer(0, v)
 
-    anderson = _AndersonWindow(cfg.anderson_depth, v.shape)
+    anderson = _AndersonWindow(cfg.anderson_depth, v.size)
     iterations = 0
     newton_steps = 0
     res_window = [res]
@@ -414,7 +421,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
     def _finish(v_fin, kv_fin, res_fin):
         level_fin = ctx.energy_arrays(v_fin, kv_fin)
-        vf = Field(ctx.grid, v_fin)
+        vf = Field(ctx.grid, ctx.extend(v_fin))
         u = ctx.dual_to_primal(vf)
         bound_constant = max(
             max(2.0 * j for j in j_values),
@@ -434,13 +441,13 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             grad_norms=np.asarray(grad_norms),
             v_norms=np.asarray(v_norms),
             bound_constant=bound_constant,
-            iterate_snapshots=[Field(ctx.grid, arr) for _, arr in snapshots.items],
+            iterate_snapshots=[Field(ctx.grid, ctx.extend(arr)) for _, arr in snapshots.items],
             newton_steps=newton_steps,
         )
 
     while True:
         if res <= cfg.tol_residual:
-            kv = ctx.apply_k_array(v)  # fresh transform before declaring victory
+            kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
                 return _finish(v, kv, res)
@@ -465,7 +472,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             newton_steps += steps
             iterations += max(steps, 1)
             if ok:
-                projected = _project_scored(ctx, v_try, ctx.apply_k_array(v_try))
+                projected = _project_scored(ctx, v_try, ctx.apply_k_support(v_try))
                 if projected is not None and projected[3] <= cfg.tol_residual:
                     return _finish(projected[0], projected[1], projected[3])
             # restore the pre-polish state and demand real progress before retrying
@@ -475,7 +482,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
         # -- one descent step -------------------------------------------------
         picard = odd_power(kv, p - 1.0)
-        image = _project_scored(ctx, picard, ctx.apply_k_array(picard))
+        image = _project_scored(ctx, picard, ctx.apply_k_support(picard))
         if image is None:
             raise MaxIterationsError(
                 "iteration left the admissible cone",
@@ -489,8 +496,9 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
         mixed = anderson.candidate()
         if mixed is not None:
-            candidate = _project_scored(ctx, *mixed)
-            # strict energy decrease, or the plateau branch
+            # strict energy decrease, or the plateau branch; a level above
+            # level + plateau fails both, so such a candidate is not scored further
+            candidate = _project_scored(ctx, *mixed, ceiling=level + plateau)
             if candidate is not None and _passes(candidate, np.nextafter(level, -np.inf)):
                 accepted = candidate
 
@@ -519,7 +527,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 s = min(cfg.step_init, 1.0)
                 for _bt in range(40):
                     w = v - s * d
-                    candidate = _project_scored(ctx, w, ctx.apply_k_array(w))
+                    candidate = _project_scored(ctx, w, ctx.apply_k_support(w))
                     if candidate is not None and _passes(candidate, level - cfg.armijo_c * s * grad_norm):
                         accepted = candidate
                         break
@@ -534,7 +542,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
         iterations += 1
         if iterations % KREFRESH == 0:
-            kv = ctx.apply_k_array(v)
+            kv = ctx.apply_k_support(v)
             g = ctx.gradient_arrays(v, kv)  # v and its norm are unchanged
             grad_norm = ctx.lp_norm(g, p)
             res = grad_norm / v_norm ** (pc - 1.0)

@@ -22,6 +22,16 @@ def make_constant_context(n=32, L=None, p=7.0, dimension=2, value=1.0, eps=0.0):
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
 
+def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
+    """Compactly supported bump Q = exp(1 - 1/(1 - |x - c|^2/radius^2)) off the box center."""
+    grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
+    center = [0.55 * L] + [0.5 * L] * (dimension - 1)
+    s2 = sum((m - c) ** 2 for m, c in zip(grid.coordinate_mesh(), center)) / radius ** 2
+    q = np.where(s2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - s2)), 0.0)
+    coeff = Coefficient.build(Field(grid, q), p, periodic=False)
+    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+
+
 def mode_field(grid, m, kind="cos"):
     mesh = grid.coordinate_mesh()
     phase = sum(2.0 * np.pi * mi * x / grid.box_length for mi, x in zip(m, mesh))

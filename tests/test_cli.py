@@ -26,6 +26,24 @@ bump.amplitude = 0.3
 seed = 20240601
 """
 
+# 3d compact bump with absorption; about a second
+FARFIELD_CFG = """
+mode = farfield
+grid.dimension = 3
+grid.box_length = 16.0
+grid.points_per_axis = 48
+grid.shell_epsilon = 1.0
+exponents.p = 5.0
+coefficient.kind = compact_bump
+coefficient.center = 9.2, 8.7, 8.4
+coefficient.radius = 1.6
+coefficient.amplitude = 2.0
+coefficient.periodic = false
+descent.multistart_count = 2
+farfield.direction_count = 64
+seed = 1
+"""
+
 
 def run_cli(tmp_path, name, cfg_text, mode, seed=None):
     cfg_file = tmp_path / f"{name}.cfg"
@@ -93,6 +111,21 @@ class TestCompareMode:
         c_est = float(data[header.index("c_est")])
         c_inf = float(data[header.index("c_inf_est")])
         assert c_est <= c_inf + 1e-3 * abs(c_inf)
+
+
+class TestFarfieldMode:
+    def test_artifacts_and_exit(self, tmp_path):
+        status, out = run_cli(tmp_path, "farfield", FARFIELD_CFG, "farfield")
+        assert status == 0
+        for name in ("solutions.csv", "farfield_summary.csv", "u_best.hlmf"):
+            assert (out / name).is_file()
+        rows = read_rows(out / "farfield_summary.csv")
+        header, data = rows[0], rows[1]
+        assert int(data[header.index("trend_nonincreasing")]) == 1
+        field = read_field((out / "u_best.hlmf").read_bytes(), 1.0)
+        assert field.grid.points_per_axis == 48
+        manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+        assert manifest == {p.name for p in out.iterdir()} - {"manifest.csv"}
 
 
 class TestErrors:

@@ -13,7 +13,13 @@ from helmdual import (
     odd_power,
     spectral_laplacian,
 )
-from conftest import make_constant_context, make_sine_context, mode_field, random_field
+from conftest import (
+    make_bump_context,
+    make_constant_context,
+    make_sine_context,
+    mode_field,
+    random_field,
+)
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)
 
@@ -88,6 +94,45 @@ class TestApplyK:
             lhs = v.inner(sine_ctx.apply_k(w))
             rhs = w.inner(sine_ctx.apply_k(v))
             assert abs(lhs - rhs) <= 1e-11 * v.lp_norm(2) * w.lp_norm(2)
+
+
+class TestSupport:
+    def test_bump_support(self):
+        ctx = make_bump_context()
+        inside = ctx.coefficient.field.values > 0.0
+        assert 0 < ctx.support.size == inside.sum() < ctx.grid.size
+        assert not ctx.full_support
+
+    def test_extend_restrict_round_trip(self):
+        ctx = make_bump_context()
+        inside = ctx.coefficient.field.values > 0.0
+        x = np.random.default_rng(20).standard_normal(ctx.grid.shape)
+        vs = ctx.restrict(x)
+        assert vs.shape == (ctx.support.size,)
+        back = ctx.extend(vs)
+        assert back.shape == ctx.grid.shape
+        np.testing.assert_array_equal(back[inside], x[inside])
+        assert np.all(back[~inside] == 0.0)
+
+    def test_apply_k_is_the_sandwich(self):
+        ctx = make_bump_context()
+        v = np.random.default_rng(21).standard_normal(ctx.grid.shape)
+        q = ctx.q_root
+        ref = q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real
+        got = ctx.apply_k_array(v)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(ctx.restrict(got), ctx.apply_k_support(ctx.restrict(v)))
+
+    def test_full_support_maps_are_views(self, sine_ctx):
+        assert sine_ctx.full_support
+        x = np.random.default_rng(22).standard_normal(sine_ctx.grid.shape)
+        vs = sine_ctx.restrict(x)
+        assert vs.shape == (sine_ctx.grid.size,)
+        assert np.shares_memory(vs, x)
+        assert np.shares_memory(sine_ctx.extend(vs), x)
+        np.testing.assert_array_equal(
+            sine_ctx.extend(sine_ctx.apply_k_support(vs)), sine_ctx.apply_k_array(x)
+        )
 
 
 def cos_power_integral(p_conj, box_measure):

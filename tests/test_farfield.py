@@ -1,5 +1,7 @@
 """Far-field amplitudes, decay fits, and expansion-error diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from helmdual import (
     fundamental_solution_psi,
     odd_power,
 )
+from helmdual.farfield import _monomial_design
 
 
 def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, center=None):
@@ -124,6 +127,20 @@ def synthetic_expansion_field(grid, k_plus=1.0):
     )
     dirs = equal_area_directions(dim, 96)
     return Field(grid, u_vals), SphereSamples(dirs, amplitude(dirs))
+
+
+class TestMonomialDesign:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_matches_explicit_powers(self, dimension):
+        dirs = equal_area_directions(dimension, 50)
+        degree = 6
+        design = _monomial_design(dirs, degree)
+        exponents = [e for e in itertools.product(range(degree + 1), repeat=dimension)
+                     if sum(e) <= degree]
+        assert design.shape == (dirs.shape[0], len(exponents))
+        for col, e in enumerate(exponents):
+            want = np.prod([dirs[:, axis] ** k for axis, k in enumerate(e)], axis=0)
+            assert np.max(np.abs(design[:, col] - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
 
 
 class TestDecayAndExpansion:

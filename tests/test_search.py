@@ -22,7 +22,7 @@ from helmdual import (
     ps_boundedness_check,
 )
 from helmdual.search import KREFRESH, _AndersonWindow, _project_scored
-from conftest import make_sine_context, random_field
+from conftest import make_bump_context, make_sine_context, random_field
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
 
@@ -104,6 +104,17 @@ class TestFindCriticalPoint:
             assert len(rec.iterate_snapshots) >= 1
             assert rec.j_values.shape == rec.grad_norms.shape == rec.v_norms.shape
 
+    def test_compact_coefficient_solution_lives_on_support(self):
+        ctx = make_bump_context()
+        cfg = DescentConfig(multistart_count=1, max_iters=1500)
+        v0 = initial_field(ctx, np.random.default_rng(11))
+        assert np.any(v0.values[ctx.coefficient.field.values == 0.0])
+        rec = find_critical_point(ctx, v0, cfg)
+        assert np.all(rec.v_star.values[ctx.coefficient.field.values == 0.0] == 0.0)
+        assert ctx.dual_residual(rec.v_star) <= cfg.tol_residual
+        for snap in rec.iterate_snapshots:
+            assert snap.grid == ctx.grid
+
     def test_dual_to_primal_residual_chain(self, mini_result):
         # small dual residual forces a small primal residual; the recorded
         # proportionality constant for this configuration is 1e2, with a
@@ -135,6 +146,18 @@ class TestProjectScored:
             assert grad_norm == pytest.approx(g_ref.lp_norm(p), rel=1e-12, abs=0)
             assert v_norm == pytest.approx(vf.lp_norm(pc), rel=1e-12, abs=0)
             assert np.max(np.abs(g - g_ref.values)) <= 1e-12 * np.max(np.abs(g_ref.values))
+
+    def test_ceiling(self, mini_ctx):
+        w = initial_field(mini_ctx, np.random.default_rng(10)).values
+        kw = mini_ctx.apply_k_array(w)
+        full = _project_scored(mini_ctx, w, kw)
+        level = full[2]
+        assert _project_scored(mini_ctx, w, kw, ceiling=np.nextafter(level, -np.inf)) is None
+        for ceiling in (level, np.nextafter(level, np.inf)):
+            capped = _project_scored(mini_ctx, w, kw, ceiling=ceiling)
+            assert capped is not None
+            for got, want in zip(capped, full):
+                np.testing.assert_array_equal(got, want)
 
     def test_inputs_untouched(self, mini_ctx):
         w = initial_field(mini_ctx, np.random.default_rng(9)).values
@@ -195,7 +218,7 @@ class TestAndersonWindow:
     def test_matches_explicit_lstsq_as_window_slides(self):
         rng = np.random.default_rng(5)
         depth, size = 4, 300
-        window = _AndersonWindow(depth, (size,))
+        window = _AndersonWindow(depth, size)
         history = []
         for step in range(3 * (depth + 1)):
             scale = 10.0 ** rng.uniform(-2, 2)
@@ -225,7 +248,7 @@ class TestAndersonWindow:
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal(200), rng.standard_normal(200)
         zero = np.zeros(200)
-        window = _AndersonWindow(3, (200,))
+        window = _AndersonWindow(3, 200)
         for f in (a, b, a, b, a, b, a):  # every difference is +-(b - a); the window slides
             window.push(zero, f, f)
         gamma = window.gamma()
