@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DivergedError,
+    DomainError,
     HypothesisViolatedError,
     MaxIterationsError,
     NotInUPlusError,
@@ -73,11 +74,11 @@ def build_asymptotic_coefficient(q_inf: Coefficient, bump: BumpDescriptor) -> As
     """Attach a compact nonnegative bump to a periodic background coefficient."""
     grid = q_inf.field.grid
     if bump.amplitude < 0.0:
-        raise ValueError("bump amplitude must be nonnegative")
+        raise DomainError("bump amplitude must be nonnegative")
     if bump.radius <= 0.0:
-        raise ValueError("bump radius must be positive")
+        raise DomainError("bump radius must be positive")
     if len(bump.center) != grid.dimension:
-        raise ValueError("bump center has wrong dimension")
+        raise DomainError("bump center has wrong dimension")
     for c in bump.center:
         if c - bump.radius < 0.0 or c + bump.radius > grid.box_length:
             raise SupportOverflowError(

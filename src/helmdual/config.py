@@ -156,6 +156,19 @@ def _validate(cfg: RunConfig):
         descent_config(cfg)
     except ValueError as exc:
         raise ConfigTypeError(str(exc)) from exc
+    # the bump builders zip a center with the mesh, so a short one would not fail
+    for key, center in (("coefficient.center", cfg.coefficient_center),
+                        ("bump.center", cfg.bump_center)):
+        if center and len(center) != cfg.grid_dimension:
+            raise ConfigTypeError(
+                f"{key} has {len(center)} entries; grid.dimension is {cfg.grid_dimension}"
+            )
+    for key, radius in (("coefficient.radius", cfg.coefficient_radius),
+                        ("bump.radius", cfg.bump_radius)):
+        if not radius > 0.0:
+            raise ConfigTypeError(f"{key} must be positive, got {radius!r}")
+    if not cfg.bump_amplitude >= 0.0:
+        raise ConfigTypeError(f"bump.amplitude must be nonnegative, got {cfg.bump_amplitude!r}")
 
 
 def descent_config(cfg: RunConfig) -> DescentConfig:

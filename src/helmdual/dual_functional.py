@@ -19,6 +19,13 @@ K vanishes off the support S = {Q > 0}, and the critical equation
 vector over S (`restrict` / `extend`) and touches the grid only inside the
 FFT pair of R.  When Q > 0 everywhere S is the whole grid and both maps are
 views.
+
+That FFT pair is pruned to the bounding box of S (`box`): a source that
+vanishes off the box leaves whole lines of zeros in the forward transform,
+and K reads the inverse only inside the box, so those lines are skipped.
+Every kept line sees the inputs of numpy's own `fftn`/`ifftn` in numpy's
+axis order (last axis first), so the values read are bit-identical to the
+unpruned pair.
 """
 
 from dataclasses import dataclass
@@ -27,6 +34,24 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
 from .kernel import Field, GridSpec, helmholtz_multiplier
+
+
+def pruned_fftn(values: np.ndarray, box) -> np.ndarray:
+    """fftn(values) for values that vanish outside `box`, as a new complex array.
+
+    `box` is a tuple of per-axis slices, or None for the whole grid (one
+    plain `fftn`).  Axes run last to first, as in `fftn`; the pass over axis
+    d transforms only the lines whose earlier axes lie in the box, since
+    every other line still holds exact zeros.
+    """
+    if box is None:
+        return np.fft.fftn(values)
+    spec = np.zeros(values.shape, dtype=complex)
+    spec[box] = values[box]
+    for d in reversed(range(values.ndim)):
+        block = spec[box[:d]]
+        np.fft.fftn(block, axes=(d,), out=block)
+    return spec
 
 
 def odd_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -116,6 +141,11 @@ class FunctionalContext:
         self.support = np.flatnonzero(self.q_root > 0.0)
         self.full_support = self.support.size == grid.size
         self.q_support = self.restrict(self.q_root)
+        # per-axis index range of the support; None when it spans the grid
+        box = tuple(slice(int(idx.min()), int(idx.max()) + 1)
+                    for idx in np.unravel_index(self.support, grid.shape))
+        spans = all(b.stop - b.start == n for b, n in zip(box, grid.shape))
+        self.box = None if spans else box
 
     # -- quadrature helpers ------------------------------------------------
 
@@ -146,12 +176,28 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(self.sigma * np.fft.fftn(values)).real
+    def resolvent_array(self, values: np.ndarray, source_box=None, read_box=None) -> np.ndarray:
+        """R(values) on the grid, from one complex array allocated per call.
+
+        `values` must vanish outside `source_box`, and the result holds
+        R(values) only inside `read_box` (tuples of per-axis slices, None for
+        the whole grid).  The inverse pass over axis d transforms only the
+        lines whose later axes lie in `read_box`: no other line feeds a value
+        read there.  With both boxes None this is one `fftn` and one `ifftn`.
+        """
+        spec = pruned_fftn(values, source_box)
+        spec *= self.sigma
+        if read_box is None:
+            return np.fft.ifftn(spec, out=spec).real
+        for d in reversed(range(spec.ndim)):
+            block = spec[(slice(None),) * (d + 1) + read_box[d + 1:]]
+            np.fft.ifftn(block, axes=(d,), out=block)
+        return spec.real
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
         """K on support vectors: q_S R(extend(q_S v))|_S."""
-        return self.q_support * self.restrict(self.resolvent_array(self.extend(self.q_support * vs)))
+        source = self.extend(self.q_support * vs)
+        return self.q_support * self.restrict(self.resolvent_array(source, self.box, self.box))
 
     def apply_k_array(self, values: np.ndarray) -> np.ndarray:
         return self.extend(self.apply_k_support(self.restrict(values)))
@@ -218,7 +264,7 @@ class FunctionalContext:
     def dual_to_primal(self, v: Field) -> Field:
         """Primal reconstruction u = R(Q^{1/p} v)."""
         vals = self._own(v)
-        return Field(self.grid, self.resolvent_array(self.q_root * vals))
+        return Field(self.grid, self.resolvent_array(self.q_root * vals, self.box))
 
     def primal_residual(self, u: Field) -> float:
         """Relative size of -Delta u - u - Q |u|^{p-2} u in L^{p'}.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShellsError, InterpolationDegenerateError
-from .dual_functional import FunctionalContext, odd_power
+from .dual_functional import FunctionalContext, odd_power, pruned_fftn
 from .kernel import Field
 
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
@@ -75,11 +75,14 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
     Evaluates int_box s(x) exp(-i k (x - center)) dx at arbitrary (complex)
     wavevectors through the Dirichlet-kernel interpolation of the lattice
     transform; spectrally accurate for sources supported inside the box.
+    The source vanishes off the support of Q, so its FFT is pruned to
+    `ctx.box`.
     """
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
-    coeffs = np.fft.fftn(source) / grid.size  # trig-interpolant coefficients
+    coeffs = pruned_fftn(source, ctx.box)
+    coeffs /= grid.size  # trig-interpolant coefficients
     lattice = grid.axis_frequencies
     # per-axis integral: int_0^L e^{i(k_m - k)x} e^{ikL/2} dx
     #                  = L sinc((k_m - k)L/2) e^{i k_m L/2} = L sinc(.) (-1)^m

@@ -157,6 +157,14 @@ class TestErrors:
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["bump.center = 1.0, 2.0, 3.0", "bump.radius = -1.0"])
+    def test_unbuildable_bump_is_config_error(self, tmp_path, line):
+        cfg_file = tmp_path / "bad_bump.cfg"
+        cfg_file.write_text(f"mode = compare\ngrid.points_per_axis = 48\n{line}\n")
+        out = tmp_path / "bad_bump"
+        assert main(["compare", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [-1.0, 0.0])
     def test_bad_coefficient_writes_record(self, tmp_path, value):
         # a nonpositive constant coefficient is a run-time domain error

@@ -79,6 +79,13 @@ grid.points_per_axis = 48
         "descent.max_iters = 0",
         "descent.tol_residual = -1e-8",
         "descent.armijo_shrink = 1.0",
+        "grid.dimension = 3\nexponents.p = 5.0\ncoefficient.center = 9.2, 8.7",
+        "coefficient.center = 1.0, 2.0, 3.0, 4.0",
+        "bump.center = 1.0, 2.0, 3.0",
+        "coefficient.radius = 0.0",
+        "bump.radius = -1.0",
+        "bump.radius = nan",
+        "bump.amplitude = -0.3",
     ])
     def test_unbuildable_values_rejected(self, line):
         with pytest.raises(ConfigTypeError):

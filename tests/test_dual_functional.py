@@ -7,6 +7,7 @@ from helmdual import (
     Coefficient,
     Exponents,
     Field,
+    FunctionalContext,
     GridSpec,
     NotInUPlusError,
     ZeroFieldError,
@@ -22,6 +23,25 @@ from conftest import (
 )
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)
+
+
+def sandwich(ctx, v):
+    """The unpruned K: q R(q v) with one full fftn/ifftn pair."""
+    q = ctx.q_root
+    return q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real
+
+
+def edge_context(dimension, axis, n=16):
+    """Q > 0 on a block that wraps around both ends of `axis`, so the
+    support's box spans that axis and no other."""
+    grid = GridSpec(dimension=dimension, box_length=8.0, points_per_axis=n)
+    block = [slice(5, 9)] * dimension
+    block[axis] = np.r_[0:2, n - 2:n]
+    q = np.zeros(grid.shape)
+    q[np.ix_(*[np.arange(n)[b] for b in block])] = 1.0
+    q *= 1.0 + np.random.default_rng(23).random(grid.shape)
+    p = 7.0 if dimension == 2 else 5.0
+    return FunctionalContext(grid, Exponents(dimension, p), Coefficient.build(Field(grid, q), p))
 
 
 class TestExponents:
@@ -122,6 +142,60 @@ class TestSupport:
         got = ctx.apply_k_array(v)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         np.testing.assert_array_equal(ctx.restrict(got), ctx.apply_k_support(ctx.restrict(v)))
+
+    @pytest.mark.parametrize("shape", [{}, {"n": 24, "p": 5.0, "dimension": 3}])
+    def test_pruned_k_is_bit_identical(self, shape):
+        ctx = make_bump_context(**shape)
+        assert ctx.box is not None
+        v = np.random.default_rng(24).standard_normal(ctx.grid.shape)
+        np.testing.assert_array_equal(
+            ctx.apply_k_support(ctx.restrict(v)), ctx.restrict(sandwich(ctx, v))
+        )
+
+    @pytest.mark.parametrize("dimension,axis", [(2, 0), (2, 1), (3, 1)])
+    def test_box_spanning_an_axis(self, dimension, axis):
+        ctx = edge_context(dimension, axis)
+        n = ctx.grid.points_per_axis
+        assert [b == slice(0, n) for b in ctx.box] == [d == axis for d in range(dimension)]
+        v = np.random.default_rng(25).standard_normal(ctx.grid.shape)
+        np.testing.assert_array_equal(
+            ctx.apply_k_support(ctx.restrict(v)), ctx.restrict(sandwich(ctx, v))
+        )
+
+    def test_full_support_k_is_bit_identical(self, sine_ctx):
+        assert sine_ctx.box is None
+        v = np.random.default_rng(26).standard_normal(sine_ctx.grid.shape)
+        np.testing.assert_array_equal(
+            sine_ctx.apply_k_support(sine_ctx.restrict(v)), sine_ctx.restrict(sandwich(sine_ctx, v))
+        )
+
+    def test_pruned_dual_to_primal_is_bit_identical(self):
+        ctx = make_bump_context()
+        v = np.random.default_rng(27).standard_normal(ctx.grid.shape)
+        ref = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
+        np.testing.assert_array_equal(ctx.dual_to_primal(Field(ctx.grid, v)).values, ref)
+
+    @pytest.mark.parametrize("kind", ["bump", "sine"])
+    def test_k_results_do_not_alias(self, kind, sine_ctx):
+        ctx = make_bump_context() if kind == "bump" else sine_ctx
+        rng = np.random.default_rng(28)
+        first = ctx.apply_k_support(rng.standard_normal(ctx.support.size))
+        kept = first.copy()
+        ctx.apply_k_support(rng.standard_normal(ctx.support.size))
+        np.testing.assert_array_equal(first, kept)
+
+    def test_full_support_k_is_one_fft_pair(self, sine_ctx, monkeypatch):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        sine_ctx.apply_k_support(np.ones(sine_ctx.support.size))
+        assert calls == ["fftn", "ifftn"]
 
     def test_full_support_maps_are_views(self, sine_ctx):
         assert sine_ctx.full_support

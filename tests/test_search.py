@@ -343,6 +343,17 @@ class TestMultistart:
         for a, b in zip(par.records, seq.records):
             np.testing.assert_array_equal(a.v_star.values, b.v_star.values)
 
+    def test_worker_count_does_not_change_compact_results(self):
+        ctx = make_bump_context()
+        cfg = DescentConfig(multistart_count=3, rng_seed=MINI_CFG.rng_seed,
+                            max_iters=MINI_CFG.max_iters)
+        seq = multistart_search(ctx, cfg, workers=1)
+        par = multistart_search(ctx, cfg, workers=2)
+        assert seq.records
+        assert [r.level for r in par.records] == [r.level for r in seq.records]
+        for a, b in zip(par.records, seq.records):
+            assert a.v_star.values.tobytes() == b.v_star.values.tobytes()
+
     def test_translated_duplicates_collapse(self, mini_ctx, mini_result):
         # feeding a lattice translate back into the dedup must not create
         # a second record
