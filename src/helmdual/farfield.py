@@ -91,23 +91,22 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
     nyquist = abs(lattice[n // 2])
 
     def axis_factor(k_axis):
-        z = (lattice - k_axis) * (L / 2.0)  # complex when k is complex
+        """(n, J) matrix of the per-axis integrals, one column per wavevector."""
+        z = (lattice[:, None] - k_axis) * (L / 2.0)  # complex when k is complex
         small = np.abs(z) < 1e-8
         z_safe = np.where(small, 1.0, z)
-        sinc = np.where(small, 1.0 - z * z / 6.0, np.sin(z_safe) / z_safe)
+        sinc = np.where(small, 1.0 - z * z / 6.0, np.sin(z_safe) / z_safe).astype(complex)
         # split the unpaired Nyquist coefficient across +-n/2 (real interpolant)
         z_m = (nyquist - k_axis) * (L / 2.0)
-        sinc = np.asarray(sinc, dtype=complex)
         sinc[n // 2] = 0.5 * (sinc[n // 2] + np.sin(z_m) / z_m)
-        return L * parity * sinc
+        return L * parity[:, None] * sinc
 
-    out = np.empty(wavevectors.shape[0], dtype=complex)
-    for j, k in enumerate(wavevectors):
-        acc = coeffs
-        for axis in range(grid.dimension):
-            acc = np.tensordot(acc, axis_factor(k[axis]), axes=([0], [0]))
-        out[j] = acc
-    return out
+    # contract one axis at a time over all wavevectors; the last axis first,
+    # as one matrix product on the contiguous coefficients
+    acc = coeffs @ axis_factor(wavevectors[:, -1])
+    for axis in range(grid.dimension - 2, -1, -1):
+        acc = np.einsum("...ij,ij->...j", acc, axis_factor(wavevectors[:, axis]))
+    return acc
 
 
 def farfield_amplitude(

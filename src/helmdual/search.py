@@ -15,16 +15,21 @@ Two accelerations wrap the plain iteration without weakening the gate:
 * Anderson extrapolation over a short history of Picard images (combinations
   reuse the cached linear images of K, so no extra transforms).  The
   least-squares mix works on a QR factorization of the residual differences
-  that is updated as the window slides (Walker & Ni, SIAM J. Numer. Anal.
-  2011): a new column costs a few passes over the grid, and the solve itself
-  is on the small triangular factor;
-* once the residual settles, a Levenberg-regularized Newton-GMRES polish of
-  the smooth residual r(v) = v - |Kv|^{p-2} Kv.  The polish is accepted only
-  if it reaches the requested dual-residual tolerance; otherwise the
-  pre-polish state is restored and descent resumes.  Polish steps solve the
-  critical equation directly and are exempt from the flow-monotonicity
-  guarantee (they move the energy by O(residual) at most); the recorded
-  trajectory is the descent phase.
+  that grows by one column per step and restarts from the newest image when
+  the window is full (Walker & Ni, SIAM J. Numer. Anal. 2011): a new column
+  costs a few passes over the grid, and the solve itself is on the small
+  triangular factor;
+* once the descent has settled (the residual under the polish gate and
+  improving by less than SETTLE_FRACTION over SETTLE_WINDOW steps), a
+  Levenberg-regularized Newton-GMRES polish of the smooth residual
+  r(v) = v - |Kv|^{p-2} Kv.  Each GMRES solve stops at the Eisenstat-Walker
+  forcing tolerance max(1e-10, min(1e-2, mu)), with mu = ||r|| / ||v|| the
+  Levenberg shift (Eisenstat & Walker, SIAM J. Sci. Comput. 1996).  The
+  polish is accepted only if it reaches the requested dual-residual
+  tolerance; otherwise the pre-polish state is restored and descent
+  resumes.  Polish steps solve the critical equation directly and are
+  exempt from the flow-monotonicity guarantee (they move the energy by
+  O(residual) at most); the recorded trajectory is the descent phase.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
@@ -35,7 +40,6 @@ DivergedError (energy under the configured floor), or MaxIterationsError.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +79,14 @@ class DescentConfig:
     anderson_depth: int = 6
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.step_init <= 0 or self.dedup_rel_threshold <= 0:
+        if not (self.tol_residual > 0 and self.step_init > 0 and self.dedup_rel_threshold > 0):
             raise ValueError("tolerances and step sizes must be positive")
         if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
             raise ValueError("armijo parameters must lie in (0, 1)")
         if self.max_iters <= 0 or self.multistart_count <= 0:
             raise ValueError("iteration and start counts must be positive")
+        if self.anderson_depth < 0:
+            raise ValueError("anderson_depth must be nonnegative")
 
 
 @dataclass
@@ -231,7 +237,8 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
         def apply_a(w):
             return (1.0 + mu) * w - damping * ctx.apply_k_support(w)
 
-        step = _gmres(apply_a, r, maxk=120, rtol=1e-10)
+        # Eisenstat-Walker forcing: solve loosely far from the root, tightly near it
+        step = _gmres(apply_a, r, maxk=120, rtol=max(1e-10, min(1e-2, mu)))
         s, ok = 1.0, False
         for _bt in range(12):
             vn = v - s * step
@@ -260,17 +267,18 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
 
 
 class _AndersonWindow:
-    """The last depth + 1 Picard images with a QR factorization of their residual differences.
+    """Up to depth + 1 Picard images with a QR factorization of their residual differences.
 
     Residuals f_j = G(v_j) - v_j enter through their differences
     Delta = [f_1 - f_0, ...] = Q R (Walker & Ni, SIAM J. Numer. Anal. 2011).
     Q is stored by rows, one orthonormal vector each.  A new difference
-    is orthogonalized by two classical Gram-Schmidt passes; dropping the
-    oldest column restores the triangle with Givens rotations.  A column that
-    is numerically dependent on the others gets a zero Q vector and a zero
-    row in R, so Q R = Delta still holds and the truncated mix stays finite.
-    The images G(v_j) and K G(v_j) sit in a ring buffer, so the mixed
-    candidate is one matrix-vector product per image.
+    is orthogonalized by two classical Gram-Schmidt passes.  When the window
+    is full it restarts: every column is dropped and only the newest image is
+    kept, so the next push leaves 2 images and 1 column.  A column that is
+    numerically dependent on the others gets a zero Q vector and a zero row in
+    R, so Q R = Delta still holds and the truncated mix stays finite.  The
+    images G(v_j) and K G(v_j) sit in a ring buffer, so the mixed candidate is
+    one matrix-vector product per image.
     """
 
     def __init__(self, depth, size):
@@ -278,7 +286,6 @@ class _AndersonWindow:
         self.images = np.zeros((2, depth + 1, size))
         self.pushes = 0
         self.q = np.zeros((depth, size))
-        self.q_spare = np.zeros((depth, size))  # rotation target of _drop_first
         self.r = np.zeros((depth, depth))
         self.cols = 0
         self.last = None
@@ -294,7 +301,7 @@ class _AndersonWindow:
         f = self.images[0, slot] - v
         if self.last is not None and self.depth > 0:
             if self.cols == self.depth:
-                self._drop_first()
+                self.cols = 0  # restart: keep only the previous image
             self._append(f - self.last)
         self.last = f
 
@@ -315,27 +322,6 @@ class _AndersonWindow:
             self.r[k, k] = 0.0
         self.cols = k + 1
 
-    def _drop_first(self):
-        k = self.cols
-        r = self.r[:k, 1:k].tolist()  # upper Hessenberg once the first column is gone
-        rot = np.eye(k).tolist()
-        for i in range(k - 1):
-            a, b = r[i][i], r[i + 1][i]
-            hyp = math.hypot(a, b)
-            if hyp == 0.0:
-                continue
-            c, s = a / hyp, b / hyp
-            for rows in (r, rot):
-                top, bottom = rows[i], rows[i + 1]
-                rows[i] = [c * x + s * y for x, y in zip(top, bottom)]
-                rows[i + 1] = [c * y - s * x for x, y in zip(top, bottom)]
-            r[i + 1][i] = 0.0
-        np.matmul(np.asarray(rot)[:k - 1], self.q[:k], out=self.q_spare[:k - 1])
-        self.q, self.q_spare = self.q_spare, self.q
-        self.r[:] = 0.0
-        self.r[:k - 1, :k - 1] = np.asarray(r)[:k - 1]
-        self.cols = k - 1
-
     def gamma(self):
         """Coefficients minimizing ||Delta gamma - f|| for the newest residual f."""
         k = self.cols
@@ -344,7 +330,7 @@ class _AndersonWindow:
 
     def candidate(self):
         """Mixed image sum_j theta_j G(v_j) and its transform; None below two images."""
-        count = min(self.pushes, self.depth + 1)
+        count = self.cols + 1  # images held since the last restart
         if count < 2:
             return None
         gamma = self.gamma()
@@ -467,7 +453,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         settled = len(res_window) > SETTLE_WINDOW and res > SETTLE_FRACTION * res_window[-SETTLE_WINDOW]
         if cooldown > 0:
             cooldown -= 1
-        elif res <= polish_gate and (settled or res <= 1e-6):
+        elif res <= polish_gate and settled:
             v_try, kv_try, steps, ok = _newton_polish(ctx, v, kv, cfg.tol_residual)
             newton_steps += steps
             iterations += max(steps, 1)

@@ -79,6 +79,10 @@ grid.points_per_axis = 48
         "descent.max_iters = 0",
         "descent.tol_residual = -1e-8",
         "descent.armijo_shrink = 1.0",
+        "descent.anderson_depth = -1",
+        "descent.tol_residual = nan",
+        "descent.step_init = nan",
+        "descent.dedup_rel_threshold = nan",
         "grid.dimension = 3\nexponents.p = 5.0\ncoefficient.center = 9.2, 8.7",
         "coefficient.center = 1.0, 2.0, 3.0, 4.0",
         "bump.center = 1.0, 2.0, 3.0",

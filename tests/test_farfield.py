@@ -20,7 +20,8 @@ from helmdual import (
     fundamental_solution_psi,
     odd_power,
 )
-from helmdual.farfield import _monomial_design
+from helmdual.dual_functional import pruned_fftn
+from helmdual.farfield import _box_transform, _monomial_design
 
 
 def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, center=None):
@@ -127,6 +128,50 @@ def synthetic_expansion_field(grid, k_plus=1.0):
     )
     dirs = equal_area_directions(dim, 96)
     return Field(grid, u_vals), SphereSamples(dirs, amplitude(dirs))
+
+
+def looped_box_transform(ctx, source, wavevectors):
+    """Reference: one wavevector at a time, contracting the axes in order."""
+    grid = ctx.grid
+    n, L = grid.points_per_axis, grid.box_length
+    coeffs = pruned_fftn(source, ctx.box) / grid.size
+    lattice = grid.axis_frequencies
+    parity = 1.0 - 2.0 * (np.abs(np.rint(lattice * L / (2.0 * np.pi)).astype(int)) % 2)
+    nyquist = abs(lattice[n // 2])
+
+    def axis_factor(k_axis):
+        z = (lattice - k_axis) * (L / 2.0)
+        small = np.abs(z) < 1e-8
+        z_safe = np.where(small, 1.0, z)
+        sinc = np.where(small, 1.0 - z * z / 6.0, np.sin(z_safe) / z_safe).astype(complex)
+        z_m = (nyquist - k_axis) * (L / 2.0)
+        sinc[n // 2] = 0.5 * (sinc[n // 2] + np.sin(z_m) / z_m)
+        return L * parity * sinc
+
+    out = np.empty(len(wavevectors), dtype=complex)
+    for j, k in enumerate(wavevectors):
+        acc = coeffs
+        for axis in range(grid.dimension):
+            acc = np.tensordot(acc, axis_factor(k[axis]), axes=([0], [0]))
+        out[j] = acc
+    return out
+
+
+class TestBoxTransform:
+    @pytest.mark.parametrize("dimension, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("wavenumber", [1.0, np.sqrt(1.0 + 0.3j)])
+    def test_batched_matches_per_wavevector_loop(self, dimension, n, wavenumber):
+        ctx = compact_context(dimension, n=n, L=8.0)
+        source = ctx.coefficient.field.values * np.random.default_rng(3).standard_normal(ctx.grid.shape)
+        dirs = equal_area_directions(dimension, 24)
+        # one wavevector on the lattice, where the per-axis sinc takes its series branch
+        on_lattice = np.zeros((1, dimension))
+        on_lattice[0, 0] = ctx.grid.axis_frequencies[1]
+        wavevectors = np.concatenate([wavenumber * dirs, on_lattice])
+        got = _box_transform(ctx, source, wavevectors)
+        want = looped_box_transform(ctx, source, wavevectors)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestMonomialDesign:

@@ -215,16 +215,21 @@ class TestProjectScored:
 
 
 class TestAndersonWindow:
-    def test_matches_explicit_lstsq_as_window_slides(self):
+    def test_matches_explicit_lstsq_across_restarts(self):
         rng = np.random.default_rng(5)
         depth, size = 4, 300
         window = _AndersonWindow(depth, size)
-        history = []
-        for step in range(3 * (depth + 1)):
+        history = []  # the images pushed since the last restart
+        restarts = 0
+        for step in range(6 * depth):
             scale = 10.0 ** rng.uniform(-2, 2)
             v, gv, kgv = (scale * rng.standard_normal(size) for _ in range(3))
+            if len(history) == depth + 1:
+                history = history[-1:]  # a full window restarts from its newest image
+                restarts += 1
             window.push(v, gv, kgv)
-            history = (history + [(v, gv, kgv)])[-(depth + 1):]
+            history.append((v, gv, kgv))
+            assert window.cols == len(history) - 1  # 1 column right after a restart
             if len(history) < 2:
                 assert window.candidate() is None
                 continue
@@ -243,13 +248,14 @@ class TestAndersonWindow:
             for got, column in ((v_cand, 1), (kv_cand, 2)):
                 want = sum(t * entry[column] for t, entry in zip(theta, history))
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert restarts >= 3
 
     def test_repeated_column_stays_finite(self):
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal(200), rng.standard_normal(200)
         zero = np.zeros(200)
         window = _AndersonWindow(3, 200)
-        for f in (a, b, a, b, a, b, a):  # every difference is +-(b - a); the window slides
+        for f in (a, b, a, b, a, b, a):  # every difference is +-(b - a); the fifth push restarts
             window.push(zero, f, f)
         gamma = window.gamma()
         assert np.all(np.isfinite(gamma))
