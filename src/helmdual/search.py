@@ -10,7 +10,7 @@ decrease.  The accepted-step energies are therefore nonincreasing to within
 1e-13, which is the computable analogue of descent along a pseudo-gradient
 flow.
 
-Two accelerations wrap the plain iteration without weakening the gate:
+Three accelerations wrap the plain iteration without weakening the gate:
 
 * Anderson extrapolation over a short history of Picard images (combinations
   reuse the cached linear images of K, so no extra transforms).  The
@@ -18,7 +18,15 @@ Two accelerations wrap the plain iteration without weakening the gate:
   that grows by one column per step and restarts from the newest image when
   the window is full (Walker & Ni, SIAM J. Numer. Anal. 2011): a new column
   costs a few passes over the grid, and the solve itself is on the small
-  triangular factor;
+  triangular factor.  A mix that passes the gate with a residual above the
+  iterate's is scored again on a fresh transform, because a mix with large
+  coefficients cancels and its combined image drifts from K of the mix;
+* when the mix is rejected, the heavy-ball candidate
+  w = G(v) + MOMENTUM (v - v_prev) (Polyak 1964), with the Picard map G in
+  the role of the preconditioned gradient, as in Petviashvili-type
+  iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev) comes from cached
+  images, and it must pass the full Picard step's Armijo bound, ahead of the
+  damped Picard line search;
 * once the descent has settled (the residual under the polish gate and
   improving by less than SETTLE_FRACTION over SETTLE_WINDOW steps), a
   Levenberg-regularized Newton-GMRES polish of the smooth residual
@@ -61,6 +69,7 @@ SETTLE_FRACTION = 0.5        # residual must improve by less than this to count 
 POLISH_ENTRY_RES = 1e-4      # residual gate for the first polish attempt
 POLISH_COOLDOWN = 50         # descent steps between polish attempts
 KREFRESH = 20                # accepted steps between fresh transforms of the cached K image
+MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
 
 
 @dataclass
@@ -87,6 +96,8 @@ class DescentConfig:
             raise ValueError("iteration and start counts must be positive")
         if self.anderson_depth < 0:
             raise ValueError("anderson_depth must be nonnegative")
+        if not self.divergence_floor < np.inf:  # -inf means no floor
+            raise ValueError("divergence_floor must be below +inf and not nan")
 
 
 @dataclass
@@ -387,6 +398,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     snapshots.offer(0, v)
 
     anderson = _AndersonWindow(cfg.anderson_depth, v.size)
+    v_prev = kv_prev = None  # the previous accepted iterate and its cached image
     iterations = 0
     newton_steps = 0
     res_window = [res]
@@ -484,14 +496,34 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         if mixed is not None:
             # strict energy decrease, or the plateau branch; a level above
             # level + plateau fails both, so such a candidate is not scored further
+            bound = np.nextafter(level, -np.inf)
             candidate = _project_scored(ctx, *mixed, ceiling=level + plateau)
-            if candidate is not None and _passes(candidate, np.nextafter(level, -np.inf)):
+            if candidate is not None and _passes(candidate, bound) and candidate[3] > res:
+                # a mix with large coefficients cancels, and its combined image
+                # drifts from K of the mixed point: confirm on a fresh transform
+                candidate = _project_scored(ctx, mixed[0], ctx.apply_k_support(mixed[0]),
+                                            ceiling=level + plateau)
+            if candidate is not None and _passes(candidate, bound):
                 accepted = candidate
+
+        if accepted is None:
+            slope = max(ctx.inner(g, v - gv), 0.0)
+            if v_prev is not None:
+                # heavy ball w = G(v) + beta (v - v_prev), its image from cached images,
+                # under the full Picard step's Armijo bound
+                w = np.subtract(v, v_prev, out=v_prev)
+                w *= MOMENTUM
+                w += gv
+                kw = np.subtract(kv, kv_prev, out=kv_prev)
+                kw *= MOMENTUM
+                kw += kgv
+                candidate = _project_scored(ctx, w, kw, ceiling=level + plateau)
+                if candidate is not None and _passes(candidate, level - cfg.armijo_c * slope):
+                    accepted = candidate
 
         if accepted is None:
             # damped Picard line search; w = (1-s) v + s G(v) reuses cached images,
             # and the full step s = 1 is the projected image G(v), already scored
-            slope = max(ctx.inner(g, v - gv), 0.0)
             s = min(cfg.step_init, 1.0)
             for _bt in range(60):
                 if s == 1.0:
@@ -524,6 +556,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 f"line search stalled at residual {res:.3e}",
                 iterations=iterations, residual=res, level=level,
             )
+        v_prev, kv_prev = v, kv
         v, kv, level, res, grad_norm, v_norm, g = accepted
 
         iterations += 1

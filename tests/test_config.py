@@ -83,6 +83,8 @@ grid.points_per_axis = 48
         "descent.tol_residual = nan",
         "descent.step_init = nan",
         "descent.dedup_rel_threshold = nan",
+        "descent.divergence_floor = nan",
+        "descent.divergence_floor = inf",
         "grid.dimension = 3\nexponents.p = 5.0\ncoefficient.center = 9.2, 8.7",
         "coefficient.center = 1.0, 2.0, 3.0, 4.0",
         "bump.center = 1.0, 2.0, 3.0",

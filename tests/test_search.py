@@ -95,6 +95,26 @@ class TestFindCriticalPoint:
             diffs = np.diff(rec.j_values)
             assert diffs.max(initial=-np.inf) <= 1e-12
 
+    def test_recorded_levels_match_fresh_energy(self, monkeypatch):
+        # start 4 of the reference solve takes Anderson mixes with large
+        # coefficients, whose combined K image drifts from K of the mixed point
+        ctx = make_sine_context(n=96, L=6.0, p=7.0)
+        cfg = DescentConfig(multistart_count=20, rng_seed=12345)
+        seed = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)[4]
+        accepted = []
+        offer = search._SnapshotReservoir.offer
+
+        def captured(self, index, values):
+            accepted.append(values.copy())
+            return offer(self, index, values)
+
+        monkeypatch.setattr(search._SnapshotReservoir, "offer", captured)
+        rec = find_critical_point(ctx, initial_field(ctx, np.random.default_rng(seed)), cfg)
+        assert len(accepted) == len(rec.j_values) > 2 * KREFRESH
+        for level, v in zip(rec.j_values, accepted):
+            fresh = ctx.nehari_energy(Field(ctx.grid, ctx.extend(v)))
+            assert abs(level - fresh) <= 1e-10 * fresh
+
     def test_record_contents(self, mini_ctx, mini_result):
         for rec in mini_result.records:
             assert rec.level > 0.0
@@ -176,13 +196,28 @@ class TestProjectScored:
         assert _project_scored(mini_ctx, const.values, -mini_ctx.apply_k_array(const.values)) is not None
 
     def test_descent_power_and_residual_calls(self, mini_ctx, monkeypatch):
-        # outside the polish a descent step makes one odd_power call (the Picard
-        # image); candidates are scored by _project_scored, and dual_residual_arrays
-        # is reached only on the cached-image refresh and termination paths
+        # outside the polish a descent step makes one odd_power call and one K
+        # (the Picard image); candidates are scored by _project_scored from cached
+        # images, and dual_residual_arrays is reached only on the cached-image
+        # refresh and termination paths
         counts = Counter()
         phase = ["descent"]
+        mixes = []
         power, residual, polish = (dual_functional.odd_power,
                                    FunctionalContext.dual_residual_arrays, search._newton_polish)
+        apply_k, candidate = FunctionalContext.apply_k_support, _AndersonWindow.candidate
+
+        def counted_k(self, vs):
+            counts[phase[0], "K"] += 1
+            if mixes and vs is mixes[-1]:
+                counts[phase[0], "rescore"] += 1
+            return apply_k(self, vs)
+
+        def kept_candidate(self):
+            mixed = candidate(self)
+            if mixed is not None:
+                mixes[:] = [mixed[0]]
+            return mixed
 
         def counted_power(*args):
             counts[phase[0], "odd_power"] += 1
@@ -203,6 +238,8 @@ class TestProjectScored:
             monkeypatch.setattr(module, "odd_power", counted_power)
         monkeypatch.setattr(FunctionalContext, "dual_residual_arrays", counted_residual)
         monkeypatch.setattr(search, "_newton_polish", counted_polish)
+        monkeypatch.setattr(FunctionalContext, "apply_k_support", counted_k)
+        monkeypatch.setattr(_AndersonWindow, "candidate", kept_candidate)
 
         v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
         rec = find_critical_point(mini_ctx, v0, MINI_CFG)
@@ -212,6 +249,9 @@ class TestProjectScored:
         # Picard images, plus one J'(v) per refresh and J'(v), Q|u|^{p-2}u at the end
         assert counts["descent", "odd_power"] <= steps + refreshes + 2
         assert counts["descent", "dual_residual_arrays"] <= 1
+        # the seed's projection, the Picard images, one per refresh and per
+        # Anderson re-score, and the final check: the heavy ball adds none
+        assert counts["descent", "K"] == 1 + steps + refreshes + counts["descent", "rescore"] + 1
 
 
 class TestAndersonWindow:
