@@ -188,8 +188,8 @@ def _run_farfield(cfg, out: _OutputDir) -> int:
         checked = farfield_amplitude(ctx, rec.u_star, dirs, wavenumber=complex(np.sqrt(1 + 1j * eps)))
     report = decay_and_expansion_check(
         ctx, rec.u_star, checked,
-        r_min=cfg.farfield_r_min or None,
-        r_max=cfg.farfield_r_max or None,
+        r_min=cfg.farfield_r_min,
+        r_max=cfg.farfield_r_max,
         shell_count=cfg.farfield_shell_count,
         fit_degree=cfg.farfield_fit_degree,
     )

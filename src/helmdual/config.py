@@ -27,6 +27,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .dual_functional import Exponents
+from .farfield import radius_window
 from .kernel import Field, GridSpec
 from .search import DescentConfig
 
@@ -113,6 +114,7 @@ def _parse_value(raw: str, py_type, key: str, line_no: int):
 def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines into a validated RunConfig."""
     values = {}
+    lines = {}  # key -> line number, for the far-field window error
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -126,17 +128,18 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
         entry = _SCHEMA[key]
         declared = entry.type if isinstance(entry.type, type) else type(entry.default)
         values[entry.name] = _parse_value(raw, declared, key, line_no)
+        lines[key] = line_no
 
     if mode_override is not None:
         values["mode"] = mode_override
     if "mode" not in values:
         raise MissingRequiredError("required key 'mode' missing")
     cfg = RunConfig(**values)
-    _validate(cfg)
+    _validate(cfg, lines)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, lines: dict):
     if cfg.mode not in MODES:
         raise ConfigTypeError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.coefficient_kind not in COEFFICIENT_KINDS:
@@ -169,6 +172,13 @@ def _validate(cfg: RunConfig):
             raise ConfigTypeError(f"{key} must be positive, got {radius!r}")
     if not cfg.bump_amplitude >= 0.0:
         raise ConfigTypeError(f"bump.amplitude must be nonnegative, got {cfg.bump_amplitude!r}")
+    if cfg.mode == "farfield":
+        try:
+            radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
+                          cfg.farfield_r_min, cfg.farfield_r_max)
+        except ValueError as exc:  # DomainError
+            line = next((lines[k] for k in ("farfield.r_min", "farfield.r_max") if k in lines), 0)
+            raise ConfigTypeError(f"line {line}: {exc}" if line else str(exc)) from exc
 
 
 def descent_config(cfg: RunConfig) -> DescentConfig:

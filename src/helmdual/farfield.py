@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientShellsError, InterpolationDegenerateError
+from .errors import DomainError, InsufficientShellsError, InterpolationDegenerateError
 from .dual_functional import FunctionalContext, odd_power, pruned_fftn
 from .kernel import Field
 
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
+BLOCK_BYTES = 4 << 20  # design bytes per block of ball points in the expansion check
+BLOCK_ALIGN = 64       # block rows come in multiples of this, so BLAS rounds each row alike
 
 
 @dataclass
@@ -183,6 +185,32 @@ def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
     return out.T
 
 
+def _sphere_interpolant(directions, fit_re, fit_im, degree: int) -> np.ndarray:
+    """The fitted amplitude at unit directions, from one monomial design of about
+    BLOCK_BYTES per block of rows.  With one BLAS thread each value is bit-identical
+    to the whole design's product (a block of a few rows would reach another kernel)."""
+    count, dim = directions.shape
+    row_bytes = 8 * (math.comb(degree + dim, dim) + dim * (degree + 1))  # design row, power tables
+    rows = max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
+    # blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter rest
+    starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
+    out = np.empty(count, dtype=complex)
+    for start, stop in zip([0] + starts, starts + [count]):
+        block = _monomial_design(directions[start:stop], degree)
+        out[start:stop] = block @ fit_re + 1j * (block @ fit_im)
+    return out
+
+
+def radius_window(L: float, spacing: float, r_min=None, r_max=None) -> tuple:
+    """The check's (r_min, r_max); an edge given as None or 0 takes its default,
+    max(0.18 L, 4 h) or 0.46 L.  Raises DomainError unless 0 < r_min < r_max <= L/2."""
+    r_min = r_min or max(0.18 * L, 4.0 * spacing)
+    r_max = r_max or 0.46 * L
+    if not (0.0 < r_min < r_max <= 0.5 * L):
+        raise DomainError(f"need 0 < r_min < r_max <= L/2, got {r_min!r}, {r_max!r} with L = {L!r}")
+    return r_min, r_max
+
+
 def decay_and_expansion_check(
     ctx: FunctionalContext,
     u: Field,
@@ -199,14 +227,15 @@ def decay_and_expansion_check(
     expansion error at radius R is the ball average
     (1/R) int_{B_R} |u - leading|^2 with the sampled amplitudes interpolated
     smoothly across the sphere; the report flags whether the error is
-    nonincreasing over the tabulated radii.
+    nonincreasing over the tabulated radii.  The interpolant is evaluated over
+    the ball in blocks (`_sphere_interpolant`), so its memory does not grow with it.
     """
     grid = ctx.grid
     dim = grid.dimension
     L = grid.box_length
-    eps = grid.shell_epsilon
-    k_plus = np.sqrt(1.0 + 1j * eps)
+    k_plus = np.sqrt(1.0 + 1j * grid.shell_epsilon)
     beta = float(k_plus.imag)
+    r_min, r_max = radius_window(L, grid.spacing, r_min, r_max)
 
     if not np.any(u.values):
         return FarfieldReport(
@@ -221,13 +250,6 @@ def decay_and_expansion_check(
             interpolation_residual=float("nan"),
             attenuation_rate=beta,
         )
-
-    if r_max is None:
-        r_max = 0.46 * L
-    if r_min is None:
-        r_min = max(0.18 * L, 4.0 * grid.spacing)
-    if not (0.0 < r_min < r_max <= 0.5 * L):
-        raise ValueError("need 0 < r_min < r_max <= L/2")
 
     mesh = grid.coordinate_mesh()
     center = L / 2.0
@@ -264,9 +286,7 @@ def decay_and_expansion_check(
     ball = (radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max)
     pts = np.stack([m[ball] - center for m in mesh], axis=1)
     r_pts = radius[ball]
-    directions = pts / r_pts[:, None]
-    design_pts = _monomial_design(directions, fit_degree)
-    g_pts = design_pts @ fit_re + 1j * (design_pts @ fit_im)
+    g_pts = _sphere_interpolant(pts / r_pts[:, None], fit_re, fit_im, fit_degree)
     leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(
         np.exp(1j * (k_plus * r_pts - (dim - 1) * np.pi / 4.0)) * g_pts
     )

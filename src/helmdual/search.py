@@ -116,7 +116,6 @@ class SolutionRecord:
     grad_norms: np.ndarray
     v_norms: np.ndarray
     bound_constant: float
-    iterate_snapshots: list
     newton_steps: int = 0
     start_index: int = -1
 
@@ -224,9 +223,11 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
 
     Accepts steps on the Euclidean norm of r (the quantity Newton models);
     declares success only when the scale-invariant dual residual meets tol.
-    Picard sweeps before each step and on exit restore the exact power
-    structure of the iterate's tails, without which rounding noise under the
-    (p'-1)-th root would floor the dual residual.
+    Before each step, and once more on exit, the projected Picard image of
+    the iterate is scored and returned if its dual residual meets tol: the
+    image has the exact power structure |Kv|^{p-2} Kv, without which rounding
+    noise under the (p'-1)-th root in the iterate's tails would floor the
+    dual residual.  The image is only tested; the steps continue from v.
     """
     p = ctx.exponents.p
     steps = 0
@@ -354,24 +355,6 @@ class _AndersonWindow:
         return theta @ self.images[0], theta @ self.images[1]
 
 
-class _SnapshotReservoir:
-    """Deterministically thinned trajectory snapshots with bounded memory."""
-
-    def __init__(self, grid):
-        field_bytes = grid.size * 8
-        self.cap = max(4, min(32, 4_000_000 // max(field_bytes, 1)))
-        self.stride = 1
-        self.items = []
-
-    def offer(self, index, values):
-        if index % self.stride != 0:
-            return
-        self.items.append((index, values.copy()))
-        if len(self.items) > self.cap:
-            self.items = self.items[::2]
-            self.stride *= 2
-
-
 def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -> SolutionRecord:
     """Run the constrained descent from v0 until the dual residual meets tol.
 
@@ -394,8 +377,6 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     j_values = [level]
     grad_norms = [grad_norm]
     v_norms = [v_norm]
-    snapshots = _SnapshotReservoir(ctx.grid)
-    snapshots.offer(0, v)
 
     anderson = _AndersonWindow(cfg.anderson_depth, v.size)
     v_prev = kv_prev = None  # the previous accepted iterate and its cached image
@@ -404,11 +385,6 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     res_window = [res]
     polish_gate = POLISH_ENTRY_RES
     cooldown = 0
-
-    def _record(jv, gn, vn):
-        j_values.append(jv)
-        grad_norms.append(gn)
-        v_norms.append(vn)
 
     def _passes(candidate, bound):
         """Monotone gate: energy at most bound, or a plateau with residual progress."""
@@ -421,11 +397,6 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         level_fin = ctx.energy_arrays(v_fin, kv_fin)
         vf = Field(ctx.grid, ctx.extend(v_fin))
         u = ctx.dual_to_primal(vf)
-        bound_constant = max(
-            max(2.0 * j for j in j_values),
-            max(grad_norms),
-            1e-300,
-        )
         return SolutionRecord(
             v_star=vf,
             u_star=u,
@@ -438,8 +409,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             j_values=np.asarray(j_values),
             grad_norms=np.asarray(grad_norms),
             v_norms=np.asarray(v_norms),
-            bound_constant=bound_constant,
-            iterate_snapshots=[Field(ctx.grid, ctx.extend(arr)) for _, arr in snapshots.items],
+            bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
             newton_steps=newton_steps,
         )
 
@@ -565,8 +535,9 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             g = ctx.gradient_arrays(v, kv)  # v and its norm are unchanged
             grad_norm = ctx.lp_norm(g, p)
             res = grad_norm / v_norm ** (pc - 1.0)
-        _record(level, grad_norm, v_norm)
-        snapshots.offer(iterations, v)
+        j_values.append(level)
+        grad_norms.append(grad_norm)
+        v_norms.append(v_norm)
         res_window.append(res)
         if len(res_window) > SETTLE_WINDOW + 1:
             res_window.pop(0)
@@ -772,12 +743,9 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     )
 
 
-def ps_boundedness_check(ctx: FunctionalContext, iterates, C: float) -> bool:
-    """Palais-Smale norm bound: every iterate satisfies
-    ||v||_{p'}^{p'-1} <= max(1, C / (1/p' - 1/2))."""
+def ps_boundedness_check(ctx: FunctionalContext, v_norms, C: float) -> bool:
+    """Palais-Smale norm bound on iterate norms ||v||_{p'} (a record's v_norms):
+    every one satisfies ||v||_{p'}^{p'-1} <= max(1, C / (1/p' - 1/2))."""
     pc = ctx.exponents.p_conj
     bound = max(1.0, C / (1.0 / pc - 0.5))
-    for v in iterates:
-        if v.lp_norm(pc) ** (pc - 1.0) > bound:
-            return False
-    return True
+    return bool(np.all(np.asarray(v_norms, dtype=float) ** (pc - 1.0) <= bound))

@@ -218,7 +218,7 @@ def check_search_mini():
             mono = max(mono, float(np.max(np.diff(rec.j_values))))
         ok &= rec.dual_residual <= cfg.tol_residual
         ok &= rec.primal_residual <= 1e-6
-        ok &= ps_boundedness_check(ctx, rec.iterate_snapshots, rec.bound_constant)
+        ok &= ps_boundedness_check(ctx, rec.v_norms, rec.bound_constant)
     ok &= mono <= 1e-12
     for i, a in enumerate(result.records):
         for b in result.records[i + 1:]:

@@ -247,11 +247,8 @@ def test_criterion_07_primal_consistency(reference_run):
 
 def test_criterion_08_palais_smale_bound(reference_run):
     ctx, _, result, _ = reference_run
-    pc = ctx.exponents.p_conj
     for rec in result.records:
-        assert ps_boundedness_check(ctx, rec.iterate_snapshots, rec.bound_constant)
-        bound = max(1.0, rec.bound_constant / (1.0 / pc - 0.5))
-        assert np.all(rec.v_norms ** (pc - 1.0) <= bound)
+        assert ps_boundedness_check(ctx, rec.v_norms, rec.bound_constant)
     _report(8, "Palais-Smale norm bound on all trajectories")
 
 

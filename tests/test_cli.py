@@ -4,8 +4,8 @@ import csv
 
 import pytest
 
-from helmdual import read_field
-from helmdual.cli import main
+from helmdual import parse_config, read_field
+from helmdual.cli import main, run_experiment
 
 SOLVE_CFG = """
 mode = solve
@@ -174,6 +174,33 @@ class TestErrors:
         out = tmp_path / "bad_bump"
         assert main(["compare", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        "farfield.r_min = 7.5",  # above the default r_max = 0.46 L = 7.36
+        "farfield.r_max = 8.5",  # beyond L/2
+        "farfield.r_min = 5.0\nfarfield.r_max = 4.0",
+    ])
+    def test_bad_farfield_window_is_config_error(self, tmp_path, capsys, lines):
+        # rejected before any solve: exit 2, no output directory, the key's line
+        cfg_file = tmp_path / "window.cfg"
+        cfg_file.write_text(FARFIELD_CFG + lines + "\n")
+        out = tmp_path / "window"
+        assert main(["farfield", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        line_no = FARFIELD_CFG.count("\n") + 1
+        assert f"line {line_no}: need 0 < r_min < r_max <= L/2" in capsys.readouterr().err
+
+    def test_bad_farfield_window_at_run_time_writes_record(self, tmp_path):
+        # a config built in code skips the parser; the check raises a typed error
+        cfg = parse_config(FARFIELD_CFG)
+        cfg.farfield_r_min = 7.5
+        cfg.output_dir = str(tmp_path / "window_run")
+        assert run_experiment(cfg) == 1
+        out = tmp_path / "window_run"
+        assert "DomainError" in (out / "error.json").read_text()
+        manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+        assert manifest == {p.name for p in out.iterdir()} - {"manifest.csv"}
+        assert "error.json" in manifest
 
     @pytest.mark.parametrize("value", [-1.0, 0.0])
     def test_bad_coefficient_writes_record(self, tmp_path, value):

@@ -97,6 +97,23 @@ grid.points_per_axis = 48
         with pytest.raises(ConfigTypeError):
             parse_config(f"mode = solve\n{line}\n")
 
+    @pytest.mark.parametrize("line", [
+        "farfield.r_min = 2.8",  # above the default r_max = 0.46 L = 2.76
+        "farfield.r_max = 3.5",  # beyond L/2
+        "farfield.r_min = -1.0",
+        "farfield.r_max = nan",
+        "farfield.r_min = 2.0\nfarfield.r_max = 1.5",
+    ])
+    def test_bad_farfield_window_rejected(self, line):
+        with pytest.raises(ConfigTypeError, match=r"^line 2: need 0 < r_min < r_max"):
+            parse_config(f"mode = farfield\n{line}\n")
+        # only the far-field mode runs the check
+        parse_config(f"mode = solve\n{line}\n")
+
+    def test_farfield_window_below_default_r_max_parses(self):
+        cfg = parse_config("mode = farfield\nfarfield.r_min = 2.7\n")
+        assert (cfg.farfield_r_min, cfg.farfield_r_max) == (2.7, 0.0)
+
     def test_resonant_box_parses(self):
         # the shell resonance is reported by the run, with error.json
         cfg = parse_config("mode = solve\ngrid.box_length = 6.283185307179586\n")

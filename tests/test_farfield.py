@@ -1,12 +1,20 @@
 """Far-field amplitudes, decay fits, and expansion-error diagnostics."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helmdual import farfield
 from helmdual import (
     Coefficient,
+    DomainError,
     Exponents,
     Field,
     FunctionalContext,
@@ -21,7 +29,9 @@ from helmdual import (
     odd_power,
 )
 from helmdual.dual_functional import pruned_fftn
-from helmdual.farfield import _box_transform, _monomial_design
+from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
+
+TESTS = Path(__file__).resolve().parent
 
 
 def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, center=None):
@@ -241,3 +251,95 @@ class TestDecayAndExpansion:
                 SphereSamples(equal_area_directions(2, 8), np.zeros(8, complex)),
                 r_min=0.05, r_max=0.3, shell_count=5,
             )
+
+
+def blocked_and_whole(dimension, n):
+    """One synthetic report with the blocked sphere interpolant and one with a
+    whole-ball design built here; returns what the blocked test compares."""
+    ctx = compact_context(dimension=dimension, n=n)
+    u, samples = synthetic_expansion_field(ctx.grid)
+    blocked = farfield._sphere_interpolant
+    calls = []
+
+    def recorded(directions, fit_re, fit_im, degree):
+        calls.append((directions, fit_re, fit_im, degree))
+        return blocked(directions, fit_re, fit_im, degree)
+
+    def whole(directions, fit_re, fit_im, degree):
+        design = _monomial_design(directions, degree)
+        return design @ fit_re + 1j * (design @ fit_im)
+
+    farfield._sphere_interpolant = recorded
+    report_blocked = decay_and_expansion_check(ctx, u, samples)
+    farfield._sphere_interpolant = whole
+    report_whole = decay_and_expansion_check(ctx, u, samples)
+    farfield._sphere_interpolant = blocked
+    (args,) = calls
+    design = farfield._monomial_design
+    blocks = []
+    farfield._monomial_design = lambda d, degree: blocks.append(len(d)) or design(d, degree)
+    g_blocked = blocked(*args)
+    farfield._monomial_design = design
+    # a last block of a few rows, which BLAS would sum in another kernel
+    rng = np.random.default_rng(dimension)
+    short_tails = []
+    for extra in (1, 2, 3, BLOCK_ALIGN - 1):
+        dirs = rng.standard_normal((3 * blocks[0] + extra, dimension))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        short_tails.append(blocked(dirs, *args[1:]).tobytes() == whole(dirs, *args[1:]).tobytes())
+    return {
+        "blocks": len(blocks),
+        "g_equal": g_blocked.tobytes() == whole(*args).tobytes(),
+        "errors_equal": report_blocked.expansion_errors.tobytes()
+        == report_whole.expansion_errors.tobytes(),
+        "short_tails_equal": short_tails,
+    }
+
+
+class TestBlockedInterpolant:
+    @pytest.mark.parametrize("dimension, n", [(2, 256), (3, 48)])
+    def test_bit_identical_to_whole_design(self, dimension, n):
+        # a threaded BLAS splits a matrix-vector product's rows at points that
+        # depend on the row count, and a row at a split can round differently
+        # (the whole design alone does so between one and two threads);
+        # with one BLAS thread every row's sum is fixed, so compare there
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(TESTS), str(TESTS.parent / "src"),
+                                               os.environ.get("PYTHONPATH", "")]))
+        code = ("import json, test_farfield; "
+                f"print(json.dumps(test_farfield.blocked_and_whole({dimension}, {n})))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout.strip().splitlines()[-1])
+        assert result["blocks"] >= 3
+        assert result["g_equal"]
+        assert result["errors_equal"]
+        assert all(result["short_tails_equal"])
+
+    def test_bad_window_is_domain_error(self):
+        ctx = compact_context(dimension=2, n=64)
+        u, samples = synthetic_expansion_field(ctx.grid)
+        for r_min, r_max in ((7.5, None), (-1.0, 5.0), (3.0, 2.0), (1.0, 8.5), (np.nan, 5.0)):
+            with pytest.raises(DomainError):
+                decay_and_expansion_check(ctx, u, samples, r_min=r_min, r_max=r_max)
+
+    def test_window_defaults(self):
+        # None and 0 both take the default edge
+        default = (0.18 * 16.0, 0.46 * 16.0)
+        assert radius_window(16.0, 0.25) == radius_window(16.0, 0.25, 0.0, 0.0) == default
+        assert radius_window(16.0, 1.0) == (4.0, 0.46 * 16.0)
+        assert radius_window(16.0, 0.25, 7.0) == (7.0, 0.46 * 16.0)
+
+    def test_traced_peak_is_bounded(self):
+        # the whole-ball design over the 64^3 ball took about 100 MB here
+        ctx = compact_context(dimension=3, n=64)
+        u, samples = synthetic_expansion_field(ctx.grid)
+        tracemalloc.start()
+        try:
+            decay_and_expansion_check(ctx, u, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
