@@ -37,7 +37,6 @@ from .search import (
     DescentConfig,
     MultistartResult,
     SolutionRecord,
-    descent_direction,
     find_critical_point,
     initial_field,
     mass_centroid,

@@ -3,9 +3,11 @@
 Artifacts are plain CSV plus HLMF field dumps, every file listed in a
 manifest, and the effective configuration echoed next to them so a run can
 be reproduced from its output directory alone.  Identical configuration and
-seed give byte-identical CSVs; no timestamps are written.  The environment
-variable HELMDUAL_THREADS caps the multistart worker count (default 1,
-sequential; results do not depend on the worker count).
+seed give byte-identical CSVs at a fixed BLAS thread count (the far-field
+check's matrix-vector products split their rows by BLAS thread); no
+timestamps are written.  The environment variable HELMDUAL_THREADS caps the
+multistart worker count (default 1, sequential; results do not depend on the
+worker count).
 """
 
 import argparse
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, compare_levels
+from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
 from .dual_functional import Coefficient, Exponents, FunctionalContext
 from .errors import HelmdualError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
@@ -46,24 +48,17 @@ def build_grid(cfg: cfgmod.RunConfig) -> GridSpec:
 
 def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
     kind = cfg.coefficient_kind
-    mesh = grid.coordinate_mesh()
     if kind == "constant":
         values = np.full(grid.shape, cfg.coefficient_value)
     elif kind == "sine_product":
         # folded coordinates make the samples exactly unit-periodic
-        folded = grid.unit_cell_mesh() if grid.unit_shift_points is not None else mesh
+        folded = grid.unit_cell_mesh() if grid.unit_shift_points is not None else grid.coordinate_mesh()
         values = cfg.coefficient_offset + cfg.coefficient_amplitude * np.prod(
             [np.sin(2.0 * np.pi * m) for m in folded], axis=0
         )
     elif kind == "compact_bump":
         center = cfg.coefficient_center or (grid.box_length / 2.0,) * grid.dimension
-        r2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
-        s2 = r2 / cfg.coefficient_radius ** 2
-        values = np.where(
-            s2 < 1.0,
-            cfg.coefficient_amplitude * np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - s2)),
-            0.0,
-        )
+        values = bump_profile(grid, BumpDescriptor(center, cfg.coefficient_radius, cfg.coefficient_amplitude))
     elif kind == "file":
         field = cfgmod.read_field(Path(cfg.coefficient_path).read_bytes(), grid.shell_epsilon)
         if field.grid != grid:

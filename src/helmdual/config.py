@@ -58,8 +58,6 @@ class RunConfig:
     descent_tol_residual: float = 1e-8
     descent_max_iters: int = 2000
     descent_armijo_c: float = 1e-4
-    descent_armijo_shrink: float = 0.5
-    descent_step_init: float = 1.0
     descent_dedup_rel_threshold: float = 1e-2
     descent_multistart_count: int = 20
     descent_divergence_floor: float = -1e9
@@ -187,8 +185,6 @@ def descent_config(cfg: RunConfig) -> DescentConfig:
         tol_residual=cfg.descent_tol_residual,
         max_iters=cfg.descent_max_iters,
         armijo_c=cfg.descent_armijo_c,
-        armijo_shrink=cfg.descent_armijo_shrink,
-        step_init=cfg.descent_step_init,
         dedup_rel_threshold=cfg.descent_dedup_rel_threshold,
         multistart_count=cfg.descent_multistart_count,
         rng_seed=cfg.seed,

@@ -1,14 +1,13 @@
 """Critical-point search on the Nehari constraint.
 
-The descent iterates v <- t_w w with w = v - s d(v), where the default
-direction is the duality-residual d = v - |Kv|^{p-2} Kv (the fixed-point
-residual of the critical equation; its pairing with J'(v) is pointwise
-nonnegative, so it is always a descent direction).  Steps pass a monotone
-Armijo gate: either sufficient energy decrease, or, once energy differences
-fall below resolution, an energy plateau combined with strict residual
-decrease.  The accepted-step energies are therefore nonincreasing to within
-1e-13, which is the computable analogue of descent along a pseudo-gradient
-flow.
+The descent iterates v <- t_w w from the Picard image w = G(v) = |Kv|^{p-2} Kv,
+whose step v - G(v) is the duality-residual of the critical equation (its
+pairing with J'(v) is pointwise nonnegative, so it is always a descent
+direction).  Steps pass a monotone Armijo gate: either sufficient energy
+decrease, or, once energy differences fall below resolution, an energy
+plateau combined with strict residual decrease.  The accepted-step energies
+are therefore nonincreasing to within 1e-13, which is the computable
+analogue of descent along a pseudo-gradient flow.
 
 Three accelerations wrap the plain iteration without weakening the gate:
 
@@ -25,8 +24,9 @@ Three accelerations wrap the plain iteration without weakening the gate:
   w = G(v) + MOMENTUM (v - v_prev) (Polyak 1964), with the Picard map G in
   the role of the preconditioned gradient, as in Petviashvili-type
   iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev) comes from cached
-  images, and it must pass the full Picard step's Armijo bound, ahead of the
-  damped Picard line search;
+  images.  It and then the plain step G(v), already scored, must pass the
+  Armijo bound J(v) - armijo_c <J'(v), v - G(v)>; a step where none of the
+  three candidates passes raises MaxIterationsError ("line search stalled");
 * once the descent has settled (the residual under the polish gate and
   improving by less than SETTLE_FRACTION over SETTLE_WINDOW steps), a
   Levenberg-regularized Newton-GMRES polish of the smooth residual
@@ -79,8 +79,6 @@ class DescentConfig:
     tol_residual: float = 1e-8
     max_iters: int = 2000
     armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    step_init: float = 1.0
     dedup_rel_threshold: float = 1e-2
     multistart_count: int = 20
     rng_seed: int = 0
@@ -88,10 +86,10 @@ class DescentConfig:
     anderson_depth: int = 6
 
     def __post_init__(self):
-        if not (self.tol_residual > 0 and self.step_init > 0 and self.dedup_rel_threshold > 0):
-            raise ValueError("tolerances and step sizes must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
-            raise ValueError("armijo parameters must lie in (0, 1)")
+        if not (self.tol_residual > 0 and self.dedup_rel_threshold > 0):
+            raise ValueError("tolerances must be positive")
+        if not 0 < self.armijo_c < 1:
+            raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_iters <= 0 or self.multistart_count <= 0:
             raise ValueError("iteration and start counts must be positive")
         if self.anderson_depth < 0:
@@ -125,17 +123,6 @@ class MultistartResult:
     records: list
     level_estimate: float
     outcomes: list  # one (status, detail) pair per start
-
-
-def descent_direction(ctx: FunctionalContext, v: Field) -> Field:
-    """Duality-mapped gradient d = |g|^{p-2} g with g = J'(v).
-
-    Satisfies <g, d> = ||g||_p^p and ||d||_{p'} = ||g||_p^{p-1}; used as the
-    line-search fallback direction (the primary direction is the
-    duality-residual of the critical equation, see module docstring).
-    """
-    g = ctx.gradient(v)
-    return Field(ctx.grid, odd_power(g.values, ctx.exponents.p - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +347,9 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
     Raises NotInUPlusError when the projected seed is inadmissible,
     DivergedError when the energy crosses cfg.divergence_floor, and
-    MaxIterationsError when the budget runs out.  The descent starts from v0
-    restricted to the support of Q, which has the same quadratic form and a
-    smaller norm, hence a lower fibering level.
+    MaxIterationsError when the budget runs out or a step stalls.  The
+    descent starts from v0 restricted to the support of Q, which has the
+    same quadratic form and a smaller norm, hence a lower fibering level.
     """
     pc = ctx.exponents.p_conj
     p = ctx.exponents.p
@@ -477,10 +464,10 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 accepted = candidate
 
         if accepted is None:
-            slope = max(ctx.inner(g, v - gv), 0.0)
+            # the heavy ball and the full Picard step share the Armijo bound
+            armijo = level - cfg.armijo_c * max(ctx.inner(g, v - gv), 0.0)
             if v_prev is not None:
-                # heavy ball w = G(v) + beta (v - v_prev), its image from cached images,
-                # under the full Picard step's Armijo bound
+                # heavy ball w = G(v) + beta (v - v_prev), its image from cached images
                 w = np.subtract(v, v_prev, out=v_prev)
                 w *= MOMENTUM
                 w += gv
@@ -488,38 +475,11 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 kw *= MOMENTUM
                 kw += kgv
                 candidate = _project_scored(ctx, w, kw, ceiling=level + plateau)
-                if candidate is not None and _passes(candidate, level - cfg.armijo_c * slope):
+                if candidate is not None and _passes(candidate, armijo):
                     accepted = candidate
-
-        if accepted is None:
-            # damped Picard line search; w = (1-s) v + s G(v) reuses cached images,
-            # and the full step s = 1 is the projected image G(v), already scored
-            s = min(cfg.step_init, 1.0)
-            for _bt in range(60):
-                if s == 1.0:
-                    candidate = image
-                else:
-                    candidate = _project_scored(ctx, (1.0 - s) * v + s * gv, (1.0 - s) * kv + s * kgv)
-                if candidate is not None and _passes(candidate, level - cfg.armijo_c * s * slope):
-                    accepted = candidate
-                    break
-                s *= cfg.armijo_shrink
-
-        if accepted is None:
-            # duality-map fallback direction (requires a fresh transform per trial);
-            # its pairing with J'(v) is ||J'(v)||_p
-            d = odd_power(g, p - 1.0)
-            dn = ctx.lp_norm(d, pc)
-            if dn > 0.0:
-                d /= dn
-                s = min(cfg.step_init, 1.0)
-                for _bt in range(40):
-                    w = v - s * d
-                    candidate = _project_scored(ctx, w, ctx.apply_k_support(w))
-                    if candidate is not None and _passes(candidate, level - cfg.armijo_c * s * grad_norm):
-                        accepted = candidate
-                        break
-                    s *= cfg.armijo_shrink
+            # the full Picard step is the projected image G(v), already scored
+            if accepted is None and _passes(image, armijo):
+                accepted = image
 
         if accepted is None:
             raise MaxIterationsError(

@@ -1,6 +1,7 @@
 """Descent, orbit bookkeeping, and multistart behavior at desk scale."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from helmdual import (
     GridMismatchError,
     MaxIterationsError,
     NotInUPlusError,
-    descent_direction,
     find_critical_point,
     initial_field,
     multistart_search,
@@ -35,32 +35,6 @@ def mini_ctx():
 @pytest.fixture(scope="module")
 def mini_result(mini_ctx):
     return multistart_search(mini_ctx, MINI_CFG)
-
-
-class TestDescentDirection:
-    def test_zero_gradient(self, mini_ctx):
-        zero = Field(mini_ctx.grid, np.zeros(mini_ctx.grid.shape))
-        assert np.max(np.abs(descent_direction(mini_ctx, zero).values)) == 0.0
-
-    def test_pairing_identity(self, mini_ctx):
-        rng = np.random.default_rng(0)
-        p = mini_ctx.exponents.p
-        for _ in range(3):
-            v = random_field(mini_ctx, rng)
-            g = mini_ctx.gradient(v)
-            d = descent_direction(mini_ctx, v)
-            target = g.lp_norm(p) ** p
-            assert abs(g.inner(d) - target) <= 1e-12 * target
-
-    def test_norm_identity(self, mini_ctx):
-        rng = np.random.default_rng(1)
-        p = mini_ctx.exponents.p
-        pc = mini_ctx.exponents.p_conj
-        v = random_field(mini_ctx, rng)
-        g = mini_ctx.gradient(v)
-        d = descent_direction(mini_ctx, v)
-        target = g.lp_norm(p) ** (p - 1.0)
-        assert abs(d.lp_norm(pc) - target) <= 1e-12 * target
 
 
 class TestFindCriticalPoint:
@@ -145,6 +119,53 @@ class TestFindCriticalPoint:
         # 1e-12 floor where the primal residual bottoms out on rounding
         for rec in mini_result.records:
             assert rec.primal_residual <= 1e2 * max(rec.dual_residual, 1e-12)
+
+
+class TestStallExit:
+    """The typed exit when no candidate passes the gate.
+
+    Every projection after a start's seed reports a level of +inf.  On step 1
+    the window holds one image and there is no previous iterate, so only the
+    projected Picard image is scored, and it fails the gate.
+    """
+
+    @staticmethod
+    def _stall(monkeypatch, stalled_start):
+        project, find = search._project_scored, search.find_critical_point
+        state = {"start": -1, "calls": 0}
+
+        def counted_find(*args, **kwargs):
+            state["start"] += 1
+            state["calls"] = 0
+            return find(*args, **kwargs)
+
+        def no_descent(*args, **kwargs):
+            out = project(*args, **kwargs)
+            state["calls"] += 1
+            if out is not None and state["calls"] > 1 and state["start"] == stalled_start:
+                out = out[:2] + (np.inf,) + out[3:]
+            return out
+
+        monkeypatch.setattr(search, "find_critical_point", counted_find)
+        monkeypatch.setattr(search, "_project_scored", no_descent)
+        return state
+
+    def test_find_critical_point_raises(self, mini_ctx, monkeypatch):
+        state = self._stall(monkeypatch, stalled_start=0)
+        v0 = initial_field(mini_ctx, np.random.default_rng(3))
+        with pytest.raises(MaxIterationsError, match="line search stalled") as err:
+            search.find_critical_point(mini_ctx, v0, MINI_CFG)
+        assert err.value.iterations == 0
+        assert state["calls"] == 2  # the seed's projection and the Picard image
+
+    def test_multistart_reports_max_iters(self, mini_ctx, mini_result, monkeypatch):
+        self._stall(monkeypatch, stalled_start=0)
+        result = multistart_search(mini_ctx, replace(MINI_CFG, multistart_count=2))
+        status, detail = result.outcomes[0]
+        assert status == "max_iters"
+        assert detail.startswith("line search stalled")
+        # the other start is untouched
+        assert result.outcomes[1] == mini_result.outcomes[1] == ("converged", "")
 
 
 class TestProjectScored:
