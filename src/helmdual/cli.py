@@ -133,10 +133,21 @@ _SOLUTION_HEADER = [
 ]
 
 
+def _position(ctx, rec) -> str:
+    """Grid index of the peak of |u| modulo the unit cell; blank for a non-periodic Q."""
+    if not ctx.coefficient.periodic:
+        return ""
+    peak = np.unravel_index(np.argmax(np.abs(rec.u_star.values)), ctx.grid.shape)
+    return " ".join(str(int(i) % ctx.grid.unit_shift_points) for i in peak)
+
+
 def _run_solve(cfg, out: _OutputDir) -> int:
     ctx = build_context(cfg)
     result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
-    out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
+    out.write_csv(
+        "solutions.csv", _SOLUTION_HEADER + ["position"],
+        [row + [_position(ctx, rec)] for row, rec in zip(_solution_rows(result.records), result.records)],
+    )
     out.write_csv(
         "starts.csv", ["start", "status", "detail"],
         [[i, status, detail] for i, (status, detail) in enumerate(result.outcomes)],

@@ -70,10 +70,10 @@ class Exponents:
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+            raise DomainError("dimension must be 2 or 3")
         lo, hi = self.lower_bound, self.upper_bound
         if not (lo < self.p < hi):
-            raise ValueError(
+            raise DomainError(
                 f"p = {self.p} outside the admissible window ({lo}, {hi}) "
                 f"for dimension {self.dimension}"
             )
@@ -128,9 +128,9 @@ class FunctionalContext:
         if coefficient.field.grid != grid:
             raise GridMismatchError("coefficient sampled on a different grid")
         if exponents.dimension != grid.dimension:
-            raise ValueError("exponents and grid disagree on the dimension")
+            raise DomainError("exponents and grid disagree on the dimension")
         if coefficient.p != exponents.p:
-            raise ValueError("coefficient root cached for a different p")
+            raise DomainError("coefficient root cached for a different p")
         self.grid = grid
         self.exponents = exponents
         self.coefficient = coefficient

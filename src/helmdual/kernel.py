@@ -43,14 +43,14 @@ class GridSpec:
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+            raise DomainError(f"dimension must be 2 or 3, got {self.dimension}")
         if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+            raise DomainError("box_length must be positive")
         n = self.points_per_axis
         if n <= 0 or n % 2 != 0:
-            raise ValueError("points_per_axis must be a positive even integer")
+            raise DomainError("points_per_axis must be a positive even integer")
         if self.shell_epsilon < 0:
-            raise ValueError("shell_epsilon must be nonnegative")
+            raise DomainError("shell_epsilon must be nonnegative")
         if self.shell_epsilon == 0.0 and self.delta_min <= RESONANCE_TOL:
             raise ShellResonanceError(
                 f"lattice touches the unit shell: min ||k|^2 - 1| = {self.delta_min:.3e} "
@@ -135,9 +135,9 @@ class Field:
         if vals.shape == (self.grid.size,):
             vals = vals.reshape(self.grid.shape)
         if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
+            raise DomainError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise DomainError("field values must be finite")
         self.values = vals
 
     def _check_same_grid(self, other: "Field"):

@@ -39,12 +39,37 @@ Three accelerations wrap the plain iteration without weakening the gate:
   exempt from the flow-monotonicity guarantee (they move the energy by
   O(residual) at most); the recorded trajectory is the descent phase.
 
+For a unit-periodic Q on a grid with unit shifts, solutions come as Z^N
+translates of bumps, and the level of one bump profile depends on where in
+the unit cell it sits.  That position landscape is only about 1e-4 deep
+(relative), so plain descent spends most of its steps drifting along it.  Two
+steps handle the position directly.  Both place the profile phi = |u|^{p-2} u
+of the primal u = R(Q^{1/p} v) at a grid shift y, as w_y = Q^{(p-1)/p} phi(. - y)
+on the support, and score w_y with the fibering projection:
+
+* the snap: once per start, after SNAP_AFTER accepted steps, the unit-cell
+  shifts are searched coarse to fine (stride cell/4, then halving around the
+  best shift), and the lowest placement is taken as the next step if it
+  passes the monotone gate with a strict decrease.  The Anderson window
+  restarts and the heavy ball forgets its previous iterate;
+* the placement: after orbit dedup, the first (lowest) record's landscape is
+  evaluated at every shift of the unit cell.  Its discrete critical shifts
+  (extrema over all neighbours, or saddles, where the ring of neighbours in a
+  coordinate plane changes sign at least 4 times) fall into small clusters;
+  the centre of each cluster away from shift 0 is polished by the Newton
+  polish, and each success joins the dedup as a record of its own.  By
+  Lusternik-Schnirelmann theory a profile has at least cat(T^N) = N + 1
+  critical positions, so this finds the saddle and maximum positions that
+  random starts reach only by chance.
+
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
 the grid is touched only inside the FFT pair of K.
 
 Every run ends in exactly one of three ways: a converged SolutionRecord,
 DivergedError (energy under the configured floor), or MaxIterationsError.
+A placed record has start_index -1, its placed level as its trajectory, and
+its Newton steps as its iterations.
 """
 
 import itertools
@@ -54,6 +79,7 @@ import numpy as np
 
 from .errors import (
     DivergedError,
+    DomainError,
     GridMismatchError,
     MaxIterationsError,
     NoSolutionFoundError,
@@ -70,6 +96,7 @@ POLISH_ENTRY_RES = 1e-4      # residual gate for the first polish attempt
 POLISH_COOLDOWN = 50         # descent steps between polish attempts
 KREFRESH = 20                # accepted steps between fresh transforms of the cached K image
 MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
+SNAP_AFTER = 5               # accepted steps before a periodic start snaps to its best position
 
 
 @dataclass
@@ -87,15 +114,15 @@ class DescentConfig:
 
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.dedup_rel_threshold > 0):
-            raise ValueError("tolerances must be positive")
+            raise DomainError("tolerances must be positive")
         if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
+            raise DomainError("armijo_c must lie in (0, 1)")
         if self.max_iters <= 0 or self.multistart_count <= 0:
-            raise ValueError("iteration and start counts must be positive")
+            raise DomainError("iteration and start counts must be positive")
         if self.anderson_depth < 0:
-            raise ValueError("anderson_depth must be nonnegative")
+            raise DomainError("anderson_depth must be nonnegative")
         if not self.divergence_floor < np.inf:  # -inf means no floor
-            raise ValueError("divergence_floor must be below +inf and not nan")
+            raise DomainError("divergence_floor must be below +inf and not nan")
 
 
 @dataclass
@@ -342,6 +369,185 @@ class _AndersonWindow:
         return theta @ self.images[0], theta @ self.images[1]
 
 
+def _unit_periodic(ctx):
+    """Whether Q is unit-periodic on a grid with unit shifts: the setting of
+    Z^N orbits, recentering and the position landscape."""
+    return ctx.coefficient.periodic and ctx.grid.unit_shift_points is not None
+
+
+def _finish(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
+    """SolutionRecord of the support vector v with its image kv and dual residual res."""
+    vf = Field(ctx.grid, ctx.extend(v))
+    u = ctx.dual_to_primal(vf)
+    return SolutionRecord(
+        v_star=vf,
+        u_star=u,
+        level=ctx.energy_arrays(v, kv),
+        dual_residual=res,
+        primal_residual=ctx.primal_residual(u),
+        iterations=iterations,
+        orbit_shift=(0,) * ctx.grid.dimension,
+        sign=1,
+        j_values=np.asarray(j_values),
+        grad_norms=np.asarray(grad_norms),
+        v_norms=np.asarray(v_norms),
+        bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
+        newton_steps=newton_steps,
+    )
+
+
+def _polished(ctx, v, kv, tol):
+    """Newton polish of v, reprojected and checked on a fresh transform.
+
+    Returns (the scored projection, or None when the polish missed tol, Newton steps).
+    """
+    v_try, kv_try, steps, ok = _newton_polish(ctx, v, kv, tol)
+    if ok:
+        projected = _project_scored(ctx, v_try, ctx.apply_k_support(v_try))
+        if projected is not None and projected[3] <= tol:
+            return projected, steps
+    return None, steps
+
+
+# ---------------------------------------------------------------------------
+# the position landscape of a periodic coefficient
+# ---------------------------------------------------------------------------
+
+
+def _profile(ctx, u):
+    """phi = |u|^{p-2} u of the primal grid field u, with the weight Q^{(p-1)/p} on the support."""
+    p = ctx.exponents.p
+    return odd_power(u, p - 1.0), ctx.q_support ** (p - 1.0)
+
+
+def _placed(ctx, profile, shift):
+    """The profile placed at grid shift y, w_y = Q^{(p-1)/p} phi(. - y) on the support.
+
+    At y = 0 and u = R(Q^{1/p} v) this is the Picard image |Kv|^{p-2} Kv.
+    Returns _project_scored of w_y: its level is the landscape at y.
+    """
+    phi, weight = profile
+    w = weight * ctx.restrict(np.roll(phi, shift, axis=tuple(range(phi.ndim))))
+    return _project_scored(ctx, w, ctx.apply_k_support(w))
+
+
+def _snap(ctx, v):
+    """Lowest placement of v's profile over the unit cell, searched coarse to fine.
+
+    Shifts on the stride cell/4 lattice first, then the neighbours of the best
+    shift at half the stride, down to stride 1 (32 placements for a 16-point
+    cell in 2d).  Returns the scored placement, or None when none is in U^+.
+    """
+    cell = ctx.grid.unit_shift_points
+    dim = ctx.grid.dimension
+    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v), ctx.box))
+    stride = max(cell // 4, 1)
+    shifts = itertools.product(range(0, cell, stride), repeat=dim)
+    best_shift = best = None
+    while True:
+        for shift in shifts:
+            scored = _placed(ctx, profile, shift)
+            if scored is not None and (best is None or scored[2] < best[2]):
+                best_shift, best = shift, scored
+        if stride == 1 or best is None:
+            return best
+        stride //= 2
+        shifts = [tuple((c + stride * d) % cell for c, d in zip(best_shift, step))
+                  for step in itertools.product((-1, 0, 1), repeat=dim) if any(step)]
+
+
+def _critical_shifts(landscape):
+    """Boolean mask of the discrete critical points of a periodic landscape array.
+
+    A point is critical when it lies strictly below or strictly above all of
+    its 3^N - 1 neighbours, or when, in some coordinate plane, the ring of its
+    8 neighbours changes sign relative to it at least 4 times (a saddle).
+    Differences within rounding of the landscape count as ties: they carry
+    no sign, and a ring's sign changes are counted between its signed
+    neighbours, so a level line through a grid point makes no saddle.
+    """
+    dim = landscape.ndim
+    axes = tuple(range(dim))
+    tie = 1e-13 * np.abs(landscape[np.isfinite(landscape)]).max(initial=0.0)
+
+    def sign(step):
+        rise = np.roll(landscape, tuple(-s for s in step), axis=axes) - landscape
+        return np.where(np.abs(rise) > tie, np.sign(rise), 0.0)
+
+    signs = {s: sign(s) for s in itertools.product((-1, 0, 1), repeat=dim) if any(s)}
+    every = np.array(list(signs.values()))
+    critical = np.all(every > 0, axis=0) | np.all(every < 0, axis=0)
+    ring = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+    for a, b in itertools.combinations(axes, 2):
+        around = []
+        for da, db in ring:
+            step = [0] * dim
+            step[a], step[b] = da, db
+            around.append(signs[tuple(step)])
+        around = np.array(around)
+        for _ in ring:  # a tie takes the sign before it on the ring
+            around = np.where(around == 0.0, np.roll(around, 1, axis=0), around)
+        critical |= np.sum(around != np.roll(around, 1, axis=0), axis=0) >= 4
+    return critical
+
+
+def _cluster_centres(mask):
+    """One index per cluster of True entries, neighbours meaning periodic Chebyshev distance 1.
+
+    Each cluster gives its member nearest the cluster's mean position (the
+    first such member in row-major order on a tie).
+    """
+    shape = np.array(mask.shape)
+
+    def offset(a, b):
+        return (np.subtract(b, a) + shape // 2) % shape - shape // 2
+
+    unseen = [tuple(int(i) for i in index) for index in np.argwhere(mask)]
+    clusters = []
+    while unseen:
+        cluster = [unseen.pop(0)]
+        for member in cluster:  # the loop also visits members appended below
+            near = [q for q in unseen if np.abs(offset(member, q)).max() <= 1]
+            unseen = [q for q in unseen if q not in near]
+            cluster.extend(near)
+        offsets = np.array([offset(cluster[0], q) for q in cluster])
+        spread = ((offsets - offsets.mean(axis=0)) ** 2).sum(axis=1)
+        clusters.append((cluster, cluster[int(np.argmin(spread))]))
+    return clusters
+
+
+def _place(ctx, record, tol):
+    """Records polished from the record's profile placed at the critical shifts of its landscape.
+
+    The landscape is the level of every placement over the unit cell.
+    Critical shifts come in small clusters around each critical point of the
+    continuous landscape, and a cluster member off the point's symmetry lines
+    polishes slowly onto an orbit its centre reaches in a few steps.  So each
+    cluster is placed once, at its centre, and the cluster of shift 0 (the
+    record itself) is skipped.  Each polish that meets tol gives a record
+    whose trajectory is the placed level.
+    """
+    cell = ctx.grid.unit_shift_points
+    profile = _profile(ctx, record.u_star.values)
+    landscape = np.full((cell,) * ctx.grid.dimension, np.inf)
+    for shift in itertools.product(range(cell), repeat=ctx.grid.dimension):
+        scored = _placed(ctx, profile, shift)
+        if scored is not None:
+            landscape[shift] = scored[2]
+    placed = []
+    for cluster, shift in _cluster_centres(_critical_shifts(landscape)):
+        if (0,) * ctx.grid.dimension in cluster:
+            continue  # the record itself
+        start = _placed(ctx, profile, shift)
+        if start is None:
+            continue  # an infinite peak of the landscape: outside U^+
+        polished, steps = _polished(ctx, start[0], start[1], tol)
+        if polished is not None:
+            placed.append(_finish(ctx, *polished[:2], polished[3], steps, steps,
+                                  [start[2]], [start[4]], [start[5]]))
+    return placed
+
+
 def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -> SolutionRecord:
     """Run the constrained descent from v0 until the dual residual meets tol.
 
@@ -372,6 +578,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     res_window = [res]
     polish_gate = POLISH_ENTRY_RES
     cooldown = 0
+    snap_due = _unit_periodic(ctx)
 
     def _passes(candidate, bound):
         """Monotone gate: energy at most bound, or a plateau with residual progress."""
@@ -380,32 +587,13 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
         )
 
-    def _finish(v_fin, kv_fin, res_fin):
-        level_fin = ctx.energy_arrays(v_fin, kv_fin)
-        vf = Field(ctx.grid, ctx.extend(v_fin))
-        u = ctx.dual_to_primal(vf)
-        return SolutionRecord(
-            v_star=vf,
-            u_star=u,
-            level=level_fin,
-            dual_residual=res_fin,
-            primal_residual=ctx.primal_residual(u),
-            iterations=iterations,
-            orbit_shift=(0,) * ctx.grid.dimension,
-            sign=1,
-            j_values=np.asarray(j_values),
-            grad_norms=np.asarray(grad_norms),
-            v_norms=np.asarray(v_norms),
-            bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
-            newton_steps=newton_steps,
-        )
-
     while True:
         if res <= cfg.tol_residual:
             kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
-                return _finish(v, kv, res)
+                return _finish(ctx, v, kv, res, iterations, newton_steps,
+                               j_values, grad_norms, v_norms)
         if level < cfg.divergence_floor:
             raise DivergedError(
                 f"energy {level:.3e} fell under the divergence floor",
@@ -423,70 +611,80 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         if cooldown > 0:
             cooldown -= 1
         elif res <= polish_gate and settled:
-            v_try, kv_try, steps, ok = _newton_polish(ctx, v, kv, cfg.tol_residual)
+            projected, steps = _polished(ctx, v, kv, cfg.tol_residual)
             newton_steps += steps
             iterations += max(steps, 1)
-            if ok:
-                projected = _project_scored(ctx, v_try, ctx.apply_k_support(v_try))
-                if projected is not None and projected[3] <= cfg.tol_residual:
-                    return _finish(projected[0], projected[1], projected[3])
+            if projected is not None:
+                return _finish(ctx, *projected[:2], projected[3], iterations, newton_steps,
+                               j_values, grad_norms, v_norms)
             # restore the pre-polish state and demand real progress before retrying
             polish_gate = res / 4.0
             cooldown = POLISH_COOLDOWN
             continue
 
-        # -- one descent step -------------------------------------------------
-        picard = odd_power(kv, p - 1.0)
-        image = _project_scored(ctx, picard, ctx.apply_k_support(picard))
-        if image is None:
-            raise MaxIterationsError(
-                "iteration left the admissible cone",
-                iterations=iterations, residual=res, level=level,
-            )
-        gv, kgv = image[0], image[1]
-        anderson.push(v, gv, kgv)
-
         plateau = PLATEAU_SLACK * max(1.0, abs(level))
         accepted = None
 
-        mixed = anderson.candidate()
-        if mixed is not None:
-            # strict energy decrease, or the plateau branch; a level above
-            # level + plateau fails both, so such a candidate is not scored further
-            bound = np.nextafter(level, -np.inf)
-            candidate = _project_scored(ctx, *mixed, ceiling=level + plateau)
-            if candidate is not None and _passes(candidate, bound) and candidate[3] > res:
-                # a mix with large coefficients cancels, and its combined image
-                # drifts from K of the mixed point: confirm on a fresh transform
-                candidate = _project_scored(ctx, mixed[0], ctx.apply_k_support(mixed[0]),
-                                            ceiling=level + plateau)
-            if candidate is not None and _passes(candidate, bound):
-                accepted = candidate
+        # -- once per start: snap the profile to its best unit-cell position ---
+        if snap_due and iterations >= SNAP_AFTER:
+            snap_due = False
+            snapped = _snap(ctx, v)
+            if snapped is not None and _passes(snapped, np.nextafter(level, -np.inf)):
+                accepted = snapped
+                # the window and the heavy ball's history describe the old position
+                anderson = _AndersonWindow(cfg.anderson_depth, v.size)
+                v_prev = kv_prev = None
 
+        # -- one descent step -------------------------------------------------
         if accepted is None:
-            # the heavy ball and the full Picard step share the Armijo bound
-            armijo = level - cfg.armijo_c * max(ctx.inner(g, v - gv), 0.0)
-            if v_prev is not None:
-                # heavy ball w = G(v) + beta (v - v_prev), its image from cached images
-                w = np.subtract(v, v_prev, out=v_prev)
-                w *= MOMENTUM
-                w += gv
-                kw = np.subtract(kv, kv_prev, out=kv_prev)
-                kw *= MOMENTUM
-                kw += kgv
-                candidate = _project_scored(ctx, w, kw, ceiling=level + plateau)
-                if candidate is not None and _passes(candidate, armijo):
+            picard = odd_power(kv, p - 1.0)
+            image = _project_scored(ctx, picard, ctx.apply_k_support(picard))
+            if image is None:
+                raise MaxIterationsError(
+                    "iteration left the admissible cone",
+                    iterations=iterations, residual=res, level=level,
+                )
+            gv, kgv = image[0], image[1]
+            anderson.push(v, gv, kgv)
+
+            mixed = anderson.candidate()
+            if mixed is not None:
+                # strict energy decrease, or the plateau branch; a level above
+                # level + plateau fails both, so such a candidate is not scored further
+                bound = np.nextafter(level, -np.inf)
+                candidate = _project_scored(ctx, *mixed, ceiling=level + plateau)
+                if candidate is not None and _passes(candidate, bound) and candidate[3] > res:
+                    # a mix with large coefficients cancels, and its combined image
+                    # drifts from K of the mixed point: confirm on a fresh transform
+                    candidate = _project_scored(ctx, mixed[0], ctx.apply_k_support(mixed[0]),
+                                                ceiling=level + plateau)
+                if candidate is not None and _passes(candidate, bound):
                     accepted = candidate
-            # the full Picard step is the projected image G(v), already scored
-            if accepted is None and _passes(image, armijo):
-                accepted = image
 
-        if accepted is None:
-            raise MaxIterationsError(
-                f"line search stalled at residual {res:.3e}",
-                iterations=iterations, residual=res, level=level,
-            )
-        v_prev, kv_prev = v, kv
+            if accepted is None:
+                # the heavy ball and the full Picard step share the Armijo bound
+                armijo = level - cfg.armijo_c * max(ctx.inner(g, v - gv), 0.0)
+                if v_prev is not None:
+                    # heavy ball w = G(v) + beta (v - v_prev), its image from cached images
+                    w = np.subtract(v, v_prev, out=v_prev)
+                    w *= MOMENTUM
+                    w += gv
+                    kw = np.subtract(kv, kv_prev, out=kv_prev)
+                    kw *= MOMENTUM
+                    kw += kgv
+                    candidate = _project_scored(ctx, w, kw, ceiling=level + plateau)
+                    if candidate is not None and _passes(candidate, armijo):
+                        accepted = candidate
+                # the full Picard step is the projected image G(v), already scored
+                if accepted is None and _passes(image, armijo):
+                    accepted = image
+
+            if accepted is None:
+                raise MaxIterationsError(
+                    f"line search stalled at residual {res:.3e}",
+                    iterations=iterations, residual=res, level=level,
+                )
+            v_prev, kv_prev = v, kv
         v, kv, level, res, grad_norm, v_norm, g = accepted
 
         iterations += 1
@@ -555,7 +753,7 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     lands nearest the box center, and normalize the sign at the peak."""
     grid = ctx.grid
     shift_pts = grid.unit_shift_points
-    if shift_pts is not None and ctx.coefficient.periodic:
+    if _unit_periodic(ctx):
         centroid = mass_centroid(ctx, record.v_star)
         cells = int(round(grid.box_length))
         shift_cells = tuple(
@@ -643,6 +841,31 @@ def _solve_one(args):
         return index, "max_iters", f"{exc} (residual={exc.residual:.3e})"
 
 
+def _record_order(rec):
+    return rec.level, rec.v_star.values.tobytes()
+
+
+def _dedup(ctx, cfg, records, distinct):
+    """Append to distinct each record farther than the dedup threshold from all kept ones."""
+    orbits = _unit_periodic(ctx)
+    pc = ctx.exponents.p_conj
+    for rec in records:
+        duplicate = False
+        for kept in distinct:
+            scale = max(rec.v_star.lp_norm(pc), kept.v_star.lp_norm(pc))
+            if orbits:
+                dist = orbit_distance(ctx, rec.v_star, kept.v_star)
+            else:
+                dist = min((rec.v_star - kept.v_star).lp_norm(pc),
+                           (rec.v_star + kept.v_star).lp_norm(pc))
+            if dist <= cfg.dedup_rel_threshold * scale:
+                duplicate = True
+                break
+        if not duplicate:
+            distinct.append(rec)
+    return distinct
+
+
 def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int = 1):
     """Seeded multistart descent with orbit deduplication.
 
@@ -672,29 +895,13 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
         )
 
     records = [recenter(ctx, rec) for rec in records]
-    records.sort(key=lambda rec: (rec.level, rec.v_star.values.tobytes()))
+    records.sort(key=_record_order)
 
-    can_dedup = ctx.grid.unit_shift_points is not None
-    distinct = []
-    for rec in records:
-        duplicate = False
-        for kept in distinct:
-            scale = max(
-                rec.v_star.lp_norm(ctx.exponents.p_conj),
-                kept.v_star.lp_norm(ctx.exponents.p_conj),
-            )
-            if can_dedup and ctx.coefficient.periodic:
-                dist = orbit_distance(ctx, rec.v_star, kept.v_star)
-            else:
-                dist = min(
-                    (rec.v_star - kept.v_star).lp_norm(ctx.exponents.p_conj),
-                    (rec.v_star + kept.v_star).lp_norm(ctx.exponents.p_conj),
-                )
-            if dist <= cfg.dedup_rel_threshold * scale:
-                duplicate = True
-                break
-        if not duplicate:
-            distinct.append(rec)
+    distinct = _dedup(ctx, cfg, records, [])
+    if _unit_periodic(ctx):
+        placed = [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)]
+        placed.sort(key=_record_order)
+        distinct = sorted(_dedup(ctx, cfg, placed, distinct), key=_record_order)
 
     return MultistartResult(
         records=distinct,

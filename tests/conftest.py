@@ -4,12 +4,16 @@ import pytest
 from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
 
 
-def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2):
-    """Standard oscillating coefficient 1 + 0.5 prod sin(2 pi x_j), >= 0.5."""
+def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
+    """Standard oscillating coefficient 1 + 0.5 prod sin(2 pi x_j), >= 0.5.
+
+    periodic=False samples the same Q but declares it non-periodic, which
+    turns off everything that uses its unit-cell translations.
+    """
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
     mesh = grid.unit_cell_mesh()
     q = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in mesh], axis=0)
-    coeff = Coefficient.build(Field(grid, q), p, periodic=True)
+    coeff = Coefficient.build(Field(grid, q), p, periodic=periodic)
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
 

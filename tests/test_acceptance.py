@@ -238,6 +238,22 @@ def test_criterion_06_reference_solver_run(reference_run):
                 f"c={result.level_estimate:.9f}, {elapsed:.0f}s)"))
 
 
+def test_reference_run_places_every_level(reference_run):
+    # the three levels are the minimum, saddle and maximum of one bump's
+    # position landscape; placement polishes the ground state onto each
+    _, _, result, _ = reference_run
+    assert [status for status, _ in result.outcomes].count("converged") == 20
+    assert abs(result.level_estimate - 0.183934971713) <= 1e-9
+    levels = np.unique(np.round([rec.level for rec in result.records], 6))
+    np.testing.assert_array_equal(levels, [0.183935, 0.183947, 0.183958])
+    assert len(result.records) >= 4
+    placed = [rec for rec in result.records if rec.start_index == -1]
+    assert placed
+    for rec in placed:
+        assert rec.dual_residual <= 1e-8
+        assert rec.primal_residual <= 1e-6
+
+
 def test_criterion_07_primal_consistency(reference_run):
     _, _, result, _ = reference_run
     worst = max(rec.primal_residual for rec in result.records)

@@ -85,6 +85,23 @@ class TestSolveMode:
         assert (out1 / "solutions.csv").read_bytes() == (out2 / "solutions.csv").read_bytes()
         assert (out1 / "v_000.hlmf").read_bytes() == (out2 / "v_000.hlmf").read_bytes()
 
+    def test_position_column(self, tmp_path):
+        _, out = run_cli(tmp_path, "periodic", SOLVE_CFG, "solve")
+        rows = read_rows(out / "solutions.csv")
+        col = rows[0].index("position")
+        ground = min(float(row[1]) for row in rows[1:])
+        for row in rows[1:]:
+            cells = [int(x) for x in row[col].split()]
+            assert len(cells) == 2 and all(0 <= c < 8 for c in cells)  # 8 points per unit cell
+            if float(row[1]) <= ground * (1.0 + 1e-9):
+                # a ground state peaks on a maximum of Q = 1 + 0.5 sin sin
+                assert row[col] in ("2 2", "6 6")
+        bump = SOLVE_CFG.replace("mode = solve", "mode = solve\ncoefficient.kind = compact_bump\n"
+                                 "coefficient.radius = 1.5\ncoefficient.periodic = false")
+        _, out = run_cli(tmp_path, "compact", bump, "solve")
+        rows = read_rows(out / "solutions.csv")
+        assert len(rows) > 1 and all(row[col] == "" for row in rows[1:])
+
     def test_seed_flag_overrides(self, tmp_path):
         _, out1 = run_cli(tmp_path, "seeded", SOLVE_CFG, "solve", seed=777)
         cfg_text = (out1 / "effective_config.cfg").read_text()

@@ -5,10 +5,13 @@ import pytest
 
 from helmdual import (
     Coefficient,
+    DescentConfig,
+    DomainError,
     Exponents,
     Field,
     FunctionalContext,
     GridSpec,
+    HelmdualError,
     NotInUPlusError,
     ZeroFieldError,
     odd_power,
@@ -42,6 +45,32 @@ def edge_context(dimension, axis, n=16):
     q *= 1.0 + np.random.default_rng(23).random(grid.shape)
     p = 7.0 if dimension == 2 else 5.0
     return FunctionalContext(grid, Exponents(dimension, p), Coefficient.build(Field(grid, q), p))
+
+
+def _context_with(dimension, p):
+    grid = GridSpec(2, 6.0, 16)
+    coeff = Coefficient.build(Field(grid, np.ones(grid.shape)), 7.0)
+    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GridSpec(4, 6.0, 16),
+    lambda: GridSpec(2, 6.0, 15),
+    lambda: Field(GridSpec(2, 6.0, 16), np.zeros((4, 4))),
+    lambda: Field(GridSpec(2, 6.0, 16), np.full((16, 16), np.nan)),
+    lambda: Exponents(2, 6.0),
+    lambda: _context_with(3, 5.0),
+    lambda: _context_with(2, 8.0),
+    lambda: DescentConfig(armijo_c=2.0),
+    lambda: DescentConfig(divergence_floor=np.nan),
+], ids=["grid_dimension", "grid_points", "field_shape", "field_finite", "exponents_window",
+        "context_dimension", "context_p", "descent_armijo", "descent_floor"])
+def test_constructor_errors_are_typed(build):
+    # DomainError is a HelmdualError for the CLI and a ValueError for callers
+    with pytest.raises(DomainError) as err:
+        build()
+    assert isinstance(err.value, HelmdualError)
+    assert isinstance(err.value, ValueError)
 
 
 class TestExponents:

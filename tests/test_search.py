@@ -21,7 +21,7 @@ from helmdual import (
     orbit_distance,
     ps_boundedness_check,
 )
-from helmdual.search import KREFRESH, _AndersonWindow, _project_scored
+from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scored
 from conftest import make_bump_context, make_sine_context, random_field
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
@@ -71,10 +71,13 @@ class TestFindCriticalPoint:
 
     def test_recorded_levels_match_fresh_energy(self, monkeypatch):
         # start 4 of the reference solve takes Anderson mixes with large
-        # coefficients, whose combined K image drifts from K of the mixed point
-        ctx = make_sine_context(n=96, L=6.0, p=7.0)
+        # coefficients, whose combined K image drifts from K of the mixed point.
+        # It descends on the same Q declared non-periodic: a snapped start
+        # settles in fewer than 2 KREFRESH steps
+        ctx = make_sine_context(n=96, L=6.0, p=7.0, periodic=False)
         cfg = DescentConfig(multistart_count=20, rng_seed=12345)
         seed = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)[4]
+        v0 = initial_field(make_sine_context(n=96, L=6.0, p=7.0), np.random.default_rng(seed))
         scored = []  # (level, fresh energy) of every projected candidate, in call order
         project = search._project_scored
 
@@ -85,7 +88,7 @@ class TestFindCriticalPoint:
             return out
 
         monkeypatch.setattr(search, "_project_scored", scoring)
-        rec = find_critical_point(ctx, initial_field(ctx, np.random.default_rng(seed)), cfg)
+        rec = find_critical_point(ctx, v0, cfg)
         # each recorded level is the next one scored with exactly that level
         pending = iter(scored)
         accepted = [next((fresh for lev, fresh in pending if lev == level), None)
@@ -224,7 +227,9 @@ class TestProjectScored:
         # outside the polish a descent step makes one odd_power call and one K
         # (the Picard image); candidates are scored by _project_scored from cached
         # images, and dual_residual_arrays is reached only on the cached-image
-        # refresh and termination paths
+        # refresh and termination paths.  The descent runs on mini_ctx's Q
+        # declared non-periodic, where no snap shortens it below 2 KREFRESH steps
+        ctx = make_sine_context(n=48, periodic=False)
         counts = Counter()
         phase = ["descent"]
         mixes = []
@@ -267,7 +272,7 @@ class TestProjectScored:
         monkeypatch.setattr(_AndersonWindow, "candidate", kept_candidate)
 
         v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
-        rec = find_critical_point(mini_ctx, v0, MINI_CFG)
+        rec = find_critical_point(ctx, v0, MINI_CFG)
         steps = len(rec.j_values) - 1
         refreshes = steps // KREFRESH
         assert steps > 2 * KREFRESH
@@ -353,6 +358,58 @@ class TestAndersonWindow:
                 assert calls and set(calls) == {1}
 
 
+class TestPositionLandscape:
+    """The snap and the placement run only for a unit-periodic Q."""
+
+    def test_compact_coefficient_never_places(self, monkeypatch):
+        shifts = []
+        placed = search._placed
+
+        def counted(ctx, profile, shift):
+            shifts.append(shift)
+            return placed(ctx, profile, shift)
+
+        monkeypatch.setattr(search, "_placed", counted)
+        cfg = DescentConfig(multistart_count=2, rng_seed=MINI_CFG.rng_seed, max_iters=1500)
+        result = multistart_search(make_bump_context(), cfg)
+        assert result.records
+        assert shifts == []
+
+    def test_levels_nonincreasing_across_snap(self, mini_ctx, monkeypatch):
+        snaps = []
+        snap = search._snap
+
+        def kept(*args):
+            snaps.append(snap(*args))
+            return snaps[-1]
+
+        monkeypatch.setattr(search, "_snap", kept)
+        v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
+        rec = find_critical_point(mini_ctx, v0, MINI_CFG)
+        assert len(snaps) == 1
+        # the snap was accepted as step SNAP_AFTER + 1, with a strict decrease
+        assert rec.j_values[SNAP_AFTER + 1] == snaps[0][2] < rec.j_values[SNAP_AFTER]
+        assert np.diff(rec.j_values).max() <= 1e-12
+
+    def test_critical_shifts_of_a_cosine(self):
+        # cos x + cos y on a 16-point cell: one minimum, one maximum, two saddles
+        x = 2.0 * np.pi * np.arange(16) / 16
+        landscape = np.cos(x)[:, None] + np.cos(x)[None, :]
+        mask = search._critical_shifts(landscape)
+        assert sorted(map(tuple, np.argwhere(mask).tolist())) == [(0, 0), (0, 8), (8, 0), (8, 8)]
+        clusters = search._cluster_centres(mask)
+        assert [centre for _, centre in clusters] == [(0, 0), (0, 8), (8, 0), (8, 8)]
+
+    def test_cluster_centre_wraps(self):
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[7, 0] = mask[0, 0] = mask[0, 1] = mask[3, 3] = True
+        clusters = search._cluster_centres(mask)
+        assert [(sorted(c), centre) for c, centre in clusters] == [
+            ([(0, 0), (0, 1), (7, 0)], (0, 0)),
+            ([(3, 3)], (3, 3)),
+        ]
+
+
 class TestOrbitDistance:
     def test_translate_is_zero(self, mini_ctx, mini_result):
         v = mini_result.records[0].v_star
@@ -413,6 +470,10 @@ class TestMultistart:
         assert [r.level for r in par.records] == [r.level for r in seq.records]
         for a, b in zip(par.records, seq.records):
             np.testing.assert_array_equal(a.v_star.values, b.v_star.values)
+        # placed records are built in the parent after the pool returns
+        assert any(r.start_index == -1 for r in seq.records)
+        assert [r.v_star.values.tobytes() for r in par.records] == [
+            r.v_star.values.tobytes() for r in seq.records]
 
     def test_worker_count_does_not_change_compact_results(self):
         ctx = make_bump_context()
