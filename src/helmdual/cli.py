@@ -25,7 +25,7 @@ from .dual_functional import Coefficient, Exponents, FunctionalContext
 from .errors import HelmdualError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
-from .search import multistart_search
+from .search import multistart_search, unit_periodic
 from .selftest import run_selftest
 
 FLOAT_FORMAT = "%.17g"
@@ -134,8 +134,9 @@ _SOLUTION_HEADER = [
 
 
 def _position(ctx, rec) -> str:
-    """Grid index of the peak of |u| modulo the unit cell; blank for a non-periodic Q."""
-    if not ctx.coefficient.periodic:
+    """Grid index of the peak of |u| modulo the unit cell; blank unless Q is
+    unit-periodic on a grid with unit shifts."""
+    if not unit_periodic(ctx):
         return ""
     peak = np.unravel_index(np.argmax(np.abs(rec.u_star.values)), ctx.grid.shape)
     return " ".join(str(int(i) % ctx.grid.unit_shift_points) for i in peak)

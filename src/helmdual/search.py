@@ -369,7 +369,7 @@ class _AndersonWindow:
         return theta @ self.images[0], theta @ self.images[1]
 
 
-def _unit_periodic(ctx):
+def unit_periodic(ctx):
     """Whether Q is unit-periodic on a grid with unit shifts: the setting of
     Z^N orbits, recentering and the position landscape."""
     return ctx.coefficient.periodic and ctx.grid.unit_shift_points is not None
@@ -578,7 +578,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     res_window = [res]
     polish_gate = POLISH_ENTRY_RES
     cooldown = 0
-    snap_due = _unit_periodic(ctx)
+    snap_due = unit_periodic(ctx)
 
     def _passes(candidate, bound):
         """Monotone gate: energy at most bound, or a plateau with residual progress."""
@@ -753,7 +753,7 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     lands nearest the box center, and normalize the sign at the peak."""
     grid = ctx.grid
     shift_pts = grid.unit_shift_points
-    if _unit_periodic(ctx):
+    if unit_periodic(ctx):
         centroid = mass_centroid(ctx, record.v_star)
         cells = int(round(grid.box_length))
         shift_cells = tuple(
@@ -847,7 +847,7 @@ def _record_order(rec):
 
 def _dedup(ctx, cfg, records, distinct):
     """Append to distinct each record farther than the dedup threshold from all kept ones."""
-    orbits = _unit_periodic(ctx)
+    orbits = unit_periodic(ctx)
     pc = ctx.exponents.p_conj
     for rec in records:
         duplicate = False
@@ -898,7 +898,7 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     records.sort(key=_record_order)
 
     distinct = _dedup(ctx, cfg, records, [])
-    if _unit_periodic(ctx):
+    if unit_periodic(ctx):
         placed = [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)]
         placed.sort(key=_record_order)
         distinct = sorted(_dedup(ctx, cfg, placed, distinct), key=_record_order)

@@ -1,11 +1,13 @@
 """End-to-end CLI runs on small configurations."""
 
 import csv
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from helmdual import parse_config, read_field
-from helmdual.cli import main, run_experiment
+from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field
+from helmdual.cli import _position, main, run_experiment
 
 SOLVE_CFG = """
 mode = solve
@@ -101,6 +103,21 @@ class TestSolveMode:
         _, out = run_cli(tmp_path, "compact", bump, "solve")
         rows = read_rows(out / "solutions.csv")
         assert len(rows) > 1 and all(row[col] == "" for row in rows[1:])
+
+    def test_periodic_without_unit_shifts(self, tmp_path):
+        # 64 points over L = 6: no whole number of points per unit cell
+        cfg = SOLVE_CFG.replace("points_per_axis = 48", "points_per_axis = 64")
+        status, out = run_cli(tmp_path, "no_shifts", cfg, "solve")
+        assert status != 0
+        assert "GridMismatchError" in (out / "error.json").read_text()
+        assert (out / "manifest.csv").exists() and not (out / "solutions.csv").exists()
+        # a periodic Q built around that check still gets a blank position
+        grid = GridSpec(2, 6.0, 64)
+        ones = Field(grid, np.ones(grid.shape))
+        coef = Coefficient(field=ones, q_root=ones, p=8.0, periodic=True)
+        ctx = FunctionalContext(grid, Exponents(2, 8.0), coef)
+        rec = SimpleNamespace(u_star=ones)
+        assert _position(ctx, rec) == ""
 
     def test_seed_flag_overrides(self, tmp_path):
         _, out1 = run_cli(tmp_path, "seeded", SOLVE_CFG, "solve", seed=777)
