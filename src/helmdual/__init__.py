@@ -5,7 +5,6 @@ from .errors import (
     BadMagicError,
     ConfigError,
     ConfigTypeError,
-    DivergedError,
     DomainError,
     FieldFileError,
     GridMismatchError,
@@ -27,10 +26,7 @@ from .errors import (
 from .kernel import (
     Field,
     GridSpec,
-    fundamental_solution_psi,
     helmholtz_multiplier,
-    resolvent_apply,
-    spectral_laplacian,
 )
 from .dual_functional import Coefficient, Exponents, FunctionalContext, odd_power
 from .search import (
@@ -39,7 +35,6 @@ from .search import (
     SolutionRecord,
     find_critical_point,
     initial_field,
-    mass_centroid,
     multistart_search,
     orbit_distance,
     ps_boundedness_check,

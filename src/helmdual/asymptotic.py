@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DivergedError,
     DomainError,
     HypothesisViolatedError,
     MaxIterationsError,
@@ -144,7 +143,7 @@ def compare_levels(
         transplant_rec = find_critical_point(ctx_q, v, cfg)
         transplant_rec.start_index = -2
         records_q.append(transplant_rec)
-    except (MaxIterationsError, DivergedError, NotInUPlusError):
+    except (MaxIterationsError, NotInUPlusError):
         pass
 
     c_est = min(rec.level for rec in records_q)

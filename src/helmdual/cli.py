@@ -21,8 +21,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
-from .dual_functional import Coefficient, Exponents, FunctionalContext
-from .errors import HelmdualError
+from .dual_functional import Coefficient, Exponents, FunctionalContext, sine_product
+from .errors import DomainError, HelmdualError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
 from .search import multistart_search, unit_periodic
@@ -51,11 +51,7 @@ def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
     if kind == "constant":
         values = np.full(grid.shape, cfg.coefficient_value)
     elif kind == "sine_product":
-        # folded coordinates make the samples exactly unit-periodic
-        folded = grid.unit_cell_mesh() if grid.unit_shift_points is not None else grid.coordinate_mesh()
-        values = cfg.coefficient_offset + cfg.coefficient_amplitude * np.prod(
-            [np.sin(2.0 * np.pi * m) for m in folded], axis=0
-        )
+        values = sine_product(grid, cfg.coefficient_offset, cfg.coefficient_amplitude)
     elif kind == "compact_bump":
         center = cfg.coefficient_center or (grid.box_length / 2.0,) * grid.dimension
         values = bump_profile(grid, BumpDescriptor(center, cfg.coefficient_radius, cfg.coefficient_amplitude))
@@ -65,7 +61,7 @@ def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
             raise cfgmod.ConfigTypeError("coefficient file grid does not match the run grid")
         values = field.values
     else:  # pragma: no cover - guarded by config validation
-        raise ValueError(kind)
+        raise DomainError(f"unknown coefficient kind {kind!r}")
     periodic = cfg.coefficient_periodic and kind in ("constant", "sine_product", "file")
     return Coefficient.build(Field(grid, values), cfg.exponents_p, periodic=periodic)
 
@@ -197,8 +193,6 @@ def _run_farfield(cfg, out: _OutputDir) -> int:
         ctx, rec.u_star, checked,
         r_min=cfg.farfield_r_min,
         r_max=cfg.farfield_r_max,
-        shell_count=cfg.farfield_shell_count,
-        fit_degree=cfg.farfield_fit_degree,
     )
     out.write_csv(
         "farfield_amplitude.csv",

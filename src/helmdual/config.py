@@ -57,17 +57,12 @@ class RunConfig:
     coefficient_periodic: bool = True
     descent_tol_residual: float = 1e-8
     descent_max_iters: int = 2000
-    descent_armijo_c: float = 1e-4
     descent_dedup_rel_threshold: float = 1e-2
     descent_multistart_count: int = 20
-    descent_divergence_floor: float = -1e9
-    descent_anderson_depth: int = 6
     bump_center: tuple = ()
     bump_radius: float = 1.2
     bump_amplitude: float = 0.3
     farfield_direction_count: int = 200
-    farfield_shell_count: int = 8
-    farfield_fit_degree: int = 6
     farfield_r_min: float = 0.0
     farfield_r_max: float = 0.0
     seed: int = 0
@@ -184,12 +179,9 @@ def descent_config(cfg: RunConfig) -> DescentConfig:
     return DescentConfig(
         tol_residual=cfg.descent_tol_residual,
         max_iters=cfg.descent_max_iters,
-        armijo_c=cfg.descent_armijo_c,
         dedup_rel_threshold=cfg.descent_dedup_rel_threshold,
         multistart_count=cfg.descent_multistart_count,
         rng_seed=cfg.seed,
-        divergence_floor=cfg.descent_divergence_floor,
-        anderson_depth=cfg.descent_anderson_depth,
     )
 
 

@@ -61,6 +61,16 @@ def odd_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.copysign(out, values, out=out)
 
 
+def sine_product(grid: GridSpec, offset: float = 1.0, amplitude: float = 0.5) -> np.ndarray:
+    """The oscillating coefficient offset + amplitude prod_j sin(2 pi x_j).
+
+    On a grid with unit shifts it is sampled on the folded unit-cell mesh,
+    which makes the samples exactly unit-periodic; otherwise on the plain mesh.
+    """
+    mesh = grid.unit_cell_mesh() if grid.unit_shift_points is not None else grid.coordinate_mesh()
+    return offset + amplitude * np.prod([np.sin(2.0 * np.pi * m) for m in mesh], axis=0)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Nonlinearity power p with its conjugate and admissibility window."""

@@ -35,15 +35,6 @@ class MaxIterationsError(HelmdualError):
         self.level = level
 
 
-class DivergedError(HelmdualError):
-    """Energy fell below the configured divergence floor."""
-
-    def __init__(self, message, iterations=0, level=float("nan")):
-        super().__init__(message)
-        self.iterations = iterations
-        self.level = level
-
-
 class NoSolutionFoundError(HelmdualError):
     """Every multistart attempt failed to produce a critical point."""
 

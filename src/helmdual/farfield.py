@@ -29,6 +29,7 @@ from .kernel import Field
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
 BLOCK_BYTES = 4 << 20  # design bytes per block of ball points in the expansion check
 BLOCK_ALIGN = 64       # block rows come in multiples of this, so BLAS rounds each row alike
+FIT_DEGREE = 6         # total degree of the monomials fitted to the sampled amplitudes
 
 
 @dataclass
@@ -42,11 +43,11 @@ class SphereSamples:
         dirs = np.asarray(self.directions, dtype=float)
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("directions must be unit vectors to 1e-12")
+            raise DomainError("directions must be unit vectors to 1e-12")
         self.directions = dirs
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (dirs.shape[0],):
-            raise ValueError("one amplitude per direction required")
+            raise DomainError("one amplitude per direction required")
 
 
 def equal_area_directions(dimension: int, count: int) -> np.ndarray:
@@ -67,7 +68,7 @@ def equal_area_directions(dimension: int, count: int) -> np.ndarray:
         dirs = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     else:
-        raise ValueError("dimension must be 2 or 3")
+        raise DomainError("dimension must be 2 or 3")
     return np.concatenate([dirs, -dirs], axis=0)
 
 
@@ -218,7 +219,6 @@ def decay_and_expansion_check(
     r_min: float | None = None,
     r_max: float | None = None,
     shell_count: int = 8,
-    fit_degree: int = 6,
 ) -> FarfieldReport:
     """Shell-decay fit and leading-term expansion error around the box center.
 
@@ -276,7 +276,7 @@ def decay_and_expansion_check(
     decay_exponent = float(-coeffs[1])
 
     # smooth interpolation of the sampled amplitudes across the sphere
-    design_s = _monomial_design(samples.directions, fit_degree)
+    design_s = _monomial_design(samples.directions, FIT_DEGREE)
     fit_re, *_ = np.linalg.lstsq(design_s, samples.values.real, rcond=None)
     fit_im, *_ = np.linalg.lstsq(design_s, samples.values.imag, rcond=None)
     reproduced = design_s @ fit_re + 1j * (design_s @ fit_im)
@@ -286,7 +286,7 @@ def decay_and_expansion_check(
     ball = (radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max)
     pts = np.stack([m[ball] - center for m in mesh], axis=1)
     r_pts = radius[ball]
-    g_pts = _sphere_interpolant(pts / r_pts[:, None], fit_re, fit_im, fit_degree)
+    g_pts = _sphere_interpolant(pts / r_pts[:, None], fit_re, fit_im, FIT_DEGREE)
     leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(
         np.exp(1j * (k_plus * r_pts - (dim - 1) * np.pi / 4.0)) * g_pts
     )

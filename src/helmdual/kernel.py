@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ShellResonanceError
-from .special import bessel_y0
 
 RESONANCE_TOL = 1e-9
 
@@ -200,19 +199,15 @@ def spectral_laplacian(u: Field) -> Field:
 
 
 def fundamental_solution_psi(r, dimension: int):
-    """Real part of the outgoing free-space fundamental solution of -Delta - 1.
-
-    Closed forms: cos(r)/(4 pi r) in dimension 3 and -Y0(r)/4 in dimension 2,
-    the normalization for which (-Delta - 1) Psi = delta.  Validation helper
-    only; the solver works with the lattice multiplier.
+    """Real part of the outgoing free-space fundamental solution of -Delta - 1
+    in dimension 3, cos(r)/(4 pi r): the normalization for which
+    (-Delta - 1) Psi = delta.  Validation helper only; the solver works with
+    the lattice multiplier.
     """
-    if dimension not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+    if dimension != 3:
+        raise DomainError(f"fundamental_solution_psi is 3d only, got dimension {dimension}")
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("fundamental_solution_psi requires r > 0")
-    if dimension == 3:
-        out = np.cos(arr) / (4.0 * np.pi * arr)
-    else:
-        out = -0.25 * bessel_y0(arr)
+    out = np.cos(arr) / (4.0 * np.pi * arr)
     return float(out) if np.ndim(r) == 0 else out

@@ -25,7 +25,7 @@ Three accelerations wrap the plain iteration without weakening the gate:
   the role of the preconditioned gradient, as in Petviashvili-type
   iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev) comes from cached
   images.  It and then the plain step G(v), already scored, must pass the
-  Armijo bound J(v) - armijo_c <J'(v), v - G(v)>; a step where none of the
+  Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>; a step where none of the
   three candidates passes raises MaxIterationsError ("line search stalled");
 * once the descent has settled (the residual under the polish gate and
   improving by less than SETTLE_FRACTION over SETTLE_WINDOW steps), a
@@ -66,8 +66,9 @@ The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
 the grid is touched only inside the FFT pair of K.
 
-Every run ends in exactly one of three ways: a converged SolutionRecord,
-DivergedError (energy under the configured floor), or MaxIterationsError.
+Every run ends in exactly one of two ways: a converged SolutionRecord or
+MaxIterationsError.  The energy cannot run away below zero: every level the
+descent compares is a fibering level (1/p' - 1/2) t^{p'} ||w||_{p'}^{p'} > 0.
 A placed record has start_index -1, its placed level as its trajectory, and
 its Newton steps as its iterations.
 """
@@ -78,7 +79,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DivergedError,
     DomainError,
     GridMismatchError,
     MaxIterationsError,
@@ -96,6 +96,8 @@ POLISH_ENTRY_RES = 1e-4      # residual gate for the first polish attempt
 POLISH_COOLDOWN = 50         # descent steps between polish attempts
 KREFRESH = 20                # accepted steps between fresh transforms of the cached K image
 MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
+ARMIJO_C = 1e-4              # sufficient-decrease constant of the heavy-ball and Picard bound
+ANDERSON_DEPTH = 6           # residual-difference columns before the Anderson window restarts
 SNAP_AFTER = 5               # accepted steps before a periodic start snaps to its best position
 
 
@@ -105,24 +107,15 @@ class DescentConfig:
 
     tol_residual: float = 1e-8
     max_iters: int = 2000
-    armijo_c: float = 1e-4
     dedup_rel_threshold: float = 1e-2
     multistart_count: int = 20
     rng_seed: int = 0
-    divergence_floor: float = -1e9
-    anderson_depth: int = 6
 
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.dedup_rel_threshold > 0):
             raise DomainError("tolerances must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise DomainError("armijo_c must lie in (0, 1)")
         if self.max_iters <= 0 or self.multistart_count <= 0:
             raise DomainError("iteration and start counts must be positive")
-        if self.anderson_depth < 0:
-            raise DomainError("anderson_depth must be nonnegative")
-        if not self.divergence_floor < np.inf:  # -inf means no floor
-            raise DomainError("divergence_floor must be below +inf and not nan")
 
 
 @dataclass
@@ -237,23 +230,26 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
 
     Accepts steps on the Euclidean norm of r (the quantity Newton models);
     declares success only when the scale-invariant dual residual meets tol.
-    Before each step, and once more on exit, the projected Picard image of
-    the iterate is scored and returned if its dual residual meets tol: the
-    image has the exact power structure |Kv|^{p-2} Kv, without which rounding
-    noise under the (p'-1)-th root in the iterate's tails would floor the
-    dual residual.  The image is only tested; the steps continue from v.
+    Before each step, and once more before giving up (the step budget spent
+    or two steps failed in a row), the projected Picard image of the iterate
+    is scored and returned if its dual residual meets tol: the image has the
+    exact power structure |Kv|^{p-2} Kv, without which rounding noise under
+    the (p'-1)-th root in the iterate's tails would floor the dual residual.
+    The image is only tested; the steps continue from v.
     """
     p = ctx.exponents.p
     steps = 0
     enter_norm = ctx.lp_norm(v, ctx.exponents.p_conj)
     fails = 0
-    for _ in range(max_steps):
+    for attempt in range(max_steps + 1):
         picard = odd_power(kv, p - 1.0)
         projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
         if projected is not None and projected[3] <= tol:
             return projected[0], projected[1], steps, True
         if ctx.dual_residual_arrays(v, kv) <= tol:
             return v, kv, steps, True
+        if attempt == max_steps or fails >= 2:
+            return v, kv, steps, False
 
         r = v - picard
         rn0 = np.linalg.norm(r)
@@ -279,17 +275,7 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
                 steps += 1
                 break
             s *= 0.5
-        if not ok:
-            fails += 1
-            if fails >= 2:
-                break
-        else:
-            fails = 0
-    picard = odd_power(kv, p - 1.0)
-    projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
-    if projected is not None and projected[3] <= tol:
-        return projected[0], projected[1], steps, True
-    return v, kv, steps, ctx.dual_residual_arrays(v, kv) <= tol
+        fails = 0 if ok else fails + 1
 
 
 class _AndersonWindow:
@@ -325,7 +311,7 @@ class _AndersonWindow:
         self.images[1, slot] = kgv
         self.pushes += 1
         f = self.images[0, slot] - v
-        if self.last is not None and self.depth > 0:
+        if self.last is not None:
             if self.cols == self.depth:
                 self.cols = 0  # restart: keep only the previous image
             self._append(f - self.last)
@@ -551,8 +537,7 @@ def _place(ctx, record, tol):
 def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -> SolutionRecord:
     """Run the constrained descent from v0 until the dual residual meets tol.
 
-    Raises NotInUPlusError when the projected seed is inadmissible,
-    DivergedError when the energy crosses cfg.divergence_floor, and
+    Raises NotInUPlusError when the projected seed is inadmissible and
     MaxIterationsError when the budget runs out or a step stalls.  The
     descent starts from v0 restricted to the support of Q, which has the
     same quadratic form and a smaller norm, hence a lower fibering level.
@@ -571,7 +556,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     grad_norms = [grad_norm]
     v_norms = [v_norm]
 
-    anderson = _AndersonWindow(cfg.anderson_depth, v.size)
+    anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
     v_prev = kv_prev = None  # the previous accepted iterate and its cached image
     iterations = 0
     newton_steps = 0
@@ -594,11 +579,6 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             if res <= cfg.tol_residual:
                 return _finish(ctx, v, kv, res, iterations, newton_steps,
                                j_values, grad_norms, v_norms)
-        if level < cfg.divergence_floor:
-            raise DivergedError(
-                f"energy {level:.3e} fell under the divergence floor",
-                iterations=iterations, level=level,
-            )
         if iterations >= cfg.max_iters:
             raise MaxIterationsError(
                 f"no convergence within {cfg.max_iters} iterations "
@@ -632,7 +612,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             if snapped is not None and _passes(snapped, np.nextafter(level, -np.inf)):
                 accepted = snapped
                 # the window and the heavy ball's history describe the old position
-                anderson = _AndersonWindow(cfg.anderson_depth, v.size)
+                anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
                 v_prev = kv_prev = None
 
         # -- one descent step -------------------------------------------------
@@ -663,7 +643,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
             if accepted is None:
                 # the heavy ball and the full Picard step share the Armijo bound
-                armijo = level - cfg.armijo_c * max(ctx.inner(g, v - gv), 0.0)
+                armijo = level - ARMIJO_C * max(ctx.inner(g, v - gv), 0.0)
                 if v_prev is not None:
                     # heavy ball w = G(v) + beta (v - v_prev), its image from cached images
                     w = np.subtract(v, v_prev, out=v_prev)
@@ -835,8 +815,6 @@ def _solve_one(args):
         return index, "converged", record
     except NotInUPlusError as exc:
         return index, "not_in_u_plus", str(exc)
-    except DivergedError as exc:
-        return index, "diverged", f"{exc} (iterations={exc.iterations})"
     except MaxIterationsError as exc:
         return index, "max_iters", f"{exc} (residual={exc.residual:.3e})"
 

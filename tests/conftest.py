@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual.dual_functional import sine_product
 
 
 def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
@@ -11,9 +12,7 @@ def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
     turns off everything that uses its unit-cell translations.
     """
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    mesh = grid.unit_cell_mesh()
-    q = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in mesh], axis=0)
-    coeff = Coefficient.build(Field(grid, q), p, periodic=periodic)
+    coeff = Coefficient.build(Field(grid, sine_product(grid)), p, periodic=periodic)
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
 

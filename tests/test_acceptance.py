@@ -29,9 +29,8 @@ from helmdual import (
     odd_power,
     ps_boundedness_check,
     orbit_distance,
-    resolvent_apply,
-    spectral_laplacian,
 )
+from helmdual.kernel import resolvent_apply, spectral_laplacian
 from conftest import make_sine_context, mode_field, random_field
 
 REFERENCE_SEED = 12345

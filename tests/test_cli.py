@@ -191,9 +191,7 @@ class TestErrors:
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["descent.anderson_depth = -1", "descent.tol_residual = nan",
-                                      "descent.divergence_floor = nan",
-                                      "descent.divergence_floor = inf"])
+    @pytest.mark.parametrize("line", ["descent.tol_residual = nan"])
     def test_bad_descent_value_is_config_error(self, tmp_path, line):
         cfg_file = tmp_path / "bad_descent.cfg"
         cfg_file.write_text(f"mode = solve\ngrid.points_per_axis = 48\n{line}\n")

@@ -39,11 +39,18 @@ grid.points_per_axis = 48
 """)
         assert cfg.grid_points_per_axis == 48
 
-    # step_init and armijo_shrink are not descent keys: the descent has no damped line search
+    # step_init and armijo_shrink are not descent keys: the descent has no damped line search;
+    # the Armijo constant, the Anderson depth and the fit degree are module constants, and
+    # the divergence floor and the shell count are not settable
     @pytest.mark.parametrize("line", [
         "gird.n = 64",
         "descent.step_init = 1.0",
         "descent.armijo_shrink = 0.5",
+        "descent.armijo_c = 0.0001",
+        "descent.anderson_depth = -1",
+        "descent.divergence_floor = nan",
+        "farfield.fit_degree = 6",
+        "farfield.shell_count = 8",
     ])
     def test_unknown_key_names_key_and_line(self, line):
         with pytest.raises(UnknownKeyError) as err:
@@ -84,11 +91,8 @@ grid.points_per_axis = 48
         "descent.multistart_count = 0",
         "descent.max_iters = 0",
         "descent.tol_residual = -1e-8",
-        "descent.anderson_depth = -1",
         "descent.tol_residual = nan",
         "descent.dedup_rel_threshold = nan",
-        "descent.divergence_floor = nan",
-        "descent.divergence_floor = inf",
         "grid.dimension = 3\nexponents.p = 5.0\ncoefficient.center = 9.2, 8.7",
         "coefficient.center = 1.0, 2.0, 3.0, 4.0",
         "bump.center = 1.0, 2.0, 3.0",

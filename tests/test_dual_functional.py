@@ -13,10 +13,15 @@ from helmdual import (
     GridSpec,
     HelmdualError,
     NotInUPlusError,
+    RunConfig,
+    SphereSamples,
     ZeroFieldError,
+    equal_area_directions,
     odd_power,
-    spectral_laplacian,
 )
+from helmdual.cli import build_coefficient
+from helmdual.dual_functional import sine_product
+from helmdual.kernel import fundamental_solution_psi, spectral_laplacian
 from conftest import (
     make_bump_context,
     make_constant_context,
@@ -61,10 +66,17 @@ def _context_with(dimension, p):
     lambda: Exponents(2, 6.0),
     lambda: _context_with(3, 5.0),
     lambda: _context_with(2, 8.0),
-    lambda: DescentConfig(armijo_c=2.0),
-    lambda: DescentConfig(divergence_floor=np.nan),
+    lambda: DescentConfig(tol_residual=0.0),
+    lambda: DescentConfig(multistart_count=0),
+    lambda: SphereSamples(np.array([[1.0, 1.0]]), np.zeros(1)),
+    lambda: SphereSamples(np.array([[1.0, 0.0]]), np.zeros(2)),
+    lambda: equal_area_directions(4, 8),
+    lambda: build_coefficient(RunConfig(mode="solve", coefficient_kind="tartan"), GridSpec(2, 6.0, 16)),
+    lambda: fundamental_solution_psi(1.0, 2),
 ], ids=["grid_dimension", "grid_points", "field_shape", "field_finite", "exponents_window",
-        "context_dimension", "context_p", "descent_armijo", "descent_floor"])
+        "context_dimension", "context_p", "descent_tolerance", "descent_starts",
+        "sphere_directions", "sphere_values", "directions_dimension", "coefficient_kind",
+        "psi_dimension"])
 def test_constructor_errors_are_typed(build):
     # DomainError is a HelmdualError for the CLI and a ValueError for callers
     with pytest.raises(DomainError) as err:
@@ -111,13 +123,25 @@ class TestCoefficient:
         aperiodic = 1.0 + 0.1 * mesh[0]
         with pytest.raises(ValueError):
             Coefficient.build(Field(g, aperiodic), 7.0, periodic=True)
-        exact = 1.0 + 0.5 * np.prod([np.sin(2 * np.pi * m) for m in g.unit_cell_mesh()], axis=0)
-        coeff = Coefficient.build(Field(g, exact), 7.0, periodic=True)
+        coeff = Coefficient.build(Field(g, sine_product(g)), 7.0, periodic=True)
         shift = g.unit_shift_points
         for axis in range(2):
             np.testing.assert_array_equal(
                 np.roll(coeff.field.values, shift, axis=axis), coeff.field.values
             )
+
+    @pytest.mark.parametrize("n", [48, 96])
+    def test_sine_product_samples(self, n):
+        # the folded unit-cell mesh on a grid with unit shifts
+        g = GridSpec(2, 6.0, n)
+        folded = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in g.unit_cell_mesh()], axis=0)
+        assert np.array_equal(sine_product(g), folded)
+        cfg = RunConfig(mode="solve", grid_points_per_axis=n)
+        assert np.array_equal(build_coefficient(cfg, g).field.values, folded)
+        # the plain mesh on a grid without them (6 does not divide n + 2)
+        g = GridSpec(2, 6.0, n + 2)
+        plain = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in g.coordinate_mesh()], axis=0)
+        assert np.array_equal(sine_product(g), plain)
 
     def test_root_cached(self):
         ctx = make_sine_context(n=48)

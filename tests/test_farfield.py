@@ -25,10 +25,10 @@ from helmdual import (
     decay_and_expansion_check,
     equal_area_directions,
     farfield_amplitude,
-    fundamental_solution_psi,
     odd_power,
 )
 from helmdual.dual_functional import pruned_fftn
+from helmdual.kernel import fundamental_solution_psi
 from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
 
 TESTS = Path(__file__).resolve().parent

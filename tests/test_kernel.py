@@ -9,11 +9,9 @@ from helmdual import (
     GridSpec,
     GridMismatchError,
     ShellResonanceError,
-    fundamental_solution_psi,
     helmholtz_multiplier,
-    resolvent_apply,
-    spectral_laplacian,
 )
+from helmdual.kernel import fundamental_solution_psi, resolvent_apply, spectral_laplacian
 from conftest import mode_field, random_field
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)  # lattice |k|^2 = 2 |m|^2, no unit-shell point
@@ -205,13 +203,6 @@ class TestFundamentalSolution:
         assert abs(fundamental_solution_psi(np.pi / 2, 3)) < 1e-16
         expected = 1.0 / (8.0 * np.pi ** 2)
         assert abs(fundamental_solution_psi(2 * np.pi, 3) - expected) < 1e-15 * expected
-
-    def test_two_d_log_growth(self):
-        for r in (1e-3, 1e-4, 1e-5):
-            ratio = fundamental_solution_psi(r, 2) / (np.log(1.0 / r) / (2.0 * np.pi))
-            assert abs(ratio - 1.0) < 0.25 / np.log(1.0 / r) * 10  # slow log approach
-        tight = fundamental_solution_psi(1e-8, 2) / (np.log(1e8) / (2.0 * np.pi))
-        assert abs(tight - 1.0) < 0.01
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
