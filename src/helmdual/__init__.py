@@ -21,6 +21,7 @@ from .errors import (
     TruncatedPayloadError,
     UnknownKeyError,
     VersionMismatchError,
+    WorkerPoolError,
     ZeroFieldError,
 )
 from .kernel import (

@@ -39,6 +39,10 @@ class NoSolutionFoundError(HelmdualError):
     """Every multistart attempt failed to produce a critical point."""
 
 
+class WorkerPoolError(HelmdualError):
+    """A multistart worker process died before returning its start."""
+
+
 class SupportOverflowError(HelmdualError):
     """Compactly supported perturbation does not fit inside the box."""
 

@@ -45,22 +45,35 @@ the unit cell it sits.  That position landscape is only about 1e-4 deep
 (relative), so plain descent spends most of its steps drifting along it.  Two
 steps handle the position directly.  Both place the profile phi = |u|^{p-2} u
 of the primal u = R(Q^{1/p} v) at a grid shift y, as w_y = Q^{(p-1)/p} phi(. - y)
-on the support, and score w_y with the fibering projection:
+on the support.  The landscape level of w_y, its fibering level, needs only
+the quadratic form and the mass: by Parseval the form is a sum of
+sigma |F(Q phi(. - y))|^2 over one real forward FFT, and the mass a
+correlation of Q with |phi|^{p'}, taken once.  Levels within LEVEL_TIE
+(relative) of each other are ties, here and in the critical shifts, so a
+symmetric pair of shifts is not resolved by rounding.  A chosen shift is
+scored in full by the fibering projection like any candidate:
 
 * the snap: once per start, after SNAP_AFTER accepted steps, the unit-cell
   shifts are searched coarse to fine (stride cell/4, then halving around the
-  best shift), and the lowest placement is taken as the next step if it
-  passes the monotone gate with a strict decrease.  The Anderson window
-  restarts and the heavy ball forgets its previous iterate;
+  best shift; a tie keeps the earlier shift), and the placement at the
+  lowest level is taken as the next step if it passes the monotone gate with
+  a strict decrease.  The Anderson window restarts and the heavy ball
+  forgets its previous iterate;
 * the placement: after orbit dedup, the first (lowest) record's landscape is
   evaluated at every shift of the unit cell.  Its discrete critical shifts
   (extrema over all neighbours, or saddles, where the ring of neighbours in a
   coordinate plane changes sign at least 4 times) fall into small clusters;
-  the centre of each cluster away from shift 0 is polished by the Newton
-  polish, and each success joins the dedup as a record of its own.  By
+  the centre of each cluster away from shift 0 is placed and polished by the
+  Newton polish, and each success joins the dedup as a record of its own.  By
   Lusternik-Schnirelmann theory a profile has at least cat(T^N) = N + 1
   critical positions, so this finds the saddle and maximum positions that
   random starts reach only by chance.
+
+The orbit dedup asks only whether some cell shift and sign bring a record
+within the dedup radius of a kept one.  A lower bound on every such distance
+comes from the L2 distances, which one Gram matrix of unit-cell blocks gives
+for all shifts at once; the exact p'-norm is taken only where the bound
+allows a match, so the decisions are those of orbit_distance.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
@@ -84,6 +97,7 @@ from .errors import (
     MaxIterationsError,
     NoSolutionFoundError,
     NotInUPlusError,
+    WorkerPoolError,
 )
 from .dual_functional import FunctionalContext, odd_power
 from .kernel import Field
@@ -99,6 +113,7 @@ MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges 
 ARMIJO_C = 1e-4              # sufficient-decrease constant of the heavy-ball and Picard bound
 ANDERSON_DEPTH = 6           # residual-difference columns before the Anderson window restarts
 SNAP_AFTER = 5               # accepted steps before a periodic start snaps to its best position
+LEVEL_TIE = 1e-13            # relative difference of landscape levels that counts as a tie
 
 
 @dataclass
@@ -417,26 +432,68 @@ def _placed(ctx, profile, shift):
     return _project_scored(ctx, w, ctx.apply_k_support(w))
 
 
+def _landscape(ctx, profile):
+    """The level of _placed(ctx, profile, y) as a function of the shift y, one real FFT each.
+
+    The source of w_y in the FFT pair of K is f_y = Q phi(. - y), so by
+    Parseval the quadratic form is h^N/n^N sum_k sigma(k) |F f_y(k)|^2, and
+    the mass is h^N sum Q |phi(. - y)|^{p'}.  Both are invariant under
+    translating the whole integrand by y, so Q(. + y) replaces phi(. - y):
+    |phi|^{p'} is taken once, and each shift costs one roll of Q, one
+    `rfftn` (sigma is real and even, so the interior columns of the last
+    axis count twice) and two sums.  Returns level(shift), inf outside U^+.
+    """
+    pc = ctx.exponents.p_conj
+    phi = profile[0]
+    axes = tuple(range(phi.ndim))
+    mass = np.abs(phi) ** pc
+    q = ctx.coefficient.field.values
+    n = ctx.grid.points_per_axis
+    sigma = ctx.sigma[..., : n // 2 + 1] * (ctx.weight / ctx.grid.size)
+    sigma[..., 1 : n // 2] *= 2.0
+    sigma = np.repeat(sigma, 2, axis=-1)  # weights of the (real, imag) float pairs
+
+    def level(shift):
+        q_y = np.roll(q, tuple(-s for s in shift), axis=axes)
+        spec = np.fft.rfftn(q_y * phi).view(float)
+        spec *= spec
+        spec *= sigma
+        qf = float(spec.sum())
+        q_y *= mass
+        m = ctx.weight * float(q_y.sum())
+        if not np.isfinite(qf) or qf <= 0.0 or m == 0.0:
+            return np.inf
+        t = (m / qf) ** (1.0 / (2.0 - pc))
+        return (1.0 / pc - 0.5) * t ** pc * m
+
+    return level
+
+
 def _snap(ctx, v):
     """Lowest placement of v's profile over the unit cell, searched coarse to fine.
 
     Shifts on the stride cell/4 lattice first, then the neighbours of the best
-    shift at half the stride, down to stride 1 (32 placements for a 16-point
-    cell in 2d).  Returns the scored placement, or None when none is in U^+.
+    shift at half the stride, down to stride 1 (32 shifts for a 16-point
+    cell in 2d), on the landscape levels; a level within LEVEL_TIE of the
+    best so far is a tie and keeps the earlier shift.  Returns the scored
+    placement at the best shift, or None when no shift is in U^+.
     """
     cell = ctx.grid.unit_shift_points
     dim = ctx.grid.dimension
     profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v), ctx.box))
+    level = _landscape(ctx, profile)
     stride = max(cell // 4, 1)
     shifts = itertools.product(range(0, cell, stride), repeat=dim)
-    best_shift = best = None
+    best_shift, best = None, np.inf
     while True:
         for shift in shifts:
-            scored = _placed(ctx, profile, shift)
-            if scored is not None and (best is None or scored[2] < best[2]):
-                best_shift, best = shift, scored
-        if stride == 1 or best is None:
-            return best
+            here = level(shift)
+            if here < best * (1.0 - LEVEL_TIE):
+                best_shift, best = shift, here
+        if best_shift is None:
+            return None
+        if stride == 1:
+            return _placed(ctx, profile, best_shift)
         stride //= 2
         shifts = [tuple((c + stride * d) % cell for c, d in zip(best_shift, step))
                   for step in itertools.product((-1, 0, 1), repeat=dim) if any(step)]
@@ -454,7 +511,7 @@ def _critical_shifts(landscape):
     """
     dim = landscape.ndim
     axes = tuple(range(dim))
-    tie = 1e-13 * np.abs(landscape[np.isfinite(landscape)]).max(initial=0.0)
+    tie = LEVEL_TIE * np.abs(landscape[np.isfinite(landscape)]).max(initial=0.0)
 
     def sign(step):
         rise = np.roll(landscape, tuple(-s for s in step), axis=axes) - landscape
@@ -515,11 +572,9 @@ def _place(ctx, record, tol):
     """
     cell = ctx.grid.unit_shift_points
     profile = _profile(ctx, record.u_star.values)
-    landscape = np.full((cell,) * ctx.grid.dimension, np.inf)
-    for shift in itertools.product(range(cell), repeat=ctx.grid.dimension):
-        scored = _placed(ctx, profile, shift)
-        if scored is not None:
-            landscape[shift] = scored[2]
+    level = _landscape(ctx, profile)
+    shifts = itertools.product(range(cell), repeat=ctx.grid.dimension)
+    landscape = np.reshape([level(shift) for shift in shifts], (cell,) * ctx.grid.dimension)
     placed = []
     for cluster, shift in _cluster_centres(_critical_shifts(landscape)):
         if (0,) * ctx.grid.dimension in cluster:
@@ -686,6 +741,11 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 # ---------------------------------------------------------------------------
 
 
+def _cell_roll(values, cell_shift, shift_pts):
+    """values(. - y) for the lattice shift y = cell_shift unit cells (one copy)."""
+    return np.roll(values, tuple(c * shift_pts for c in cell_shift), axis=tuple(range(values.ndim)))
+
+
 def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
     """Min over integer lattice shifts and sign of ||v - (+-w)(. - y)||_{p'}.
 
@@ -700,17 +760,56 @@ def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
     pc = ctx.exponents.p_conj
     cells = int(round(v.grid.box_length))
     best = np.inf
-    wv = w.values
-    for shifts in itertools.product(range(cells), repeat=v.grid.dimension):
-        rolled = wv
-        for axis, cell_shift in enumerate(shifts):
-            if cell_shift:
-                rolled = np.roll(rolled, cell_shift * shift_pts, axis=axis)
+    for cell_shift in itertools.product(range(cells), repeat=v.grid.dimension):
+        rolled = _cell_roll(w.values, cell_shift, shift_pts)
         for sign in (1.0, -1.0):
-            dist = ctx.lp_norm(v.values - sign * rolled, pc)
-            if dist < best:
-                best = dist
+            best = min(best, ctx.lp_norm(v.values - sign * rolled, pc))
     return float(best)
+
+
+def _within_orbit(ctx, v, w, radius):
+    """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
+
+    For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
+    h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
+    The squared L2 distances of all L^N cell shifts y and both signs s come
+    from ||v||^2 + ||w||^2 - 2 s <v, w_y>, and one Gram matrix of the unit-cell
+    blocks of v and w gives every <v, w_y>.  The expanded square is lowered by
+    a bound on its rounding, 4 n^N eps (||v||^2 + ||w||^2), which no BLAS
+    blocking or thread count exceeds.  The exact norm, computed as in
+    orbit_distance, is taken only for the pairs whose bound is at most
+    radius, so the answer is the same as orbit_distance's.
+    """
+    pc = ctx.exponents.p_conj
+    grid = v.grid
+    shift_pts = grid.unit_shift_points
+    cells = int(round(grid.box_length))
+    dim = grid.dimension
+    vv, wv = v.values, w.values
+
+    def blocks(values):  # one row per unit cell, in row-major cell order
+        split = values.reshape((cells, shift_pts) * dim)
+        return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))).reshape(
+            cells ** dim, shift_pts ** dim)
+
+    gram = blocks(vv) @ blocks(wv).T
+    index = np.indices((cells,) * dim).reshape(dim, -1)  # cells, and cell shifts in product order
+    # block i of w_y is block i - y of w, so <v, w_y> = sum_i gram[i, i - y]
+    partner = np.ravel_multi_index((index[:, None, :] - index[:, :, None]) % cells, (cells,) * dim)
+    inner = gram[np.arange(cells ** dim), partner].sum(axis=1)
+    norms = float(np.sum(vv * vv)) + float(np.sum(wv * wv))
+    slack = 4.0 * grid.size * np.finfo(float).eps * norms
+    peak = max(float(np.abs(vv).max() + np.abs(wv).max()), np.finfo(float).tiny)
+    squares = np.maximum(norms - 2.0 * np.stack([inner, -inner], axis=1) - slack, 0.0)
+    floors = ctx.weight * squares * peak ** (pc - 2.0)
+    # the relative margin covers the rounding of the floors and of the exact norms
+    candidates = np.flatnonzero(floors.ravel() <= radius ** pc * (1.0 + 1e-12))
+    for k in candidates[np.argsort(floors.ravel()[candidates], kind="stable")]:
+        shift, sign = divmod(int(k), 2)
+        rolled = _cell_roll(wv, tuple(int(c) for c in index[:, shift]), shift_pts)
+        if ctx.lp_norm(vv - (1.0, -1.0)[sign] * rolled, pc) <= radius:
+            return True
+    return False
 
 
 def mass_centroid(ctx: FunctionalContext, v: Field) -> np.ndarray:
@@ -740,14 +839,8 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
             int(np.rint((grid.box_length / 2.0 - c))) % cells for c in centroid
         )
         if any(shift_cells):
-            v = record.v_star.values
-            u = record.u_star.values
-            for axis, cell_shift in enumerate(shift_cells):
-                if cell_shift:
-                    v = np.roll(v, cell_shift * shift_pts, axis=axis)
-                    u = np.roll(u, cell_shift * shift_pts, axis=axis)
-            record.v_star = Field(grid, v)
-            record.u_star = Field(grid, u)
+            record.v_star = Field(grid, _cell_roll(record.v_star.values, shift_cells, shift_pts))
+            record.u_star = Field(grid, _cell_roll(record.u_star.values, shift_cells, shift_pts))
         record.orbit_shift = shift_cells
     peak = np.unravel_index(np.argmax(np.abs(record.v_star.values)), grid.shape)
     if record.v_star.values[peak] < 0.0:
@@ -831,13 +924,13 @@ def _dedup(ctx, cfg, records, distinct):
         duplicate = False
         for kept in distinct:
             scale = max(rec.v_star.lp_norm(pc), kept.v_star.lp_norm(pc))
+            radius = cfg.dedup_rel_threshold * scale
             if orbits:
-                dist = orbit_distance(ctx, rec.v_star, kept.v_star)
+                duplicate = _within_orbit(ctx, rec.v_star, kept.v_star, radius)
             else:
-                dist = min((rec.v_star - kept.v_star).lp_norm(pc),
-                           (rec.v_star + kept.v_star).lp_norm(pc))
-            if dist <= cfg.dedup_rel_threshold * scale:
-                duplicate = True
+                duplicate = min((rec.v_star - kept.v_star).lp_norm(pc),
+                                (rec.v_star + kept.v_star).lp_norm(pc)) <= radius
+            if duplicate:
                 break
         if not duplicate:
             distinct.append(rec)
@@ -850,16 +943,21 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     Returns a MultistartResult whose records are geometrically distinct
     (pairwise orbit distance above the configured threshold), sorted by
     (level, lexicographic field bytes).  Deterministic for a fixed seed
-    regardless of the worker count.
+    regardless of the worker count.  A worker process that dies (killed, or
+    out of memory) raises WorkerPoolError.
     """
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)
     jobs = [(ctx, cfg, i, seeds[i]) for i in range(cfg.multistart_count)]
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_solve_one, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                raw = list(pool.map(_solve_one, jobs))
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(f"a multistart worker process died: {exc}") from exc
     else:
         raw = [_solve_one(job) for job in jobs]
     raw.sort(key=lambda item: item[0])

@@ -1,12 +1,15 @@
 """End-to-end CLI runs on small configurations."""
 
 import csv
+import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field
+from helmdual import search
 from helmdual.cli import _position, main, run_experiment
 
 SOLVE_CFG = """
@@ -45,6 +48,11 @@ descent.multistart_count = 2
 farfield.direction_count = 64
 seed = 1
 """
+
+
+def _die(job):
+    """A multistart job that kills its worker process without a reply."""
+    os._exit(3)
 
 
 def run_cli(tmp_path, name, cfg_text, mode, seed=None):
@@ -263,3 +271,15 @@ class TestErrors:
         assert status == 1
         assert (out / "error.json").exists()
         assert "ShellResonance" in (out / "error.json").read_text()
+
+    def test_dead_worker_writes_record(self, tmp_path, monkeypatch):
+        # a worker that exits without a reply breaks the pool: a typed run error
+        monkeypatch.setenv("HELMDUAL_THREADS", "2")
+        monkeypatch.setattr(search, "_solve_one", _die)
+        cfg_file = tmp_path / "dies.cfg"
+        cfg_file.write_text("mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 2\n")
+        out = tmp_path / "dies"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "WorkerPoolError"
+        manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+        assert manifest == {"effective_config.cfg", "error.json"}
