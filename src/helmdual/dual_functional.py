@@ -20,15 +20,21 @@ vector over S (`restrict` / `extend`) and touches the grid only inside the
 FFT pair of R.  When Q > 0 everywhere S is the whole grid and both maps are
 views.
 
-That FFT pair is pruned to the bounding box of S (`box`): a source that
-vanishes off the box leaves whole lines of zeros in the forward transform,
-and K reads the inverse only inside the box, so those lines are skipped.
-Every kept line sees the inputs of numpy's own `fftn`/`ifftn` in numpy's
-axis order (last axis first), so the values read are bit-identical to the
-unpruned pair.
+When S has a bounding box (`box`) smaller than the grid, K never forms the
+grid.  R is the circular convolution with the torus kernel r = ifftn(sigma),
+and between two points of a box of w_d points per axis only the 2 w_d - 1
+differences |d_i| <= w_d - 1 occur.  So K convolves on a window grid of
+M_d >= 2 w_d - 1 points per axis (the smallest 2*3*5-smooth size, or n_d
+itself when that is not smaller) with r cut to those differences: the
+zero-padded convolution of Hockney & Eastwood, here with the torus kernel
+itself, so the operator is the same to rounding.  The window and its
+spectrum are built on the first K of a context.  `dual_to_primal` still
+needs R on the whole grid and prunes its forward transform to the box
+(`pruned_fftn`).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +58,18 @@ def pruned_fftn(values: np.ndarray, box) -> np.ndarray:
         block = spec[box[:d]]
         np.fft.fftn(block, axes=(d,), out=block)
     return spec
+
+
+def _smooth_size(m: int) -> int:
+    """Smallest 2*3*5-smooth integer >= m (for m >= 1): a fast FFT length."""
+    while True:
+        rest = m
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return m
+        m += 1
 
 
 def odd_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -186,28 +204,68 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray, source_box=None, read_box=None) -> np.ndarray:
+    def resolvent_array(self, values: np.ndarray, source_box=None) -> np.ndarray:
         """R(values) on the grid, from one complex array allocated per call.
 
-        `values` must vanish outside `source_box`, and the result holds
-        R(values) only inside `read_box` (tuples of per-axis slices, None for
-        the whole grid).  The inverse pass over axis d transforms only the
-        lines whose later axes lie in `read_box`: no other line feeds a value
-        read there.  With both boxes None this is one `fftn` and one `ifftn`.
+        `values` must vanish outside `source_box` (a tuple of per-axis
+        slices, None for the whole grid), which prunes the forward transform
+        (`pruned_fftn`); with None this is one `fftn` and one `ifftn`.
         """
         spec = pruned_fftn(values, source_box)
         spec *= self.sigma
-        if read_box is None:
-            return np.fft.ifftn(spec, out=spec).real
-        for d in reversed(range(spec.ndim)):
-            block = spec[(slice(None),) * (d + 1) + read_box[d + 1:]]
-            np.fft.ifftn(block, axes=(d,), out=block)
-        return spec.real
+        return np.fft.ifftn(spec, out=spec).real
+
+    @cached_property
+    def _k_window(self):
+        """Spectrum of the windowed torus kernel, and the flat window index of
+        each support point, for K on the support's box (module docstring).
+
+        Per axis the window keeps r(d) for |d| <= w - 1 (all of r when the
+        window is the whole axis).  sigma depends on k only through the squares
+        k_i^2, so it is even along each axis and r(d) = sum_k sigma(k)
+        prod_i cos(2 pi k_i d_i / n) / n^N, where each axis can run over
+        0 <= k_i <= n/2 only, counting 0 < k_i < n/2 twice: one cosine matrix
+        per axis, applied without forming r on the grid.  The einsum
+        contraction stays off BLAS, so the window does not depend on the BLAS
+        thread count.
+        """
+        kernel = self.sigma
+        shape = []
+        for axis, (span, n) in enumerate(zip(self.box, self.grid.shape)):
+            w = span.stop - span.start
+            m = min(n, _smooth_size(2 * w - 1))
+            shape.append(m)
+            d = np.arange(m)
+            d = np.where(d <= m // 2, d, d - m)
+            k = np.arange(n // 2 + 1)
+            fold = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n
+            rows = np.cos((2.0 * np.pi / n) * (np.outer(d, k) % n)) * fold
+            if m < n:
+                rows[np.abs(d) >= w] = 0.0
+            half = np.moveaxis(kernel, axis, 0)[:n // 2 + 1]
+            kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, half), 0, axis)
+        local = np.unravel_index(self.support, self.grid.shape)
+        flat = np.ravel_multi_index(
+            tuple(idx - span.start for idx, span in zip(local, self.box)), shape
+        )
+        return np.fft.fftn(kernel).real.copy(), flat
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
-        """K on support vectors: q_S R(extend(q_S v))|_S."""
-        source = self.extend(self.q_support * vs)
-        return self.q_support * self.restrict(self.resolvent_array(source, self.box, self.box))
+        """K on support vectors: q_S R(extend(q_S v))|_S.
+
+        On full support one grid FFT pair; otherwise one FFT pair on the
+        window grid of `_k_window`.
+        """
+        if self.box is None:
+            source = self.extend(self.q_support * vs)
+            return self.q_support * self.restrict(self.resolvent_array(source))
+        spectrum, flat = self._k_window
+        spec = np.zeros(spectrum.shape, dtype=complex)
+        spec.reshape(-1)[flat] = self.q_support * vs
+        np.fft.fftn(spec, out=spec)
+        spec *= spectrum
+        np.fft.ifftn(spec, out=spec)
+        return self.q_support * spec.reshape(-1).real[flat]
 
     def apply_k_array(self, values: np.ndarray) -> np.ndarray:
         return self.extend(self.apply_k_support(self.restrict(values)))

@@ -30,9 +30,9 @@ class GridSpec:
     """Uniform periodic lattice on [0, L)^N.
 
     dimension       N, 2 or 3
-    box_length      L > 0
+    box_length      finite L > 0
     points_per_axis even n
-    shell_epsilon   eps >= 0, absorption parameter of the resolvent symbol
+    shell_epsilon   finite eps >= 0, absorption parameter of the resolvent symbol
     """
 
     dimension: int
@@ -43,13 +43,15 @@ class GridSpec:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise DomainError(f"dimension must be 2 or 3, got {self.dimension}")
-        if not self.box_length > 0:
-            raise DomainError("box_length must be positive")
+        if not 0.0 < self.box_length < np.inf:
+            raise DomainError(f"box_length must be positive and finite, got {self.box_length!r}")
         n = self.points_per_axis
         if n <= 0 or n % 2 != 0:
             raise DomainError("points_per_axis must be a positive even integer")
-        if self.shell_epsilon < 0:
-            raise DomainError("shell_epsilon must be nonnegative")
+        if not 0.0 <= self.shell_epsilon < np.inf:
+            raise DomainError(
+                f"shell_epsilon must be nonnegative and finite, got {self.shell_epsilon!r}"
+            )
         if self.shell_epsilon == 0.0 and self.delta_min <= RESONANCE_TOL:
             raise ShellResonanceError(
                 f"lattice touches the unit shell: min ||k|^2 - 1| = {self.delta_min:.3e} "

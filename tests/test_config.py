@@ -84,7 +84,10 @@ grid.points_per_axis = 48
         "grid.points_per_axis = 7",
         "grid.points_per_axis = 0",
         "grid.box_length = nan",
+        "grid.box_length = inf",
         "grid.shell_epsilon = -1.0",
+        "grid.shell_epsilon = nan",
+        "grid.shell_epsilon = inf",
         "grid.dimension = 4",
         "exponents.p = 3.0",
         "grid.box_length = 6.283185307179586\nexponents.p = 3.0",
@@ -170,6 +173,7 @@ class TestFieldFile:
         (15, 6.0),            # odd points per axis
         (0, 6.0),             # nonpositive points per axis
         (16, float("nan")),   # NaN box length
+        (16, float("inf")),   # infinite box length
         (16, -6.0),           # nonpositive box length
     ])
     def test_bad_header_values(self, n, box_length):

@@ -197,13 +197,13 @@ class TestSupport:
         np.testing.assert_array_equal(ctx.restrict(got), ctx.apply_k_support(ctx.restrict(v)))
 
     @pytest.mark.parametrize("shape", [{}, {"n": 24, "p": 5.0, "dimension": 3}])
-    def test_pruned_k_is_bit_identical(self, shape):
+    def test_windowed_k_is_the_sandwich(self, shape):
         ctx = make_bump_context(**shape)
         assert ctx.box is not None
         v = np.random.default_rng(24).standard_normal(ctx.grid.shape)
-        np.testing.assert_array_equal(
-            ctx.apply_k_support(ctx.restrict(v)), ctx.restrict(sandwich(ctx, v))
-        )
+        ref = ctx.restrict(sandwich(ctx, v))
+        got = ctx.apply_k_support(ctx.restrict(v))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dimension,axis", [(2, 0), (2, 1), (3, 1)])
     def test_box_spanning_an_axis(self, dimension, axis):
@@ -211,9 +211,31 @@ class TestSupport:
         n = ctx.grid.points_per_axis
         assert [b == slice(0, n) for b in ctx.box] == [d == axis for d in range(dimension)]
         v = np.random.default_rng(25).standard_normal(ctx.grid.shape)
-        np.testing.assert_array_equal(
-            ctx.apply_k_support(ctx.restrict(v)), ctx.restrict(sandwich(ctx, v))
-        )
+        ref = ctx.restrict(sandwich(ctx, v))
+        got = ctx.apply_k_support(ctx.restrict(v))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape,box,window", [
+        ({}, (12, 11), (24, 24)),
+        ({"n": 24, "p": 5.0, "dimension": 3}, (9, 9, 9), (18, 18, 18)),
+    ])
+    def test_compact_support_k_is_one_small_fft_pair(self, shape, box, window, monkeypatch):
+        # window size per axis: the smallest 2*3*5-smooth integer >= 2 w - 1, at most n
+        ctx = make_bump_context(**shape)
+        assert tuple(b.stop - b.start for b in ctx.box) == box
+        ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
+        assert ctx._k_window[0].shape == window
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, a.shape))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        ctx.apply_k_support(np.ones(ctx.support.size))
+        assert calls == [("fftn", window), ("ifftn", window)]
 
     def test_full_support_k_is_bit_identical(self, sine_ctx):
         assert sine_ctx.box is None
