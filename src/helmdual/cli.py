@@ -3,9 +3,8 @@
 Artifacts are plain CSV plus HLMF field dumps, every file listed in a
 manifest, and the effective configuration echoed next to them so a run can
 be reproduced from its output directory alone.  Identical configuration and
-seed give byte-identical CSVs at a fixed BLAS thread count (the far-field
-check's matrix-vector products split their rows by BLAS thread); no
-timestamps are written.  The environment variable HELMDUAL_THREADS caps the
+seed give byte-identical CSVs at a fixed BLAS thread count; no timestamps
+are written.  The environment variable HELMDUAL_THREADS caps the
 multistart worker count (default 1, sequential; results do not depend on the
 worker count).
 """
@@ -22,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
 from .dual_functional import Coefficient, Exponents, FunctionalContext, sine_product
-from .errors import DomainError, HelmdualError
+from .errors import DomainError, FieldFileError, HelmdualError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
 from .search import multistart_search, unit_periodic
@@ -56,7 +55,11 @@ def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
         center = cfg.coefficient_center or (grid.box_length / 2.0,) * grid.dimension
         values = bump_profile(grid, BumpDescriptor(center, cfg.coefficient_radius, cfg.coefficient_amplitude))
     elif kind == "file":
-        field = cfgmod.read_field(Path(cfg.coefficient_path).read_bytes(), grid.shell_epsilon)
+        try:
+            data = Path(cfg.coefficient_path).read_bytes()
+        except OSError as exc:
+            raise FieldFileError(f"cannot read the coefficient file: {exc}") from exc
+        field = cfgmod.read_field(data, grid.shell_epsilon)
         if field.grid != grid:
             raise cfgmod.ConfigTypeError("coefficient file grid does not match the run grid")
         values = field.values
@@ -272,8 +275,11 @@ def main(argv=None) -> int:
                                  help="RNG seed (overrides the config seed)")
     args = parser.parse_args(argv)
 
-    text = args.config.read_text() if args.config else ""
     try:
+        try:
+            text = args.config.read_text() if args.config else ""
+        except (OSError, UnicodeDecodeError) as exc:
+            raise cfgmod.ConfigError(f"cannot read the config file: {exc}") from exc
         cfg = cfgmod.parse_config(text, mode_override=args.mode)
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,17 +20,17 @@ vector over S (`restrict` / `extend`) and touches the grid only inside the
 FFT pair of R.  When Q > 0 everywhere S is the whole grid and both maps are
 views.
 
-When S has a bounding box (`box`) smaller than the grid, K never forms the
-grid.  R is the circular convolution with the torus kernel r = ifftn(sigma),
-and between two points of a box of w_d points per axis only the 2 w_d - 1
+K is one FFT pair on a window grid around the bounding box of S (`box`).
+R is the circular convolution with the torus kernel r = ifftn(sigma), and
+between two points of a box of w_d points per axis only the 2 w_d - 1
 differences |d_i| <= w_d - 1 occur.  So K convolves on a window grid of
 M_d >= 2 w_d - 1 points per axis (the smallest 2*3*5-smooth size, or n_d
 itself when that is not smaller) with r cut to those differences: the
 zero-padded convolution of Hockney & Eastwood, here with the torus kernel
-itself, so the operator is the same to rounding.  The window and its
-spectrum are built on the first K of a context.  `dual_to_primal` still
-needs R on the whole grid and prunes its forward transform to the box
-(`pruned_fftn`).
+itself, so the operator is the same to rounding.  A window axis of n_d points
+keeps sigma as it is, so on full support the window is the grid with sigma
+itself.  `dual_to_primal` needs R on the whole grid and prunes its forward
+transform to the box (`pruned_fftn`).
 """
 
 from dataclasses import dataclass
@@ -204,61 +204,61 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray, source_box=None) -> np.ndarray:
+    def resolvent_array(self, values: np.ndarray) -> np.ndarray:
         """R(values) on the grid, from one complex array allocated per call.
 
-        `values` must vanish outside `source_box` (a tuple of per-axis
-        slices, None for the whole grid), which prunes the forward transform
-        (`pruned_fftn`); with None this is one `fftn` and one `ifftn`.
+        `values` must vanish outside the support's box, which prunes the
+        forward transform (`pruned_fftn`); on a box that spans the grid this
+        is one `fftn` and one `ifftn`.
         """
-        spec = pruned_fftn(values, source_box)
+        spec = pruned_fftn(values, self.box)
         spec *= self.sigma
         return np.fft.ifftn(spec, out=spec).real
 
     @cached_property
     def _k_window(self):
-        """Spectrum of the windowed torus kernel, and the flat window index of
-        each support point, for K on the support's box (module docstring).
+        """Spectrum of the windowed torus kernel, and the window index of each
+        support point, for K on the support's box (module docstring).
 
-        Per axis the window keeps r(d) for |d| <= w - 1 (all of r when the
-        window is the whole axis).  sigma depends on k only through the squares
-        k_i^2, so it is even along each axis and r(d) = sum_k sigma(k)
+        A cut axis keeps r(d) for |d| <= w - 1; an axis whose window is the
+        whole axis keeps sigma as it is.  sigma depends on k only through the
+        squares k_i^2, so it is even along each axis and r(d) = sum_k sigma(k)
         prod_i cos(2 pi k_i d_i / n) / n^N, where each axis can run over
         0 <= k_i <= n/2 only, counting 0 < k_i < n/2 twice: one cosine matrix
-        per axis, applied without forming r on the grid.  The einsum
-        contraction stays off BLAS, so the window does not depend on the BLAS
-        thread count.
+        per cut axis, applied without forming r on the grid, then one FFT over
+        the cut axes.  The einsum contraction stays off BLAS, so the window
+        does not depend on the BLAS thread count.  On full support the
+        spectrum is sigma itself and the index slice(None), a view.
         """
+        box = self.box or tuple(slice(0, n) for n in self.grid.shape)
         kernel = self.sigma
-        shape = []
-        for axis, (span, n) in enumerate(zip(self.box, self.grid.shape)):
+        shape, cut = [], []
+        for axis, (span, n) in enumerate(zip(box, self.grid.shape)):
             w = span.stop - span.start
             m = min(n, _smooth_size(2 * w - 1))
             shape.append(m)
+            if m == n:
+                continue
+            cut.append(axis)
             d = np.arange(m)
             d = np.where(d <= m // 2, d, d - m)
             k = np.arange(n // 2 + 1)
             fold = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n
             rows = np.cos((2.0 * np.pi / n) * (np.outer(d, k) % n)) * fold
-            if m < n:
-                rows[np.abs(d) >= w] = 0.0
+            rows[np.abs(d) >= w] = 0.0
             half = np.moveaxis(kernel, axis, 0)[:n // 2 + 1]
             kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, half), 0, axis)
+        if cut:
+            kernel = np.fft.fftn(kernel, axes=cut).real.copy()
+        if self.full_support:
+            return kernel, slice(None)
         local = np.unravel_index(self.support, self.grid.shape)
-        flat = np.ravel_multi_index(
-            tuple(idx - span.start for idx, span in zip(local, self.box)), shape
-        )
-        return np.fft.fftn(kernel).real.copy(), flat
+        flat = np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, box)), shape)
+        return kernel, flat
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
-        """K on support vectors: q_S R(extend(q_S v))|_S.
-
-        On full support one grid FFT pair; otherwise one FFT pair on the
-        window grid of `_k_window`.
-        """
-        if self.box is None:
-            source = self.extend(self.q_support * vs)
-            return self.q_support * self.restrict(self.resolvent_array(source))
+        """K on support vectors: q_S R(extend(q_S v))|_S, as one FFT pair on
+        the window grid of `_k_window` (the grid itself on full support)."""
         spectrum, flat = self._k_window
         spec = np.zeros(spectrum.shape, dtype=complex)
         spec.reshape(-1)[flat] = self.q_support * vs
@@ -312,27 +312,33 @@ class FunctionalContext:
         vals = self._own(v)
         return self.inner(vals, self.apply_k_array(vals))
 
+    def fibering(self, mass: float, form: float):
+        """Scale t_v = (mass/form)^{1/(2-p')} and level (1/p' - 1/2) t_v^{p'} mass of a
+        field with mass ||v||_{p'}^{p'} and quadratic form int v K v."""
+        if mass == 0.0:
+            raise ZeroFieldError("fibering scale undefined for the zero field")
+        if form <= 0.0:
+            raise NotInUPlusError(f"quadratic form {form:.3e} <= 0; field not in U^+")
+        pc = self.exponents.p_conj
+        t = (mass / form) ** (1.0 / (2.0 - pc))
+        return t, (1.0 / pc - 0.5) * t ** pc * mass
+
+    def _fibered(self, v: Field):
+        vals = self._own(v)
+        return self.fibering(self.dual_mass(vals), self.inner(vals, self.apply_k_array(vals)))
+
     def fibering_scale(self, v: Field) -> float:
         """Unique maximizer t_v of s -> J(s v), t_v^{2-p'} = ||v||^{p'} / int v K v."""
-        vals = self._own(v)
-        m = self.dual_mass(vals)
-        if m == 0.0:
-            raise ZeroFieldError("fibering scale undefined for the zero field")
-        qf = self.inner(vals, self.apply_k_array(vals))
-        if qf <= 0.0:
-            raise NotInUPlusError(f"quadratic form {qf:.3e} <= 0; field not in U^+")
-        return float((m / qf) ** (1.0 / (2.0 - self.exponents.p_conj)))
+        return float(self._fibered(v)[0])
 
     def nehari_energy(self, v: Field) -> float:
         """Scale-invariant fibering level (1/p' - 1/2) t_v^{p'} ||v||_{p'}^{p'}."""
-        pc = self.exponents.p_conj
-        t = self.fibering_scale(v)
-        return float((1.0 / pc - 0.5) * t ** pc * self.dual_mass(self._own(v)))
+        return float(self._fibered(v)[1])
 
     def dual_to_primal(self, v: Field) -> Field:
         """Primal reconstruction u = R(Q^{1/p} v)."""
         vals = self._own(v)
-        return Field(self.grid, self.resolvent_array(self.q_root * vals, self.box))
+        return Field(self.grid, self.resolvent_array(self.q_root * vals))
 
     def primal_residual(self, u: Field) -> float:
         """Relative size of -Delta u - u - Q |u|^{p-2} u in L^{p'}.

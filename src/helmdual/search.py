@@ -27,15 +27,15 @@ Three accelerations wrap the plain iteration without weakening the gate:
   images.  It and then the plain step G(v), already scored, must pass the
   Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>; a step where none of the
   three candidates passes raises MaxIterationsError ("line search stalled");
-* once the descent has settled (the residual under the polish gate and
-  improving by less than SETTLE_FRACTION over SETTLE_WINDOW steps), a
-  Levenberg-regularized Newton-GMRES polish of the smooth residual
+* once per start, when the descent has settled (the residual under the
+  polish gate and improving by less than SETTLE_FRACTION over SETTLE_WINDOW
+  steps), a Levenberg-regularized Newton-GMRES polish of the smooth residual
   r(v) = v - |Kv|^{p-2} Kv.  Each GMRES solve stops at the Eisenstat-Walker
   forcing tolerance max(1e-10, min(1e-2, mu)), with mu = ||r|| / ||v|| the
   Levenberg shift (Eisenstat & Walker, SIAM J. Sci. Comput. 1996).  The
-  polish is accepted only if it reaches the requested dual-residual
-  tolerance; otherwise the pre-polish state is restored and descent
-  resumes.  Polish steps solve the critical equation directly and are
+  polish succeeds only if the projected Picard image of its iterate reaches
+  the requested tolerance; otherwise the descent resumes from the pre-polish
+  state.  Polish steps solve the critical equation directly and are
   exempt from the flow-monotonicity guarantee (they move the energy by
   O(residual) at most); the recorded trajectory is the descent phase.
 
@@ -69,11 +69,11 @@ scored in full by the fibering projection like any candidate:
   critical positions, so this finds the saddle and maximum positions that
   random starts reach only by chance.
 
-The orbit dedup asks only whether some cell shift and sign bring a record
-within the dedup radius of a kept one.  A lower bound on every such distance
-comes from the L2 distances, which one Gram matrix of unit-cell blocks gives
-for all shifts at once; the exact p'-norm is taken only where the bound
-allows a match, so the decisions are those of orbit_distance.
+The orbit dedup asks only whether some cell shift (the identity alone for
+a Q that is not unit-periodic) and sign bring a record within the dedup
+radius of a kept one.  A lower bound on every such distance comes from the
+L2 distances, which one Gram matrix of unit-cell blocks gives for all shifts
+at once; the exact p'-norm is taken only where the bound allows a match.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
@@ -106,8 +106,7 @@ PLATEAU_SLACK = 1e-13        # allowed energy non-decrease, below the 1e-12 cont
 RESIDUAL_SHRINK = 0.999      # required residual progress on plateau steps
 SETTLE_WINDOW = 50           # iterations over which "stalled" is judged
 SETTLE_FRACTION = 0.5        # residual must improve by less than this to count as settled
-POLISH_ENTRY_RES = 1e-4      # residual gate for the first polish attempt
-POLISH_COOLDOWN = 50         # descent steps between polish attempts
+POLISH_ENTRY_RES = 1e-4      # residual gate of the polish
 KREFRESH = 20                # accepted steps between fresh transforms of the cached K image
 MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
 ARMIJO_C = 1e-4              # sufficient-decrease constant of the heavy-ball and Picard bound
@@ -185,8 +184,7 @@ def _project_scored(ctx, w, kw, ceiling=None):
     m = ctx.weight * float(np.vdot(g, w))
     if m == 0.0:
         return None
-    t = (m / qf) ** (1.0 / (2.0 - pc))
-    level = (1.0 / pc - 0.5) * t ** pc * m
+    t, level = ctx.fibering(m, qf)
     if ceiling is not None and level > ceiling:
         return None
     kv = t * kw
@@ -243,14 +241,14 @@ def _gmres(apply_a, b, maxk, rtol):
 def _newton_polish(ctx, v, kv, tol, max_steps=40):
     """Levenberg-regularized Newton-GMRES on r(v) = v - |Kv|^{p-2} Kv.
 
-    Accepts steps on the Euclidean norm of r (the quantity Newton models);
-    declares success only when the scale-invariant dual residual meets tol.
-    Before each step, and once more before giving up (the step budget spent
-    or two steps failed in a row), the projected Picard image of the iterate
-    is scored and returned if its dual residual meets tol: the image has the
-    exact power structure |Kv|^{p-2} Kv, without which rounding noise under
-    the (p'-1)-th root in the iterate's tails would floor the dual residual.
-    The image is only tested; the steps continue from v.
+    Accepts steps on the Euclidean norm of r (the quantity Newton models).
+    It succeeds only through the projected Picard image of the iterate:
+    before each step, and once more before giving up (the step budget spent
+    or two steps failed in a row), the image is scored and returned if its
+    scale-invariant dual residual meets tol.  The image has the exact power
+    structure |Kv|^{p-2} Kv, without which rounding noise under the (p'-1)-th
+    root in the iterate's tails would floor the dual residual.  The image is
+    only tested; the steps continue from v.
     """
     p = ctx.exponents.p
     steps = 0
@@ -261,8 +259,6 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
         projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
         if projected is not None and projected[3] <= tol:
             return projected[0], projected[1], steps, True
-        if ctx.dual_residual_arrays(v, kv) <= tol:
-            return v, kv, steps, True
         if attempt == max_steps or fails >= 2:
             return v, kv, steps, False
 
@@ -463,8 +459,7 @@ def _landscape(ctx, profile):
         m = ctx.weight * float(q_y.sum())
         if not np.isfinite(qf) or qf <= 0.0 or m == 0.0:
             return np.inf
-        t = (m / qf) ** (1.0 / (2.0 - pc))
-        return (1.0 / pc - 0.5) * t ** pc * m
+        return ctx.fibering(m, qf)[1]
 
     return level
 
@@ -480,7 +475,7 @@ def _snap(ctx, v):
     """
     cell = ctx.grid.unit_shift_points
     dim = ctx.grid.dimension
-    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v), ctx.box))
+    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v)))
     level = _landscape(ctx, profile)
     stride = max(cell // 4, 1)
     shifts = itertools.product(range(0, cell, stride), repeat=dim)
@@ -615,9 +610,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     v_prev = kv_prev = None  # the previous accepted iterate and its cached image
     iterations = 0
     newton_steps = 0
-    res_window = [res]
-    polish_gate = POLISH_ENTRY_RES
-    cooldown = 0
+    polish_due = True
     snap_due = unit_periodic(ctx)
 
     def _passes(candidate, bound):
@@ -641,21 +634,18 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 iterations=iterations, residual=res, level=level,
             )
 
-        # -- Newton polish once the descent has settled ----------------------
-        settled = len(res_window) > SETTLE_WINDOW and res > SETTLE_FRACTION * res_window[-SETTLE_WINDOW]
-        if cooldown > 0:
-            cooldown -= 1
-        elif res <= polish_gate and settled:
+        # -- once per start: Newton polish once the descent has settled -------
+        if (polish_due and res <= POLISH_ENTRY_RES and len(grad_norms) > SETTLE_WINDOW
+                and res > SETTLE_FRACTION * (grad_norms[-SETTLE_WINDOW]
+                                             / v_norms[-SETTLE_WINDOW] ** (pc - 1.0))):
+            polish_due = False
             projected, steps = _polished(ctx, v, kv, cfg.tol_residual)
             newton_steps += steps
             iterations += max(steps, 1)
             if projected is not None:
                 return _finish(ctx, *projected[:2], projected[3], iterations, newton_steps,
                                j_values, grad_norms, v_norms)
-            # restore the pre-polish state and demand real progress before retrying
-            polish_gate = res / 4.0
-            cooldown = POLISH_COOLDOWN
-            continue
+            continue  # the descent resumes from the pre-polish state
 
         plateau = PLATEAU_SLACK * max(1.0, abs(level))
         accepted = None
@@ -731,9 +721,6 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
         j_values.append(level)
         grad_norms.append(grad_norm)
         v_norms.append(v_norm)
-        res_window.append(res)
-        if len(res_window) > SETTLE_WINDOW + 1:
-            res_window.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +729,9 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
 
 
 def _cell_roll(values, cell_shift, shift_pts):
-    """values(. - y) for the lattice shift y = cell_shift unit cells (one copy)."""
+    """values(. - y) for the lattice shift y = cell_shift unit cells: one copy, none at y = 0."""
+    if not any(cell_shift):
+        return values
     return np.roll(values, tuple(c * shift_pts for c in cell_shift), axis=tuple(range(values.ndim)))
 
 
@@ -770,6 +759,8 @@ def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
 def _within_orbit(ctx, v, w, radius):
     """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
 
+    For a Q that is not unit-periodic the only shift is the identity (one
+    cell, the whole box): min(||v - w||_{p'}, ||v + w||_{p'}) <= radius.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
     h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
     The squared L2 distances of all L^N cell shifts y and both signs s come
@@ -778,13 +769,14 @@ def _within_orbit(ctx, v, w, radius):
     a bound on its rounding, 4 n^N eps (||v||^2 + ||w||^2), which no BLAS
     blocking or thread count exceeds.  The exact norm, computed as in
     orbit_distance, is taken only for the pairs whose bound is at most
-    radius, so the answer is the same as orbit_distance's.
+    radius, so the answer is the same as the exact minimum's.
     """
     pc = ctx.exponents.p_conj
     grid = v.grid
-    shift_pts = grid.unit_shift_points
-    cells = int(round(grid.box_length))
     dim = grid.dimension
+    periodic = unit_periodic(ctx)  # otherwise the identity alone: one cell, the whole box
+    shift_pts = grid.unit_shift_points if periodic else grid.points_per_axis
+    cells = int(round(grid.box_length)) if periodic else 1
     vv, wv = v.values, w.values
 
     def blocks(values):  # one row per unit cell, in row-major cell order
@@ -918,18 +910,12 @@ def _record_order(rec):
 
 def _dedup(ctx, cfg, records, distinct):
     """Append to distinct each record farther than the dedup threshold from all kept ones."""
-    orbits = unit_periodic(ctx)
     pc = ctx.exponents.p_conj
     for rec in records:
         duplicate = False
         for kept in distinct:
             scale = max(rec.v_star.lp_norm(pc), kept.v_star.lp_norm(pc))
-            radius = cfg.dedup_rel_threshold * scale
-            if orbits:
-                duplicate = _within_orbit(ctx, rec.v_star, kept.v_star, radius)
-            else:
-                duplicate = min((rec.v_star - kept.v_star).lp_norm(pc),
-                                (rec.v_star + kept.v_star).lp_norm(pc)) <= radius
+            duplicate = _within_orbit(ctx, rec.v_star, kept.v_star, cfg.dedup_rel_threshold * scale)
             if duplicate:
                 break
         if not duplicate:

@@ -8,9 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field
+from helmdual import (
+    BumpDescriptor, Coefficient, Exponents, Field, FunctionalContext, GridSpec,
+    build_asymptotic_coefficient, parse_config, read_field,
+)
 from helmdual import search
-from helmdual.cli import _position, main, run_experiment
+from helmdual.cli import _position, build_coefficient, build_grid, main, run_experiment
+from helmdual.config import descent_config
 
 SOLVE_CFG = """
 mode = solve
@@ -154,6 +158,28 @@ class TestCompareMode:
         c_inf = float(data[header.index("c_inf_est")])
         assert c_est <= c_inf + 1e-3 * abs(c_inf)
 
+    def test_descent_polish_runs_once_per_start(self, monkeypatch):
+        # at zero amplitude the bumped Q is the sine Q declared non-periodic: no
+        # snap, and start 2 settles and enters the descent polish.  A failed
+        # polish hands the start back to the descent, which never polishes again
+        cfg = parse_config(COMPARE_CFG.replace("bump.amplitude = 0.3", "bump.amplitude = 0.0"))
+        grid = build_grid(cfg)
+        bump = BumpDescriptor(tuple(cfg.bump_center), cfg.bump_radius, cfg.bump_amplitude)
+        pair = build_asymptotic_coefficient(build_coefficient(cfg, grid), bump)
+        ctx = FunctionalContext(grid, Exponents(2, cfg.exponents_p), pair.coefficient)
+        descent = descent_config(cfg)
+        seeds = np.random.SeedSequence(descent.rng_seed).spawn(descent.multistart_count)
+        calls = []
+
+        def failing_polish(ctx, v, kv, tol, *args, **kwargs):
+            calls.append(tol)
+            return v, kv, 0, False
+
+        monkeypatch.setattr(search, "_newton_polish", failing_polish)
+        _, status, _ = search._solve_one((ctx, descent, 2, seeds[2]))
+        assert len(calls) == 1
+        assert status in ("converged", "max_iters")
+
 
 class TestFarfieldMode:
     def test_artifacts_and_exit(self, tmp_path):
@@ -271,6 +297,24 @@ class TestErrors:
         assert status == 1
         assert (out / "error.json").exists()
         assert "ShellResonance" in (out / "error.json").read_text()
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing"
+        assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]) == 2
+        assert "config error: cannot read the config file" in capsys.readouterr().err
+        assert not out.exists()  # so no manifest.csv either
+
+    def test_missing_coefficient_file_writes_record(self, tmp_path):
+        cfg_file = tmp_path / "file_q.cfg"
+        cfg_file.write_text(
+            "mode = solve\ngrid.points_per_axis = 48\ncoefficient.kind = file\n"
+            f"coefficient.path = {tmp_path / 'missing.hlmf'}\n"
+        )
+        out = tmp_path / "file_q"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "FieldFileError"
+        manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+        assert manifest == {"effective_config.cfg", "error.json"}
 
     def test_dead_worker_writes_record(self, tmp_path, monkeypatch):
         # a worker that exits without a reply breaks the pool: a typed run error

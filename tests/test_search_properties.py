@@ -13,6 +13,7 @@ from conftest import make_sine_context
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 CTX = make_sine_context(n=48)  # L = 6, 8 points per unit cell
+FLAT_CTX = make_sine_context(n=48, periodic=False)  # the same Q declared non-periodic
 
 
 def periodic_context(kind, rng, n=48, p=7.0):
@@ -44,24 +45,32 @@ def periodic_context(kind, rng, n=48, p=7.0):
     sign=st.sampled_from([1.0, -1.0]),
     factor=st.floats(0.5, 2.0),
     related=st.booleans(),
+    periodic=st.booleans(),
 )
-def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor, related):
+def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor, related, periodic):
     # w is a signed cell translate of v, moved off it by factor times the radius,
     # or an unrelated field; the pruned test must decide as the exact minimum does.
     # initial_field draws a bump with random low-mode texture, which no grid
-    # symmetry maps to itself
+    # symmetry maps to itself.  For the Q declared non-periodic there is no cell
+    # shift, and the exact minimum is over the two signs only
+    ctx = CTX if periodic else FLAT_CTX
+    if not periodic:
+        cell_shift = (0, 0)
     rng = np.random.default_rng(seed)
-    pc = CTX.exponents.p_conj
-    v = initial_field(CTX, rng)
+    pc = ctx.exponents.p_conj
+    v = initial_field(ctx, rng)
     radius = 1e-2 * v.lp_norm(pc)
-    offset = initial_field(CTX, rng).values
-    offset *= factor * radius / CTX.lp_norm(offset, pc)
-    shift_pts = CTX.grid.unit_shift_points
-    base = v.values if related else initial_field(CTX, rng).values
+    offset = initial_field(ctx, rng).values
+    offset *= factor * radius / ctx.lp_norm(offset, pc)
+    shift_pts = ctx.grid.unit_shift_points
+    base = v.values if related else initial_field(ctx, rng).values
     rolled = np.roll(base, tuple(c * shift_pts for c in cell_shift), axis=(0, 1))
-    w = Field(CTX.grid, sign * rolled + offset)
-    expected = orbit_distance(CTX, v, w) <= radius
-    assert _within_orbit(CTX, v, w, radius) == expected
+    w = Field(ctx.grid, sign * rolled + offset)
+    if periodic:
+        expected = orbit_distance(ctx, v, w) <= radius
+    else:
+        expected = min((v - w).lp_norm(pc), (v + w).lp_norm(pc)) <= radius
+    assert _within_orbit(ctx, v, w, radius) == expected
 
 
 @settings(max_examples=12, deadline=None, database=None)
