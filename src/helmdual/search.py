@@ -9,7 +9,7 @@ plateau combined with strict residual decrease.  The accepted-step energies
 are therefore nonincreasing to within 1e-13, which is the computable
 analogue of descent along a pseudo-gradient flow.
 
-Three accelerations wrap the plain iteration without weakening the gate:
+Two accelerations wrap the plain iteration without weakening the gate:
 
 * Anderson extrapolation over a short history of Picard images (combinations
   reuse the cached linear images of K, so no extra transforms).  The
@@ -26,23 +26,14 @@ Three accelerations wrap the plain iteration without weakening the gate:
   iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev) comes from cached
   images.  It and then the plain step G(v), already scored, must pass the
   Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>; a step where none of the
-  three candidates passes raises MaxIterationsError ("line search stalled");
-* once per start, when the descent has settled (the residual under the
-  polish gate and improving by less than SETTLE_FRACTION over SETTLE_WINDOW
-  steps), a Levenberg-regularized Newton-GMRES polish of the smooth residual
-  r(v) = v - |Kv|^{p-2} Kv.  Each GMRES solve stops at the Eisenstat-Walker
-  forcing tolerance max(1e-10, min(1e-2, mu)), with mu = ||r|| / ||v|| the
-  Levenberg shift (Eisenstat & Walker, SIAM J. Sci. Comput. 1996).  The
-  polish succeeds only if the projected Picard image of its iterate reaches
-  the requested tolerance; otherwise the descent resumes from the pre-polish
-  state.  Polish steps solve the critical equation directly and are
-  exempt from the flow-monotonicity guarantee (they move the energy by
-  O(residual) at most); the recorded trajectory is the descent phase.
+  three candidates passes raises MaxIterationsError ("line search stalled").
 
-For a unit-periodic Q on a grid with unit shifts, solutions come as Z^N
-translates of bumps, and the level of one bump profile depends on where in
-the unit cell it sits.  That position landscape is only about 1e-4 deep
-(relative), so plain descent spends most of its steps drifting along it.  Two
+For a Q with full support, the level of one bump profile depends on where
+it sits: in the unit cell for a unit-periodic Q on a grid with unit shifts,
+whose solutions come as Z^N translates of bumps, and in the whole box
+otherwise (for a periodic background plus a bump, in or out of the bump's
+well).  That position landscape is shallow (about 1e-4 relative in the
+cell), so plain descent spends most of its steps drifting along it.  Two
 steps handle the position directly.  Both place the profile phi = |u|^{p-2} u
 of the primal u = R(Q^{1/p} v) at a grid shift y, as w_y = Q^{(p-1)/p} phi(. - y)
 on the support.  The landscape level of w_y, its fibering level, needs only
@@ -53,21 +44,27 @@ correlation of Q with |phi|^{p'}, taken once.  Levels within LEVEL_TIE
 symmetric pair of shifts is not resolved by rounding.  A chosen shift is
 scored in full by the fibering projection like any candidate:
 
-* the snap: once per start, after SNAP_AFTER accepted steps, the unit-cell
-  shifts are searched coarse to fine (stride cell/4, then halving around the
-  best shift; a tie keeps the earlier shift), and the placement at the
-  lowest level is taken as the next step if it passes the monotone gate with
-  a strict decrease.  The Anderson window restarts and the heavy ball
-  forgets its previous iterate;
-* the placement: after orbit dedup, the first (lowest) record's landscape is
-  evaluated at every shift of the unit cell.  Its discrete critical shifts
-  (extrema over all neighbours, or saddles, where the ring of neighbours in a
-  coordinate plane changes sign at least 4 times) fall into small clusters;
-  the centre of each cluster away from shift 0 is placed and polished by the
-  Newton polish, and each success joins the dedup as a record of its own.  By
-  Lusternik-Schnirelmann theory a profile has at least cat(T^N) = N + 1
-  critical positions, so this finds the saddle and maximum positions that
-  random starts reach only by chance.
+* the snap, for every Q with full support: once per start, after SNAP_AFTER
+  accepted steps, the shifts of the unit cell (unit-periodic Q) or of the
+  whole box (any other Q) are searched coarse to fine (stride extent/4, then
+  halving around the best shift; a tie keeps the earlier shift), and the
+  placement at the lowest level is taken as the next step if it passes the
+  monotone gate with a strict decrease.  The Anderson window restarts and
+  the heavy ball forgets its previous iterate.  A Q with compact support
+  never snaps;
+* the placement, for a unit-periodic Q only: after orbit dedup, the first
+  (lowest) record's landscape is evaluated at every shift of the unit cell.
+  Its discrete critical shifts (extrema over all neighbours, or saddles,
+  where the ring of neighbours in a coordinate plane changes sign at least 4
+  times) fall into small clusters; the centre of each cluster away from
+  shift 0 is placed and taken to the tolerance by a Levenberg-regularized
+  Newton-GMRES polish of the smooth residual r(v) = v - |Kv|^{p-2} Kv, and
+  each success joins the dedup as a record of its own.  Each GMRES solve
+  stops at the Eisenstat-Walker forcing tolerance max(1e-10, min(1e-2, mu)),
+  with mu = ||r|| / ||v|| the Levenberg shift (Eisenstat & Walker, SIAM J.
+  Sci. Comput. 1996).  By Lusternik-Schnirelmann theory a profile has at
+  least cat(T^N) = N + 1 critical positions, so this finds the saddle and
+  maximum positions that random starts reach only by chance.
 
 The orbit dedup asks only whether some cell shift (the identity alone for
 a Q that is not unit-periodic) and sign bring a record within the dedup
@@ -104,14 +101,11 @@ from .kernel import Field
 
 PLATEAU_SLACK = 1e-13        # allowed energy non-decrease, below the 1e-12 contract
 RESIDUAL_SHRINK = 0.999      # required residual progress on plateau steps
-SETTLE_WINDOW = 50           # iterations over which "stalled" is judged
-SETTLE_FRACTION = 0.5        # residual must improve by less than this to count as settled
-POLISH_ENTRY_RES = 1e-4      # residual gate of the polish
 KREFRESH = 20                # accepted steps between fresh transforms of the cached K image
 MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
 ARMIJO_C = 1e-4              # sufficient-decrease constant of the heavy-ball and Picard bound
 ANDERSON_DEPTH = 6           # residual-difference columns before the Anderson window restarts
-SNAP_AFTER = 5               # accepted steps before a periodic start snaps to its best position
+SNAP_AFTER = 5               # accepted steps before a start snaps to its best position
 LEVEL_TIE = 1e-13            # relative difference of landscape levels that counts as a tie
 
 
@@ -393,19 +387,6 @@ def _finish(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_n
     )
 
 
-def _polished(ctx, v, kv, tol):
-    """Newton polish of v, reprojected and checked on a fresh transform.
-
-    Returns (the scored projection, or None when the polish missed tol, Newton steps).
-    """
-    v_try, kv_try, steps, ok = _newton_polish(ctx, v, kv, tol)
-    if ok:
-        projected = _project_scored(ctx, v_try, ctx.apply_k_support(v_try))
-        if projected is not None and projected[3] <= tol:
-            return projected, steps
-    return None, steps
-
-
 # ---------------------------------------------------------------------------
 # the position landscape of a periodic coefficient
 # ---------------------------------------------------------------------------
@@ -465,20 +446,22 @@ def _landscape(ctx, profile):
 
 
 def _snap(ctx, v):
-    """Lowest placement of v's profile over the unit cell, searched coarse to fine.
+    """Lowest placement of v's profile over the unit cell or the whole box, coarse to fine.
 
-    Shifts on the stride cell/4 lattice first, then the neighbours of the best
-    shift at half the stride, down to stride 1 (32 shifts for a 16-point
-    cell in 2d), on the landscape levels; a level within LEVEL_TIE of the
-    best so far is a tie and keeps the earlier shift.  Returns the scored
-    placement at the best shift, or None when no shift is in U^+.
+    The shifts range over the unit cell for a unit-periodic Q and over the
+    whole box otherwise.  Shifts on the stride extent/4 lattice first, then
+    the neighbours of the best shift at half the stride, down to stride 1
+    (32 shifts for a 16-point cell in 2d), on the landscape levels; a level
+    within LEVEL_TIE of the best so far is a tie and keeps the earlier shift.
+    Returns the scored placement at the best shift, or None when no shift is
+    in U^+.
     """
-    cell = ctx.grid.unit_shift_points
+    extent = ctx.grid.unit_shift_points if unit_periodic(ctx) else ctx.grid.points_per_axis
     dim = ctx.grid.dimension
     profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v)))
     level = _landscape(ctx, profile)
-    stride = max(cell // 4, 1)
-    shifts = itertools.product(range(0, cell, stride), repeat=dim)
+    stride = max(extent // 4, 1)
+    shifts = itertools.product(range(0, extent, stride), repeat=dim)
     best_shift, best = None, np.inf
     while True:
         for shift in shifts:
@@ -490,7 +473,7 @@ def _snap(ctx, v):
         if stride == 1:
             return _placed(ctx, profile, best_shift)
         stride //= 2
-        shifts = [tuple((c + stride * d) % cell for c, d in zip(best_shift, step))
+        shifts = [tuple((c + stride * d) % extent for c, d in zip(best_shift, step))
                   for step in itertools.product((-1, 0, 1), repeat=dim) if any(step)]
 
 
@@ -577,8 +560,9 @@ def _place(ctx, record, tol):
         start = _placed(ctx, profile, shift)
         if start is None:
             continue  # an infinite peak of the landscape: outside U^+
-        polished, steps = _polished(ctx, start[0], start[1], tol)
-        if polished is not None:
+        v, _, steps, ok = _newton_polish(ctx, start[0], start[1], tol)
+        polished = _project_scored(ctx, v, ctx.apply_k_support(v)) if ok else None
+        if polished is not None and polished[3] <= tol:  # checked on a fresh transform
             placed.append(_finish(ctx, *polished[:2], polished[3], steps, steps,
                                   [start[2]], [start[4]], [start[5]]))
     return placed
@@ -609,9 +593,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
     v_prev = kv_prev = None  # the previous accepted iterate and its cached image
     iterations = 0
-    newton_steps = 0
-    polish_due = True
-    snap_due = unit_periodic(ctx)
+    snap_due = ctx.box is None  # a full-support Q: the profile can move over the box
 
     def _passes(candidate, bound):
         """Monotone gate: energy at most bound, or a plateau with residual progress."""
@@ -625,8 +607,7 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
             kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
-                return _finish(ctx, v, kv, res, iterations, newton_steps,
-                               j_values, grad_norms, v_norms)
+                return _finish(ctx, v, kv, res, iterations, 0, j_values, grad_norms, v_norms)
         if iterations >= cfg.max_iters:
             raise MaxIterationsError(
                 f"no convergence within {cfg.max_iters} iterations "
@@ -634,23 +615,10 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
                 iterations=iterations, residual=res, level=level,
             )
 
-        # -- once per start: Newton polish once the descent has settled -------
-        if (polish_due and res <= POLISH_ENTRY_RES and len(grad_norms) > SETTLE_WINDOW
-                and res > SETTLE_FRACTION * (grad_norms[-SETTLE_WINDOW]
-                                             / v_norms[-SETTLE_WINDOW] ** (pc - 1.0))):
-            polish_due = False
-            projected, steps = _polished(ctx, v, kv, cfg.tol_residual)
-            newton_steps += steps
-            iterations += max(steps, 1)
-            if projected is not None:
-                return _finish(ctx, *projected[:2], projected[3], iterations, newton_steps,
-                               j_values, grad_norms, v_norms)
-            continue  # the descent resumes from the pre-polish state
-
         plateau = PLATEAU_SLACK * max(1.0, abs(level))
         accepted = None
 
-        # -- once per start: snap the profile to its best unit-cell position ---
+        # -- once per start: snap the profile to its best position -----------
         if snap_due and iterations >= SNAP_AFTER:
             snap_due = False
             snapped = _snap(ctx, v)

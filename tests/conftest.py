@@ -9,7 +9,9 @@ def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
     """Standard oscillating coefficient 1 + 0.5 prod sin(2 pi x_j), >= 0.5.
 
     periodic=False samples the same Q but declares it non-periodic, which
-    turns off everything that uses its unit-cell translations.
+    turns off everything that uses its unit-cell translations: recentering,
+    the placement and the cell shifts of the orbit dedup.  The snap still
+    runs, over the whole box instead of the unit cell.
     """
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
     coeff = Coefficient.build(Field(grid, sine_product(grid)), p, periodic=periodic)

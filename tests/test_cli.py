@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from helmdual import (
-    BumpDescriptor, Coefficient, Exponents, Field, FunctionalContext, GridSpec,
-    build_asymptotic_coefficient, parse_config, read_field,
+    Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field,
 )
 from helmdual import search
-from helmdual.cli import _position, build_coefficient, build_grid, main, run_experiment
-from helmdual.config import descent_config
+from helmdual.cli import _position, main, run_experiment
 
 SOLVE_CFG = """
 mode = solve
@@ -157,28 +155,6 @@ class TestCompareMode:
         c_est = float(data[header.index("c_est")])
         c_inf = float(data[header.index("c_inf_est")])
         assert c_est <= c_inf + 1e-3 * abs(c_inf)
-
-    def test_descent_polish_runs_once_per_start(self, monkeypatch):
-        # at zero amplitude the bumped Q is the sine Q declared non-periodic: no
-        # snap, and start 2 settles and enters the descent polish.  A failed
-        # polish hands the start back to the descent, which never polishes again
-        cfg = parse_config(COMPARE_CFG.replace("bump.amplitude = 0.3", "bump.amplitude = 0.0"))
-        grid = build_grid(cfg)
-        bump = BumpDescriptor(tuple(cfg.bump_center), cfg.bump_radius, cfg.bump_amplitude)
-        pair = build_asymptotic_coefficient(build_coefficient(cfg, grid), bump)
-        ctx = FunctionalContext(grid, Exponents(2, cfg.exponents_p), pair.coefficient)
-        descent = descent_config(cfg)
-        seeds = np.random.SeedSequence(descent.rng_seed).spawn(descent.multistart_count)
-        calls = []
-
-        def failing_polish(ctx, v, kv, tol, *args, **kwargs):
-            calls.append(tol)
-            return v, kv, 0, False
-
-        monkeypatch.setattr(search, "_newton_polish", failing_polish)
-        _, status, _ = search._solve_one((ctx, descent, 2, seeds[2]))
-        assert len(calls) == 1
-        assert status in ("converged", "max_iters")
 
 
 class TestFarfieldMode:

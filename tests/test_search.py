@@ -8,12 +8,14 @@ import pytest
 
 from helmdual import dual_functional, search
 from helmdual import (
+    BumpDescriptor,
     DescentConfig,
     Field,
     FunctionalContext,
     GridMismatchError,
     MaxIterationsError,
     NotInUPlusError,
+    build_asymptotic_coefficient,
     find_critical_point,
     initial_field,
     multistart_search,
@@ -24,6 +26,13 @@ from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scor
 from conftest import make_bump_context, make_sine_context, random_field
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
+
+
+def _bumped_sine_context(center):
+    """mini_ctx's sine Q plus compare's bump at center: full support, not periodic."""
+    ctx = make_sine_context(n=48)
+    pair = build_asymptotic_coefficient(ctx.coefficient, BumpDescriptor(center, 1.2, 0.3))
+    return FunctionalContext(ctx.grid, ctx.exponents, pair.coefficient)
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +70,10 @@ class TestFindCriticalPoint:
     def test_recorded_levels_match_fresh_energy(self, monkeypatch):
         # start 4 of the reference solve takes Anderson mixes with large
         # coefficients, whose combined K image drifts from K of the mixed point.
-        # It descends on the same Q declared non-periodic: a snapped start
-        # settles in fewer than 2 KREFRESH steps
+        # It descends on the same Q declared non-periodic, with the snap turned
+        # off: a snapped start settles in fewer than 2 KREFRESH steps
         ctx = make_sine_context(n=96, L=6.0, p=7.0, periodic=False)
+        monkeypatch.setattr(search, "_snap", lambda ctx, v: None)
         cfg = DescentConfig(multistart_count=20, rng_seed=12345)
         seed = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)[4]
         v0 = initial_field(make_sine_context(n=96, L=6.0, p=7.0), np.random.default_rng(seed))
@@ -213,23 +223,22 @@ class TestProjectScored:
         assert _project_scored(mini_ctx, const.values, -mini_ctx.apply_k_array(const.values)) is not None
 
     def test_descent_power_and_residual_calls(self, mini_ctx, monkeypatch):
-        # outside the polish a descent step makes one odd_power call and one K
-        # (the Picard image); candidates are scored by _project_scored from cached
-        # images, and dual_residual_arrays is reached only on the cached-image
-        # refresh and termination paths.  The descent runs on mini_ctx's Q
-        # declared non-periodic, where no snap shortens it below 2 KREFRESH steps
+        # a descent step makes one odd_power call and one K (the Picard image, or
+        # the profile and the placement of the snap); candidates are scored by
+        # _project_scored from cached images, and dual_residual_arrays is reached
+        # only on the cached-image refresh and termination paths.  The descent
+        # runs on mini_ctx's Q declared non-periodic: its snap searches the whole
+        # box, and it still takes more than 2 KREFRESH steps
         ctx = make_sine_context(n=48, periodic=False)
         counts = Counter()
-        phase = ["descent"]
         mixes = []
-        power, residual, polish = (dual_functional.odd_power,
-                                   FunctionalContext.dual_residual_arrays, search._newton_polish)
+        power, residual = dual_functional.odd_power, FunctionalContext.dual_residual_arrays
         apply_k, candidate = FunctionalContext.apply_k_support, _AndersonWindow.candidate
 
         def counted_k(self, vs):
-            counts[phase[0], "K"] += 1
+            counts["K"] += 1
             if mixes and vs is mixes[-1]:
-                counts[phase[0], "rescore"] += 1
+                counts["rescore"] += 1
             return apply_k(self, vs)
 
         def kept_candidate(self):
@@ -239,24 +248,16 @@ class TestProjectScored:
             return mixed
 
         def counted_power(*args):
-            counts[phase[0], "odd_power"] += 1
+            counts["odd_power"] += 1
             return power(*args)
 
         def counted_residual(*args, **kwargs):
-            counts[phase[0], "dual_residual_arrays"] += 1
+            counts["dual_residual_arrays"] += 1
             return residual(*args, **kwargs)
-
-        def counted_polish(*args, **kwargs):
-            phase[0] = "polish"
-            try:
-                return polish(*args, **kwargs)
-            finally:
-                phase[0] = "descent"
 
         for module in (dual_functional, search):
             monkeypatch.setattr(module, "odd_power", counted_power)
         monkeypatch.setattr(FunctionalContext, "dual_residual_arrays", counted_residual)
-        monkeypatch.setattr(search, "_newton_polish", counted_polish)
         monkeypatch.setattr(FunctionalContext, "apply_k_support", counted_k)
         monkeypatch.setattr(_AndersonWindow, "candidate", kept_candidate)
 
@@ -266,11 +267,12 @@ class TestProjectScored:
         refreshes = steps // KREFRESH
         assert steps > 2 * KREFRESH
         # Picard images, plus one J'(v) per refresh and J'(v), Q|u|^{p-2}u at the end
-        assert counts["descent", "odd_power"] <= steps + refreshes + 2
-        assert counts["descent", "dual_residual_arrays"] <= 1
-        # the seed's projection, the Picard images, one per refresh and per
-        # Anderson re-score, and the final check: the heavy ball adds none
-        assert counts["descent", "K"] == 1 + steps + refreshes + counts["descent", "rescore"] + 1
+        assert counts["odd_power"] <= steps + refreshes + 2
+        assert counts["dual_residual_arrays"] <= 1
+        # the seed's projection, one per step (Picard image or snap placement),
+        # one per refresh and per Anderson re-score, and the final check: the
+        # heavy ball adds none
+        assert counts["K"] == 1 + steps + refreshes + counts["rescore"] + 1
 
 
 class TestAndersonWindow:
@@ -326,7 +328,7 @@ class TestAndersonWindow:
 
 
 class TestPositionLandscape:
-    """The snap and the placement run only for a unit-periodic Q."""
+    """The snap runs for every Q with full support, the placement only for a unit-periodic Q."""
 
     def test_compact_coefficient_never_places(self, monkeypatch):
         shifts = []
@@ -343,20 +345,26 @@ class TestPositionLandscape:
         assert shifts == []
 
     def test_levels_nonincreasing_across_snap(self, mini_ctx, monkeypatch):
-        snaps = []
+        # the unit cell of the periodic Q, the whole box of the sine Q plus a bump
+        # (at the box centre and off it), and no snap on a compact support
+        contexts = [(mini_ctx, 1), (_bumped_sine_context((3.0, 3.0)), 1),
+                    (_bumped_sine_context((4.2, 2.1)), 1), (make_bump_context(), 0)]
         snap = search._snap
+        for ctx, snap_count in contexts:
+            snaps = []
 
-        def kept(*args):
-            snaps.append(snap(*args))
-            return snaps[-1]
+            def kept(*args):
+                snaps.append(snap(*args))
+                return snaps[-1]
 
-        monkeypatch.setattr(search, "_snap", kept)
-        v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
-        rec = find_critical_point(mini_ctx, v0, MINI_CFG)
-        assert len(snaps) == 1
-        # the snap was accepted as step SNAP_AFTER + 1, with a strict decrease
-        assert rec.j_values[SNAP_AFTER + 1] == snaps[0][2] < rec.j_values[SNAP_AFTER]
-        assert np.diff(rec.j_values).max() <= 1e-12
+            monkeypatch.setattr(search, "_snap", kept)
+            v0 = initial_field(ctx, np.random.default_rng(MINI_CFG.rng_seed))
+            rec = find_critical_point(ctx, v0, MINI_CFG)
+            assert len(snaps) == snap_count
+            if snaps:
+                # the snap was accepted as step SNAP_AFTER + 1, with a strict decrease
+                assert rec.j_values[SNAP_AFTER + 1] == snaps[0][2] < rec.j_values[SNAP_AFTER]
+            assert np.diff(rec.j_values).max() <= 1e-12
 
     def test_critical_shifts_of_a_cosine(self):
         # cos x + cos y on a 16-point cell: one minimum, one maximum, two saddles
