@@ -60,8 +60,7 @@ class CompareReport:
 
 def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
     """Smooth compactly supported profile amplitude * exp(1 - 1/(1 - (r/radius)^2))."""
-    mesh = grid.coordinate_mesh()
-    dist2 = sum((m - c) ** 2 for m, c in zip(mesh, bump.center))
+    dist2 = sum((m - c) ** 2 for m, c in zip(grid.open_mesh(), bump.center))
     s2 = dist2 / bump.radius ** 2
     inside = s2 < 1.0
     out = np.zeros(grid.shape)

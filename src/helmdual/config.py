@@ -10,6 +10,7 @@ u32 dimension, u32 points per axis, f64 box length) followed by the
 row-major float64 payload; write/read is bit-exact.
 """
 
+import math
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -27,7 +28,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .dual_functional import Exponents
-from .farfield import radius_window
+from .farfield import FIT_DEGREE, radius_window
 from .kernel import Field, GridSpec
 from .search import DescentConfig
 
@@ -107,7 +108,7 @@ def _parse_value(raw: str, py_type, key: str, line_no: int):
 def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines into a validated RunConfig."""
     values = {}
-    lines = {}  # key -> line number, for the far-field window error
+    lines = {}  # key -> line number, for the far-field errors
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -170,8 +171,19 @@ def _validate(cfg: RunConfig, lines: dict):
             radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
                           cfg.farfield_r_min, cfg.farfield_r_max)
         except ValueError as exc:  # DomainError
-            line = next((lines[k] for k in ("farfield.r_min", "farfield.r_max") if k in lines), 0)
-            raise ConfigTypeError(f"line {line}: {exc}" if line else str(exc)) from exc
+            raise _at_line(lines, ("farfield.r_min", "farfield.r_max"), str(exc)) from exc
+        # the sphere fit needs at least one sampled direction per monomial
+        least = math.comb(FIT_DEGREE + cfg.grid_dimension, cfg.grid_dimension)
+        if cfg.farfield_direction_count < least:
+            raise _at_line(lines, ("farfield.direction_count",), (
+                f"farfield.direction_count = {cfg.farfield_direction_count} is below the "
+                f"{least} monomials of the degree-{FIT_DEGREE} sphere fit in {cfg.grid_dimension}d"))
+
+
+def _at_line(lines: dict, keys: tuple, message: str) -> ConfigTypeError:
+    """A ConfigTypeError naming the line of the first of `keys` the file sets."""
+    line = next((lines[k] for k in keys if k in lines), 0)
+    return ConfigTypeError(f"line {line}: {message}" if line else message)
 
 
 def descent_config(cfg: RunConfig) -> DescentConfig:
@@ -217,7 +229,9 @@ def write_field(field: Field) -> bytes:
 
 def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:
     """Reconstruct a Field; the header does not carry the absorption
-    parameter, so pass shell_epsilon when reading onto a regularized grid."""
+    parameter, so pass shell_epsilon when reading onto a regularized grid.
+    Every malformed input raises a FieldFileError, including a header whose
+    grid GridSpec rejects or whose lattice is resonant at shell_epsilon."""
     if len(data) < _HEADER.size:
         raise TruncatedPayloadError(f"file shorter than the {_HEADER.size}-byte header")
     magic, version, dimension, n, box_length = _HEADER.unpack_from(data)
@@ -242,7 +256,7 @@ def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:
             points_per_axis=n,
             shell_epsilon=shell_epsilon,
         )
-    except ValueError as exc:
+    except (ValueError, ShellResonanceError) as exc:
         raise FieldFileError(f"bad header: {exc}") from exc
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(grid.shape)
     if not np.all(np.isfinite(values)):

@@ -348,7 +348,9 @@ class FunctionalContext:
         """
         vals = self._own(u)
         pc = self.exponents.p_conj
-        lhs = np.fft.ifftn((self.grid.k_squared - 1.0) * np.fft.fftn(vals)).real
+        spec = np.fft.fftn(vals)
+        spec *= self.grid.k_squared - 1.0
+        lhs = np.fft.ifftn(spec, out=spec).real
         rhs = self.coefficient.field.values * odd_power(vals, self.exponents.p - 1.0)
         res = self.lp_norm(lhs - rhs, pc)
         scale = self.lp_norm(lhs, pc) + self.lp_norm(rhs, pc)

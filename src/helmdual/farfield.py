@@ -15,6 +15,11 @@ k+ = sqrt(1 + i eps); the checks below use exp(i k+ r) in the leading term
 and evaluate the amplitude at k+ xi, which reduces to the formula above as
 eps -> 0.  The decay fit removes the known attenuation exp(-Im k+ r) and
 compares only the power of r, so it stays constant-free.
+
+h vanishes off the support of Q, so the amplitude is a contraction over the
+support's box in real space (`_box_transform`), and the decay check builds
+its radius over the grid's open mesh: neither forms a whole-grid coordinate
+mesh or transforms a whole-grid array.
 """
 
 import math
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientShellsError, InterpolationDegenerateError
-from .dual_functional import FunctionalContext, odd_power, pruned_fftn
+from .dual_functional import FunctionalContext, odd_power
 from .kernel import Field
 
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
@@ -73,19 +78,24 @@ def equal_area_directions(dimension: int, count: int) -> np.ndarray:
 
 
 def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.ndarray) -> np.ndarray:
-    """Fourier integral of the trigonometric interpolant of `source` over the box.
+    """Fourier integral of the trigonometric interpolant of a source over the box.
 
     Evaluates int_box s(x) exp(-i k (x - center)) dx at arbitrary (complex)
     wavevectors through the Dirichlet-kernel interpolation of the lattice
     transform; spectrally accurate for sources supported inside the box.
-    The source vanishes off the support of Q, so its FFT is pruned to
-    `ctx.box`.
+    `source` holds s on the support's box (`ctx.box`, or the whole grid when
+    it spans the grid); s vanishes off it.
+
+    With the interpolant's coefficients c = fftn(s)/n^N the integral is
+    sum_m c_m prod_d A_d(m_d, k_d) for per-axis integrals A_d, which is
+    sum_x s(x) prod_d B_d(x_d, k_d) with B_d = fft(A_d, axis=0)/n: one 1-d
+    FFT of an (n, J) matrix per axis, cut to the box's rows, and a
+    contraction over the box alone.
     """
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
-    coeffs = pruned_fftn(source, ctx.box)
-    coeffs /= grid.size  # trig-interpolant coefficients
+    box = ctx.box or (slice(0, n),) * grid.dimension
     lattice = grid.axis_frequencies
     # per-axis integral: int_0^L e^{i(k_m - k)x} e^{ikL/2} dx
     #                  = L sinc((k_m - k)L/2) e^{i k_m L/2} = L sinc(.) (-1)^m
@@ -93,8 +103,9 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
     parity = 1.0 - 2.0 * (np.abs(m_int) % 2)
     nyquist = abs(lattice[n // 2])
 
-    def axis_factor(k_axis):
-        """(n, J) matrix of the per-axis integrals, one column per wavevector."""
+    def axis_factor(axis):
+        """(w, J) matrix B_d over the box's rows on this axis, one column per wavevector."""
+        k_axis = wavevectors[:, axis]
         z = (lattice[:, None] - k_axis) * (L / 2.0)  # complex when k is complex
         small = np.abs(z) < 1e-8
         z_safe = np.where(small, 1.0, z)
@@ -102,13 +113,15 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
         # split the unpaired Nyquist coefficient across +-n/2 (real interpolant)
         z_m = (nyquist - k_axis) * (L / 2.0)
         sinc[n // 2] = 0.5 * (sinc[n // 2] + np.sin(z_m) / z_m)
-        return L * parity[:, None] * sinc
+        sinc *= (L / n) * parity[:, None]
+        return np.fft.fft(sinc, axis=0)[box[axis]]
 
     # contract one axis at a time over all wavevectors; the last axis first,
-    # as one matrix product on the contiguous coefficients
-    acc = coeffs @ axis_factor(wavevectors[:, -1])
+    # as one matrix product on the contiguous source
+    last = axis_factor(grid.dimension - 1)
+    acc = (source.reshape(-1, last.shape[0]) @ last).reshape(*source.shape[:-1], -1)
     for axis in range(grid.dimension - 2, -1, -1):
-        acc = np.einsum("...ij,ij->...j", acc, axis_factor(wavevectors[:, axis]))
+        acc = np.einsum("...ij,ij->...j", acc, axis_factor(axis))
     return acc
 
 
@@ -124,7 +137,8 @@ def farfield_amplitude(
     g(xi) = -(i/4) (2 pi)^{-(N-1)} int h(x) exp(-i xi x) dx; a complex
     wavenumber evaluates the transform at k+ xi for absorption-aware checks.
     The conjugate antisymmetry g(-xi) = -conj(g(xi)) holds for real u and
-    real wavenumber.
+    real wavenumber.  h vanishes off the support of Q, so it is formed on
+    the support's box only and no whole-grid array is transformed.
     """
     grid = ctx.grid
     k_max = np.pi * grid.points_per_axis / grid.box_length
@@ -134,7 +148,8 @@ def farfield_amplitude(
             f"{2 * np.pi / grid.box_length:.2f}; too coarse near the unit sphere"
         )
     dirs = np.asarray(directions, dtype=float)
-    source = ctx.coefficient.field.values * odd_power(u.values, ctx.exponents.p - 1.0)
+    box = ctx.box or (slice(0, grid.points_per_axis),) * grid.dimension
+    source = ctx.coefficient.field.values[box] * odd_power(u.values[box], ctx.exponents.p - 1.0)
     transform = _box_transform(ctx, source, wavenumber * dirs)
     constant = -0.25j * (2.0 * np.pi) ** (-(grid.dimension - 1))
     return SphereSamples(directions=dirs, values=constant * transform)
@@ -251,9 +266,8 @@ def decay_and_expansion_check(
             attenuation_rate=beta,
         )
 
-    mesh = grid.coordinate_mesh()
     center = L / 2.0
-    radius = np.sqrt(sum((m - center) ** 2 for m in mesh))
+    radius = np.sqrt(sum((m - center) ** 2 for m in grid.open_mesh()))
 
     edges = np.linspace(r_min, r_max, shell_count + 1)
     shell_radii, shell_means = [], []
@@ -276,6 +290,12 @@ def decay_and_expansion_check(
     decay_exponent = float(-coeffs[1])
 
     # smooth interpolation of the sampled amplitudes across the sphere
+    monomials = math.comb(FIT_DEGREE + dim, dim)
+    if samples.values.size < monomials:
+        raise DomainError(
+            f"{samples.values.size} sampled directions cannot fit the {monomials} "
+            f"monomials of degree {FIT_DEGREE} in {dim}d"
+        )
     design_s = _monomial_design(samples.directions, FIT_DEGREE)
     fit_re, *_ = np.linalg.lstsq(design_s, samples.values.real, rcond=None)
     fit_im, *_ = np.linalg.lstsq(design_s, samples.values.imag, rcond=None)
@@ -284,7 +304,7 @@ def decay_and_expansion_check(
     interp_residual = float(np.abs(reproduced - samples.values).max() / scale) if scale > 0 else 0.0
 
     ball = (radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max)
-    pts = np.stack([m[ball] - center for m in mesh], axis=1)
+    pts = np.stack([grid.axis_coordinates[i] - center for i in np.nonzero(ball)], axis=1)
     r_pts = radius[ball]
     g_pts = _sphere_interpolant(pts / r_pts[:, None], fit_re, fit_im, FIT_DEGREE)
     leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(

@@ -15,6 +15,7 @@ All operations are pure; numpy's pairwise summation keeps quadrature
 reductions deterministic.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,9 @@ class GridSpec:
     box_length      finite L > 0
     points_per_axis even n
     shell_epsilon   finite eps >= 0, absorption parameter of the resolvent symbol
+
+    The spacing L/n must be positive, and the resolvent symbol's denominator
+    (|k|^2 - 1)^2 + eps^2 finite at every lattice frequency.
     """
 
     dimension: int
@@ -48,11 +52,19 @@ class GridSpec:
         n = self.points_per_axis
         if n <= 0 or n % 2 != 0:
             raise DomainError("points_per_axis must be a positive even integer")
-        if not 0.0 <= self.shell_epsilon < np.inf:
+        eps = self.shell_epsilon
+        if not 0.0 <= eps < np.inf:
+            raise DomainError(f"shell_epsilon must be nonnegative and finite, got {eps!r}")
+        if not self.spacing > 0.0:
+            raise DomainError(f"box_length {self.box_length!r} over {n} points has no spacing")
+        # the symbol squares |k|^2 - 1, which peaks at the Nyquist corner N (pi/h)^2
+        k2 = self.dimension * (math.pi / self.spacing) * (math.pi / self.spacing)
+        if not math.isfinite((k2 - 1.0) * (k2 - 1.0) + eps * eps):
             raise DomainError(
-                f"shell_epsilon must be nonnegative and finite, got {self.shell_epsilon!r}"
+                f"box_length {self.box_length!r} with {n} points and shell_epsilon {eps!r} "
+                "overflows the resolvent symbol"
             )
-        if self.shell_epsilon == 0.0 and self.delta_min <= RESONANCE_TOL:
+        if eps == 0.0 and self.delta_min <= RESONANCE_TOL:
             raise ShellResonanceError(
                 f"lattice touches the unit shell: min ||k|^2 - 1| = {self.delta_min:.3e} "
                 f"(L={self.box_length}, n={n}); use shell_epsilon > 0 or change the box"
@@ -101,6 +113,15 @@ class GridSpec:
 
     def coordinate_mesh(self) -> list:
         return np.meshgrid(*([self.axis_coordinates] * self.dimension), indexing="ij")
+
+    def open_mesh(self) -> list:
+        """Per-axis coordinate vectors shaped to broadcast against each other.
+
+        An elementwise expression over them equals the same expression over
+        `coordinate_mesh()` bit for bit (a sum `(0 + a) + b + c` rounds in the
+        same order), without building N whole-grid arrays.
+        """
+        return np.meshgrid(*([self.axis_coordinates] * self.dimension), indexing="ij", sparse=True)
 
     def unit_cell_mesh(self) -> list:
         """Coordinate mesh folded into [0, 1) per axis, bit-identical across

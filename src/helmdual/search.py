@@ -815,31 +815,33 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
 
     The bump center is uniform over the box for periodic coefficients and
     jittered around the coefficient's support centroid otherwise, so seeds
-    land where the nonlinearity is active.
+    land where the nonlinearity is active.  Distances are sums over the
+    grid's open mesh, or over the support points alone, so no whole-grid
+    coordinate mesh is built; the values are the mesh formula's, bit for bit.
     """
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
     dim = grid.dimension
+    axes = grid.open_mesh()
 
     if ctx.coefficient.periodic:
         center = rng.uniform(0.0, L, size=dim)
         width = max(L / 7.0, 3.0 * grid.spacing)
     else:
         q = ctx.coefficient.field.values
-        mesh = grid.coordinate_mesh()
         total = q.sum()
-        centroid = np.array([float((q * m).sum() / total) for m in mesh])
-        support = q > 0
-        dist2 = sum((m - c) ** 2 for m, c in zip(mesh, centroid))
-        support_radius = float(np.sqrt(dist2[support].max())) if support.any() else L / 4.0
+        centroid = np.array([float((q * xa).sum() / total) for xa in axes])
+        # Coefficient.build rejects Q == 0, so the support is never empty
+        local = np.unravel_index(ctx.support, grid.shape)
+        dist2 = sum((grid.axis_coordinates[i] - c) ** 2 for i, c in zip(local, centroid))
+        support_radius = float(np.sqrt(dist2.max()))
         center = centroid + rng.normal(scale=L / 32.0, size=dim)
         width = max(support_radius / 2.0, 3.0 * grid.spacing)
 
-    mesh = grid.coordinate_mesh()
-    dist2 = np.zeros(grid.shape)
+    dist2 = 0.0
     for axis in range(dim):
-        d = np.abs(mesh[axis] - center[axis])
+        d = np.abs(axes[axis] - center[axis])
         d = np.minimum(d, L - d)
         dist2 = dist2 + d ** 2
     envelope = np.exp(-dist2 / (2.0 * width ** 2))

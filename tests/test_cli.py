@@ -47,7 +47,7 @@ coefficient.radius = 1.6
 coefficient.amplitude = 2.0
 coefficient.periodic = false
 descent.multistart_count = 2
-farfield.direction_count = 64
+farfield.direction_count = 84
 seed = 1
 """
 
@@ -231,6 +231,24 @@ class TestErrors:
         assert not out.exists()
         line_no = FARFIELD_CFG.count("\n") + 1
         assert f"line {line_no}: need 0 < r_min < r_max <= L/2" in capsys.readouterr().err
+
+    def test_too_few_farfield_directions_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "directions.cfg"
+        cfg_file.write_text(FARFIELD_CFG.replace("direction_count = 84", "direction_count = 10"))
+        out = tmp_path / "directions"
+        assert main(["farfield", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        line_no = FARFIELD_CFG.splitlines().index("farfield.direction_count = 84") + 1
+        assert f"line {line_no}: farfield.direction_count = 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["5e-324", "1e-300"])
+    def test_box_length_without_a_spectrum_is_config_error(self, tmp_path, capsys, length):
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(f"mode = solve\ngrid.box_length = {length}\n")
+        out = tmp_path / "tiny"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: box_length" in capsys.readouterr().err
 
     def test_bad_farfield_window_at_run_time_writes_record(self, tmp_path):
         # a config built in code skips the parser; the check raises a typed error

@@ -121,6 +121,32 @@ grid.points_per_axis = 48
         # only the far-field mode runs the check
         parse_config(f"mode = solve\n{line}\n")
 
+    @pytest.mark.parametrize("dimension, count", [
+        (2, 27), (2, 0), (2, -7), (3, 83), (3, 10), (3, 0),
+    ])
+    def test_too_few_farfield_directions_rejected(self, dimension, count):
+        # below comb(FIT_DEGREE + N, N) monomials (28 in 2d, 84 in 3d) the fit is underdetermined
+        p = 7.0 if dimension == 2 else 5.0
+        text = (f"mode = farfield\ngrid.dimension = {dimension}\nexponents.p = {p}\n"
+                f"farfield.direction_count = {count}\n")
+        with pytest.raises(ConfigTypeError, match=r"^line 4: farfield.direction_count"):
+            parse_config(text)
+        # only the far-field mode runs the check
+        parse_config(text.replace("mode = farfield", "mode = solve"))
+
+    @pytest.mark.parametrize("dimension, count", [(2, 28), (3, 84)])
+    def test_farfield_directions_at_the_monomial_count_parse(self, dimension, count):
+        p = 7.0 if dimension == 2 else 5.0
+        cfg = parse_config(f"mode = farfield\ngrid.dimension = {dimension}\nexponents.p = {p}\n"
+                           f"farfield.direction_count = {count}\n")
+        assert cfg.farfield_direction_count == count
+
+    @pytest.mark.parametrize("length", ["5e-324", "1e-300", "1e-100"])
+    def test_box_length_without_a_spectrum_rejected(self, length):
+        # the spacing underflows, or the lattice frequencies overflow the symbol
+        with pytest.raises(ConfigTypeError, match="box_length"):
+            parse_config(f"mode = solve\ngrid.box_length = {length}\n")
+
     def test_farfield_window_below_default_r_max_parses(self):
         cfg = parse_config("mode = farfield\nfarfield.r_min = 2.7\n")
         assert (cfg.farfield_r_min, cfg.farfield_r_max) == (2.7, 0.0)
@@ -180,6 +206,19 @@ class TestFieldFile:
         blob = struct.pack("<4sIIId", b"HLMF", 1, 2, n, box_length) + bytes(8 * n * n)
         with pytest.raises(FieldFileError):
             read_field(blob)
+
+    @pytest.mark.parametrize("box_length", [5e-324, 1e-300])
+    def test_box_length_without_a_spectrum(self, box_length):
+        blob = struct.pack("<4sIIId", b"HLMF", 1, 2, 16, box_length) + bytes(8 * 16 * 16)
+        with pytest.raises(FieldFileError, match="bad header"):
+            read_field(blob)
+
+    def test_resonant_header_is_field_file_error(self):
+        # L = 2 pi puts |m| = 1 on the unit shell; without absorption the header has no grid
+        blob = struct.pack("<4sIIId", b"HLMF", 1, 2, 16, 2.0 * np.pi) + bytes(8 * 16 * 16)
+        with pytest.raises(FieldFileError, match="bad header"):
+            read_field(blob)
+        assert read_field(blob, shell_epsilon=0.5).grid.box_length == 2.0 * np.pi
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_payload(self, bad):

@@ -167,21 +167,69 @@ def looped_box_transform(ctx, source, wavevectors):
     return out
 
 
+def full_support_context(dimension, n, L=8.0):
+    """Q > 0 at every grid point, declared non-periodic: the box spans the grid."""
+    grid = GridSpec(dimension, L, n)
+    mesh = grid.coordinate_mesh()
+    q = 1.0 + 0.5 * np.prod([np.cos(2.0 * np.pi * m / L) for m in mesh], axis=0)
+    p = 7.0 if dimension == 2 else 5.0
+    coeff = Coefficient.build(Field(grid, q), p, periodic=False)
+    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+
+
+def check_against_loop(ctx, wavenumber):
+    """_box_transform of a random source on ctx's box against the per-wavevector loop."""
+    dimension, n = ctx.grid.dimension, ctx.grid.points_per_axis
+    box = ctx.box or (slice(0, n),) * dimension
+    source = ctx.coefficient.field.values * np.random.default_rng(3).standard_normal(ctx.grid.shape)
+    dirs = equal_area_directions(dimension, 24)
+    # one wavevector on the lattice, where the per-axis sinc takes its series branch
+    on_lattice = np.zeros((1, dimension))
+    on_lattice[0, 0] = ctx.grid.axis_frequencies[1]
+    wavevectors = np.concatenate([wavenumber * dirs, on_lattice])
+    got = _box_transform(ctx, source[box], wavevectors)
+    want = looped_box_transform(ctx, source, wavevectors)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestBoxTransform:
     @pytest.mark.parametrize("dimension, n", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("wavenumber", [1.0, np.sqrt(1.0 + 0.3j)])
     def test_batched_matches_per_wavevector_loop(self, dimension, n, wavenumber):
-        ctx = compact_context(dimension, n=n, L=8.0)
-        source = ctx.coefficient.field.values * np.random.default_rng(3).standard_normal(ctx.grid.shape)
-        dirs = equal_area_directions(dimension, 24)
-        # one wavevector on the lattice, where the per-axis sinc takes its series branch
-        on_lattice = np.zeros((1, dimension))
-        on_lattice[0, 0] = ctx.grid.axis_frequencies[1]
-        wavevectors = np.concatenate([wavenumber * dirs, on_lattice])
-        got = _box_transform(ctx, source, wavevectors)
-        want = looped_box_transform(ctx, source, wavevectors)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        check_against_loop(compact_context(dimension, n=n, L=8.0), wavenumber)
+
+    @pytest.mark.parametrize("dimension, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("wavenumber", [1.0, np.sqrt(1.0 + 0.3j)])
+    def test_full_support_matches_loop(self, dimension, n, wavenumber):
+        ctx = full_support_context(dimension, n)
+        assert ctx.box is None
+        check_against_loop(ctx, wavenumber)
+
+    @pytest.mark.parametrize("dimension, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("wavenumber", [1.0, np.sqrt(1.0 + 0.3j)])
+    def test_support_at_last_index_matches_loop(self, dimension, n, wavenumber):
+        # center L - 1 and radius 2 on the first axis: the box runs up to index n - 1
+        ctx = compact_context(dimension, n=n, L=8.0, center=(7.0,) + (4.0,) * (dimension - 1))
+        assert ctx.box[0].stop == n and ctx.box[0].start > 0
+        check_against_loop(ctx, wavenumber)
+
+    @pytest.mark.parametrize("dimension, n, count", [(2, 64, 40), (3, 32, 100)])
+    def test_compact_support_transforms_no_grid_array(self, dimension, n, count, monkeypatch):
+        ctx = compact_context(dimension, n=n)
+        u = Field(ctx.grid, np.random.default_rng(1).standard_normal(ctx.grid.shape))
+        dirs = equal_area_directions(dimension, count)
+        assert ctx.box is not None and len(dirs) != n
+        shapes = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            def recorded(a, *args, _transform=getattr(np.fft, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, recorded)
+        farfield_amplitude(ctx, u, dirs)
+        farfield_amplitude(ctx, u, dirs, wavenumber=np.sqrt(1.0 + 1.0j))
+        assert shapes
+        assert ctx.grid.shape not in shapes
 
 
 class TestMonomialDesign:
@@ -236,10 +284,19 @@ class TestDecayAndExpansion:
         psi = fundamental_solution_psi(np.maximum(r, 1e-3), 3)
         report = decay_and_expansion_check(
             ctx, Field(ctx.grid, psi),
-            SphereSamples(equal_area_directions(3, 32), np.zeros(32, complex)),
+            SphereSamples(equal_area_directions(3, 84), np.zeros(84, complex)),
             shell_count=6,
         )
         assert abs(report.decay_exponent - 1.0) <= 0.15
+
+    @pytest.mark.parametrize("dimension, count", [(2, 26), (3, 82)])
+    def test_fewer_samples_than_monomials(self, dimension, count):
+        # equal_area_directions rounds the count up to even: 26 < 28 and 82 < 84
+        ctx = compact_context(dimension=dimension, n=48)
+        u, _ = synthetic_expansion_field(ctx.grid)
+        dirs = equal_area_directions(dimension, count)
+        with pytest.raises(DomainError, match="monomials"):
+            decay_and_expansion_check(ctx, u, SphereSamples(dirs, np.zeros(len(dirs), complex)))
 
     def test_insufficient_shells(self):
         ctx = compact_context(dimension=2, n=64)

@@ -1,5 +1,7 @@
 """Grid, field, and resolvent-operator behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,22 @@ class TestGridSpec:
             GridSpec(2, -1.0, 16)
         with pytest.raises(ValueError):
             GridSpec(2, 6.0, 16, shell_epsilon=-0.1)
+
+    @pytest.mark.parametrize("dimension, box_length, n, eps", [
+        (2, 5e-324, 16, 0.0),   # the spacing underflows to 0
+        (2, 1e-300, 64, 0.0),   # |k| overflows
+        (3, 1e-75, 64, 0.0),    # |k|^2 is finite, its square is not
+        (2, 6.0, 16, 1e200),    # eps^2 overflows
+    ])
+    def test_unrepresentable_spectrum_rejected(self, dimension, box_length, n, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                GridSpec(dimension, box_length, n, shell_epsilon=eps)
+
+    def test_small_box_with_finite_spectrum_accepted(self):
+        g = GridSpec(2, 1e-70, 16)
+        assert np.isfinite(helmholtz_multiplier(g)).all()
 
 
 class TestField:

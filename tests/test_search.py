@@ -1,5 +1,6 @@
 """Descent, orbit bookkeeping, and multistart behavior at desk scale."""
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -43,6 +44,51 @@ def mini_ctx():
 @pytest.fixture(scope="module")
 def mini_result(mini_ctx):
     return multistart_search(mini_ctx, MINI_CFG)
+
+
+def mesh_initial_field(ctx, rng):
+    """initial_field as it was written over coordinate meshes: the bit-for-bit reference."""
+    grid = ctx.grid
+    n, L, dim = grid.points_per_axis, grid.box_length, grid.dimension
+    if ctx.coefficient.periodic:
+        center = rng.uniform(0.0, L, size=dim)
+        width = max(L / 7.0, 3.0 * grid.spacing)
+    else:
+        q = ctx.coefficient.field.values
+        mesh = grid.coordinate_mesh()
+        total = q.sum()
+        centroid = np.array([float((q * m).sum() / total) for m in mesh])
+        dist2 = sum((m - c) ** 2 for m, c in zip(mesh, centroid))
+        support_radius = float(np.sqrt(dist2[q > 0].max()))
+        center = centroid + rng.normal(scale=L / 32.0, size=dim)
+        width = max(support_radius / 2.0, 3.0 * grid.spacing)
+    mesh = grid.coordinate_mesh()
+    dist2 = np.zeros(grid.shape)
+    for axis in range(dim):
+        d = np.abs(mesh[axis] - center[axis])
+        d = np.minimum(d, L - d)
+        dist2 = dist2 + d ** 2
+    envelope = np.exp(-dist2 / (2.0 * width ** 2))
+    spectrum = np.zeros(grid.shape, dtype=complex)
+    modes = [m for m in itertools.product(range(-3, 4), repeat=dim) if any(m) and m > tuple(-x for x in m)]
+    for (a, b), m in zip(rng.normal(size=(len(modes), 2)), modes):
+        spectrum[tuple(mi % n for mi in m)] = a - 1j * b
+        spectrum[tuple((-mi) % n for mi in m)] = a + 1j * b
+    return envelope * (np.fft.ifftn(spectrum).real * grid.size)
+
+
+class TestInitialField:
+    @pytest.mark.parametrize("make", [
+        lambda: make_sine_context(n=48),
+        lambda: make_bump_context(n=32),
+        lambda: make_bump_context(n=24, L=8.0, dimension=3, p=5.0),
+    ], ids=["periodic_2d", "compact_2d", "compact_3d"])
+    def test_bit_identical_to_mesh_formula(self, make):
+        ctx = make()
+        for seed in range(3):
+            got = initial_field(ctx, np.random.default_rng(seed)).values
+            want = mesh_initial_field(ctx, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFindCriticalPoint:
