@@ -243,8 +243,9 @@ _MODE_RUNNERS = {
 
 def run_experiment(cfg: cfgmod.RunConfig) -> int:
     """Execute one mode; returns the process exit status (0 = all checks pass)."""
+    effective = cfgmod.serialize_config(cfg)
     out = _OutputDir(Path(cfg.output_dir))
-    out.write_text("effective_config.cfg", cfgmod.serialize_config(cfg))
+    out.write_text("effective_config.cfg", effective)
     try:
         status = _MODE_RUNNERS[cfg.mode](cfg, out)
     except HelmdualError as exc:
@@ -281,13 +282,15 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise cfgmod.ConfigError(f"cannot read the config file: {exc}") from exc
         cfg = cfgmod.parse_config(text, mode_override=args.mode)
+        if args.out is not None:
+            cfg.output_dir = str(args.out)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        # the effective config must read back as this run, before any output exists
+        cfgmod.serialize_config(cfg)
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg.output_dir = str(args.out)
-    if args.seed is not None:
-        cfg.seed = args.seed
     return run_experiment(cfg)
 
 

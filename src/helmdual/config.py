@@ -11,6 +11,7 @@ row-major float64 payload; write/read is bit-exact.
 """
 
 import math
+import re
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -108,7 +109,7 @@ def _parse_value(raw: str, py_type, key: str, line_no: int):
 def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
     """Parse flat `key = value` lines into a validated RunConfig."""
     values = {}
-    lines = {}  # key -> line number, for the far-field errors
+    lines = {}  # key -> line number, for the range errors
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -134,38 +135,44 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, lines: dict):
+    """Range rules; each ConfigTypeError names the line of the key it is about."""
     if cfg.mode not in MODES:
-        raise ConfigTypeError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+        raise _at_line(lines, ("mode",), f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.coefficient_kind not in COEFFICIENT_KINDS:
-        raise ConfigTypeError(
-            f"coefficient.kind must be one of {COEFFICIENT_KINDS}, got {cfg.coefficient_kind!r}"
-        )
+        raise _at_line(lines, ("coefficient.kind",),
+                       f"coefficient.kind must be one of {COEFFICIENT_KINDS}, got {cfg.coefficient_kind!r}")
     if cfg.coefficient_kind == "file" and not cfg.coefficient_path:
         raise MissingRequiredError("coefficient.path required when coefficient.kind = file")
-    # the domain objects own their range rules; a resonant box is a run-time failure
-    try:
+    # the domain objects own their range rules, and their messages name the
+    # offending field first; a resonant box is a run-time failure
+    grid_keys = ("grid.dimension", "grid.box_length", "grid.points_per_axis", "grid.shell_epsilon")
+    descent_keys = ("descent.tol_residual", "descent.dedup_rel_threshold",
+                    "descent.max_iters", "descent.multistart_count")
+    for keys, build in (
+        (grid_keys, lambda: GridSpec(cfg.grid_dimension, cfg.grid_box_length,
+                                     cfg.grid_points_per_axis, cfg.grid_shell_epsilon)),
+        (("exponents.p",), lambda: Exponents(cfg.grid_dimension, cfg.exponents_p)),
+        (descent_keys, lambda: descent_config(cfg)),
+    ):
         try:
-            GridSpec(cfg.grid_dimension, cfg.grid_box_length, cfg.grid_points_per_axis,
-                     cfg.grid_shell_epsilon)
+            build()
         except ShellResonanceError:
             pass
-        Exponents(cfg.grid_dimension, cfg.exponents_p)
-        descent_config(cfg)
-    except ValueError as exc:
-        raise ConfigTypeError(str(exc)) from exc
+        except ValueError as exc:
+            raise _at_line(lines, _named_first(keys, str(exc)), str(exc)) from exc
     # the bump builders zip a center with the mesh, so a short one would not fail
     for key, center in (("coefficient.center", cfg.coefficient_center),
                         ("bump.center", cfg.bump_center)):
         if center and len(center) != cfg.grid_dimension:
-            raise ConfigTypeError(
-                f"{key} has {len(center)} entries; grid.dimension is {cfg.grid_dimension}"
-            )
+            raise _at_line(lines, (key,), (
+                f"{key} has {len(center)} entries; grid.dimension is {cfg.grid_dimension}"))
     for key, radius in (("coefficient.radius", cfg.coefficient_radius),
                         ("bump.radius", cfg.bump_radius)):
         if not radius > 0.0:
-            raise ConfigTypeError(f"{key} must be positive, got {radius!r}")
+            raise _at_line(lines, (key,), f"{key} must be positive, got {radius!r}")
     if not cfg.bump_amplitude >= 0.0:
-        raise ConfigTypeError(f"bump.amplitude must be nonnegative, got {cfg.bump_amplitude!r}")
+        raise _at_line(lines, ("bump.amplitude",),
+                       f"bump.amplitude must be nonnegative, got {cfg.bump_amplitude!r}")
     if cfg.mode == "farfield":
         try:
             radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
@@ -178,6 +185,15 @@ def _validate(cfg: RunConfig, lines: dict):
             raise _at_line(lines, ("farfield.direction_count",), (
                 f"farfield.direction_count = {cfg.farfield_direction_count} is below the "
                 f"{least} monomials of the degree-{FIT_DEGREE} sphere fit in {cfg.grid_dimension}d"))
+
+
+def _named_first(keys: tuple, message: str) -> tuple:
+    """keys reordered by where a message first names their field (`p`, `box_length`),
+    unnamed keys last in their given order."""
+    def first(key):
+        found = re.search(rf"\b{re.escape(key.rpartition('.')[2])}\b", message)
+        return found.start() if found else len(message)
+    return tuple(sorted(keys, key=first))
 
 
 def _at_line(lines: dict, keys: tuple, message: str) -> ConfigTypeError:
@@ -198,7 +214,12 @@ def descent_config(cfg: RunConfig) -> DescentConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Emit every effective value; parse(serialize(cfg)) == cfg."""
+    """Emit every effective value; parse(serialize(cfg)) == cfg.
+
+    A string value that one config line cannot carry (a `#`, a line break,
+    or blanks at either end, which the parser cuts or strips) raises
+    ConfigTypeError instead of being written as a different value.
+    """
     lines = []
     for f in dataclass_fields(RunConfig):
         value = getattr(cfg, f.name)
@@ -208,6 +229,13 @@ def serialize_config(cfg: RunConfig) -> str:
             rendered = "true" if value else "false"
         elif isinstance(value, float):
             rendered = repr(value)
+        elif isinstance(value, str):
+            if "#" in value or "".join(value.splitlines()) != value or value != value.strip():
+                raise ConfigTypeError(
+                    f"{_key_of(f.name)} = {value!r} does not fit one config line: "
+                    "it holds a '#', a line break or blanks at an end"
+                )
+            rendered = value
         else:
             rendered = str(value)
         lines.append(f"{_key_of(f.name)} = {rendered}")

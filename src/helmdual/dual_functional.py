@@ -344,14 +344,18 @@ class FunctionalContext:
         """Relative size of -Delta u - u - Q |u|^{p-2} u in L^{p'}.
 
         Relative to the magnitude of the two balanced terms; the absolute
-        norm is returned for u = 0 (where it vanishes anyway).
+        norm is returned for u = 0 (where it vanishes anyway).  The
+        nonlinearity is formed on the support of Q and extended by zero: off
+        the support the whole-grid product is +-0, so the difference and
+        all three norms are the whole-grid formula's, bit for bit.
         """
         vals = self._own(u)
         pc = self.exponents.p_conj
         spec = np.fft.fftn(vals)
         spec *= self.grid.k_squared - 1.0
         lhs = np.fft.ifftn(spec, out=spec).real
-        rhs = self.coefficient.field.values * odd_power(vals, self.exponents.p - 1.0)
+        q = self.restrict(self.coefficient.field.values)
+        rhs = self.extend(q * odd_power(self.restrict(vals), self.exponents.p - 1.0))
         res = self.lp_norm(lhs - rhs, pc)
         scale = self.lp_norm(lhs, pc) + self.lp_norm(rhs, pc)
         if scale == 0.0:

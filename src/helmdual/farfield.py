@@ -244,6 +244,12 @@ def decay_and_expansion_check(
     smoothly across the sphere; the report flags whether the error is
     nonincreasing over the tabulated radii.  The interpolant is evaluated over
     the ball in blocks (`_sphere_interpolant`), so its memory does not grow with it.
+
+    The shells are cut from one selection of the annulus r_min <= r < r_max,
+    in the grid's element order, so each shell mean sums the elements a
+    whole-grid shell mask selects, in the same order; the annulus copies are
+    released before the ball, and the ball's offsets become unit directions
+    in place.
     """
     grid = ctx.grid
     dim = grid.dimension
@@ -270,13 +276,18 @@ def decay_and_expansion_check(
     radius = np.sqrt(sum((m - center) ** 2 for m in grid.open_mesh()))
 
     edges = np.linspace(r_min, r_max, shell_count + 1)
+    # the shells cut from the annulus r_min <= r < r_max keep the grid's element order
+    annulus = (radius >= edges[0]) & (radius < edges[-1])
+    r_ann, u_ann = radius[annulus], u.values[annulus]
+    del annulus
     shell_radii, shell_means = [], []
     for i in range(shell_count):
-        mask = (radius >= edges[i]) & (radius < edges[i + 1])
+        mask = (r_ann >= edges[i]) & (r_ann < edges[i + 1])
         if mask.sum() < 8:
             continue
         shell_radii.append(0.5 * (edges[i] + edges[i + 1]))
-        shell_means.append(float(np.abs(u.values[mask]).mean()))
+        shell_means.append(float(np.abs(u_ann[mask]).mean()))
+    del r_ann, u_ann  # released before the ball
     if len(shell_radii) < 3:
         raise InsufficientShellsError(
             f"only {len(shell_radii)} usable shells between r={r_min} and {r_max}"
@@ -306,7 +317,8 @@ def decay_and_expansion_check(
     ball = (radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max)
     pts = np.stack([grid.axis_coordinates[i] - center for i in np.nonzero(ball)], axis=1)
     r_pts = radius[ball]
-    g_pts = _sphere_interpolant(pts / r_pts[:, None], fit_re, fit_im, FIT_DEGREE)
+    pts /= r_pts[:, None]  # unit directions, in place
+    g_pts = _sphere_interpolant(pts, fit_re, fit_im, FIT_DEGREE)
     leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(
         np.exp(1j * (k_plus * r_pts - (dim - 1) * np.pi / 4.0)) * g_pts
     )

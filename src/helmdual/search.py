@@ -71,6 +71,7 @@ a Q that is not unit-periodic) and sign bring a record within the dedup
 radius of a kept one.  A lower bound on every such distance comes from the
 L2 distances, which one Gram matrix of unit-cell blocks gives for all shifts
 at once; the exact p'-norm is taken only where the bound allows a match.
+With the identity alone the test runs on the support vectors.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
@@ -120,10 +121,9 @@ class DescentConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (self.tol_residual > 0 and self.dedup_rel_threshold > 0):
-            raise DomainError("tolerances must be positive")
-        if self.max_iters <= 0 or self.multistart_count <= 0:
-            raise DomainError("iteration and start counts must be positive")
+        for name in ("tol_residual", "dedup_rel_threshold", "max_iters", "multistart_count"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -728,26 +728,34 @@ def _within_orbit(ctx, v, w, radius):
     """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
 
     For a Q that is not unit-periodic the only shift is the identity (one
-    cell, the whole box): min(||v - w||_{p'}, ||v + w||_{p'}) <= radius.
+    cell, the support): min(||v - w||_{p'}, ||v + w||_{p'}) <= radius, taken
+    on the support vectors ctx.restrict(v) and ctx.restrict(w), since both
+    fields vanish off the support of Q.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
     h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
     The squared L2 distances of all L^N cell shifts y and both signs s come
     from ||v||^2 + ||w||^2 - 2 s <v, w_y>, and one Gram matrix of the unit-cell
     blocks of v and w gives every <v, w_y>.  The expanded square is lowered by
-    a bound on its rounding, 4 n^N eps (||v||^2 + ||w||^2), which no BLAS
-    blocking or thread count exceeds.  The exact norm, computed as in
-    orbit_distance, is taken only for the pairs whose bound is at most
-    radius, so the answer is the same as the exact minimum's.
+    a bound on its rounding, 4 m eps (||v||^2 + ||w||^2) for vectors of m
+    entries, which no BLAS blocking or thread count exceeds.  The exact
+    norm, computed as in orbit_distance, is taken only for the pairs whose
+    bound is at most radius, so the answer is the same as the exact minimum's.
     """
     pc = ctx.exponents.p_conj
     grid = v.grid
     dim = grid.dimension
-    periodic = unit_periodic(ctx)  # otherwise the identity alone: one cell, the whole box
-    shift_pts = grid.unit_shift_points if periodic else grid.points_per_axis
-    cells = int(round(grid.box_length)) if periodic else 1
-    vv, wv = v.values, w.values
+    if unit_periodic(ctx):
+        shift_pts = grid.unit_shift_points
+        cells = int(round(grid.box_length))
+        vv, wv = v.values, w.values
+    else:  # the identity alone: one cell, the support
+        shift_pts = None
+        cells = 1
+        vv, wv = ctx.restrict(v.values), ctx.restrict(w.values)
 
     def blocks(values):  # one row per unit cell, in row-major cell order
+        if cells == 1:
+            return values.reshape(1, -1)
         split = values.reshape((cells, shift_pts) * dim)
         return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))).reshape(
             cells ** dim, shift_pts ** dim)
@@ -758,7 +766,7 @@ def _within_orbit(ctx, v, w, radius):
     partner = np.ravel_multi_index((index[:, None, :] - index[:, :, None]) % cells, (cells,) * dim)
     inner = gram[np.arange(cells ** dim), partner].sum(axis=1)
     norms = float(np.sum(vv * vv)) + float(np.sum(wv * wv))
-    slack = 4.0 * grid.size * np.finfo(float).eps * norms
+    slack = 4.0 * vv.size * np.finfo(float).eps * norms
     peak = max(float(np.abs(vv).max() + np.abs(wv).max()), np.finfo(float).tiny)
     squares = np.maximum(norms - 2.0 * np.stack([inner, -inner], axis=1) - slack, 0.0)
     floors = ctx.weight * squares * peak ** (pc - 2.0)
@@ -811,19 +819,26 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
 
 
 def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
-    """Random low-mode trigonometric polynomial under a Gaussian bump.
+    """Random low-mode trigonometric polynomial under a Gaussian bump, on the
+    support's box and zero outside it.
 
     The bump center is uniform over the box for periodic coefficients and
     jittered around the coefficient's support centroid otherwise, so seeds
     land where the nonlinearity is active.  Distances are sums over the
-    grid's open mesh, or over the support points alone, so no whole-grid
-    coordinate mesh is built; the values are the mesh formula's, bit for bit.
+    box's slices of the grid's open mesh, or over the support points alone,
+    so no whole-grid coordinate mesh is built.  The polynomial is a pruned
+    `ifftn` of its Hermitian spectrum: one 1-d `ifft` per axis, last axis
+    first as `ifftn` runs them, over the 7 mode rows (0..3, n-3..n-1) of
+    the axes not yet transformed, each transformed axis cut to the box.
+    Every line is one that `ifftn` transforms, so the values on the box are
+    the whole-grid mesh formula's, bit for bit; on full support the box is
+    the grid.  The descent starts from the values on the support only.
     """
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
     dim = grid.dimension
-    axes = grid.open_mesh()
+    box = ctx.box or tuple(slice(0, n) for _ in range(dim))
 
     if ctx.coefficient.periodic:
         center = rng.uniform(0.0, L, size=dim)
@@ -831,7 +846,7 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
     else:
         q = ctx.coefficient.field.values
         total = q.sum()
-        centroid = np.array([float((q * xa).sum() / total) for xa in axes])
+        centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
         # Coefficient.build rejects Q == 0, so the support is never empty
         local = np.unravel_index(ctx.support, grid.shape)
         dist2 = sum((grid.axis_coordinates[i] - c) ** 2 for i, c in zip(local, centroid))
@@ -840,24 +855,31 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
         width = max(support_radius / 2.0, 3.0 * grid.spacing)
 
     dist2 = 0.0
+    axes = np.meshgrid(*(grid.axis_coordinates[span] for span in box), indexing="ij", sparse=True)
     for axis in range(dim):
         d = np.abs(axes[axis] - center[axis])
         d = np.minimum(d, L - d)
         dist2 = dist2 + d ** 2
     envelope = np.exp(-dist2 / (2.0 * width ** 2))
 
-    # Hermitian low-mode spectrum => real trig polynomial in one transform
-    spectrum = np.zeros(grid.shape, dtype=complex)
+    # Hermitian low-mode spectrum => real trig polynomial, kept on its mode rows
+    rows = sorted({m % n for m in range(-3, 4)})
+    row_of = {r: i for i, r in enumerate(rows)}
+    trig = np.zeros((len(rows),) * dim, dtype=complex)
     modes = [m for m in itertools.product(range(-3, 4), repeat=dim) if any(m) and m > tuple(-x for x in m)]
     coeffs = rng.normal(size=(len(modes), 2))
     for (a, b), m in zip(coeffs, modes):
-        idx = tuple(mi % n for mi in m)
-        neg = tuple((-mi) % n for mi in m)
-        spectrum[idx] = a - 1j * b
-        spectrum[neg] = a + 1j * b
-    trig = np.fft.ifftn(spectrum).real * grid.size
+        trig[tuple(row_of[mi % n] for mi in m)] = a - 1j * b
+        trig[tuple(row_of[(-mi) % n] for mi in m)] = a + 1j * b
+    for axis in reversed(range(dim)):
+        lines = np.zeros(trig.shape[:axis] + (n,) + trig.shape[axis + 1:], dtype=complex)
+        lines[(slice(None),) * axis + (rows,)] = trig
+        trig = np.fft.ifft(lines, axis=axis)[(slice(None),) * axis + (box[axis],)]
+    trig = trig.real * grid.size
 
-    return Field(grid, envelope * trig)
+    values = np.zeros(grid.shape)
+    np.multiply(envelope, trig, out=values[box])
+    return Field(grid, values)
 
 
 def _solve_one(args):
@@ -884,7 +906,8 @@ def _dedup(ctx, cfg, records, distinct):
     for rec in records:
         duplicate = False
         for kept in distinct:
-            scale = max(rec.v_star.lp_norm(pc), kept.v_star.lp_norm(pc))
+            scale = max(ctx.lp_norm(ctx.restrict(rec.v_star.values), pc),
+                        ctx.lp_norm(ctx.restrict(kept.v_star.values), pc))
             duplicate = _within_orbit(ctx, rec.v_star, kept.v_star, cfg.dedup_rel_threshold * scale)
             if duplicate:
                 break

@@ -248,7 +248,7 @@ class TestErrors:
         out = tmp_path / "tiny"
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
-        assert "config error: box_length" in capsys.readouterr().err
+        assert "config error: line 2: box_length" in capsys.readouterr().err
 
     def test_bad_farfield_window_at_run_time_writes_record(self, tmp_path):
         # a config built in code skips the parser; the check raises a typed error
@@ -291,6 +291,17 @@ class TestErrors:
         assert status == 1
         assert (out / "error.json").exists()
         assert "ShellResonance" in (out / "error.json").read_text()
+
+    @pytest.mark.parametrize("name", ["runs#3", " runs", "runs "])
+    def test_output_dir_the_config_cannot_carry_is_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch, name):
+        # effective_config.cfg would read back as another directory
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text("mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--config", str(cfg_file), "--out", name]) == 2
+        assert list(tmp_path.iterdir()) == [cfg_file]
+        assert "config error: output.dir" in capsys.readouterr().err
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing"

@@ -105,8 +105,39 @@ grid.points_per_axis = 48
         "bump.amplitude = -0.3",
     ])
     def test_unbuildable_values_rejected(self, line):
-        with pytest.raises(ConfigTypeError):
+        # the last line of each case is the rejected one, after mode on line 1;
+        # the message names its line, then its key or field
+        line_no = line.count("\n") + 2
+        key = line.splitlines()[-1].partition(" = ")[0]
+        with pytest.raises(ConfigTypeError, match=rf"^line {line_no}: ") as err:
             parse_config(f"mode = solve\n{line}\n")
+        rest = str(err.value).partition(": ")[2]
+        assert rest.startswith((key, key.rpartition(".")[2]))
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ("exponents.p = 3.0\ngrid.box_length = 6.0", 2),
+        ("grid.box_length = 1e-300\ngrid.points_per_axis = 8", 2),
+        ("grid.points_per_axis = 8\ngrid.box_length = 1e-300", 3),
+        ("descent.tol_residual = nan\ndescent.max_iters = 5", 2),
+        ("coefficient.kind = tartan", 2),
+    ], ids=["p_before_box", "box_before_points", "points_before_box", "tolerance_first", "kind"])
+    def test_range_error_names_the_rejected_key_line(self, lines, line_no):
+        # not the first line of the object's keys, but the line of the key its message names
+        with pytest.raises(ConfigTypeError, match=rf"^line {line_no}: "):
+            parse_config(f"mode = solve\n{lines}\n")
+
+    def test_invalid_mode_names_its_line(self):
+        with pytest.raises(ConfigTypeError, match=r"^line 3: mode must be one of"):
+            parse_config("# a run\ngrid.points_per_axis = 48\nmode = dance\n")
+
+    @pytest.mark.parametrize("value", ["runs/#3", " runs", "runs ", "runs\nmore", "a\rb", "a\x85b", "\u2028"])
+    @pytest.mark.parametrize("field", ["output_dir", "coefficient_path"])
+    def test_string_the_config_cannot_carry_is_rejected(self, field, value):
+        # a '#' starts a comment, a line break ends the line, edge blanks are stripped
+        cfg = parse_config("mode = solve\n")
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigTypeError, match="does not fit one config line"):
+            serialize_config(cfg)
 
     @pytest.mark.parametrize("line", [
         "farfield.r_min = 2.8",  # above the default r_max = 0.46 L = 2.76

@@ -6,10 +6,11 @@ import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helmdual import DomainError, Field, FieldFileError, GridSpec, RunConfig
+from helmdual import ConfigTypeError, DomainError, Field, FieldFileError, GridSpec, RunConfig
 from helmdual.config import COEFFICIENT_KINDS, MODES, parse_config, read_field, serialize_config, write_field
 from helmdual.farfield import FIT_DEGREE, radius_window
 
@@ -94,9 +95,14 @@ def test_generated_box_length_decodes_or_raises(dimension, n, box_length):
 
 
 def _text():
-    """Strings a config line can carry: no comment mark, no line break, no edge blanks."""
-    return st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
-        lambda s: "#" not in s and len(s.splitlines()) <= 1 and s == s.strip())
+    """Any string, with comment marks, line breaks and blanks drawn often."""
+    special = st.sampled_from("# \t\n\r\x0b\x0c\x1c\x85\u2028\u3000")
+    return st.text(st.one_of(st.characters(blacklist_categories=("Cs",)), special), max_size=12)
+
+
+def _fits_line(s):
+    """Whether one config line carries s: no comment mark, no line break, no edge blanks."""
+    return "#" not in s and len(s.splitlines()) <= 1 and s == s.strip()
 
 
 def _floats(**kwargs):
@@ -160,4 +166,9 @@ def valid_configs(draw):
 @PROPERTY
 @given(valid_configs())
 def test_config_round_trip(cfg):
-    assert parse_config(serialize_config(cfg)) == cfg
+    # a string one line cannot carry is a ConfigTypeError; everything else round-trips
+    if _fits_line(cfg.coefficient_path) and _fits_line(cfg.output_dir):
+        assert parse_config(serialize_config(cfg)) == cfg
+    else:
+        with pytest.raises(ConfigTypeError, match="does not fit one config line"):
+            serialize_config(cfg)

@@ -465,6 +465,23 @@ class TestPrimalResidual:
         assert expected > 1e-2  # genuinely nonzero defect
         assert abs(ctx.primal_residual(u) - expected) <= 1e-10 * expected
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(n=32),
+        lambda: make_bump_context(n=16, L=8.0, dimension=3, p=5.0),
+        lambda: make_sine_context(n=48),
+    ], ids=["compact_2d", "compact_3d", "full_2d"])
+    def test_bit_identical_to_whole_grid_formula(self, make):
+        # Q |u|^{p-2} u on the support, extended by zero, against the product over the grid
+        ctx = make()
+        pc, p = ctx.exponents.p_conj, ctx.exponents.p
+        rng = np.random.default_rng(4)
+        for u in (random_field(ctx, rng), ctx.dual_to_primal(random_field(ctx, rng))):
+            spec = np.fft.fftn(u.values) * (ctx.grid.k_squared - 1.0)
+            lhs = np.fft.ifftn(spec).real
+            rhs = ctx.coefficient.field.values * odd_power(u.values, p - 1.0)
+            want = ctx.lp_norm(lhs - rhs, pc) / (ctx.lp_norm(lhs, pc) + ctx.lp_norm(rhs, pc))
+            assert ctx.primal_residual(u) == want
+
 
 class TestMonotoneOperatorInequality:
     def test_scalar_form(self):

@@ -298,6 +298,22 @@ class TestDecayAndExpansion:
         with pytest.raises(DomainError, match="monomials"):
             decay_and_expansion_check(ctx, u, SphereSamples(dirs, np.zeros(len(dirs), complex)))
 
+    @pytest.mark.parametrize("dimension, n", [(2, 64), (3, 32)])
+    def test_shell_means_bit_identical_to_whole_grid_masks(self, dimension, n):
+        # shells cut from the annulus sum the same elements in the same order
+        ctx = compact_context(dimension=dimension, n=n)
+        grid = ctx.grid
+        u = Field(grid, np.random.default_rng(8).standard_normal(grid.shape))
+        dirs = equal_area_directions(dimension, 96)
+        report = decay_and_expansion_check(ctx, u, SphereSamples(dirs, np.ones(len(dirs), complex)))
+        r_min, r_max = radius_window(grid.box_length, grid.spacing)
+        radius = np.sqrt(sum((m - grid.box_length / 2.0) ** 2 for m in grid.coordinate_mesh()))
+        edges = np.linspace(r_min, r_max, 9)
+        masks = [(radius >= lo) & (radius < hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        want = [float(np.abs(u.values[mask]).mean()) for mask in masks if mask.sum() >= 8]
+        assert len(want) >= 3
+        assert report.shell_means.tobytes() == np.asarray(want).tobytes()
+
     def test_insufficient_shells(self):
         ctx = compact_context(dimension=2, n=64)
         rng = np.random.default_rng(5)

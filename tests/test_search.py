@@ -84,11 +84,58 @@ class TestInitialField:
         lambda: make_bump_context(n=24, L=8.0, dimension=3, p=5.0),
     ], ids=["periodic_2d", "compact_2d", "compact_3d"])
     def test_bit_identical_to_mesh_formula(self, make):
+        # on the support's box (the grid, for full support) the values are the
+        # mesh formula's bit for bit, and the field is zero outside the box
         ctx = make()
+        box = ctx.box or (slice(None),) * ctx.grid.dimension
         for seed in range(3):
             got = initial_field(ctx, np.random.default_rng(seed)).values
             want = mesh_initial_field(ctx, np.random.default_rng(seed))
-            assert got.tobytes() == want.tobytes()
+            assert got[box].tobytes() == want[box].tobytes()
+            outside = got.copy()
+            outside[box] = 0.0
+            assert not np.any(outside)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(n=32),
+        lambda: make_bump_context(n=24, L=8.0, dimension=3, p=5.0),
+    ], ids=["compact_2d", "compact_3d"])
+    def test_compact_support_transforms_no_grid_array(self, make, monkeypatch):
+        # the pruned inverse transform touches mode rows and box slices only
+        ctx = make()
+        assert ctx.box is not None
+        shapes = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn"):
+            def spy(a, *args, _call=getattr(np.fft, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        initial_field(ctx, np.random.default_rng(0))
+        assert len(shapes) == ctx.grid.dimension  # one 1-d pass per axis
+        assert all(np.prod(shape) < ctx.grid.size for shape in shapes)
+
+
+class TestWithinOrbitOnSupport:
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(n=32),
+        lambda: make_bump_context(n=16, L=8.0, dimension=3, p=5.0),
+    ], ids=["compact_2d", "compact_3d"])
+    def test_agrees_with_whole_grid_formula(self, make):
+        # a Q that is not unit-periodic has the identity as its only shift;
+        # the test on support vectors must decide as the grid's exact formula does
+        ctx = make()
+        assert ctx.box is not None and not search.unit_periodic(ctx)
+        pc = ctx.exponents.p_conj
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.support.size)))
+            noise = ctx.extend(rng.standard_normal(ctx.support.size)) * 10.0 ** rng.uniform(-3.0, 0.5)
+            for sign in (1.0, -1.0):
+                w = Field(ctx.grid, sign * v.values + noise)
+                exact = min(ctx.lp_norm(v.values - s * w.values, pc) for s in (1.0, -1.0))
+                for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+                    radius = factor * exact
+                    assert search._within_orbit(ctx, v, w, radius) == (exact <= radius)
 
 
 class TestFindCriticalPoint:
