@@ -30,7 +30,12 @@ zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
 itself.  `dual_to_primal` needs R on the whole grid and prunes its forward
-transform to the box (`pruned_fftn`).
+transform to the box (`pruned_fftn`); it returns a contiguous real field.
+
+The primal check `primal_residual` works on the whole grid, since u = R(.)
+does not vanish off S.  Its (-Delta - 1) u is one real FFT pair, and
+Q |u|^{p-2} u is formed on S only: off S the defect is (-Delta - 1) u
+itself, so one power pass over the grid serves two of its three norms.
 """
 
 from dataclasses import dataclass
@@ -202,18 +207,33 @@ class FunctionalContext:
         out[self.support] = vs
         return out.reshape(self.grid.shape)
 
+    @cached_property
+    def support_ball(self):
+        """Centroid of Q over the grid, and the largest distance from it to a
+        support point: where a start on a non-periodic Q is centred, and how
+        wide its bump is.  Three whole-grid products, so taken once."""
+        grid = self.grid
+        q = self.coefficient.field.values
+        total = q.sum()
+        centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
+        local = np.unravel_index(self.support, grid.shape)
+        dist2 = sum((grid.axis_coordinates[i] - c) ** 2 for i, c in zip(local, centroid))
+        return centroid, float(np.sqrt(dist2.max()))
+
     # -- array-level core (hot path for the solver) -------------------------
 
     def resolvent_array(self, values: np.ndarray) -> np.ndarray:
-        """R(values) on the grid, from one complex array allocated per call.
+        """R(values) on the grid, as a new C-contiguous real array.
 
         `values` must vanish outside the support's box, which prunes the
         forward transform (`pruned_fftn`); on a box that spans the grid this
-        is one `fftn` and one `ifftn`.
+        is one `fftn` and one `ifftn`.  The real part is copied out of the
+        complex work array, so the result holds no complex buffer of twice
+        its size alive.
         """
         spec = pruned_fftn(values, self.box)
         spec *= self.sigma
-        return np.fft.ifftn(spec, out=spec).real
+        return np.fft.ifftn(spec, out=spec).real.copy()
 
     @cached_property
     def _k_window(self):
@@ -344,20 +364,36 @@ class FunctionalContext:
         """Relative size of -Delta u - u - Q |u|^{p-2} u in L^{p'}.
 
         Relative to the magnitude of the two balanced terms; the absolute
-        norm is returned for u = 0 (where it vanishes anyway).  The
-        nonlinearity is formed on the support of Q and extended by zero: off
-        the support the whole-grid product is +-0, so the difference and
-        all three norms are the whole-grid formula's, bit for bit.
+        norm is returned for u = 0 (where it vanishes anyway).  The operator
+        (-Delta - 1) u is one real FFT pair (`rfftn`, `irfftn`).  The
+        nonlinearity rhs is formed on the support S of Q only: off S it
+        vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
+        over the points off S, taken in one pass over the grid, and the rest
+        of all three norms are sums over S.  On full support that pass is
+        empty and the three sums are the whole-grid ones.
         """
         vals = self._own(u)
-        pc = self.exponents.p_conj
-        spec = np.fft.fftn(vals)
-        spec *= self.grid.k_squared - 1.0
-        lhs = np.fft.ifftn(spec, out=spec).real
+        p, pc = self.exponents.p, self.exponents.p_conj
+        shape = self.grid.shape
+        spec = np.fft.rfftn(vals)
+        spec *= self.grid.k_squared[..., :shape[-1] // 2 + 1] - 1.0
+        lhs = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
         q = self.restrict(self.coefficient.field.values)
-        rhs = self.extend(q * odd_power(self.restrict(vals), self.exponents.p - 1.0))
-        res = self.lp_norm(lhs - rhs, pc)
-        scale = self.lp_norm(lhs, pc) + self.lp_norm(rhs, pc)
+        rhs = q * odd_power(self.restrict(vals), p - 1.0)
+        lhs_s = self.restrict(lhs)
+        off = 0.0
+        if not self.full_support:
+            # lhs_s is a copy here, so lhs can take the powers in place
+            power = np.abs(lhs, out=lhs)
+            power **= pc
+            power.reshape(-1)[self.support] = 0.0
+            off = power.sum()
+
+        def norm(values, rest=0.0):
+            return float((self.weight * (np.sum(np.abs(values) ** pc) + rest)) ** (1.0 / pc))
+
+        res = norm(lhs_s - rhs, off)
+        scale = norm(lhs_s, off) + norm(rhs)
         if scale == 0.0:
-            return float(res)
-        return float(res / scale)
+            return res
+        return res / scale

@@ -823,7 +823,8 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
     support's box and zero outside it.
 
     The bump center is uniform over the box for periodic coefficients and
-    jittered around the coefficient's support centroid otherwise, so seeds
+    jittered around the coefficient's support centroid otherwise
+    (`FunctionalContext.support_ball`, taken once per context), so seeds
     land where the nonlinearity is active.  Distances are sums over the
     box's slices of the grid's open mesh, or over the support points alone,
     so no whole-grid coordinate mesh is built.  The polynomial is a pruned
@@ -844,13 +845,7 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
         center = rng.uniform(0.0, L, size=dim)
         width = max(L / 7.0, 3.0 * grid.spacing)
     else:
-        q = ctx.coefficient.field.values
-        total = q.sum()
-        centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
-        # Coefficient.build rejects Q == 0, so the support is never empty
-        local = np.unravel_index(ctx.support, grid.shape)
-        dist2 = sum((grid.axis_coordinates[i] - c) ** 2 for i, c in zip(local, centroid))
-        support_radius = float(np.sqrt(dist2.max()))
+        centroid, support_radius = ctx.support_ball
         center = centroid + rng.normal(scale=L / 32.0, size=dim)
         width = max(support_radius / 2.0, 3.0 * grid.spacing)
 

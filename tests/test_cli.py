@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from helmdual import (
     Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field,
+    write_field,
 )
 from helmdual import search
 from helmdual.cli import _position, main, run_experiment
@@ -71,6 +73,14 @@ def run_cli(tmp_path, name, cfg_text, mode, seed=None):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def assert_error_record(out, error):
+    """A run that failed with `error`: its error.json, and a manifest of every other file."""
+    assert json.loads((out / "error.json").read_text())["error"] == error
+    manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
+    assert manifest == {p.name for p in out.iterdir()} - {"manifest.csv"}
+    assert {"effective_config.cfg", "error.json"} <= manifest
 
 
 class TestSolveMode:
@@ -289,8 +299,7 @@ class TestErrors:
         out = tmp_path / "resonant"
         status = main(["solve", "--config", str(cfg_file), "--out", str(out)])
         assert status == 1
-        assert (out / "error.json").exists()
-        assert "ShellResonance" in (out / "error.json").read_text()
+        assert_error_record(out, "ShellResonanceError")
 
     @pytest.mark.parametrize("name", ["runs#3", " runs", "runs "])
     def test_output_dir_the_config_cannot_carry_is_config_error(self, tmp_path, capsys,
@@ -332,3 +341,50 @@ class TestErrors:
         assert json.loads((out / "error.json").read_text())["error"] == "WorkerPoolError"
         manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
         assert manifest == {"effective_config.cfg", "error.json"}
+
+    def test_no_solution_writes_record(self, tmp_path):
+        # one descent step per start: every start fails, so the run has no record
+        cfg = "mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 2\ndescent.max_iters = 1\n"
+        status, out = run_cli(tmp_path, "no_solution", cfg, "solve")
+        assert status == 1
+        assert_error_record(out, "NoSolutionFoundError")
+        assert {p.name for p in out.iterdir()} == {"effective_config.cfg", "error.json", "manifest.csv"}
+
+    def test_bump_outside_the_box_writes_record(self, tmp_path):
+        # compare's bump at x = 0.5 with radius 1.2 leaves the box [0, 6]
+        cfg = "mode = compare\ngrid.points_per_axis = 48\nbump.center = 0.5, 3.0\n"
+        status, out = run_cli(tmp_path, "overflow", cfg, "compare")
+        assert status == 1
+        assert_error_record(out, "SupportOverflowError")
+
+    @pytest.mark.parametrize("lines, error", [
+        # L = 6 < 2 pi: the lattice spacing 2 pi / L is wider than the unit sphere
+        ("grid.box_length = 6.0\ngrid.points_per_axis = 32\ncoefficient.center = 3.2, 2.9\n"
+         "coefficient.radius = 1.2\n", "InterpolationDegenerateError"),
+        # a radius window 0.02 wide leaves fewer than 3 shells of 8 points
+        ("grid.box_length = 16.0\ngrid.points_per_axis = 64\ncoefficient.center = 9.2, 8.7\n"
+         "farfield.r_min = 5.0\nfarfield.r_max = 5.02\n", "InsufficientShellsError"),
+    ], ids=["interpolation", "shells"])
+    def test_farfield_check_failure_writes_record(self, tmp_path, lines, error):
+        cfg = ("mode = farfield\ngrid.dimension = 2\ngrid.shell_epsilon = 1.0\nexponents.p = 7.0\n"
+               "coefficient.kind = compact_bump\ncoefficient.amplitude = 2.0\n"
+               "coefficient.periodic = false\ndescent.multistart_count = 1\nseed = 1\n" + lines)
+        status, out = run_cli(tmp_path, "farfield_fails", cfg, "farfield")
+        assert status == 1
+        assert_error_record(out, error)
+        # the search's outputs are kept; the check failed after them
+        assert {"solutions.csv", "u_best.hlmf"} <= {p.name for p in out.iterdir()}
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda data: b"HLMX" + data[4:], "BadMagicError"),
+        (lambda data: data[:4] + struct.pack("<I", 99) + data[8:], "VersionMismatchError"),
+        (lambda data: data[:-8], "TruncatedPayloadError"),
+    ], ids=["magic", "version", "truncated"])
+    def test_bad_coefficient_file_writes_record(self, tmp_path, corrupt, error):
+        grid = GridSpec(2, 6.0, 48)
+        path = tmp_path / "q.hlmf"
+        path.write_bytes(corrupt(write_field(Field(grid, np.ones(grid.shape)))))
+        cfg = f"mode = solve\ngrid.points_per_axis = 48\ncoefficient.kind = file\ncoefficient.path = {path}\n"
+        status, out = run_cli(tmp_path, "bad_file", cfg, "solve")
+        assert status == 1
+        assert_error_record(out, error)

@@ -433,6 +433,18 @@ class TestDualToPrimal:
         zero = Field(const_ctx.grid, np.zeros(const_ctx.grid.shape))
         assert np.max(np.abs(const_ctx.dual_to_primal(zero).values)) == 0.0
 
+    @pytest.mark.parametrize("kind", ["bump_3d", "sine"])
+    def test_contiguous_real_result(self, kind, sine_ctx):
+        # a new float64 array, no strided view on the complex work array, and
+        # the values of the unpruned complex pair bit for bit
+        ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0) if kind == "bump_3d" else sine_ctx
+        v = random_field(ctx, np.random.default_rng(29)).values
+        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
+        for got in (ctx.resolvent_array(ctx.q_root * v), ctx.dual_to_primal(Field(ctx.grid, v)).values):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.base is None
+            np.testing.assert_array_equal(got, want)
+
     def test_transform_identity(self, sine_ctx):
         rng = np.random.default_rng(9)
         v = random_field(sine_ctx, rng)
@@ -470,8 +482,9 @@ class TestPrimalResidual:
         lambda: make_bump_context(n=16, L=8.0, dimension=3, p=5.0),
         lambda: make_sine_context(n=48),
     ], ids=["compact_2d", "compact_3d", "full_2d"])
-    def test_bit_identical_to_whole_grid_formula(self, make):
-        # Q |u|^{p-2} u on the support, extended by zero, against the product over the grid
+    def test_matches_whole_grid_formula(self, make):
+        # the reference: a complex FFT pair and three whole-grid norms; the real
+        # pair and the sums split at the support round differently, by design
         ctx = make()
         pc, p = ctx.exponents.p_conj, ctx.exponents.p
         rng = np.random.default_rng(4)
@@ -480,7 +493,21 @@ class TestPrimalResidual:
             lhs = np.fft.ifftn(spec).real
             rhs = ctx.coefficient.field.values * odd_power(u.values, p - 1.0)
             want = ctx.lp_norm(lhs - rhs, pc) / (ctx.lp_norm(lhs, pc) + ctx.lp_norm(rhs, pc))
-            assert ctx.primal_residual(u) == want
+            assert abs(ctx.primal_residual(u) - want) <= 1e-13 * want
+
+    def test_compact_support_makes_no_complex_transform(self, monkeypatch):
+        # (-Delta - 1) u is one real pair; nothing complex of grid size is transformed
+        ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0)
+        assert ctx.box is not None
+        u = ctx.dual_to_primal(random_field(ctx, np.random.default_rng(5)))
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def spy(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        assert ctx.primal_residual(u) > 0.0
+        assert calls == ["rfftn", "irfftn"]
 
 
 class TestMonotoneOperatorInequality:

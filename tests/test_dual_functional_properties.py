@@ -1,7 +1,8 @@
-"""Property tests of K on random compact supports: the window grid against the torus pair."""
+"""Property tests on random supports: K's window grid against the torus pair,
+and the homogeneity of the fibering map."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
@@ -13,8 +14,9 @@ BOUND = 1e-14
 
 
 @st.composite
-def compact_contexts(draw):
-    """Q > 0 on a random block of the L = 8 torus, with random holes.
+def support_contexts(draw, full=False):
+    """Q > 0 on a random block of the L = 8 torus, with random holes; with
+    `full`, Q > 0 at every point.
 
     Per axis the block is an index run of random start and length that wraps
     around the periodic edge when it passes n; runs of one point and runs
@@ -24,14 +26,14 @@ def compact_contexts(draw):
     n = draw(st.sampled_from([16, 24, 32] if dimension == 2 else [12, 16]))
     runs = []
     for _ in range(dimension):
-        length = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
-        start = draw(st.integers(0, n - 1))
+        length = n if full else draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+        start = 0 if full else draw(st.integers(0, n - 1))
         runs.append((start + np.arange(length)) % n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = GridSpec(dimension=dimension, box_length=8.0, points_per_axis=n)
     q = np.zeros(grid.shape)
     q[np.ix_(*runs)] = rng.uniform(0.2, 2.0, [len(r) for r in runs])
-    holes = rng.random(grid.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    holes = rng.random(grid.shape) < (0.0 if full else draw(st.sampled_from([0.0, 0.3, 0.7])))
     if np.any(q[~holes] > 0.0):
         q[holes] = 0.0
     p = 7.0 if dimension == 2 else 5.0
@@ -39,7 +41,7 @@ def compact_contexts(draw):
 
 
 @PROPERTY
-@given(compact_contexts())
+@given(support_contexts())
 def test_k_is_the_torus_sandwich(drawn):
     ctx, rng = drawn
     v = rng.standard_normal(ctx.grid.shape)
@@ -50,10 +52,23 @@ def test_k_is_the_torus_sandwich(drawn):
 
 
 @PROPERTY
-@given(compact_contexts())
+@given(support_contexts())
 def test_k_is_symmetric(drawn):
     ctx, rng = drawn
     u, v = rng.standard_normal((2, ctx.support.size))
     ku, kv = ctx.apply_k_support(u), ctx.apply_k_support(v)
     scale = np.linalg.norm(u) * np.linalg.norm(kv) + np.linalg.norm(v) * np.linalg.norm(ku)
     assert abs(u @ kv - v @ ku) <= BOUND * scale
+
+
+@PROPERTY
+@given(st.one_of(support_contexts(), support_contexts(full=True)), st.floats(-3.0, 3.0))
+def test_fibering_is_homogeneous(drawn, log_s):
+    # t_{s v} = t_v / s, and the fibering level does not see the scale s in [1e-3, 1e3]
+    ctx, rng = drawn
+    s = 10.0 ** log_s
+    v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.support.size)))
+    assume(ctx.quadratic_form(v) > 0.0)
+    t, level = ctx.fibering_scale(v), ctx.nehari_energy(v)
+    assert abs(s * ctx.fibering_scale(s * v) - t) <= 1e-12 * t
+    assert abs(ctx.nehari_energy(s * v) - level) <= 1e-12 * level

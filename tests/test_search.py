@@ -14,6 +14,7 @@ from helmdual import (
     Field,
     FunctionalContext,
     GridMismatchError,
+    GridSpec,
     MaxIterationsError,
     NotInUPlusError,
     build_asymptotic_coefficient,
@@ -113,6 +114,21 @@ class TestInitialField:
         initial_field(ctx, np.random.default_rng(0))
         assert len(shapes) == ctx.grid.dimension  # one 1-d pass per axis
         assert all(np.prod(shape) < ctx.grid.size for shape in shapes)
+
+    def test_support_ball_taken_once_per_context(self, monkeypatch):
+        # the centroid's whole-grid products over the open mesh run on the first start only
+        ctx = make_bump_context(n=24, L=8.0, dimension=3, p=5.0)
+        meshes = []
+
+        def spy(grid, _call=GridSpec.open_mesh):
+            meshes.append(grid)
+            return _call(grid)
+
+        monkeypatch.setattr(GridSpec, "open_mesh", spy)
+        first = initial_field(ctx, np.random.default_rng(0))
+        second = initial_field(ctx, np.random.default_rng(0))
+        assert meshes == [ctx.grid]
+        assert first.values.tobytes() == second.values.tobytes()
 
 
 class TestWithinOrbitOnSupport:
