@@ -16,6 +16,7 @@ from .errors import (
     MissingRequiredError,
     NoSolutionFoundError,
     NotInUPlusError,
+    OutputError,
     ShellResonanceError,
     SupportOverflowError,
     TruncatedPayloadError,

@@ -7,9 +7,16 @@ seed give byte-identical CSVs at a fixed BLAS thread count; no timestamps
 are written.  The environment variable HELMDUAL_THREADS caps the
 multistart worker count (default 1, sequential; results do not depend on the
 worker count).
+
+An output directory that cannot be made (the path, or one of its parents,
+is an existing file) ends the run before any work with exit status 2 and a
+message on stderr; an artifact that cannot be written (a full disk, for
+example) ends it as an OutputError in error.json, when that can still be
+written, with exit status 1.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -21,7 +28,7 @@ import numpy as np
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
 from .dual_functional import Coefficient, Exponents, FunctionalContext, sine_product
-from .errors import DomainError, FieldFileError, HelmdualError
+from .errors import DomainError, FieldFileError, HelmdualError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
 from .search import multistart_search, unit_periodic
@@ -83,36 +90,54 @@ def _workers() -> int:
         return 1
 
 
+def _write_rows(path: Path, header, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+
+
 class _OutputDir:
-    """Collects artifacts and writes the manifest at the end of a mode."""
+    """Collects artifacts and writes the manifest at the end of a mode.
+
+    An OSError from making the directory or writing a file is an
+    OutputError; a file whose write failed is removed, so the manifest
+    still lists every file in the directory.
+    """
 
     def __init__(self, path: Path):
         self.path = path
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot make the output directory {str(path)!r}: {exc}") from exc
         self.artifacts = []
 
+    def _write(self, name: str, write):
+        target = self.path / name
+        try:
+            write(target)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                target.unlink(missing_ok=True)
+            raise OutputError(f"cannot write {name}: {exc}") from exc
+
     def write_bytes(self, name: str, data: bytes):
-        (self.path / name).write_bytes(data)
+        self._write(name, lambda target: target.write_bytes(data))
         self.artifacts.append(name)
 
     def write_text(self, name: str, text: str):
-        (self.path / name).write_text(text)
+        self._write(name, lambda target: target.write_text(text))
         self.artifacts.append(name)
 
     def write_csv(self, name: str, header, rows):
-        with open(self.path / name, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+        self._write(name, lambda target: _write_rows(target, header, rows))
         self.artifacts.append(name)
 
     def finish(self):
-        with open(self.path / "manifest.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["artifact"])
-            for name in sorted(self.artifacts):
-                writer.writerow([name])
+        self._write("manifest.csv", lambda target: _write_rows(
+            target, ["artifact"], [[name] for name in sorted(self.artifacts)]))
 
 
 def _solution_rows(records):
@@ -242,21 +267,29 @@ _MODE_RUNNERS = {
 
 
 def run_experiment(cfg: cfgmod.RunConfig) -> int:
-    """Execute one mode; returns the process exit status (0 = all checks pass)."""
+    """Execute one mode; returns the process exit status (0 = all checks pass,
+    1 = a failed check or a run error, 2 = no usable output directory)."""
     effective = cfgmod.serialize_config(cfg)
-    out = _OutputDir(Path(cfg.output_dir))
-    out.write_text("effective_config.cfg", effective)
     try:
+        out = _OutputDir(Path(cfg.output_dir))
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        out.write_text("effective_config.cfg", effective)
         status = _MODE_RUNNERS[cfg.mode](cfg, out)
-    except HelmdualError as exc:
-        out.write_text(
-            "error.json",
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}, indent=2) + "\n",
-        )
         out.finish()
+    except HelmdualError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        try:
+            out.write_text(
+                "error.json",
+                json.dumps({"error": type(exc).__name__, "detail": str(exc)}, indent=2) + "\n",
+            )
+            out.finish()
+        except OutputError as record_exc:  # the directory takes no record either
+            print(f"error: OutputError: {record_exc}", file=sys.stderr)
         return 1
-    out.finish()
     return status
 
 

@@ -33,9 +33,11 @@ itself.  `dual_to_primal` needs R on the whole grid and prunes its forward
 transform to the box (`pruned_fftn`); it returns a contiguous real field.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
-does not vanish off S.  Its (-Delta - 1) u is one real FFT pair, and
-Q |u|^{p-2} u is formed on S only: off S the defect is (-Delta - 1) u
-itself, so one power pass over the grid serves two of its three norms.
+does not vanish off S.  It applies the operator that R inverts, the symbol
+s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
+eps = 0), as one real FFT pair, and forms Q |u|^{p-2} u on S only: off S
+the defect is the operator's image itself, so one power pass over the grid
+serves two of its three norms.
 """
 
 from dataclasses import dataclass
@@ -44,21 +46,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
-from .kernel import Field, GridSpec, helmholtz_multiplier
+from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
 
 
-def pruned_fftn(values: np.ndarray, box) -> np.ndarray:
-    """fftn(values) for values that vanish outside `box`, as a new complex array.
+def pruned_fftn(values: np.ndarray, box, weight=None) -> np.ndarray:
+    """fftn(weight * values) for a product that vanishes outside `box`, as a new complex array.
 
     `box` is a tuple of per-axis slices, or None for the whole grid (one
-    plain `fftn`).  Axes run last to first, as in `fftn`; the pass over axis
+    plain `fftn`).  The product is formed on the box only; `weight` None
+    stands for 1.  Axes run last to first, as in `fftn`; the pass over axis
     d transforms only the lines whose earlier axes lie in the box, since
     every other line still holds exact zeros.
     """
     if box is None:
-        return np.fft.fftn(values)
+        return np.fft.fftn(values if weight is None else weight * values)
     spec = np.zeros(values.shape, dtype=complex)
-    spec[box] = values[box]
+    spec[box] = values[box] if weight is None else weight[box] * values[box]
     for d in reversed(range(values.ndim)):
         block = spec[box[:d]]
         np.fft.fftn(block, axes=(d,), out=block)
@@ -77,10 +80,34 @@ def _smooth_size(m: int) -> int:
         m += 1
 
 
+def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """|x|^exponent as a new array; an integer exponent k >= 2 by repeated squaring.
+
+    The binary digits of k are read from the bottom: |x| is squared once per
+    digit and multiplied into the result at each 1, so |x|^6 is
+    |x|^2 |x|^4, three multiplications in place of a `pow` per entry.  Each
+    product rounds once, so the result is within k ulp of `np.abs(x) ** k`
+    wherever that is normal; 0, NaN and overflow to inf come out as they do
+    from `**`.  Any other exponent is the plain `**`.
+    """
+    base = np.abs(values)
+    k = int(exponent)
+    if k != exponent or k < 2:
+        base **= exponent
+        return base
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else np.multiply(out, base, out=out)
+        k >>= 1
+        if not k:
+            return out
+        base = base * base if base is out else np.multiply(base, base, out=base)
+
+
 def odd_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """sign(x) |x|^exponent with the continuous extension 0 at x = 0."""
-    out = np.abs(values)
-    out **= exponent
+    out = abs_power(values, exponent)
     return np.copysign(out, values, out=out)
 
 
@@ -151,7 +178,9 @@ class Coefficient:
             for axis in range(q.grid.dimension):
                 if not np.array_equal(np.roll(vals, shift, axis=axis), vals):
                     raise DomainError(f"coefficient not unit-periodic along axis {axis}")
-        return cls(field=q, q_root=Field(q.grid, vals ** (1.0 / p)), p=p, periodic=periodic)
+        root = np.zeros_like(vals)
+        np.power(vals, 1.0 / p, out=root, where=vals > 0.0)  # 0^{1/p} = 0 exactly
+        return cls(field=q, q_root=Field(q.grid, root), p=p, periodic=periodic)
 
 
 class FunctionalContext:
@@ -183,14 +212,14 @@ class FunctionalContext:
     # -- quadrature helpers ------------------------------------------------
 
     def lp_norm(self, values: np.ndarray, q: float) -> float:
-        return float((self.weight * np.sum(np.abs(values) ** q)) ** (1.0 / q))
+        return float((self.weight * np.sum(abs_power(values, q))) ** (1.0 / q))
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.weight * np.sum(a * b))
 
     def dual_mass(self, values: np.ndarray) -> float:
         """||v||_{p'}^{p'} without the final root."""
-        return float(self.weight * np.sum(np.abs(values) ** self.exponents.p_conj))
+        return float(self.weight * np.sum(abs_power(values, self.exponents.p_conj)))
 
     # -- the support of Q --------------------------------------------------
 
@@ -222,16 +251,16 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray) -> np.ndarray:
-        """R(values) on the grid, as a new C-contiguous real array.
+    def resolvent_array(self, values: np.ndarray, weight=None) -> np.ndarray:
+        """R(weight * values) on the grid, as a new C-contiguous real array.
 
-        `values` must vanish outside the support's box, which prunes the
-        forward transform (`pruned_fftn`); on a box that spans the grid this
-        is one `fftn` and one `ifftn`.  The real part is copied out of the
-        complex work array, so the result holds no complex buffer of twice
-        its size alive.
+        The product must vanish outside the support's box, which prunes the
+        forward transform (`pruned_fftn`, which also forms the product on the
+        box only); on a box that spans the grid this is one `fftn` and one
+        `ifftn`.  The real part is copied out of the complex work array, so
+        the result holds no complex buffer of twice its size alive.
         """
-        spec = pruned_fftn(values, self.box)
+        spec = pruned_fftn(values, self.box, weight)
         spec *= self.sigma
         return np.fft.ifftn(spec, out=spec).real.copy()
 
@@ -358,14 +387,16 @@ class FunctionalContext:
     def dual_to_primal(self, v: Field) -> Field:
         """Primal reconstruction u = R(Q^{1/p} v)."""
         vals = self._own(v)
-        return Field(self.grid, self.resolvent_array(self.q_root * vals))
+        return Field(self.grid, self.resolvent_array(vals, self.q_root))
 
     def primal_residual(self, u: Field) -> float:
-        """Relative size of -Delta u - u - Q |u|^{p-2} u in L^{p'}.
+        """Relative size of A u - Q |u|^{p-2} u in L^{p'}, A the operator that R inverts.
 
-        Relative to the magnitude of the two balanced terms; the absolute
-        norm is returned for u = 0 (where it vanishes anyway).  The operator
-        (-Delta - 1) u is one real FFT pair (`rfftn`, `irfftn`).  The
+        A has the symbol s + eps^2/s, s = |k|^2 - 1 (`kernel.helmholtz_symbol`),
+        which is -Delta - 1 at eps = 0; with eps > 0 it is the regularized
+        operator the run solves.  Relative to the magnitude of the two
+        balanced terms; the absolute norm is returned for u = 0 (where it
+        vanishes anyway).  A u is one real FFT pair (`rfftn`, `irfftn`).  The
         nonlinearity rhs is formed on the support S of Q only: off S it
         vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
         over the points off S, taken in one pass over the grid, and the rest
@@ -376,7 +407,8 @@ class FunctionalContext:
         p, pc = self.exponents.p, self.exponents.p_conj
         shape = self.grid.shape
         spec = np.fft.rfftn(vals)
-        spec *= self.grid.k_squared[..., :shape[-1] // 2 + 1] - 1.0
+        spec *= helmholtz_symbol(self.grid.k_squared[..., :shape[-1] // 2 + 1] - 1.0,
+                                 self.grid.shell_epsilon)
         lhs = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
         q = self.restrict(self.coefficient.field.values)
         rhs = q * odd_power(self.restrict(vals), p - 1.0)

@@ -75,6 +75,10 @@ class MissingRequiredError(ConfigError):
     """Required configuration key absent."""
 
 
+class OutputError(HelmdualError):
+    """The output directory cannot be made, or an artifact cannot be written to it."""
+
+
 class FieldFileError(HelmdualError):
     """Base class for binary field-file errors."""
 

@@ -20,8 +20,18 @@ h vanishes off the support of Q, so the amplitude is a contraction over the
 support's box in real space (`_box_transform`), and the decay check builds
 its radius over the grid's open mesh: neither forms a whole-grid coordinate
 mesh or transforms a whole-grid array.
+
+The check fits the sampled amplitudes by the sphere harmonics of degree at
+most FIT_DEGREE, written as the monomials whose last exponent is 0 or 1
+(`_monomial_design`): on the unit sphere these span what all the monomials
+of that degree span, with 49 columns instead of 84 in 3d (13 instead of 28
+in 2d), and the design has full column rank.  The real and imaginary parts
+are one least-squares solve with two right-hand sides.  The number of
+directions must reach the count of all the monomials of that degree, the
+direction floor that the config checks too.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +44,7 @@ from .kernel import Field
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
 BLOCK_BYTES = 4 << 20  # design bytes per block of ball points in the expansion check
 BLOCK_ALIGN = 64       # block rows come in multiples of this, so BLAS rounds each row alike
-FIT_DEGREE = 6         # total degree of the monomials fitted to the sampled amplitudes
+FIT_DEGREE = 6         # total degree of the sphere harmonics fitted to the sampled amplitudes
 
 
 @dataclass
@@ -174,47 +184,60 @@ class FarfieldReport:
     attenuation_rate: float
 
 
-def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
-    """All monomials of total degree <= degree in the direction components;
-    restricted to the unit sphere these span the harmonics up to that degree.
+def _basis_size(dim: int, degree: int) -> int:
+    """Columns of `_monomial_design`: (degree + 1)^2 in 3d, 2 degree + 1 in 2d."""
+    return math.comb(degree + dim - 1, dim - 1) + math.comb(degree + dim - 2, dim - 1)
 
-    Columns come from per-axis power tables, one multiply each, written into
-    one preallocated array; the result is its Fortran-ordered transpose.
+
+def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
+    """The monomials of total degree <= degree whose last exponent is 0 or 1,
+    at unit directions: a basis of the sphere harmonics up to that degree.
+
+    On the unit sphere x_N^2 = 1 - (x_1^2 + ... + x_{N-1}^2), so every
+    monomial of degree <= degree is a combination of these, and they are as
+    many as the harmonics: 49 of the 84 monomials in 3d, 13 of 28 in 2d.
+    Columns run over the leading exponents in lexicographic order, each
+    monomial m followed by m x_N when its degree allows.  They come from
+    per-axis power tables, one multiply each, written into one preallocated
+    array; the result is its Fortran-ordered transpose.
     """
     count, dim = directions.shape
-    powers = np.empty((dim, degree + 1, count))
+    lead = directions[:, :-1].T
+    powers = np.empty((dim - 1, degree + 1, count))
     powers[:, 0] = 1.0
     for k in range(1, degree + 1):
-        np.multiply(powers[:, k - 1], directions.T, out=powers[:, k])
-    out = np.empty((math.comb(degree + dim, dim), count))
+        np.multiply(powers[:, k - 1], lead, out=powers[:, k])
+    out = np.empty((_basis_size(dim, degree), count))
     col = 0
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            if dim == 2:
-                np.multiply(powers[0, a], powers[1, b], out=out[col])
-                col += 1
-                continue
-            pair = powers[0, a] * powers[1, b]
-            for c in range(degree + 1 - a - b):
-                np.multiply(pair, powers[2, c], out=out[col])
-                col += 1
+    for e in itertools.product(range(degree + 1), repeat=dim - 1):
+        if sum(e) > degree:
+            continue
+        if dim == 2:
+            out[col] = powers[0, e[0]]
+        else:
+            np.multiply(powers[0, e[0]], powers[1, e[1]], out=out[col])
+        if sum(e) < degree:
+            np.multiply(out[col], directions[:, -1], out=out[col + 1])
+            col += 1
+        col += 1
     return out.T
 
 
-def _sphere_interpolant(directions, fit_re, fit_im, degree: int) -> np.ndarray:
-    """The fitted amplitude at unit directions, from one monomial design of about
-    BLOCK_BYTES per block of rows.  With one BLAS thread each value is bit-identical
-    to the whole design's product (a block of a few rows would reach another kernel)."""
+def _sphere_interpolant(directions, fit, degree: int) -> np.ndarray:
+    """The fitted amplitude at unit directions, from one harmonic design of about
+    BLOCK_BYTES per block of rows and one product with the (real, imaginary)
+    columns of `fit`, read as complex.  With one BLAS thread each value is
+    bit-identical to the whole design's product (a block of a few rows would
+    reach another kernel)."""
     count, dim = directions.shape
-    row_bytes = 8 * (math.comb(degree + dim, dim) + dim * (degree + 1))  # design row, power tables
+    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))  # design row, power tables
     rows = max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
     # blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter rest
     starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
-    out = np.empty(count, dtype=complex)
+    out = np.empty((count, 2))
     for start, stop in zip([0] + starts, starts + [count]):
-        block = _monomial_design(directions[start:stop], degree)
-        out[start:stop] = block @ fit_re + 1j * (block @ fit_im)
-    return out
+        np.matmul(_monomial_design(directions[start:stop], degree), fit, out=out[start:stop])
+    return out.view(complex)[:, 0]
 
 
 def radius_window(L: float, spacing: float, r_min=None, r_max=None) -> tuple:
@@ -241,7 +264,8 @@ def decay_and_expansion_check(
     log r, beta = Im sqrt(1 + i eps) being the known absorption rate.  The
     expansion error at radius R is the ball average
     (1/R) int_{B_R} |u - leading|^2 with the sampled amplitudes interpolated
-    smoothly across the sphere; the report flags whether the error is
+    smoothly across the sphere by the harmonics of degree <= FIT_DEGREE
+    (module docstring); the report flags whether the error is
     nonincreasing over the tabulated radii.  The interpolant is evaluated over
     the ball in blocks (`_sphere_interpolant`), so its memory does not grow with it.
 
@@ -300,7 +324,8 @@ def decay_and_expansion_check(
     coeffs, *_ = np.linalg.lstsq(design, corrected, rcond=None)
     decay_exponent = float(-coeffs[1])
 
-    # smooth interpolation of the sampled amplitudes across the sphere
+    # smooth interpolation of the sampled amplitudes across the sphere; the
+    # floor counts all monomials of the degree, as the config's does
     monomials = math.comb(FIT_DEGREE + dim, dim)
     if samples.values.size < monomials:
         raise DomainError(
@@ -308,9 +333,9 @@ def decay_and_expansion_check(
             f"monomials of degree {FIT_DEGREE} in {dim}d"
         )
     design_s = _monomial_design(samples.directions, FIT_DEGREE)
-    fit_re, *_ = np.linalg.lstsq(design_s, samples.values.real, rcond=None)
-    fit_im, *_ = np.linalg.lstsq(design_s, samples.values.imag, rcond=None)
-    reproduced = design_s @ fit_re + 1j * (design_s @ fit_im)
+    parts = np.stack([samples.values.real, samples.values.imag], axis=1)
+    fit, *_ = np.linalg.lstsq(design_s, parts, rcond=None)
+    reproduced = (design_s @ fit).view(complex)[:, 0]
     scale = np.abs(samples.values).max()
     interp_residual = float(np.abs(reproduced - samples.values).max() / scale) if scale > 0 else 0.0
 
@@ -318,7 +343,7 @@ def decay_and_expansion_check(
     pts = np.stack([grid.axis_coordinates[i] - center for i in np.nonzero(ball)], axis=1)
     r_pts = radius[ball]
     pts /= r_pts[:, None]  # unit directions, in place
-    g_pts = _sphere_interpolant(pts, fit_re, fit_im, FIT_DEGREE)
+    g_pts = _sphere_interpolant(pts, fit, FIT_DEGREE)
     leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(
         np.exp(1j * (k_plus * r_pts - (dim - 1) * np.pi / 4.0)) * g_pts
     )

@@ -101,7 +101,8 @@ class GridSpec:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        mesh = np.meshgrid(*([self.axis_frequencies] * self.dimension), indexing="ij")
+        # a broadcast sum over the sparse mesh rounds as over the full one
+        mesh = np.meshgrid(*([self.axis_frequencies] * self.dimension), indexing="ij", sparse=True)
         k2 = sum(km ** 2 for km in mesh)
         k2.setflags(write=False)
         return k2
@@ -205,7 +206,22 @@ def helmholtz_multiplier(grid: GridSpec) -> np.ndarray:
     eps = grid.shell_epsilon
     if eps == 0.0 and np.abs(shifted).min() <= RESONANCE_TOL:
         raise ShellResonanceError("lattice resonance at |k| = 1 with eps = 0")
-    return shifted / (shifted ** 2 + eps ** 2)
+    out = shifted ** 2
+    out += eps ** 2
+    return np.divide(shifted, out, out=out)
+
+
+def helmholtz_symbol(shifted: np.ndarray, eps: float) -> np.ndarray:
+    """The symbol s + eps^2/s of the operator that sigma inverts, at s = |k|^2 - 1.
+
+    It is 0 where s = 0, since sigma = s/(s^2 + eps^2) removes that mode.
+    At eps = 0 the added term is a signed zero, so the symbol is s bit for
+    bit: -Delta - 1.
+    """
+    extra = np.zeros_like(shifted)
+    np.divide(eps * eps, shifted, out=extra, where=shifted != 0.0)
+    extra += shifted
+    return extra
 
 
 def resolvent_apply(f: Field) -> Field:

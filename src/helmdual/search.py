@@ -15,11 +15,13 @@ Two accelerations wrap the plain iteration without weakening the gate:
   reuse the cached linear images of K, so no extra transforms).  The
   least-squares mix works on a QR factorization of the residual differences
   that grows by one column per step and restarts from the newest image when
-  the window is full (Walker & Ni, SIAM J. Numer. Anal. 2011): a new column
-  costs a few passes over the grid, and the solve itself is on the small
-  triangular factor.  A mix that passes the gate with a residual above the
-  iterate's is scored again on a fresh transform, because a mix with large
-  coefficients cancels and its combined image drifts from K of the mix;
+  the window is full (Walker & Ni, SIAM J. Numer. Anal. 2011).  A new
+  column costs one classical Gram-Schmidt pass over the vector, and a
+  second only when the Daniel-Gragg-Kaufman-Stewart test asks for it; the
+  solve is a back substitution on the small triangular factor.  A mix that
+  passes the gate with a residual above the iterate's is scored again on a
+  fresh transform, because a mix with large coefficients cancels and its
+  combined image drifts from K of the mix;
 * when the mix is rejected, the heavy-ball candidate
   w = G(v) + MOMENTUM (v - v_prev) (Polyak 1964), with the Picard map G in
   the role of the preconditioned gradient, as in Petviashvili-type
@@ -97,7 +99,7 @@ from .errors import (
     NotInUPlusError,
     WorkerPoolError,
 )
-from .dual_functional import FunctionalContext, odd_power
+from .dual_functional import FunctionalContext, abs_power, odd_power
 from .kernel import Field
 
 PLATEAU_SLACK = 1e-13        # allowed energy non-decrease, below the 1e-12 contract
@@ -106,6 +108,7 @@ KREFRESH = 20                # accepted steps between fresh transforms of the ca
 MOMENTUM = 0.4               # heavy-ball weight beta; stronger momentum merges orbits
 ARMIJO_C = 1e-4              # sufficient-decrease constant of the heavy-ball and Picard bound
 ANDERSON_DEPTH = 6           # residual-difference columns before the Anderson window restarts
+DGKS_ETA = 2.0 ** -0.5       # a Gram-Schmidt pass keeping less of the column's norm is repeated
 SNAP_AFTER = 5               # accepted steps before a start snaps to its best position
 LEVEL_TIE = 1e-13            # relative difference of landscape levels that counts as a tie
 
@@ -172,8 +175,7 @@ def _project_scored(ctx, w, kw, ceiling=None):
     qf = ctx.weight * float(np.vdot(w, kw))
     if not np.isfinite(qf) or qf <= 0.0:
         return None
-    g = np.abs(w)
-    g **= pc - 1.0
+    g = abs_power(w, pc - 1.0)
     np.copysign(g, w, out=g)
     m = ctx.weight * float(np.vdot(g, w))
     if m == 0.0:
@@ -184,8 +186,7 @@ def _project_scored(ctx, w, kw, ceiling=None):
     kv = t * kw
     g *= t ** (pc - 1.0)
     g -= kv
-    power = np.abs(g)
-    power **= p
+    power = abs_power(g, p)
     grad_norm = float((ctx.weight * power.sum()) ** (1.0 / p))
     del power
     v_norm = t * m ** (1.0 / pc)
@@ -258,7 +259,8 @@ def _newton_polish(ctx, v, kv, tol, max_steps=40):
 
         r = v - picard
         rn0 = np.linalg.norm(r)
-        damping = np.abs(kv) ** (p - 2.0) * (p - 1.0)
+        damping = abs_power(kv, p - 2.0)
+        damping *= p - 1.0
         mu = rn0 / max(np.linalg.norm(v), 1e-300)
 
         def apply_a(w):
@@ -288,14 +290,20 @@ class _AndersonWindow:
 
     Residuals f_j = G(v_j) - v_j enter through their differences
     Delta = [f_1 - f_0, ...] = Q R (Walker & Ni, SIAM J. Numer. Anal. 2011).
-    Q is stored by rows, one orthonormal vector each.  A new difference
-    is orthogonalized by two classical Gram-Schmidt passes.  When the window
+    Q is stored by rows, one orthonormal vector each.  A new difference d
+    is orthogonalized by one classical Gram-Schmidt pass, and by a second
+    only when the first leaves ||w|| < ||d|| / sqrt(2), the test of Daniel,
+    Gragg, Kaufman & Stewart (Math. Comp. 30, 1976) for a cancellation that
+    the first pass cannot be trusted with.  When the window
     is full it restarts: every column is dropped and only the newest image is
     kept, so the next push leaves 2 images and 1 column.  A column that is
     numerically dependent on the others gets a zero Q vector and a zero row in
     R, so Q R = Delta still holds and the truncated mix stays finite.  The
-    images G(v_j) and K G(v_j) sit in a ring buffer, so the mixed candidate is
-    one matrix-vector product per image.
+    mix solves R gamma = Q^T f by back substitution while every |r_ii| clears
+    lstsq's truncation threshold; a window holding a zeroed column goes to
+    `lstsq` for its minimum-norm answer.  The images G(v_j) and K G(v_j) sit
+    in a ring buffer, so the mixed candidate is one matrix-vector product per
+    image.
     """
 
     def __init__(self, depth, size):
@@ -327,11 +335,14 @@ class _AndersonWindow:
         q = self.q[:k]
         h = q @ d
         w = d - h @ q
-        h2 = q @ w
-        w -= h2 @ q
-        self.r[:k, k] = h + h2
-        norm = np.linalg.norm(w)
-        if norm > self.rcond * np.linalg.norm(d):
+        norm, d_norm = np.linalg.norm(w), np.linalg.norm(d)
+        if norm < d_norm * DGKS_ETA:  # cancellation: orthogonalize once more
+            h2 = q @ w
+            w -= h2 @ q
+            h += h2
+            norm = np.linalg.norm(w)
+        self.r[:k, k] = h
+        if norm > self.rcond * d_norm:
             self.q[k] = w / norm
             self.r[k, k] = norm
         else:
@@ -342,7 +353,15 @@ class _AndersonWindow:
     def gamma(self):
         """Coefficients minimizing ||Delta gamma - f|| for the newest residual f."""
         k = self.cols
-        gamma, *_ = np.linalg.lstsq(self.r[:k, :k], self.q[:k] @ self.last, rcond=self.rcond)
+        r = self.r[:k, :k]
+        rhs = self.q[:k] @ self.last
+        diag = np.abs(np.diagonal(r))
+        if diag.min() <= self.rcond * diag.max():  # a zeroed column: the minimum-norm answer
+            gamma, *_ = np.linalg.lstsq(r, rhs, rcond=self.rcond)
+            return gamma
+        gamma = np.zeros(k)
+        for i in reversed(range(k)):
+            gamma[i] = (rhs[i] - r[i, i + 1:] @ gamma[i + 1:]) / r[i, i]
         return gamma
 
     def candidate(self):

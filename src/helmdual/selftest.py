@@ -262,7 +262,7 @@ def check_asymptotic_mini():
 def check_farfield_synthetic():
     grid = GridSpec(3, 16.0, 48, shell_epsilon=0.0)
     exps = Exponents(3, 5.0)
-    mesh = grid.coordinate_mesh()
+    mesh = grid.open_mesh()
     center = grid.box_length / 2.0
     r2 = sum((m - center) ** 2 for m in mesh)
     q = bump_profile(grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))
@@ -274,8 +274,8 @@ def check_farfield_synthetic():
     gvals = (0.05 + 0.02 * dirs[:, 0] + 0.01j * dirs[:, 1] * dirs[:, 2])
     r = np.sqrt(r2)
     rs = np.maximum(r, grid.spacing / 2)
-    xhat = np.stack([(m - center) for m in mesh], axis=-1) / rs[..., None]
-    g_grid = 0.05 + 0.02 * xhat[..., 0] + 0.01j * xhat[..., 1] * xhat[..., 2]
+    x, y, z = ((m - center) / rs for m in mesh)
+    g_grid = 0.05 + 0.02 * x + 0.01j * y * z
     u_vals = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
     u = Field(grid, u_vals)
     report = decay_and_expansion_check(ctx, u, SphereSamples(dirs, gvals))

@@ -1,9 +1,11 @@
 """End-to-end CLI runs on small configurations."""
 
 import csv
+import errno
 import json
 import os
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,6 +343,48 @@ class TestErrors:
         assert json.loads((out / "error.json").read_text())["error"] == "WorkerPoolError"
         manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
         assert manifest == {"effective_config.cfg", "error.json"}
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_output_path_at_a_file_is_output_error(self, tmp_path, capsys, below):
+        # the directory cannot be made, so no record can go there: exit 2 before any work
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "sub" if below else taken
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text("mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 1\n")
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "output error: cannot make the output directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg", "taken"]
+
+    def test_failed_artifact_write_writes_record(self, tmp_path, monkeypatch, capsys):
+        # a full disk during the field dumps: a typed error, and the record still goes out
+        def full(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+        monkeypatch.setattr(Path, "write_bytes", full)
+        cfg = "mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 1\n"
+        status, out = run_cli(tmp_path, "full_disk", cfg, "solve")
+        assert status == 1
+        assert_error_record(out, "OutputError")
+        assert "v_000.hlmf" in json.loads((out / "error.json").read_text())["detail"]
+        assert not list(out.glob("*.hlmf"))
+        assert "error: OutputError: cannot write v_000.hlmf" in capsys.readouterr().err
+
+    def test_failed_record_write_still_exits(self, tmp_path, monkeypatch, capsys):
+        # no file can be written at all: the messages go to stderr, exit 1, no traceback
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+        cfg_file = tmp_path / "no_space.cfg"
+        cfg_file.write_text("mode = selftest\n")
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "no_space"
+        assert main(["selftest", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: OutputError: cannot write effective_config.cfg" in err
+        assert "error: OutputError: cannot write error.json" in err
+        assert list(out.iterdir()) == []  # the first write failed: the mode never ran
 
     def test_no_solution_writes_record(self, tmp_path):
         # one descent step per start: every start fails, so the run has no record

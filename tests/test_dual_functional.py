@@ -17,6 +17,7 @@ from helmdual import (
     SphereSamples,
     ZeroFieldError,
     equal_area_directions,
+    multistart_search,
     odd_power,
 )
 from helmdual.cli import build_coefficient
@@ -143,6 +144,13 @@ class TestCoefficient:
         plain = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in g.coordinate_mesh()], axis=0)
         assert np.array_equal(sine_product(g), plain)
 
+    @pytest.mark.parametrize("make", [make_bump_context, make_sine_context], ids=["bump", "sine"])
+    def test_root_bit_identical_to_whole_grid_power(self, make):
+        # the root is taken on Q > 0 only; 0^{1/p} is 0 exactly
+        coeff = make().coefficient
+        want = coeff.field.values ** (1.0 / coeff.p)
+        assert coeff.q_root.values.tobytes() == want.tobytes()
+
     def test_root_cached(self):
         ctx = make_sine_context(n=48)
         np.testing.assert_allclose(
@@ -249,6 +257,19 @@ class TestSupport:
         v = np.random.default_rng(27).standard_normal(ctx.grid.shape)
         ref = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
         np.testing.assert_array_equal(ctx.dual_to_primal(Field(ctx.grid, v)).values, ref)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(),
+        lambda: make_bump_context(n=16, L=8.0, dimension=3, p=5.0),
+        lambda: make_sine_context(n=48),
+    ], ids=["compact_2d", "compact_3d", "full_2d"])
+    def test_weighted_resolvent_is_bit_identical(self, make):
+        # dual_to_primal forms Q^{1/p} v on the support's box inside pruned_fftn
+        ctx = make()
+        v = np.random.default_rng(28).standard_normal(ctx.grid.shape)
+        want = ctx.resolvent_array(ctx.q_root * v)
+        assert ctx.resolvent_array(v, ctx.q_root).tobytes() == want.tobytes()
+        assert ctx.dual_to_primal(Field(ctx.grid, v)).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["bump", "sine"])
     def test_k_results_do_not_alias(self, kind, sine_ctx):
@@ -494,6 +515,24 @@ class TestPrimalResidual:
             rhs = ctx.coefficient.field.values * odd_power(u.values, p - 1.0)
             want = ctx.lp_norm(lhs - rhs, pc) / (ctx.lp_norm(lhs, pc) + ctx.lp_norm(rhs, pc))
             assert abs(ctx.primal_residual(u) - want) <= 1e-13 * want
+
+    def test_regularized_record_meets_its_own_equation(self):
+        # with eps > 0 the run inverts s + eps^2/s, not s = |k|^2 - 1: the record's
+        # primal residual is at the level of its dual residual, not O(eps)
+        ctx = make_bump_context(n=32, L=16.0, dimension=3, p=5.0, radius=1.6, eps=1.0)
+        cfg = DescentConfig(multistart_count=2, rng_seed=12345)
+        records = multistart_search(ctx, cfg).records
+        assert records
+        for rec in records:
+            assert rec.dual_residual <= cfg.tol_residual
+            assert rec.primal_residual <= 2.0 * rec.dual_residual
+        # against -Delta - 1 the same field is off by O(eps)
+        u = records[0].u_star.values
+        spec = np.fft.fftn(u) * (ctx.grid.k_squared - 1.0)
+        lhs = np.fft.ifftn(spec).real
+        rhs = ctx.coefficient.field.values * odd_power(u, ctx.exponents.p - 1.0)
+        pc = ctx.exponents.p_conj
+        assert ctx.lp_norm(lhs - rhs, pc) / (ctx.lp_norm(lhs, pc) + ctx.lp_norm(rhs, pc)) > 1e-2
 
     def test_compact_support_makes_no_complex_transform(self, monkeypatch):
         # (-Delta - 1) u is one real pair; nothing complex of grid size is transformed

@@ -1,11 +1,12 @@
 """Property tests on random supports: K's window grid against the torus pair,
-and the homogeneity of the fibering map."""
+and the homogeneity of the fibering map; the integer powers against `**`."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual.dual_functional import abs_power, odd_power
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 # Worst case seen over 400 random supports: 1.5e-15 (sandwich, relative to
@@ -72,3 +73,33 @@ def test_fibering_is_homogeneous(drawn, log_s):
     t, level = ctx.fibering_scale(v), ctx.nehari_energy(v)
     assert abs(s * ctx.fibering_scale(s * v) - t) <= 1e-12 * t
     assert abs(ctx.nehari_energy(s * v) - level) <= 1e-12 * level
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=16), st.integers(2, 12))
+def test_integer_power_matches_pow(values, k):
+    # repeated squaring rounds once per product: within k ulp of `**` where the
+    # result is normal, and 0, +-0, NaN and overflow as `**` gives them
+    x = np.array(values)
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        got, want = abs_power(x, float(k)), a ** float(k)
+        odd = odd_power(x, float(k))
+        size = k * np.log2(a)  # log2 of |x|^k, without its rounding
+    assert got.tobytes() == np.abs(odd).tobytes()
+    # overflow: only a band of a few ulp around the largest float may round either way
+    exact = (a == 0.0) | ~np.isfinite(a) | (size > 1024.0 + 1e-9)
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    signed = exact & ~np.isnan(a)
+    assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+    normal = np.isfinite(want) & (want >= np.finfo(float).tiny) & (size < 1024.0 - 1e-9)
+    assert np.all(np.abs(got[normal] - want[normal]) <= k * np.spacing(want[normal]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=16),
+       st.floats(0.05, 12.0).filter(lambda e: e != int(e)))
+def test_other_powers_are_pow(values, exponent):
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        assert abs_power(x, exponent).tobytes() == (np.abs(x) ** exponent).tobytes()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdual import farfield
+from helmdual import farfield, selftest
 from helmdual import (
     Coefficient,
     DomainError,
@@ -232,18 +232,57 @@ class TestBoxTransform:
         assert ctx.grid.shape not in shapes
 
 
+def monomial_fit(directions, values, degree):
+    """The least-squares fit over every monomial of total degree <= degree: the
+    design the harmonic basis replaces, and its fitted values at `directions`."""
+    exponents = [e for e in itertools.product(range(degree + 1), repeat=directions.shape[1])
+                 if sum(e) <= degree]
+
+    def design(d):
+        return np.stack([np.prod([d[:, axis] ** k for axis, k in enumerate(e)], axis=0)
+                         for e in exponents], axis=1)
+
+    fit_re, *_ = np.linalg.lstsq(design(directions), values.real, rcond=None)
+    fit_im, *_ = np.linalg.lstsq(design(directions), values.imag, rcond=None)
+    return lambda d: design(d) @ fit_re + 1j * (design(d) @ fit_im)
+
+
 class TestMonomialDesign:
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_matches_explicit_powers(self, dimension):
         dirs = equal_area_directions(dimension, 50)
         degree = 6
         design = _monomial_design(dirs, degree)
+        # the last exponent is at most 1; the last index runs fastest
         exponents = [e for e in itertools.product(range(degree + 1), repeat=dimension)
-                     if sum(e) <= degree]
+                     if sum(e) <= degree and e[-1] <= 1]
+        assert len(exponents) == (49 if dimension == 3 else 13)
         assert design.shape == (dirs.shape[0], len(exponents))
         for col, e in enumerate(exponents):
             want = np.prod([dirs[:, axis] ** k for axis, k in enumerate(e)], axis=0)
             assert np.max(np.abs(design[:, col] - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("dimension, count", [(2, 28), (2, 96), (3, 84), (3, 200)])
+    def test_fit_matches_all_monomials_fit(self, dimension, count, monkeypatch):
+        # on the sphere the harmonic basis spans what all the monomials span, so
+        # the check fits the same function as the full monomial least squares
+        ctx = compact_context(dimension=dimension, n=48)
+        u, _ = synthetic_expansion_field(ctx.grid)
+        rng = np.random.default_rng(count)
+        dirs = equal_area_directions(dimension, count)
+        values = rng.standard_normal(len(dirs)) + 1j * rng.standard_normal(len(dirs))
+        fits = []
+        blocked = farfield._sphere_interpolant
+        monkeypatch.setattr(farfield, "_sphere_interpolant",
+                            lambda d, fit, degree: fits.append(fit) or blocked(d, fit, degree))
+        decay_and_expansion_check(ctx, u, SphereSamples(dirs, values))
+        (fit,) = fits
+        assert fit.shape == (_monomial_design(dirs, 6).shape[1], 2)
+        points = rng.standard_normal((2000, dimension))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        want = monomial_fit(dirs, values, 6)(points)
+        got = blocked(points, fit, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDecayAndExpansion:
@@ -328,19 +367,22 @@ class TestDecayAndExpansion:
 
 def blocked_and_whole(dimension, n):
     """One synthetic report with the blocked sphere interpolant and one with a
-    whole-ball design built here; returns what the blocked test compares."""
+    whole-ball design built here; returns what the blocked test compares.
+
+    The blocks are half the shipped BLOCK_BYTES: rows of the 13-column 2d
+    design are narrow, so the n = 256 ball fills only 2 blocks of the full size."""
+    farfield.BLOCK_BYTES //= 2
     ctx = compact_context(dimension=dimension, n=n)
     u, samples = synthetic_expansion_field(ctx.grid)
     blocked = farfield._sphere_interpolant
     calls = []
 
-    def recorded(directions, fit_re, fit_im, degree):
-        calls.append((directions, fit_re, fit_im, degree))
-        return blocked(directions, fit_re, fit_im, degree)
+    def recorded(directions, fit, degree):
+        calls.append((directions, fit, degree))
+        return blocked(directions, fit, degree)
 
-    def whole(directions, fit_re, fit_im, degree):
-        design = _monomial_design(directions, degree)
-        return design @ fit_re + 1j * (design @ fit_im)
+    def whole(directions, fit, degree):
+        return (_monomial_design(directions, degree) @ fit).view(complex)[:, 0]
 
     farfield._sphere_interpolant = recorded
     report_blocked = decay_and_expansion_check(ctx, u, samples)
@@ -367,6 +409,25 @@ def blocked_and_whole(dimension, n):
         == report_whole.expansion_errors.tobytes(),
         "short_tails_equal": short_tails,
     }
+
+
+def test_selftest_synthetic_field_is_the_mesh_formula(monkeypatch):
+    # the self-test builds its field over the open mesh; the values are the
+    # coordinate-mesh formula's bit for bit, and the check still passes
+    fields = []
+    check = selftest.decay_and_expansion_check
+    monkeypatch.setattr(selftest, "decay_and_expansion_check",
+                        lambda ctx, u, *args, **kwargs: fields.append(u) or check(ctx, u, *args, **kwargs))
+    ok, _ = selftest.check_farfield_synthetic()
+    assert ok
+    grid = fields[0].grid
+    mesh = grid.coordinate_mesh()
+    center = grid.box_length / 2.0
+    rs = np.maximum(np.sqrt(sum((m - center) ** 2 for m in mesh)), grid.spacing / 2)
+    xhat = np.stack([(m - center) for m in mesh], axis=-1) / rs[..., None]
+    g_grid = 0.05 + 0.02 * xhat[..., 0] + 0.01j * xhat[..., 1] * xhat[..., 2]
+    want = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
+    assert fields[0].values.tobytes() == want.tobytes()
 
 
 class TestBlockedInterpolant:

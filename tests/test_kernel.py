@@ -13,7 +13,9 @@ from helmdual import (
     ShellResonanceError,
     helmholtz_multiplier,
 )
-from helmdual.kernel import fundamental_solution_psi, resolvent_apply, spectral_laplacian
+from helmdual.kernel import (
+    fundamental_solution_psi, helmholtz_symbol, resolvent_apply, spectral_laplacian,
+)
 from conftest import mode_field, random_field
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)  # lattice |k|^2 = 2 |m|^2, no unit-shell point
@@ -29,6 +31,14 @@ class TestGridSpec:
         assert g.delta_min > 0
         assert g.unit_shift_points is None  # 32 not divisible by L = 6
         assert GridSpec(2, 6.0, 48).unit_shift_points == 8
+
+    @pytest.mark.parametrize("dimension, n", [(2, 48), (3, 16)])
+    def test_k_squared_bit_identical_to_full_mesh(self, dimension, n):
+        g = GridSpec(dimension, 6.0, n)
+        mesh = np.meshgrid(*([g.axis_frequencies] * dimension), indexing="ij")
+        want = sum(km ** 2 for km in mesh)
+        assert g.k_squared.shape == g.shape
+        assert g.k_squared.tobytes() == want.tobytes()
 
     def test_resonant_grid_rejected(self):
         # L = 2 pi puts |m| = 1 modes exactly on the unit shell
@@ -112,6 +122,36 @@ class TestMultiplier:
         ]
         np.testing.assert_array_equal(sigma, flipped)
         assert abs(sigma[16, 16]) < abs(sigma[1, 0])
+
+
+    @pytest.mark.parametrize("dimension, eps", [(2, 0.0), (2, 0.5), (3, 1.0)])
+    def test_bit_identical_to_quotient_formula(self, dimension, eps):
+        g = GridSpec(dimension, 16.0 if eps else 6.0, 16, shell_epsilon=eps)
+        shifted = g.k_squared - 1.0
+        want = shifted / (shifted ** 2 + eps ** 2)
+        assert helmholtz_multiplier(g).tobytes() == want.tobytes()
+
+
+class TestSymbol:
+    """The symbol s + eps^2/s of the operator that sigma inverts."""
+
+    def test_zero_eps_is_the_shifted_lattice_bitwise(self):
+        g = GridSpec(3, 6.0, 16)
+        shifted = g.k_squared - 1.0
+        assert np.any(shifted < 0.0) and np.any(shifted > 0.0)  # both signs of the zero
+        assert helmholtz_symbol(shifted, 0.0).tobytes() == shifted.tobytes()
+
+    def test_inverts_sigma_and_drops_the_removed_mode(self):
+        # L = 2 pi puts the |m| = 1 modes on the unit shell, where sigma = 0
+        g = GridSpec(2, 2.0 * np.pi, 16, shell_epsilon=0.5)
+        shifted = g.k_squared - 1.0
+        symbol = helmholtz_symbol(shifted, 0.5)
+        on_shell = shifted == 0.0
+        assert on_shell.sum() == 4
+        assert np.all(symbol[on_shell] == 0.0)
+        assert np.all(helmholtz_multiplier(g)[on_shell] == 0.0)
+        product = helmholtz_multiplier(g)[~on_shell] * symbol[~on_shell]
+        assert np.max(np.abs(product - 1.0)) <= 1e-15
 
 
 class TestResolvent:

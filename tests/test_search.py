@@ -436,6 +436,66 @@ class TestAndersonWindow:
         assert all(np.all(np.isfinite(x)) for x in window.candidate())
 
 
+    @staticmethod
+    def orthonormality_defect(window):
+        q = window.q[:window.cols]
+        q = q[np.any(q != 0.0, axis=1)]  # the zero rows of dependent columns
+        return np.linalg.norm(q @ q.T - np.eye(len(q)))
+
+    def test_orthonormal_after_every_push(self):
+        # a difference nearly in the span of the others cancels in the first
+        # Gram-Schmidt pass; the DGKS test sends it through a second one
+        rng = np.random.default_rng(8)
+        depth, size = 4, 400
+        window = _AndersonWindow(depth, size)
+        zero = np.zeros(size)
+        residuals, differences = [], []
+        second_passes = 0
+        for step in range(5 * depth):
+            if len(differences) >= 2 and step % 3 == 0:
+                coeffs = rng.standard_normal(len(differences))
+                d = np.stack(differences, axis=1) @ coeffs + 1e-9 * rng.standard_normal(size)
+                f = residuals[-1] + d
+                # one classical pass alone leaves this column far from orthogonal
+                q = window.q[:window.cols]
+                w = d - (q @ d) @ q
+                assert np.linalg.norm(w) < np.linalg.norm(d) / np.sqrt(2.0)
+                assert np.linalg.norm(q @ w) > 1e-12 * np.linalg.norm(w)
+                second_passes += 1
+            else:
+                f = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(size)
+            if window.cols == depth:
+                residuals, differences = residuals[-1:], []  # the restart
+            window.push(zero, f, f)
+            if residuals:
+                differences.append(f - residuals[-1])
+            residuals.append(f)
+            assert self.orthonormality_defect(window) <= 1e-12
+            if differences:
+                # Q R is still the matrix of differences
+                delta = np.stack(differences, axis=1)
+                rebuilt = window.q[:window.cols].T @ window.r[:window.cols, :window.cols]
+                assert np.linalg.norm(rebuilt - delta) <= 1e-12 * np.linalg.norm(delta)
+        assert second_passes >= 3
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["full_rank", "rank_deficient"])
+    def test_lstsq_only_for_a_zeroed_column(self, repeated, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal(200), rng.standard_normal(200)
+        window = _AndersonWindow(3, 200)
+        zero = np.zeros(200)
+        for f in ((a, b, a) if repeated else rng.standard_normal((3, 200))):
+            window.push(zero, f, f)
+            if window.cols:
+                window.gamma()
+        # pushes a, b, a: the second difference a - b is minus the first, so its column is zeroed
+        assert (window.r[1, 1] == 0.0) == repeated
+        assert len(calls) == (1 if repeated else 0)
+
+
 class TestPositionLandscape:
     """The snap runs for every Q with full support, the placement only for a unit-periodic Q."""
 
