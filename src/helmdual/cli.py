@@ -6,7 +6,7 @@ be reproduced from its output directory alone.  Identical configuration and
 seed give byte-identical CSVs at a fixed BLAS thread count; no timestamps
 are written.  The environment variable HELMDUAL_THREADS caps the
 multistart worker count (default 1, sequential; results do not depend on the
-worker count).
+worker count); a value that is not a positive integer is a config error.
 
 An output directory that cannot be made (the path, or one of its parents,
 is an existing file) ends the run before any work with exit status 2 and a
@@ -83,11 +83,11 @@ def build_context(cfg: cfgmod.RunConfig) -> FunctionalContext:
 
 
 def _workers() -> int:
+    """The multistart worker count HELMDUAL_THREADS sets: a positive integer, 1 when unset."""
     raw = os.environ.get("HELMDUAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.isascii() and raw.isdecimal() and int(raw) > 0):
+        raise cfgmod.ConfigError(f"HELMDUAL_THREADS = {raw!r} is not a positive integer")
+    return int(raw)
 
 
 def _write_rows(path: Path, header, rows):
@@ -314,13 +314,15 @@ def main(argv=None) -> int:
             text = args.config.read_text() if args.config else ""
         except (OSError, UnicodeDecodeError) as exc:
             raise cfgmod.ConfigError(f"cannot read the config file: {exc}") from exc
-        cfg = cfgmod.parse_config(text, mode_override=args.mode)
+        overrides = {}
         if args.out is not None:
-            cfg.output_dir = str(args.out)
+            overrides["output_dir"] = str(args.out)
         if args.seed is not None:
-            cfg.seed = args.seed
+            overrides["seed"] = args.seed
+        cfg = cfgmod.parse_config(text, mode_override=args.mode, **overrides)
         # the effective config must read back as this run, before any output exists
         cfgmod.serialize_config(cfg)
+        _workers()
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

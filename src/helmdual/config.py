@@ -106,8 +106,10 @@ def _parse_value(raw: str, py_type, key: str, line_no: int):
         ) from exc
 
 
-def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
-    """Parse flat `key = value` lines into a validated RunConfig."""
+def parse_config(text: str, mode_override: str | None = None, **overrides) -> RunConfig:
+    """Parse flat `key = value` lines into a validated RunConfig; `overrides`
+    (the CLI's `output_dir` and `seed`) replace the file's values by field
+    name before validation, so both sources meet the same rules."""
     values = {}
     lines = {}  # key -> line number, for the range errors
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -127,6 +129,9 @@ def parse_config(text: str, mode_override: str | None = None) -> RunConfig:
 
     if mode_override is not None:
         values["mode"] = mode_override
+    for name, value in overrides.items():
+        values[name] = value
+        lines.pop(_key_of(name), None)  # an error about it names no line of the file
     if "mode" not in values:
         raise MissingRequiredError("required key 'mode' missing")
     cfg = RunConfig(**values)
@@ -147,7 +152,7 @@ def _validate(cfg: RunConfig, lines: dict):
     # offending field first; a resonant box is a run-time failure
     grid_keys = ("grid.dimension", "grid.box_length", "grid.points_per_axis", "grid.shell_epsilon")
     descent_keys = ("descent.tol_residual", "descent.dedup_rel_threshold",
-                    "descent.max_iters", "descent.multistart_count")
+                    "descent.max_iters", "descent.multistart_count", "seed")
     for keys, build in (
         (grid_keys, lambda: GridSpec(cfg.grid_dimension, cfg.grid_box_length,
                                      cfg.grid_points_per_axis, cfg.grid_shell_epsilon)),

@@ -16,9 +16,10 @@ identities used in tests hold to rounding.
 
 K vanishes off the support S = {Q > 0}, and the critical equation
 |v|^{p'-2} v = K v then forces v = 0 there, so the search carries v as a
-vector over S (`restrict` / `extend`) and touches the grid only inside the
-FFT pair of R.  When Q > 0 everywhere S is the whole grid and both maps are
-views.
+vector over S (`restrict` / `extend`) and touches a grid only inside the FFT
+pairs below.  When Q > 0 everywhere S is the whole grid and both maps are
+views.  R is applied here only, so its checks run the solver's operator:
+with Q = 1, `dual_to_primal` and `apply_k` are R itself.
 
 K is one FFT pair on a window grid around the bounding box of S (`box`).
 R is the circular convolution with the torus kernel r = ifftn(sigma), and
@@ -29,8 +30,9 @@ itself when that is not smaller) with r cut to those differences: the
 zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
-itself.  `dual_to_primal` needs R on the whole grid and prunes its forward
-transform to the box (`pruned_fftn`); it returns a contiguous real field.
+itself.  `resolvent_array` (`dual_to_primal`, the snap) needs R on the whole
+grid and prunes its forward transform to the box (`pruned_fftn`); it returns
+a contiguous real field.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
@@ -40,6 +42,7 @@ the defect is the operator's image itself, so one power pass over the grid
 serves two of its three norms.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,19 +52,18 @@ from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldEr
 from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
 
 
-def pruned_fftn(values: np.ndarray, box, weight=None) -> np.ndarray:
+def pruned_fftn(values: np.ndarray, box, weight: np.ndarray) -> np.ndarray:
     """fftn(weight * values) for a product that vanishes outside `box`, as a new complex array.
 
     `box` is a tuple of per-axis slices, or None for the whole grid (one
-    plain `fftn`).  The product is formed on the box only; `weight` None
-    stands for 1.  Axes run last to first, as in `fftn`; the pass over axis
-    d transforms only the lines whose earlier axes lie in the box, since
-    every other line still holds exact zeros.
+    plain `fftn`); the product is formed on the box only.  Axes run last to
+    first, as in `fftn`; the pass over axis d transforms only the lines whose
+    earlier axes lie in the box, since every other line still holds exact zeros.
     """
     if box is None:
-        return np.fft.fftn(values if weight is None else weight * values)
+        return np.fft.fftn(weight * values)
     spec = np.zeros(values.shape, dtype=complex)
-    spec[box] = values[box] if weight is None else weight[box] * values[box]
+    spec[box] = weight[box] * values[box]
     for d in reversed(range(values.ndim)):
         block = spec[box[:d]]
         np.fft.fftn(block, axes=(d,), out=block)
@@ -115,10 +117,11 @@ def sine_product(grid: GridSpec, offset: float = 1.0, amplitude: float = 0.5) ->
     """The oscillating coefficient offset + amplitude prod_j sin(2 pi x_j).
 
     On a grid with unit shifts it is sampled on the folded unit-cell mesh,
-    which makes the samples exactly unit-periodic; otherwise on the plain mesh.
+    which makes the samples exactly unit-periodic; otherwise on the plain
+    mesh.  Both are open: the per-axis sines multiply by broadcasting.
     """
-    mesh = grid.unit_cell_mesh() if grid.unit_shift_points is not None else grid.coordinate_mesh()
-    return offset + amplitude * np.prod([np.sin(2.0 * np.pi * m) for m in mesh], axis=0)
+    mesh = grid.unit_cell_mesh() if grid.unit_shift_points is not None else grid.open_mesh()
+    return offset + amplitude * math.prod(np.sin(2.0 * np.pi * m) for m in mesh)
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray, weight=None) -> np.ndarray:
+    def resolvent_array(self, values: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """R(weight * values) on the grid, as a new C-contiguous real array.
 
         The product must vanish outside the support's box, which prunes the

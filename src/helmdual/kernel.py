@@ -1,18 +1,19 @@
-"""Spectral realization of the Helmholtz resolvent on a periodic box.
+"""The periodic box, its sampled fields and the symbols of the Helmholtz resolvent.
 
 The operator (-Delta - 1)^{-1} acts as the Fourier multiplier
 
     sigma(k) = (|k|^2 - 1) / ((|k|^2 - 1)^2 + eps^2)
 
-on the discrete frequency lattice k = 2 pi m / L, m in [-n/2, n/2)^N.
-With eps = 0 this is the principal-value symbol 1/(|k|^2 - 1) and the
-construction requires every lattice point to stay off the unit shell;
-eps > 0 is the limiting-absorption regularization used for far-field
-experiments.  Only the real part of the outgoing fundamental solution
-enters, matching the dual variational formulation.
+on the discrete frequency lattice k = 2 pi m / L, m in [-n/2, n/2)^N
+(`helmholtz_multiplier`).  With eps = 0 this is the principal-value symbol
+1/(|k|^2 - 1) and the construction requires every lattice point to stay off
+the unit shell; eps > 0 is the limiting-absorption regularization used for
+far-field experiments.  Only the real part of the outgoing fundamental
+solution enters, matching the dual variational formulation.
+`helmholtz_symbol` is the symbol of the operator that sigma inverts.
 
-All operations are pure; numpy's pairwise summation keeps quadrature
-reductions deterministic.
+This module applies neither symbol: `FunctionalContext` (dual_functional)
+runs R and K for the solver, and the checks of R run that same operator.
 """
 
 import math
@@ -112,27 +113,24 @@ class GridSpec:
         """Distance of the frequency lattice to the unit shell, min ||k|^2 - 1|."""
         return float(np.abs(self.k_squared - 1.0).min())
 
-    def coordinate_mesh(self) -> list:
-        return np.meshgrid(*([self.axis_coordinates] * self.dimension), indexing="ij")
-
     def open_mesh(self) -> list:
         """Per-axis coordinate vectors shaped to broadcast against each other.
 
         An elementwise expression over them equals the same expression over
-        `coordinate_mesh()` bit for bit (a sum `(0 + a) + b + c` rounds in the
-        same order), without building N whole-grid arrays.
+        the full coordinate mesh bit for bit (a sum `(0 + a) + b + c` rounds
+        in the same order), without building N whole-grid arrays.
         """
         return np.meshgrid(*([self.axis_coordinates] * self.dimension), indexing="ij", sparse=True)
 
     def unit_cell_mesh(self) -> list:
-        """Coordinate mesh folded into [0, 1) per axis, bit-identical across
-        unit cells; sampling unit-periodic expressions on it makes them
-        exactly invariant under unit-cell rolls."""
+        """`open_mesh` folded into [0, 1) per axis, bit-identical across unit
+        cells; sampling unit-periodic expressions on it makes them exactly
+        invariant under unit-cell rolls."""
         ppu = self.unit_shift_points
         if ppu is None:
             raise GridMismatchError("grid does not support unit-cell translations")
         folded = (np.arange(self.points_per_axis) % ppu) * self.spacing
-        return np.meshgrid(*([folded] * self.dimension), indexing="ij")
+        return np.meshgrid(*([folded] * self.dimension), indexing="ij", sparse=True)
 
     @property
     def unit_shift_points(self):
@@ -197,17 +195,11 @@ class Field:
 
 
 def helmholtz_multiplier(grid: GridSpec) -> np.ndarray:
-    """Resolvent symbol over the frequency lattice.
-
-    Returns sigma(k) = (|k|^2 - 1)/((|k|^2 - 1)^2 + eps^2); for eps = 0 the
-    grid construction already guarantees no lattice resonance.
-    """
+    """Resolvent symbol sigma over the frequency lattice (module docstring); for
+    eps = 0 `GridSpec` already keeps every lattice point off the unit shell."""
     shifted = grid.k_squared - 1.0
-    eps = grid.shell_epsilon
-    if eps == 0.0 and np.abs(shifted).min() <= RESONANCE_TOL:
-        raise ShellResonanceError("lattice resonance at |k| = 1 with eps = 0")
     out = shifted ** 2
-    out += eps ** 2
+    out += grid.shell_epsilon ** 2
     return np.divide(shifted, out, out=out)
 
 
@@ -224,27 +216,12 @@ def helmholtz_symbol(shifted: np.ndarray, eps: float) -> np.ndarray:
     return extra
 
 
-def resolvent_apply(f: Field) -> Field:
-    """Apply R = (-Delta - 1)^{-1} (real part) as a Fourier multiplier."""
-    sigma = helmholtz_multiplier(f.grid)
-    out = np.fft.ifftn(sigma * np.fft.fftn(f.values)).real
-    return Field(f.grid, out)
-
-
-def spectral_laplacian(u: Field) -> Field:
-    """Laplacian via the -|k|^2 multiplier; annihilates constants."""
-    out = np.fft.ifftn(-u.grid.k_squared * np.fft.fftn(u.values)).real
-    return Field(u.grid, out)
-
-
-def fundamental_solution_psi(r, dimension: int):
+def fundamental_solution_psi(r):
     """Real part of the outgoing free-space fundamental solution of -Delta - 1
     in dimension 3, cos(r)/(4 pi r): the normalization for which
     (-Delta - 1) Psi = delta.  Validation helper only; the solver works with
     the lattice multiplier.
     """
-    if dimension != 3:
-        raise DomainError(f"fundamental_solution_psi is 3d only, got dimension {dimension}")
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
         raise DomainError("fundamental_solution_psi requires r > 0")

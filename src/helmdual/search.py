@@ -127,6 +127,8 @@ class DescentConfig:
         for name in ("tol_residual", "dedup_rel_threshold", "max_iters", "multistart_count"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed (the run's seed) must be nonnegative, got {self.rng_seed!r}")
 
 
 @dataclass
@@ -477,7 +479,7 @@ def _snap(ctx, v):
     """
     extent = ctx.grid.unit_shift_points if unit_periodic(ctx) else ctx.grid.points_per_axis
     dim = ctx.grid.dimension
-    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(ctx.q_support * v)))
+    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(v), ctx.q_root))
     level = _landscape(ctx, profile)
     stride = max(extent // 4, 1)
     shifts = itertools.product(range(0, extent, stride), repeat=dim)
@@ -806,7 +808,7 @@ def mass_centroid(ctx: FunctionalContext, v: Field) -> np.ndarray:
     L = ctx.grid.box_length
     if total == 0.0:
         return np.full(ctx.grid.dimension, L / 2.0)
-    mesh = ctx.grid.coordinate_mesh()
+    mesh = ctx.grid.open_mesh()
     out = np.empty(ctx.grid.dimension)
     for axis in range(ctx.grid.dimension):
         phase = np.sum(weight * np.exp(2j * np.pi * mesh[axis] / L))

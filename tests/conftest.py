@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual import BumpDescriptor, Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual.asymptotic import bump_profile
 from helmdual.dual_functional import sine_product
 
 
@@ -30,17 +31,29 @@ def make_constant_context(n=32, L=None, p=7.0, dimension=2, value=1.0, eps=0.0):
 def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
     """Compactly supported bump Q = exp(1 - 1/(1 - |x - c|^2/radius^2)) off the box center."""
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    center = [0.55 * L] + [0.5 * L] * (dimension - 1)
-    s2 = sum((m - c) ** 2 for m, c in zip(grid.coordinate_mesh(), center)) / radius ** 2
-    q = np.where(s2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - s2)), 0.0)
+    center = (0.55 * L,) + (0.5 * L,) * (dimension - 1)
+    q = bump_profile(grid, BumpDescriptor(center=center, radius=radius, amplitude=1.0))
     coeff = Coefficient.build(Field(grid, q), p, periodic=False)
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
 
 def mode_field(grid, m, kind="cos"):
-    mesh = grid.coordinate_mesh()
+    mesh = grid.open_mesh()
     phase = sum(2.0 * np.pi * mi * x / grid.box_length for mi, x in zip(m, mesh))
     return Field(grid, np.cos(phase) if kind == "cos" else np.sin(phase))
+
+
+def full_mesh(grid):
+    """The N whole-grid coordinate arrays, for oracles that need them unbroadcast."""
+    return np.broadcast_arrays(*grid.open_mesh())
+
+
+def dft_matrix(grid):
+    """Dense DFT matrix W of the grid in row-major order: W f.ravel() = fftn(f).ravel()."""
+    n = grid.points_per_axis
+    coords = np.stack([m.ravel() for m in np.meshgrid(
+        *([np.arange(n)] * grid.dimension), indexing="ij")], axis=1)
+    return np.exp(-2j * np.pi * coords @ coords.T / n)
 
 
 def random_field(ctx_or_grid, rng, scale=1.0):

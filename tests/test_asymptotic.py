@@ -37,7 +37,7 @@ class TestBuild:
         q = pair.coefficient.field.values
         q_inf = pair.coefficient_inf.field.values
         assert np.all(q >= q_inf)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         outside = sum((m - 3.0) ** 2 for m in mesh) > pair.bump.radius ** 2
         assert np.max(np.abs((q - q_inf)[outside])) == 0.0
         assert np.max(q - q_inf) > 0.0

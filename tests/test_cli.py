@@ -213,6 +213,30 @@ class TestErrors:
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, source):
+        # SeedSequence takes no negative seed; a --seed override meets the same rule
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text(f"mode = solve\ngrid.points_per_axis = 48\nseed = {-1 if source == 'config' else 3}\n")
+        out = tmp_path / "seed"
+        argv = ["solve", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv + (["--seed", "-1"] if source == "flag" else [])) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "must be nonnegative, got -1" in err
+        # the line of the file's seed only when the value came from the file
+        assert ("line 3:" in err) == (source == "config")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_worker_count_is_config_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HELMDUAL_THREADS", value)
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text("mode = solve\ngrid.points_per_axis = 48\ndescent.multistart_count = 1\n")
+        out = tmp_path / "workers"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: HELMDUAL_THREADS" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["descent.tol_residual = nan"])
     def test_bad_descent_value_is_config_error(self, tmp_path, line):
         cfg_file = tmp_path / "bad_descent.cfg"

@@ -72,6 +72,13 @@ grid.points_per_axis = 48
         cfg = parse_config("grid.points_per_axis = 32\n", mode_override="farfield")
         assert cfg.mode == "farfield"
 
+    def test_field_overrides_are_validated_in_place_of_the_file_values(self):
+        # the CLI's --seed and --out: a bad file value is replaced, a bad override rejected
+        cfg = parse_config("mode = solve\nseed = -1\n", seed=4, output_dir="runs")
+        assert (cfg.seed, cfg.output_dir) == (4, "runs")
+        with pytest.raises(ConfigTypeError, match="nonnegative"):
+            parse_config("mode = solve\nseed = 4\n", seed=-1)
+
     def test_invalid_mode_and_kind(self):
         with pytest.raises(ConfigTypeError):
             parse_config("mode = dance\n")

@@ -22,8 +22,10 @@ from helmdual import (
 )
 from helmdual.cli import build_coefficient
 from helmdual.dual_functional import sine_product
-from helmdual.kernel import fundamental_solution_psi, spectral_laplacian
+from helmdual.kernel import fundamental_solution_psi, helmholtz_symbol
 from conftest import (
+    dft_matrix,
+    full_mesh,
     make_bump_context,
     make_constant_context,
     make_sine_context,
@@ -73,11 +75,12 @@ def _context_with(dimension, p):
     lambda: SphereSamples(np.array([[1.0, 0.0]]), np.zeros(2)),
     lambda: equal_area_directions(4, 8),
     lambda: build_coefficient(RunConfig(mode="solve", coefficient_kind="tartan"), GridSpec(2, 6.0, 16)),
-    lambda: fundamental_solution_psi(1.0, 2),
+    lambda: DescentConfig(rng_seed=-1),
+    lambda: fundamental_solution_psi(0.0),
 ], ids=["grid_dimension", "grid_points", "field_shape", "field_finite", "exponents_window",
         "context_dimension", "context_p", "descent_tolerance", "descent_starts",
         "sphere_directions", "sphere_values", "directions_dimension", "coefficient_kind",
-        "psi_dimension"])
+        "descent_seed", "psi_radius"])
 def test_constructor_errors_are_typed(build):
     # DomainError is a HelmdualError for the CLI and a ValueError for callers
     with pytest.raises(DomainError) as err:
@@ -120,8 +123,7 @@ class TestCoefficient:
 
     def test_periodicity_enforced(self):
         g = GridSpec(2, 6.0, 48)
-        mesh = g.coordinate_mesh()
-        aperiodic = 1.0 + 0.1 * mesh[0]
+        aperiodic = 1.0 + 0.1 * full_mesh(g)[0]
         with pytest.raises(ValueError):
             Coefficient.build(Field(g, aperiodic), 7.0, periodic=True)
         coeff = Coefficient.build(Field(g, sine_product(g)), 7.0, periodic=True)
@@ -133,15 +135,17 @@ class TestCoefficient:
 
     @pytest.mark.parametrize("n", [48, 96])
     def test_sine_product_samples(self, n):
-        # the folded unit-cell mesh on a grid with unit shifts
+        # the folded unit-cell mesh on a grid with unit shifts; the open mesh
+        # multiplies as the whole-grid product does
         g = GridSpec(2, 6.0, n)
-        folded = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in g.unit_cell_mesh()], axis=0)
+        cell = np.broadcast_arrays(*g.unit_cell_mesh())
+        folded = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in cell], axis=0)
         assert np.array_equal(sine_product(g), folded)
         cfg = RunConfig(mode="solve", grid_points_per_axis=n)
         assert np.array_equal(build_coefficient(cfg, g).field.values, folded)
         # the plain mesh on a grid without them (6 does not divide n + 2)
         g = GridSpec(2, 6.0, n + 2)
-        plain = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in g.coordinate_mesh()], axis=0)
+        plain = 1.0 + 0.5 * np.prod([np.sin(2.0 * np.pi * m) for m in full_mesh(g)], axis=0)
         assert np.array_equal(sine_product(g), plain)
 
     @pytest.mark.parametrize("make", [make_bump_context, make_sine_context], ids=["bump", "sine"])
@@ -213,6 +217,19 @@ class TestSupport:
         got = ctx.apply_k_support(ctx.restrict(v))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_windowed_k_against_dense_dft_oracle(self, dimension):
+        # K = Q^{1/p} W^H diag(sigma) W Q^{1/p} / n^N with W the grid's dense DFT
+        ctx = make_bump_context(n=8, dimension=dimension, p=7.0 if dimension == 2 else 5.0)
+        ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
+        assert all(m < n for m, n in zip(ctx._k_window[0].shape, ctx.grid.shape))
+        v = np.random.default_rng(30).standard_normal(ctx.grid.size)
+        q = ctx.q_root.reshape(-1)
+        w = dft_matrix(ctx.grid)
+        want = q * (w.conj().T @ (ctx.sigma.reshape(-1) * (w @ (q * v)))).real / ctx.grid.size
+        got = ctx.apply_k(Field(ctx.grid, v)).values.reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("dimension,axis", [(2, 0), (2, 1), (3, 1)])
     def test_box_spanning_an_axis(self, dimension, axis):
         ctx = edge_context(dimension, axis)
@@ -264,12 +281,16 @@ class TestSupport:
         lambda: make_sine_context(n=48),
     ], ids=["compact_2d", "compact_3d", "full_2d"])
     def test_weighted_resolvent_is_bit_identical(self, make):
-        # dual_to_primal forms Q^{1/p} v on the support's box inside pruned_fftn
+        # dual_to_primal forms Q^{1/p} v on the support's box inside pruned_fftn,
+        # and the snap R(Q^{1/p} v) of a support vector v the same way
         ctx = make()
         v = np.random.default_rng(28).standard_normal(ctx.grid.shape)
-        want = ctx.resolvent_array(ctx.q_root * v)
+        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
         assert ctx.resolvent_array(v, ctx.q_root).tobytes() == want.tobytes()
         assert ctx.dual_to_primal(Field(ctx.grid, v)).values.tobytes() == want.tobytes()
+        vs = ctx.restrict(v)
+        snapped = ctx.resolvent_array(ctx.extend(ctx.q_support * vs), np.ones(ctx.grid.shape))
+        assert ctx.resolvent_array(ctx.extend(vs), ctx.q_root).tobytes() == snapped.tobytes()
 
     @pytest.mark.parametrize("kind", ["bump", "sine"])
     def test_k_results_do_not_alias(self, kind, sine_ctx):
@@ -461,7 +482,7 @@ class TestDualToPrimal:
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0) if kind == "bump_3d" else sine_ctx
         v = random_field(ctx, np.random.default_rng(29)).values
         want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        for got in (ctx.resolvent_array(ctx.q_root * v), ctx.dual_to_primal(Field(ctx.grid, v)).values):
+        for got in (ctx.resolvent_array(v, ctx.q_root), ctx.dual_to_primal(Field(ctx.grid, v)).values):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.base is None
             np.testing.assert_array_equal(got, want)
@@ -470,7 +491,7 @@ class TestDualToPrimal:
         rng = np.random.default_rng(9)
         v = random_field(sine_ctx, rng)
         u = sine_ctx.dual_to_primal(v)
-        lhs = np.fft.fftn((-spectral_laplacian(u) - u).values)
+        lhs = helmholtz_symbol(sine_ctx.grid.k_squared - 1.0, 0.0) * np.fft.fftn(u.values)
         rhs = np.fft.fftn(sine_ctx.q_root * v.values)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
@@ -488,7 +509,7 @@ class TestPrimalResidual:
         # (-Delta - 1) u = u for the |k|^2 = 2 mode, so the defect is
         # cos - |cos|^{p-2} cos; compare against direct quadrature of the
         # closed-form integrand.
-        vals = np.cos(2.0 * np.pi * ctx.grid.coordinate_mesh()[0] / ctx.grid.box_length)
+        vals = np.cos(2.0 * np.pi * full_mesh(ctx.grid)[0] / ctx.grid.box_length)
         defect = vals - odd_power(vals, p - 1.0)
         w = ctx.grid.weight
         res = (w * np.sum(np.abs(defect) ** pc)) ** (1.0 / pc)

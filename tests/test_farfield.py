@@ -13,6 +13,7 @@ import pytest
 
 from helmdual import farfield, selftest
 from helmdual import (
+    BumpDescriptor,
     Coefficient,
     DomainError,
     Exponents,
@@ -27,9 +28,10 @@ from helmdual import (
     farfield_amplitude,
     odd_power,
 )
-from helmdual.dual_functional import pruned_fftn
+from helmdual.asymptotic import bump_profile
 from helmdual.kernel import fundamental_solution_psi
 from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
+from conftest import full_mesh
 
 TESTS = Path(__file__).resolve().parent
 
@@ -37,11 +39,8 @@ TESTS = Path(__file__).resolve().parent
 def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, center=None):
     p = p or (7.0 if dimension == 2 else 5.0)
     grid = GridSpec(dimension, L, n, shell_epsilon=eps)
-    mesh = grid.coordinate_mesh()
     c = center or (L / 2.0,) * dimension
-    r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
-    s2 = r2 / radius ** 2
-    q = np.where(s2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-12, 1.0 - s2)), 0.0)
+    q = bump_profile(grid, BumpDescriptor(center=c, radius=radius, amplitude=1.0))
     coeff = Coefficient.build(Field(grid, q), p, periodic=False)
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
@@ -82,14 +81,14 @@ class TestAmplitude:
         # same integral only for smooth sources, so use a smooth bump u
         n = 64 if dimension == 2 else 48
         ctx = compact_context(dimension=dimension, n=n)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         r2 = sum((m - 8.0) ** 2 for m in mesh)
         u = Field(ctx.grid, np.exp(-r2 / 2.0) * (1.0 + 0.3 * (mesh[0] - 8.0)))
         dirs = equal_area_directions(dimension, 12)
         samples = farfield_amplitude(ctx, u, dirs)
 
         source = ctx.coefficient.field.values * odd_power(u.values, ctx.exponents.p - 1.0)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         center = ctx.grid.box_length / 2.0
         const = -0.25j * (2.0 * np.pi) ** (-(dimension - 1))
         for d, val in zip(dirs, samples.values):
@@ -100,7 +99,7 @@ class TestAmplitude:
     def test_point_source_nearly_isotropic(self):
         # a narrow centered source radiates with direction-independent |g|
         ctx = compact_context(radius=0.9)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         r2 = sum((m - 8.0) ** 2 for m in mesh)
         u = Field(ctx.grid, np.exp(-r2 / 0.18))
         samples = farfield_amplitude(ctx, u, equal_area_directions(2, 64))
@@ -119,7 +118,7 @@ class TestAmplitude:
 def synthetic_expansion_field(grid, k_plus=1.0):
     """Field built exactly from the leading-order expansion with a smooth
     polynomial amplitude; returns (field, matching SphereSamples)."""
-    mesh = grid.coordinate_mesh()
+    mesh = full_mesh(grid)
     center = grid.box_length / 2.0
     r = np.sqrt(sum((m - center) ** 2 for m in mesh))
     rs = np.maximum(r, grid.spacing / 2.0)
@@ -144,7 +143,7 @@ def looped_box_transform(ctx, source, wavevectors):
     """Reference: one wavevector at a time, contracting the axes in order."""
     grid = ctx.grid
     n, L = grid.points_per_axis, grid.box_length
-    coeffs = pruned_fftn(source, ctx.box) / grid.size
+    coeffs = np.fft.fftn(source) / grid.size
     lattice = grid.axis_frequencies
     parity = 1.0 - 2.0 * (np.abs(np.rint(lattice * L / (2.0 * np.pi)).astype(int)) % 2)
     nyquist = abs(lattice[n // 2])
@@ -170,7 +169,7 @@ def looped_box_transform(ctx, source, wavevectors):
 def full_support_context(dimension, n, L=8.0):
     """Q > 0 at every grid point, declared non-periodic: the box spans the grid."""
     grid = GridSpec(dimension, L, n)
-    mesh = grid.coordinate_mesh()
+    mesh = full_mesh(grid)
     q = 1.0 + 0.5 * np.prod([np.cos(2.0 * np.pi * m / L) for m in mesh], axis=0)
     p = 7.0 if dimension == 2 else 5.0
     coeff = Coefficient.build(Field(grid, q), p, periodic=False)
@@ -307,7 +306,7 @@ class TestDecayAndExpansion:
         # the ball-averaged error must fall off as 1/R
         ctx = compact_context(dimension=2, n=96)
         u, samples = synthetic_expansion_field(ctx.grid)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         blob = 0.3 * np.exp(-sum((m - 8.0) ** 2 for m in mesh) / 0.5)
         u = Field(ctx.grid, u.values + blob)
         report = decay_and_expansion_check(ctx, u, samples)
@@ -318,9 +317,9 @@ class TestDecayAndExpansion:
 
     def test_free_space_kernel_decay_exponent(self):
         ctx = compact_context(dimension=3, n=48)
-        mesh = ctx.grid.coordinate_mesh()
+        mesh = ctx.grid.open_mesh()
         r = np.sqrt(sum((m - 8.0) ** 2 for m in mesh))
-        psi = fundamental_solution_psi(np.maximum(r, 1e-3), 3)
+        psi = fundamental_solution_psi(np.maximum(r, 1e-3))
         report = decay_and_expansion_check(
             ctx, Field(ctx.grid, psi),
             SphereSamples(equal_area_directions(3, 84), np.zeros(84, complex)),
@@ -346,7 +345,7 @@ class TestDecayAndExpansion:
         dirs = equal_area_directions(dimension, 96)
         report = decay_and_expansion_check(ctx, u, SphereSamples(dirs, np.ones(len(dirs), complex)))
         r_min, r_max = radius_window(grid.box_length, grid.spacing)
-        radius = np.sqrt(sum((m - grid.box_length / 2.0) ** 2 for m in grid.coordinate_mesh()))
+        radius = np.sqrt(sum((m - grid.box_length / 2.0) ** 2 for m in grid.open_mesh()))
         edges = np.linspace(r_min, r_max, 9)
         masks = [(radius >= lo) & (radius < hi) for lo, hi in zip(edges[:-1], edges[1:])]
         want = [float(np.abs(u.values[mask]).mean()) for mask in masks if mask.sum() >= 8]
@@ -421,7 +420,7 @@ def test_selftest_synthetic_field_is_the_mesh_formula(monkeypatch):
     ok, _ = selftest.check_farfield_synthetic()
     assert ok
     grid = fields[0].grid
-    mesh = grid.coordinate_mesh()
+    mesh = full_mesh(grid)
     center = grid.box_length / 2.0
     rs = np.maximum(np.sqrt(sum((m - center) ** 2 for m in mesh)), grid.spacing / 2)
     xhat = np.stack([(m - center) for m in mesh], axis=-1) / rs[..., None]

@@ -56,14 +56,14 @@ def mesh_initial_field(ctx, rng):
         width = max(L / 7.0, 3.0 * grid.spacing)
     else:
         q = ctx.coefficient.field.values
-        mesh = grid.coordinate_mesh()
+        mesh = grid.open_mesh()
         total = q.sum()
         centroid = np.array([float((q * m).sum() / total) for m in mesh])
         dist2 = sum((m - c) ** 2 for m, c in zip(mesh, centroid))
         support_radius = float(np.sqrt(dist2[q > 0].max()))
         center = centroid + rng.normal(scale=L / 32.0, size=dim)
         width = max(support_radius / 2.0, 3.0 * grid.spacing)
-    mesh = grid.coordinate_mesh()
+    mesh = grid.open_mesh()
     dist2 = np.zeros(grid.shape)
     for axis in range(dim):
         d = np.abs(mesh[axis] - center[axis])
