@@ -39,7 +39,6 @@ from .search import (
     initial_field,
     multistart_search,
     orbit_distance,
-    ps_boundedness_check,
     recenter,
 )
 from .asymptotic import (
@@ -64,5 +63,6 @@ from .config import (
     serialize_config,
     write_field,
 )
+from .selftest import ps_boundedness_check
 
 __version__ = "0.1.0"

@@ -24,9 +24,12 @@ with Q = 1, `dual_to_primal` and `apply_k` are R itself.
 K is one FFT pair on a window grid around the bounding box of S (`box`).
 R is the circular convolution with the torus kernel r = ifftn(sigma), and
 between two points of a box of w_d points per axis only the 2 w_d - 1
-differences |d_i| <= w_d - 1 occur.  So K convolves on a window grid of
-M_d >= 2 w_d - 1 points per axis (the smallest 2*3*5-smooth size, or n_d
-itself when that is not smaller) with r cut to those differences: the
+differences |d_i| <= w_d - 1 occur.  On a window of M_d points per axis the
+differences d and d - M_d share a slot; at M_d = 2 w_d - 2 only w_d - 1 and
+-(w_d - 1) do, and r takes one value there, since sigma is even along every
+axis.  So K convolves on a window grid of M_d >= max(1, 2 w_d - 2) points per
+axis (the smallest 2*3*5-smooth size, or n_d itself when that is not
+smaller) with r cut to those differences: the
 zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
@@ -287,7 +290,7 @@ class FunctionalContext:
         shape, cut = [], []
         for axis, (span, n) in enumerate(zip(box, self.grid.shape)):
             w = span.stop - span.start
-            m = min(n, _smooth_size(2 * w - 1))
+            m = min(n, _smooth_size(max(1, 2 * w - 2)))
             shape.append(m)
             if m == n:
                 continue

@@ -215,15 +215,3 @@ def helmholtz_symbol(shifted: np.ndarray, eps: float) -> np.ndarray:
     extra += shifted
     return extra
 
-
-def fundamental_solution_psi(r):
-    """Real part of the outgoing free-space fundamental solution of -Delta - 1
-    in dimension 3, cos(r)/(4 pi r): the normalization for which
-    (-Delta - 1) Psi = delta.  Validation helper only; the solver works with
-    the lattice multiplier.
-    """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("fundamental_solution_psi requires r > 0")
-    out = np.cos(arr) / (4.0 * np.pi * arr)
-    return float(out) if np.ndim(r) == 0 else out

@@ -792,7 +792,11 @@ def _within_orbit(ctx, v, w, radius):
     squares = np.maximum(norms - 2.0 * np.stack([inner, -inner], axis=1) - slack, 0.0)
     floors = ctx.weight * squares * peak ** (pc - 2.0)
     # the relative margin covers the rounding of the floors and of the exact norms
-    candidates = np.flatnonzero(floors.ravel() <= radius ** pc * (1.0 + 1e-12))
+    try:
+        limit = radius ** pc * (1.0 + 1e-12)
+    except OverflowError:  # a radius beyond every float bound: each pair gets the exact norm
+        limit = np.inf
+    candidates = np.flatnonzero(floors.ravel() <= limit)
     for k in candidates[np.argsort(floors.ravel()[candidates], kind="stable")]:
         shift, sign = divmod(int(k), 2)
         rolled = _cell_roll(wv, tuple(int(c) for c in index[:, shift]), shift_pts)
@@ -980,10 +984,3 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
         outcomes=outcomes,
     )
 
-
-def ps_boundedness_check(ctx: FunctionalContext, v_norms, C: float) -> bool:
-    """Palais-Smale norm bound on iterate norms ||v||_{p'} (a record's v_norms):
-    every one satisfies ||v||_{p'}^{p'-1} <= max(1, C / (1/p' - 1/2))."""
-    pc = ctx.exponents.p_conj
-    bound = max(1.0, C / (1.0 / pc - 0.5))
-    return bool(np.all(np.asarray(v_norms, dtype=float) ** (pc - 1.0) <= bound))

@@ -4,6 +4,7 @@ import pytest
 from helmdual import BumpDescriptor, Coefficient, Exponents, Field, FunctionalContext, GridSpec
 from helmdual.asymptotic import bump_profile
 from helmdual.dual_functional import sine_product
+from helmdual.selftest import mode_field, random_field  # noqa: F401  (shared with the tests)
 
 
 def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
@@ -37,12 +38,6 @@ def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
     return FunctionalContext(grid, Exponents(dimension, p), coeff)
 
 
-def mode_field(grid, m, kind="cos"):
-    mesh = grid.open_mesh()
-    phase = sum(2.0 * np.pi * mi * x / grid.box_length for mi, x in zip(m, mesh))
-    return Field(grid, np.cos(phase) if kind == "cos" else np.sin(phase))
-
-
 def full_mesh(grid):
     """The N whole-grid coordinate arrays, for oracles that need them unbroadcast."""
     return np.broadcast_arrays(*grid.open_mesh())
@@ -54,11 +49,6 @@ def dft_matrix(grid):
     coords = np.stack([m.ravel() for m in np.meshgrid(
         *([np.arange(n)] * grid.dimension), indexing="ij")], axis=1)
     return np.exp(-2j * np.pi * coords @ coords.T / n)
-
-
-def random_field(ctx_or_grid, rng, scale=1.0):
-    grid = getattr(ctx_or_grid, "grid", ctx_or_grid)
-    return Field(grid, scale * rng.standard_normal(grid.shape))
 
 
 @pytest.fixture(scope="session")

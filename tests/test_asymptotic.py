@@ -11,6 +11,7 @@ from helmdual import (
     transplant,
 )
 from helmdual.asymptotic import bump_profile
+from helmdual.selftest import IDENTITY_TOL, transplant_identity_error
 from conftest import make_sine_context, random_field
 
 
@@ -80,10 +81,7 @@ class TestTransplant:
         rng = np.random.default_rng(1)
         w = random_field(ctx, rng)
         v = transplant(pair, w)
-        lhs = pair.coefficient.q_root.values * v.values
-        rhs = pair.coefficient_inf.q_root.values * w.values
-        scale = np.max(np.abs(rhs))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+        assert transplant_identity_error(pair, w, v) <= IDENTITY_TOL
 
         # identical sandwiched fields give identical quadratic forms
         from helmdual import FunctionalContext

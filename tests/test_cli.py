@@ -146,6 +146,15 @@ class TestSolveMode:
         cfg_text = (out1 / "effective_config.cfg").read_text()
         assert "seed = 777" in cfg_text
 
+    def test_dedup_threshold_past_the_float_range(self, tmp_path):
+        # at 1e270 the dedup radius to the power p' overflows a float; every
+        # pair then gets the exact norm, and the run ends as it does at 1e200
+        runs = [run_cli(tmp_path, f"dedup_{t}", SOLVE_CFG + f"descent.dedup_rel_threshold = {t}\n", "solve")
+                for t in ("1e200", "1e270")]
+        assert [status for status, _ in runs] == [0, 0]
+        rows = [read_rows(out / "solutions.csv") for _, out in runs]
+        assert len(rows[0]) == 2 and rows[1] == rows[0]
+
 
 class TestCompareMode:
     def test_zero_amplitude_gap_within_noise(self, tmp_path):

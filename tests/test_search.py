@@ -24,6 +24,7 @@ from helmdual import (
     orbit_distance,
     ps_boundedness_check,
 )
+from helmdual import selftest as battery
 from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scored
 from conftest import make_bump_context, make_sine_context, random_field
 
@@ -172,9 +173,7 @@ class TestFindCriticalPoint:
         assert rerun.dual_residual <= MINI_CFG.tol_residual
 
     def test_monotone_energy_along_descent(self, mini_result):
-        for rec in mini_result.records:
-            diffs = np.diff(rec.j_values)
-            assert diffs.max(initial=-np.inf) <= 1e-12
+        assert battery.level_increase(mini_result.records) <= battery.MONOTONE_TOL
 
     def test_recorded_levels_match_fresh_energy(self, monkeypatch):
         # start 4 of the reference solve takes Anderson mixes with large
@@ -210,7 +209,7 @@ class TestFindCriticalPoint:
         for rec in mini_result.records:
             assert rec.level > 0.0
             assert rec.dual_residual <= MINI_CFG.tol_residual
-            assert rec.primal_residual <= 1e-6
+            assert rec.primal_residual <= battery.PRIMAL_TOL
             assert rec.iterations <= MINI_CFG.max_iters
             assert rec.j_values.shape == rec.grad_norms.shape == rec.v_norms.shape
             assert len(rec.v_norms) >= 1
@@ -533,7 +532,7 @@ class TestPositionLandscape:
             if snaps:
                 # the snap was accepted as step SNAP_AFTER + 1, with a strict decrease
                 assert rec.j_values[SNAP_AFTER + 1] == snaps[0][2] < rec.j_values[SNAP_AFTER]
-            assert np.diff(rec.j_values).max() <= 1e-12
+            assert battery.level_increase([rec]) <= battery.MONOTONE_TOL
 
     def test_critical_shifts_of_a_cosine(self):
         # cos x + cos y on a 16-point cell: one minimum, one maximum, two saddles
@@ -587,14 +586,7 @@ class TestMultistart:
             assert status in ("converged", "max_iters", "not_in_u_plus")
 
     def test_records_distinct(self, mini_ctx, mini_result):
-        pc = mini_ctx.exponents.p_conj
-        recs = mini_result.records
-        for i, a in enumerate(recs):
-            for b in recs[i + 1:]:
-                scale = max(a.v_star.lp_norm(pc), b.v_star.lp_norm(pc))
-                assert orbit_distance(mini_ctx, a.v_star, b.v_star) > (
-                    MINI_CFG.dedup_rel_threshold * scale
-                )
+        assert battery.orbit_separation(mini_ctx, mini_result.records) > MINI_CFG.dedup_rel_threshold
 
     def test_level_estimate_is_minimum(self, mini_result):
         assert mini_result.level_estimate == min(r.level for r in mini_result.records)
