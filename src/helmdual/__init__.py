@@ -30,7 +30,7 @@ from .kernel import (
     GridSpec,
     helmholtz_multiplier,
 )
-from .dual_functional import Coefficient, Exponents, FunctionalContext, odd_power
+from .dual_functional import Exponents, FunctionalContext, odd_power
 from .search import (
     DescentConfig,
     MultistartResult,

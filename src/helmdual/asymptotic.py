@@ -21,7 +21,7 @@ from .errors import (
     NotInUPlusError,
     SupportOverflowError,
 )
-from .dual_functional import Coefficient, Exponents, FunctionalContext
+from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
 from .search import DescentConfig, find_critical_point, multistart_search
 
@@ -37,10 +37,10 @@ class BumpDescriptor:
 
 @dataclass
 class AsymptoticPair:
-    """Perturbed coefficient Q = Q_inf + bump with its periodic background."""
+    """The context of Q = Q_inf + bump with the context of its periodic background."""
 
-    coefficient: Coefficient
-    coefficient_inf: Coefficient
+    ctx: FunctionalContext
+    ctx_inf: FunctionalContext
     bump: BumpDescriptor
 
 
@@ -68,9 +68,9 @@ def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
     return out
 
 
-def build_asymptotic_coefficient(q_inf: Coefficient, bump: BumpDescriptor) -> AsymptoticPair:
-    """Attach a compact nonnegative bump to a periodic background coefficient."""
-    grid = q_inf.field.grid
+def build_asymptotic_coefficient(ctx_inf: FunctionalContext, bump: BumpDescriptor) -> AsymptoticPair:
+    """Attach a compact nonnegative bump to the coefficient of a periodic background."""
+    grid = ctx_inf.grid
     if bump.amplitude < 0.0:
         raise DomainError("bump amplitude must be nonnegative")
     if bump.radius <= 0.0:
@@ -82,9 +82,8 @@ def build_asymptotic_coefficient(q_inf: Coefficient, bump: BumpDescriptor) -> As
             raise SupportOverflowError(
                 f"bump support [{c - bump.radius}, {c + bump.radius}] leaves the box"
             )
-    q_values = q_inf.field.values + bump_profile(grid, bump)
-    coefficient = Coefficient.build(Field(grid, q_values), q_inf.p, periodic=False)
-    return AsymptoticPair(coefficient=coefficient, coefficient_inf=q_inf, bump=bump)
+    q = Field(grid, ctx_inf.q + bump_profile(grid, bump))
+    return AsymptoticPair(ctx=FunctionalContext(q, ctx_inf.exponents.p), ctx_inf=ctx_inf, bump=bump)
 
 
 def transplant(pair: AsymptoticPair, w: Field) -> Field:
@@ -94,23 +93,17 @@ def transplant(pair: AsymptoticPair, w: Field) -> Field:
     Q^{1/p} v = Q_inf^{1/p} w, so both quadratic forms coincide exactly and
     ||v||_{p'} <= ||w||_{p'}.
     """
-    q = pair.coefficient.field.values
-    q_inf = pair.coefficient_inf.field.values
+    q, q_inf = pair.ctx.q, pair.ctx_inf.q
     if np.any(q < q_inf):
         raise HypothesisViolatedError("transplant requires Q >= Q_inf pointwise")
-    p = pair.coefficient.p
+    p = pair.ctx.exponents.p
     ratio = np.zeros_like(q)
     positive = q_inf > 0.0
     ratio[positive] = (q_inf[positive] / q[positive]) ** (1.0 / p)
     return Field(w.grid, ratio * w.values)
 
 
-def compare_levels(
-    pair: AsymptoticPair,
-    exponents: Exponents,
-    cfg: DescentConfig,
-    workers: int = 1,
-) -> CompareReport:
+def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -> CompareReport:
     """Estimate the perturbed and background levels with identical budgets.
 
     Both searches run from the same seed sequence.  The best background
@@ -119,9 +112,7 @@ def compare_levels(
     the transplant joins the perturbed-side estimate (the same mechanism the
     level comparison rests on).
     """
-    grid = pair.coefficient.field.grid
-    ctx_q = FunctionalContext(grid, exponents, pair.coefficient)
-    ctx_inf = FunctionalContext(grid, exponents, pair.coefficient_inf)
+    ctx_q, ctx_inf = pair.ctx, pair.ctx_inf
 
     result_inf = multistart_search(ctx_inf, cfg, workers=workers)
     result_q = multistart_search(ctx_q, cfg, workers=workers)

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
-from .dual_functional import Coefficient, Exponents, FunctionalContext, sine_product
+from .dual_functional import FunctionalContext, sine_product
 from .errors import DomainError, FieldFileError, HelmdualError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
-from .search import multistart_search, unit_periodic
+from .search import multistart_search
 from .selftest import run_selftest
 
 FLOAT_FORMAT = "%.17g"
@@ -43,16 +43,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def build_grid(cfg: cfgmod.RunConfig) -> GridSpec:
-    return GridSpec(
+def build_context(cfg: cfgmod.RunConfig) -> FunctionalContext:
+    """The context of the configured grid, coefficient and p.  `coefficient.periodic`
+    declares Q unit-periodic for every kind but `compact_bump`, which never is."""
+    grid = GridSpec(
         dimension=cfg.grid_dimension,
         box_length=cfg.grid_box_length,
         points_per_axis=cfg.grid_points_per_axis,
         shell_epsilon=cfg.grid_shell_epsilon,
     )
-
-
-def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
     kind = cfg.coefficient_kind
     if kind == "constant":
         values = np.full(grid.shape, cfg.coefficient_value)
@@ -72,14 +71,8 @@ def build_coefficient(cfg: cfgmod.RunConfig, grid: GridSpec) -> Coefficient:
         values = field.values
     else:  # pragma: no cover - guarded by config validation
         raise DomainError(f"unknown coefficient kind {kind!r}")
-    periodic = cfg.coefficient_periodic and kind in ("constant", "sine_product", "file")
-    return Coefficient.build(Field(grid, values), cfg.exponents_p, periodic=periodic)
-
-
-def build_context(cfg: cfgmod.RunConfig) -> FunctionalContext:
-    grid = build_grid(cfg)
-    exps = Exponents(cfg.grid_dimension, cfg.exponents_p)
-    return FunctionalContext(grid, exps, build_coefficient(cfg, grid))
+    periodic = cfg.coefficient_periodic and kind != "compact_bump"
+    return FunctionalContext(Field(grid, values), cfg.exponents_p, periodic=periodic)
 
 
 def _workers() -> int:
@@ -159,8 +152,8 @@ _SOLUTION_HEADER = [
 
 def _position(ctx, rec) -> str:
     """Grid index of the peak of |u| modulo the unit cell; blank unless Q is
-    unit-periodic on a grid with unit shifts."""
-    if not unit_periodic(ctx):
+    declared unit-periodic."""
+    if not ctx.periodic:
         return ""
     peak = np.unravel_index(np.argmax(np.abs(rec.u_star.values)), ctx.grid.shape)
     return " ".join(str(int(i) % ctx.grid.unit_shift_points) for i in peak)
@@ -184,13 +177,12 @@ def _run_solve(cfg, out: _OutputDir) -> int:
 
 
 def _run_compare(cfg, out: _OutputDir) -> int:
-    grid = build_grid(cfg)
-    exps = Exponents(cfg.grid_dimension, cfg.exponents_p)
-    q_inf = build_coefficient(cfg, grid)
+    ctx_inf = build_context(cfg)
+    grid = ctx_inf.grid
     center = cfg.bump_center or (grid.box_length / 2.0,) * grid.dimension
     bump = BumpDescriptor(center=tuple(center), radius=cfg.bump_radius, amplitude=cfg.bump_amplitude)
-    pair = build_asymptotic_coefficient(q_inf, bump)
-    report = compare_levels(pair, exps, cfgmod.descent_config(cfg), workers=_workers())
+    pair = build_asymptotic_coefficient(ctx_inf, bump)
+    report = compare_levels(pair, cfgmod.descent_config(cfg), workers=_workers())
     out.write_csv(
         "compare.csv",
         ["c_est", "c_inf_est", "gap", "transplant_check", "transplant_level",

@@ -159,53 +159,39 @@ class Exponents:
         return self.p / (self.p - 1.0)
 
 
-@dataclass
-class Coefficient:
-    """Nonnegative bounded coefficient Q with its cached root Q^{1/p}."""
+class FunctionalContext:
+    """The pair (Q, p) on Q's grid, with cached spectral data.
 
-    field: Field
-    q_root: Field
-    p: float
-    periodic: bool = False
+    Q must be nonnegative and not identically zero; `periodic` declares it
+    unit-periodic, which needs a grid with unit shifts and is checked.  It
+    is the setting of Z^N orbits, recentering and the position landscape.
+    """
 
-    @classmethod
-    def build(cls, q: Field, p: float, periodic: bool = False) -> "Coefficient":
+    def __init__(self, q: Field, p: float, periodic: bool = False):
+        grid = q.grid
         vals = q.values
         if np.any(vals < 0.0):
             raise DomainError("coefficient must be nonnegative")
         if not np.any(vals > 0.0):
             raise DomainError("coefficient must not vanish identically")
         if periodic:
-            shift = q.grid.unit_shift_points
+            shift = grid.unit_shift_points
             if shift is None:
                 raise GridMismatchError(
                     "unit-periodic coefficient needs points_per_axis divisible by box_length"
                 )
-            for axis in range(q.grid.dimension):
+            for axis in range(grid.dimension):
                 if not np.array_equal(np.roll(vals, shift, axis=axis), vals):
                     raise DomainError(f"coefficient not unit-periodic along axis {axis}")
-        root = np.zeros_like(vals)
-        np.power(vals, 1.0 / p, out=root, where=vals > 0.0)  # 0^{1/p} = 0 exactly
-        return cls(field=q, q_root=Field(q.grid, root), p=p, periodic=periodic)
-
-
-class FunctionalContext:
-    """Grid, exponents and coefficient bundled with cached spectral data."""
-
-    def __init__(self, grid: GridSpec, exponents: Exponents, coefficient: Coefficient):
-        if coefficient.field.grid != grid:
-            raise GridMismatchError("coefficient sampled on a different grid")
-        if exponents.dimension != grid.dimension:
-            raise DomainError("exponents and grid disagree on the dimension")
-        if coefficient.p != exponents.p:
-            raise DomainError("coefficient root cached for a different p")
         self.grid = grid
-        self.exponents = exponents
-        self.coefficient = coefficient
+        self.exponents = Exponents(grid.dimension, p)
+        self.q = vals
+        self.periodic = periodic
         self.sigma = helmholtz_multiplier(grid)
-        self.q_root = coefficient.q_root.values
+        self.q_root = np.zeros_like(vals)
+        np.power(vals, 1.0 / p, out=self.q_root, where=vals > 0.0)  # 0^{1/p} = 0 exactly
         self.weight = grid.weight
-        # Coefficient.build rejects Q == 0, so the support is never empty
+        # Q == 0 is rejected above, so the support is never empty
         self.support = np.flatnonzero(self.q_root > 0.0)
         self.full_support = self.support.size == grid.size
         self.q_support = self.restrict(self.q_root)
@@ -248,7 +234,7 @@ class FunctionalContext:
         support point: where a start on a non-periodic Q is centred, and how
         wide its bump is.  Three whole-grid products, so taken once."""
         grid = self.grid
-        q = self.coefficient.field.values
+        q = self.q
         total = q.sum()
         centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
         local = np.unravel_index(self.support, grid.shape)
@@ -416,7 +402,7 @@ class FunctionalContext:
         spec *= helmholtz_symbol(self.grid.k_squared[..., :shape[-1] // 2 + 1] - 1.0,
                                  self.grid.shell_epsilon)
         lhs = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
-        q = self.restrict(self.coefficient.field.values)
+        q = self.restrict(self.q)
         rhs = q * odd_power(self.restrict(vals), p - 1.0)
         lhs_s = self.restrict(lhs)
         off = 0.0

@@ -159,7 +159,7 @@ def farfield_amplitude(
         )
     dirs = np.asarray(directions, dtype=float)
     box = ctx.box or (slice(0, grid.points_per_axis),) * grid.dimension
-    source = ctx.coefficient.field.values[box] * odd_power(u.values[box], ctx.exponents.p - 1.0)
+    source = ctx.q[box] * odd_power(u.values[box], ctx.exponents.p - 1.0)
     transform = _box_transform(ctx, source, wavenumber * dirs)
     constant = -0.25j * (2.0 * np.pi) ** (-(grid.dimension - 1))
     return SphereSamples(directions=dirs, values=constant * transform)

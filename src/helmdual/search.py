@@ -31,7 +31,7 @@ Two accelerations wrap the plain iteration without weakening the gate:
   three candidates passes raises MaxIterationsError ("line search stalled").
 
 For a Q with full support, the level of one bump profile depends on where
-it sits: in the unit cell for a unit-periodic Q on a grid with unit shifts,
+it sits: in the unit cell for a Q declared unit-periodic (`ctx.periodic`),
 whose solutions come as Z^N translates of bumps, and in the whole box
 otherwise (for a periodic background plus a bump, in or out of the bump's
 well).  That position landscape is shallow (about 1e-4 relative in the
@@ -381,12 +381,6 @@ class _AndersonWindow:
         return theta @ self.images[0], theta @ self.images[1]
 
 
-def unit_periodic(ctx):
-    """Whether Q is unit-periodic on a grid with unit shifts: the setting of
-    Z^N orbits, recentering and the position landscape."""
-    return ctx.coefficient.periodic and ctx.grid.unit_shift_points is not None
-
-
 def _finish(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
     """SolutionRecord of the support vector v with its image kv and dual residual res."""
     vf = Field(ctx.grid, ctx.extend(v))
@@ -445,7 +439,7 @@ def _landscape(ctx, profile):
     phi = profile[0]
     axes = tuple(range(phi.ndim))
     mass = np.abs(phi) ** pc
-    q = ctx.coefficient.field.values
+    q = ctx.q
     n = ctx.grid.points_per_axis
     sigma = ctx.sigma[..., : n // 2 + 1] * (ctx.weight / ctx.grid.size)
     sigma[..., 1 : n // 2] *= 2.0
@@ -477,7 +471,7 @@ def _snap(ctx, v):
     Returns the scored placement at the best shift, or None when no shift is
     in U^+.
     """
-    extent = ctx.grid.unit_shift_points if unit_periodic(ctx) else ctx.grid.points_per_axis
+    extent = ctx.grid.unit_shift_points if ctx.periodic else ctx.grid.points_per_axis
     dim = ctx.grid.dimension
     profile = _profile(ctx, ctx.resolvent_array(ctx.extend(v), ctx.q_root))
     level = _landscape(ctx, profile)
@@ -765,7 +759,7 @@ def _within_orbit(ctx, v, w, radius):
     pc = ctx.exponents.p_conj
     grid = v.grid
     dim = grid.dimension
-    if unit_periodic(ctx):
+    if ctx.periodic:
         shift_pts = grid.unit_shift_points
         cells = int(round(grid.box_length))
         vv, wv = v.values, w.values
@@ -825,7 +819,7 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     lands nearest the box center, and normalize the sign at the peak."""
     grid = ctx.grid
     shift_pts = grid.unit_shift_points
-    if unit_periodic(ctx):
+    if ctx.periodic:
         centroid = mass_centroid(ctx, record.v_star)
         cells = int(round(grid.box_length))
         shift_cells = tuple(
@@ -866,7 +860,7 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
     dim = grid.dimension
     box = ctx.box or tuple(slice(0, n) for _ in range(dim))
 
-    if ctx.coefficient.periodic:
+    if ctx.periodic:
         center = rng.uniform(0.0, L, size=dim)
         width = max(L / 7.0, 3.0 * grid.spacing)
     else:
@@ -973,7 +967,7 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     records.sort(key=_record_order)
 
     distinct = _dedup(ctx, cfg, records, [])
-    if unit_periodic(ctx):
+    if ctx.periodic:
         placed = [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)]
         placed.sort(key=_record_order)
         distinct = sorted(_dedup(ctx, cfg, placed, distinct), key=_record_order)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels, transplant
-from .dual_functional import Coefficient, Exponents, FunctionalContext, odd_power, sine_product
+from .dual_functional import FunctionalContext, odd_power, sine_product
 from .errors import (
     BadMagicError,
     DomainError,
@@ -235,8 +235,8 @@ def orbit_separation(ctx, records):
 def transplant_identity_error(pair, w, v):
     """Q^{1/p} v = Q_inf^{1/p} w for v = transplant(pair, w): the largest
     difference by the largest entry of the right side.  <= IDENTITY_TOL."""
-    lhs = pair.coefficient.q_root.values * v.values
-    rhs = pair.coefficient_inf.q_root.values * w.values
+    lhs = pair.ctx.q_root * v.values
+    rhs = pair.ctx_inf.q_root * w.values
     return np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-300)
 
 
@@ -274,14 +274,12 @@ def psi_closed_form_errors():
 
 def _context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2):
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    coeff = Coefficient.build(Field(grid, sine_product(grid)), p, periodic=True)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, sine_product(grid)), p, periodic=True)
 
 
 def _resolvent(grid):
     """R as the solver applies it: `dual_to_primal` with Q = 1 on a 2d grid."""
-    coeff = Coefficient.build(Field(grid, np.ones(grid.shape)), 7.0)
-    return FunctionalContext(grid, Exponents(2, 7.0), coeff).dual_to_primal
+    return FunctionalContext(Field(grid, np.ones(grid.shape)), 7.0).dual_to_primal
 
 
 def check_kernel_operator():
@@ -383,9 +381,8 @@ def check_search_mini():
 def check_asymptotic_mini():
     ctx = _context(n=48)
     bump = BumpDescriptor(center=(3.0, 3.0), radius=1.2, amplitude=0.3)
-    pair = build_asymptotic_coefficient(ctx.coefficient, bump)
-    q = pair.coefficient.field.values
-    q_inf = pair.coefficient_inf.field.values
+    pair = build_asymptotic_coefficient(ctx, bump)
+    q, q_inf = pair.ctx.q, pair.ctx_inf.q
     ok = bool(np.all(q >= q_inf))
     mesh = ctx.grid.open_mesh()
     outside = sum((m - 3.0) ** 2 for m in mesh) > bump.radius ** 2
@@ -398,7 +395,7 @@ def check_asymptotic_mini():
     ok &= v.lp_norm(ctx.exponents.p_conj) <= w.lp_norm(ctx.exponents.p_conj)
 
     cfg = DescentConfig(multistart_count=4, rng_seed=7, max_iters=1500)
-    report = compare_levels(pair, ctx.exponents, cfg)
+    report = compare_levels(pair, cfg)
     ok &= report.transplant_check
     ok &= level_excess(report) <= LEVEL_TOL and level_chain_slack(report) >= -CHAIN_TOL
     return ok, (f"transplant ident {ident:.1e}, c={report.c_est:.6f} <= "
@@ -407,13 +404,11 @@ def check_asymptotic_mini():
 
 def check_farfield_synthetic():
     grid = GridSpec(3, 16.0, 48, shell_epsilon=0.0)
-    exps = Exponents(3, 5.0)
     mesh = grid.open_mesh()
     center = grid.box_length / 2.0
     r2 = sum((m - center) ** 2 for m in mesh)
     q = bump_profile(grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))
-    coeff = Coefficient.build(Field(grid, q), exps.p, periodic=False)
-    ctx = FunctionalContext(grid, exps, coeff)
+    ctx = FunctionalContext(Field(grid, q), 5.0)
 
     # expansion-built field with a smooth amplitude reproduces itself
     dirs = equal_area_directions(3, 120)
@@ -442,8 +437,7 @@ def check_farfield_antisymmetry():
     # compactly supported coefficient for a far-field-style source
     grid = GridSpec(2, 16.0, 64)
     q = bump_profile(grid, BumpDescriptor(center=(8.0, 8.0), radius=2.0, amplitude=1.0))
-    coeff = Coefficient.build(Field(grid, q), 7.0, periodic=False)
-    ctx = FunctionalContext(grid, Exponents(2, 7.0), coeff)
+    ctx = FunctionalContext(Field(grid, q), 7.0)
     u = random_field(grid, np.random.default_rng(4))
     anti = conjugate_antisymmetry(farfield_amplitude(ctx, u, equal_area_directions(2, 32)))
     return anti <= ANTISYMMETRY_TOL, f"conjugate antisymmetry {anti:.2e}"

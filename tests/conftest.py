@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmdual import BumpDescriptor, Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual import BumpDescriptor, Field, FunctionalContext, GridSpec
 from helmdual.asymptotic import bump_profile
 from helmdual.dual_functional import sine_product
 from helmdual.selftest import mode_field, random_field  # noqa: F401  (shared with the tests)
@@ -16,8 +16,7 @@ def make_sine_context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2, periodic=True):
     runs, over the whole box instead of the unit cell.
     """
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    coeff = Coefficient.build(Field(grid, sine_product(grid)), p, periodic=periodic)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, sine_product(grid)), p, periodic=periodic)
 
 
 def make_constant_context(n=32, L=None, p=7.0, dimension=2, value=1.0, eps=0.0):
@@ -25,8 +24,7 @@ def make_constant_context(n=32, L=None, p=7.0, dimension=2, value=1.0, eps=0.0):
     if L is None:
         L = np.pi * np.sqrt(2.0)
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    coeff = Coefficient.build(Field(grid, np.full(grid.shape, value)), p, periodic=False)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, np.full(grid.shape, value)), p)
 
 
 def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
@@ -34,8 +32,7 @@ def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
     grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
     center = (0.55 * L,) + (0.5 * L,) * (dimension - 1)
     q = bump_profile(grid, BumpDescriptor(center=center, radius=radius, amplitude=1.0))
-    coeff = Coefficient.build(Field(grid, q), p, periodic=False)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, q), p)
 
 
 def full_mesh(grid):

@@ -16,9 +16,7 @@ import pytest
 
 from helmdual import (
     BumpDescriptor,
-    Coefficient,
     DescentConfig,
-    Exponents,
     Field,
     FunctionalContext,
     GridSpec,
@@ -63,10 +61,10 @@ def reference_run():
 def compare_run():
     ctx = make_sine_context(n=96, L=6.0, p=7.0)
     bump = BumpDescriptor(center=(3.0, 3.0), radius=1.2, amplitude=0.3)
-    pair = build_asymptotic_coefficient(ctx.coefficient, bump)
+    pair = build_asymptotic_coefficient(ctx, bump)
     cfg = DescentConfig(multistart_count=20, rng_seed=REFERENCE_SEED)
     t0 = time.time()
-    report = compare_levels(pair, ctx.exponents, cfg)
+    report = compare_levels(pair, cfg)
     elapsed = time.time() - t0
     return ctx, pair, report, elapsed
 
@@ -76,8 +74,7 @@ def farfield_run():
     grid = GridSpec(3, 16.0, 64, shell_epsilon=1.0)
     # an off-center source decoheres shell phases
     q = bump_profile(grid, BumpDescriptor(center=(9.2, 8.7, 8.4), radius=1.6, amplitude=2.0))
-    coeff = Coefficient.build(Field(grid, q), 5.0, periodic=False)
-    ctx = FunctionalContext(grid, Exponents(3, 5.0), coeff)
+    ctx = FunctionalContext(Field(grid, q), 5.0)
     cfg = DescentConfig(multistart_count=2, rng_seed=REFERENCE_SEED)
     t0 = time.time()
     result = multistart_search(ctx, cfg)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdual import BumpDescriptor, Coefficient, Field, GridSpec, build_asymptotic_coefficient, transplant
+from helmdual import BumpDescriptor, Field, FunctionalContext, GridSpec, build_asymptotic_coefficient, transplant
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 L = 8.0
@@ -28,7 +28,7 @@ def pairs(draw):
     radius = draw(st.floats(0.3, 2.0))
     center = tuple(draw(st.floats(radius, L - radius)) for _ in range(dimension))
     bump = BumpDescriptor(center, radius, draw(st.floats(0.0, 3.0)))
-    pair = build_asymptotic_coefficient(Coefficient.build(Field(grid, q_inf), p), bump)
+    pair = build_asymptotic_coefficient(FunctionalContext(Field(grid, q_inf), p), bump)
     return pair, Field(grid, rng.standard_normal(grid.shape))
 
 
@@ -38,8 +38,8 @@ def test_transplant_carries_the_sandwiched_field(drawn):
     # Q^{1/p} v = Q_inf^{1/p} w at every point, so both quadratic forms see one field
     pair, w = drawn
     v = transplant(pair, w)
-    lhs = pair.coefficient.q_root.values * v.values
-    rhs = pair.coefficient_inf.q_root.values * w.values
+    lhs = pair.ctx.q_root * v.values
+    rhs = pair.ctx_inf.q_root * w.values
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs))
 
 
@@ -47,5 +47,5 @@ def test_transplant_carries_the_sandwiched_field(drawn):
 @given(pairs())
 def test_transplant_does_not_grow_the_dual_norm(drawn):
     pair, w = drawn
-    pc = pair.coefficient.p / (pair.coefficient.p - 1.0)
+    pc = pair.ctx.exponents.p_conj
     assert transplant(pair, w).lp_norm(pc) <= w.lp_norm(pc)

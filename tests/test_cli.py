@@ -6,17 +6,13 @@ import json
 import os
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helmdual import (
-    Coefficient, Exponents, Field, FunctionalContext, GridSpec, parse_config, read_field,
-    write_field,
-)
+from helmdual import Field, GridSpec, parse_config, read_field, write_field
 from helmdual import search
-from helmdual.cli import _position, main, run_experiment
+from helmdual.cli import main, run_experiment
 
 SOLVE_CFG = """
 mode = solve
@@ -133,13 +129,18 @@ class TestSolveMode:
         assert status != 0
         assert "GridMismatchError" in (out / "error.json").read_text()
         assert (out / "manifest.csv").exists() and not (out / "solutions.csv").exists()
-        # a periodic Q built around that check still gets a blank position
-        grid = GridSpec(2, 6.0, 64)
-        ones = Field(grid, np.ones(grid.shape))
-        coef = Coefficient(field=ones, q_root=ones, p=8.0, periodic=True)
-        ctx = FunctionalContext(grid, Exponents(2, 8.0), coef)
-        rec = SimpleNamespace(u_star=ones)
-        assert _position(ctx, rec) == ""
+
+    def test_periodic_key_ignored_for_compact_bump(self, tmp_path):
+        # a compact bump is never declared unit-periodic: the default
+        # `coefficient.periodic = true` runs as `false` does
+        cfg = ("mode = solve\ngrid.points_per_axis = 48\ncoefficient.kind = compact_bump\n"
+               "descent.multistart_count = 2\nseed = 12345\n")
+        (status, out), (status_false, out_false) = [
+            run_cli(tmp_path, name, cfg + extra, "solve")
+            for name, extra in (("default", ""), ("false", "coefficient.periodic = false\n"))]
+        assert status == status_false == 0
+        for name in ("solutions.csv", "starts.csv"):
+            assert (out / name).read_bytes() == (out_false / name).read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
         _, out1 = run_cli(tmp_path, "seeded", SOLVE_CFG, "solve", seed=777)

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec
+from helmdual import Field, FunctionalContext, GridSpec
 from helmdual.dual_functional import abs_power, odd_power
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -38,7 +38,7 @@ def support_contexts(draw, full=False):
     if np.any(q[~holes] > 0.0):
         q[holes] = 0.0
     p = 7.0 if dimension == 2 else 5.0
-    return FunctionalContext(grid, Exponents(dimension, p), Coefficient.build(Field(grid, q), p)), rng
+    return FunctionalContext(Field(grid, q), p), rng
 
 
 @PROPERTY

@@ -14,9 +14,7 @@ import pytest
 from helmdual import farfield, selftest
 from helmdual import (
     BumpDescriptor,
-    Coefficient,
     DomainError,
-    Exponents,
     Field,
     FunctionalContext,
     GridSpec,
@@ -40,8 +38,7 @@ def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, cent
     grid = GridSpec(dimension, L, n, shell_epsilon=eps)
     c = center or (L / 2.0,) * dimension
     q = bump_profile(grid, BumpDescriptor(center=c, radius=radius, amplitude=1.0))
-    coeff = Coefficient.build(Field(grid, q), p, periodic=False)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, q), p)
 
 
 class TestDirections:
@@ -84,7 +81,7 @@ class TestAmplitude:
         dirs = equal_area_directions(dimension, 12)
         samples = farfield_amplitude(ctx, u, dirs)
 
-        source = ctx.coefficient.field.values * odd_power(u.values, ctx.exponents.p - 1.0)
+        source = ctx.q * odd_power(u.values, ctx.exponents.p - 1.0)
         mesh = ctx.grid.open_mesh()
         center = ctx.grid.box_length / 2.0
         const = -0.25j * (2.0 * np.pi) ** (-(dimension - 1))
@@ -106,8 +103,7 @@ class TestAmplitude:
     def test_coarse_grid_rejected(self):
         grid = GridSpec(2, 6.0, 8)
         q = np.ones(grid.shape)
-        coeff = Coefficient.build(Field(grid, q), 7.0, periodic=False)
-        ctx = FunctionalContext(grid, Exponents(2, 7.0), coeff)
+        ctx = FunctionalContext(Field(grid, q), 7.0)
         with pytest.raises(InterpolationDegenerateError):
             farfield_amplitude(ctx, Field(grid, q), equal_area_directions(2, 8))
 
@@ -169,15 +165,14 @@ def full_support_context(dimension, n, L=8.0):
     mesh = full_mesh(grid)
     q = 1.0 + 0.5 * np.prod([np.cos(2.0 * np.pi * m / L) for m in mesh], axis=0)
     p = 7.0 if dimension == 2 else 5.0
-    coeff = Coefficient.build(Field(grid, q), p, periodic=False)
-    return FunctionalContext(grid, Exponents(dimension, p), coeff)
+    return FunctionalContext(Field(grid, q), p)
 
 
 def check_against_loop(ctx, wavenumber):
     """_box_transform of a random source on ctx's box against the per-wavevector loop."""
     dimension, n = ctx.grid.dimension, ctx.grid.points_per_axis
     box = ctx.box or (slice(0, n),) * dimension
-    source = ctx.coefficient.field.values * np.random.default_rng(3).standard_normal(ctx.grid.shape)
+    source = ctx.q * np.random.default_rng(3).standard_normal(ctx.grid.shape)
     dirs = equal_area_directions(dimension, 24)
     # one wavevector on the lattice, where the per-axis sinc takes its series branch
     on_lattice = np.zeros((1, dimension))

@@ -34,8 +34,7 @@ MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
 def _bumped_sine_context(center):
     """mini_ctx's sine Q plus compare's bump at center: full support, not periodic."""
     ctx = make_sine_context(n=48)
-    pair = build_asymptotic_coefficient(ctx.coefficient, BumpDescriptor(center, 1.2, 0.3))
-    return FunctionalContext(ctx.grid, ctx.exponents, pair.coefficient)
+    return build_asymptotic_coefficient(ctx, BumpDescriptor(center, 1.2, 0.3)).ctx
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +51,11 @@ def mesh_initial_field(ctx, rng):
     """initial_field as it was written over coordinate meshes: the bit-for-bit reference."""
     grid = ctx.grid
     n, L, dim = grid.points_per_axis, grid.box_length, grid.dimension
-    if ctx.coefficient.periodic:
+    if ctx.periodic:
         center = rng.uniform(0.0, L, size=dim)
         width = max(L / 7.0, 3.0 * grid.spacing)
     else:
-        q = ctx.coefficient.field.values
+        q = ctx.q
         mesh = grid.open_mesh()
         total = q.sum()
         centroid = np.array([float((q * m).sum() / total) for m in mesh])
@@ -141,7 +140,7 @@ class TestWithinOrbitOnSupport:
         # a Q that is not unit-periodic has the identity as its only shift;
         # the test on support vectors must decide as the grid's exact formula does
         ctx = make()
-        assert ctx.box is not None and not search.unit_periodic(ctx)
+        assert ctx.box is not None and not ctx.periodic
         pc = ctx.exponents.p_conj
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -218,9 +217,9 @@ class TestFindCriticalPoint:
         ctx = make_bump_context()
         cfg = DescentConfig(multistart_count=1, max_iters=1500)
         v0 = initial_field(ctx, np.random.default_rng(11))
-        assert np.any(v0.values[ctx.coefficient.field.values == 0.0])
+        assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
-        assert np.all(rec.v_star.values[ctx.coefficient.field.values == 0.0] == 0.0)
+        assert np.all(rec.v_star.values[ctx.q == 0.0] == 0.0)
         assert ctx.dual_residual(rec.v_star) <= cfg.tol_residual
 
     def test_dual_to_primal_residual_chain(self, mini_result):

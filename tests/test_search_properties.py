@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdual import Coefficient, Exponents, Field, FunctionalContext, GridSpec, orbit_distance
+from helmdual import Field, FunctionalContext, GridSpec, orbit_distance
 from helmdual.dual_functional import sine_product
 from helmdual.search import _landscape, _placed, _profile, _within_orbit, initial_field
 from conftest import make_sine_context
@@ -34,8 +34,7 @@ def periodic_context(kind, rng, n=48, p=7.0):
                 phase = 2.0 * np.pi * (m[0] * mesh[0] + m[1] * mesh[1]) + rng.uniform(0.0, 2.0 * np.pi)
                 q += rng.normal() * np.cos(phase)
         q = 1.0 + 0.9 * q / np.abs(q).max() if kind == "modes" else np.maximum(q, 0.0)
-    coeff = Coefficient.build(Field(grid, q), p, periodic=True)
-    return FunctionalContext(grid, Exponents(2, p), coeff)
+    return FunctionalContext(Field(grid, q), p, periodic=True)
 
 
 @PROPERTY
