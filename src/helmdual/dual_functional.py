@@ -34,13 +34,21 @@ zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
 itself.  `resolvent_array` (`dual_to_primal`, the snap) needs R on the whole
-grid and prunes its forward transform to the box (`pruned_fftn`); it returns
-a contiguous real field.
+grid; on a compact box it scatters its source from S and prunes the forward
+transform to the box (`_resolve_support`), and it returns a contiguous real
+field.
+
+So a context keeps Q, S, q_S = Q_S^{1/p} and the window spectrum.  On full
+support that is all it needs: the window spectrum is sigma and
+extend(q_S) is Q^{1/p}, both views.  On compact support both are whole-grid
+arrays that no hot path reads, so `sigma` and `q_root` form them per call:
+the 3d far-field run holds Q and little else the size of its grid.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one real FFT pair, and forms Q |u|^{p-2} u on S only: off S
+eps = 0), as one real FFT pair, with |k|^2 formed on the half spectrum only,
+and forms Q |u|^{p-2} u on S only: off S
 the defect is the operator's image itself, so one power pass over the grid
 serves two of its three norms.
 """
@@ -52,25 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
-from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
-
-
-def pruned_fftn(values: np.ndarray, box, weight: np.ndarray) -> np.ndarray:
-    """fftn(weight * values) for a product that vanishes outside `box`, as a new complex array.
-
-    `box` is a tuple of per-axis slices, or None for the whole grid (one
-    plain `fftn`); the product is formed on the box only.  Axes run last to
-    first, as in `fftn`; the pass over axis d transforms only the lines whose
-    earlier axes lie in the box, since every other line still holds exact zeros.
-    """
-    if box is None:
-        return np.fft.fftn(weight * values)
-    spec = np.zeros(values.shape, dtype=complex)
-    spec[box] = weight[box] * values[box]
-    for d in reversed(range(values.ndim)):
-        block = spec[box[:d]]
-        np.fft.fftn(block, axes=(d,), out=block)
-    return spec
+from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol, squared_norm
 
 
 def _smooth_size(m: int) -> int:
@@ -187,19 +177,29 @@ class FunctionalContext:
         self.exponents = Exponents(grid.dimension, p)
         self.q = vals
         self.periodic = periodic
-        self.sigma = helmholtz_multiplier(grid)
-        self.q_root = np.zeros_like(vals)
-        np.power(vals, 1.0 / p, out=self.q_root, where=vals > 0.0)  # 0^{1/p} = 0 exactly
         self.weight = grid.weight
         # Q == 0 is rejected above, so the support is never empty
-        self.support = np.flatnonzero(self.q_root > 0.0)
+        self.support = np.flatnonzero(vals > 0.0)
         self.full_support = self.support.size == grid.size
-        self.q_support = self.restrict(self.q_root)
+        self.q_support = self.restrict(vals) ** (1.0 / p)
         # per-axis index range of the support; None when it spans the grid
         box = tuple(slice(int(idx.min()), int(idx.max()) + 1)
                     for idx in np.unravel_index(self.support, grid.shape))
         spans = all(b.stop - b.start == n for b, n in zip(box, grid.shape))
         self.box = None if spans else box
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The resolvent symbol on the grid (`kernel.helmholtz_multiplier`): K's
+        window spectrum when no window axis is cut, a new array otherwise."""
+        kernel = self._k_window[0]
+        return kernel if kernel.shape == self.grid.shape else helmholtz_multiplier(self.grid)
+
+    @property
+    def q_root(self) -> np.ndarray:
+        """Q^{1/p} on the grid, 0 off the support: a view of `q_support` on full
+        support, a new array otherwise."""
+        return self.extend(self.q_support)
 
     # -- quadrature helpers ------------------------------------------------
 
@@ -246,14 +246,33 @@ class FunctionalContext:
     def resolvent_array(self, values: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """R(weight * values) on the grid, as a new C-contiguous real array.
 
-        The product must vanish outside the support's box, which prunes the
-        forward transform (`pruned_fftn`, which also forms the product on the
-        box only); on a box that spans the grid this is one `fftn` and one
-        `ifftn`.  The real part is copied out of the complex work array, so
-        the result holds no complex buffer of twice its size alive.
+        The product must vanish off the support.  On a box that spans the grid
+        this is one `fftn` and one `ifftn`; otherwise the product is formed on
+        the support only and its forward transform is pruned to the box
+        (`_resolve_support`).  The real part is copied out of the complex work
+        array, so the result holds no complex buffer of twice its size alive.
         """
-        spec = pruned_fftn(values, self.box, weight)
+        if self.box is not None:
+            return self._resolve_support(self.restrict(weight) * self.restrict(values))
+        spec = np.fft.fftn(weight * values)
         spec *= self.sigma
+        return np.fft.ifftn(spec, out=spec).real.copy()
+
+    def _resolve_support(self, source: np.ndarray) -> np.ndarray:
+        """R of the support vector `source` on a compact box.  sigma, a new array
+        here, is formed before the complex spectrum and dropped once applied,
+        so at most three grid arrays are live.  The forward transform runs its
+        axes last to first, as `fftn` does, the pass over axis d only on the
+        lines whose earlier axes lie in the box: the others hold exact zeros.
+        """
+        sigma = self.sigma
+        spec = np.zeros(self.grid.shape, dtype=complex)
+        spec.reshape(-1)[self.support] = source
+        for d in reversed(range(spec.ndim)):
+            block = spec[self.box[:d]]
+            np.fft.fftn(block, axes=(d,), out=block)
+        spec *= sigma
+        del sigma
         return np.fft.ifftn(spec, out=spec).real.copy()
 
     @cached_property
@@ -268,11 +287,12 @@ class FunctionalContext:
         0 <= k_i <= n/2 only, counting 0 < k_i < n/2 twice: one cosine matrix
         per cut axis, applied without forming r on the grid, then one FFT over
         the cut axes.  The einsum contraction stays off BLAS, so the window
-        does not depend on the BLAS thread count.  On full support the
-        spectrum is sigma itself and the index slice(None), a view.
+        does not depend on the BLAS thread count.  With no cut axis the
+        spectrum is sigma itself, read-only, and on full support the index
+        is slice(None), a view.
         """
         box = self.box or tuple(slice(0, n) for n in self.grid.shape)
-        kernel = self.sigma
+        kernel = helmholtz_multiplier(self.grid)
         shape, cut = [], []
         for axis, (span, n) in enumerate(zip(box, self.grid.shape)):
             w = span.stop - span.start
@@ -291,6 +311,7 @@ class FunctionalContext:
             kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, half), 0, axis)
         if cut:
             kernel = np.fft.fftn(kernel, axes=cut).real.copy()
+        kernel.setflags(write=False)
         if self.full_support:
             return kernel, slice(None)
         local = np.unravel_index(self.support, self.grid.shape)
@@ -377,9 +398,12 @@ class FunctionalContext:
         return float(self._fibered(v)[1])
 
     def dual_to_primal(self, v: Field) -> Field:
-        """Primal reconstruction u = R(Q^{1/p} v)."""
+        """Primal reconstruction u = R(Q^{1/p} v); on a compact box q_S v_S is
+        scattered from the support, with no whole-grid Q^{1/p}."""
         vals = self._own(v)
-        return Field(self.grid, self.resolvent_array(vals, self.q_root))
+        if self.box is None:
+            return Field(self.grid, self.resolvent_array(vals, self.q_root))
+        return Field(self.grid, self._resolve_support(self.q_support * self.restrict(vals)))
 
     def primal_residual(self, u: Field) -> float:
         """Relative size of A u - Q |u|^{p-2} u in L^{p'}, A the operator that R inverts.
@@ -399,8 +423,11 @@ class FunctionalContext:
         p, pc = self.exponents.p, self.exponents.p_conj
         shape = self.grid.shape
         spec = np.fft.rfftn(vals)
-        spec *= helmholtz_symbol(self.grid.k_squared[..., :shape[-1] // 2 + 1] - 1.0,
-                                 self.grid.shell_epsilon)
+        k = self.grid.axis_frequencies
+        shifted = squared_norm([k] * (len(shape) - 1) + [k[:shape[-1] // 2 + 1]])  # rfftn's half
+        shifted -= 1.0
+        spec *= helmholtz_symbol(shifted, self.grid.shell_epsilon)
+        del shifted
         lhs = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
         q = self.restrict(self.q)
         rhs = q * odd_power(self.restrict(vals), p - 1.0)

@@ -19,7 +19,10 @@ compares only the power of r, so it stays constant-free.
 h vanishes off the support of Q, so the amplitude is a contraction over the
 support's box in real space (`_box_transform`), and the decay check builds
 its radius over the grid's open mesh: neither forms a whole-grid coordinate
-mesh or transforms a whole-grid array.
+mesh or transforms a whole-grid array.  The check streams its ball in blocks
+of rows: beyond one whole-grid radius, released before the ball, it holds
+three ball-sized vectors (flat indices, radii, squared mismatch) and one
+block of the interpolant's design, about BLOCK_BYTES.
 
 The check fits the sampled amplitudes by the sphere harmonics of degree at
 most FIT_DEGREE, written as the monomials whose last exponent is 0 or 1
@@ -223,19 +226,27 @@ def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
     return out.T
 
 
+def _row_blocks(count: int, dim: int, degree: int) -> list:
+    """(start, stop) of the blocks of `count` design rows of about BLOCK_BYTES each.
+
+    Blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter
+    rest, so a block that is passed on alone is one block again.
+    """
+    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))  # design row, power tables
+    rows = max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
+    starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
+    return list(zip([0] + starts, starts + [count]))
+
+
 def _sphere_interpolant(directions, fit, degree: int) -> np.ndarray:
-    """The fitted amplitude at unit directions, from one harmonic design of about
-    BLOCK_BYTES per block of rows and one product with the (real, imaginary)
+    """The fitted amplitude at unit directions, from one harmonic design per
+    block of rows (`_row_blocks`) and one product with the (real, imaginary)
     columns of `fit`, read as complex.  With one BLAS thread each value is
     bit-identical to the whole design's product (a block of a few rows would
     reach another kernel)."""
     count, dim = directions.shape
-    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))  # design row, power tables
-    rows = max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
-    # blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter rest
-    starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
     out = np.empty((count, 2))
-    for start, stop in zip([0] + starts, starts + [count]):
+    for start, stop in _row_blocks(count, dim, degree):
         np.matmul(_monomial_design(directions[start:stop], degree), fit, out=out[start:stop])
     return out.view(complex)[:, 0]
 
@@ -266,14 +277,17 @@ def decay_and_expansion_check(
     (1/R) int_{B_R} |u - leading|^2 with the sampled amplitudes interpolated
     smoothly across the sphere by the harmonics of degree <= FIT_DEGREE
     (module docstring); the report flags whether the error is
-    nonincreasing over the tabulated radii.  The interpolant is evaluated over
-    the ball in blocks (`_sphere_interpolant`), so its memory does not grow with it.
+    nonincreasing over the tabulated radii.
 
     The shells are cut from one selection of the annulus r_min <= r < r_max,
     in the grid's element order, so each shell mean sums the elements a
     whole-grid shell mask selects, in the same order; the annulus copies are
-    released before the ball, and the ball's offsets become unit directions
-    in place.
+    released before the ball.  The ball is streamed: it is kept as flat
+    indices with their radii, and each block of `_row_blocks` rows takes its
+    unit directions, its interpolant (one `_sphere_interpolant` block), its
+    leading term and its squared mismatch, written into one ball-sized
+    array.  The sums over r <= R run over that array, in the grid's order,
+    so no value depends on the block size.
     """
     grid = ctx.grid
     dim = grid.dimension
@@ -339,15 +353,21 @@ def decay_and_expansion_check(
     scale = np.abs(samples.values).max()
     interp_residual = float(np.abs(reproduced - samples.values).max() / scale) if scale > 0 else 0.0
 
-    ball = (radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max)
-    pts = np.stack([grid.axis_coordinates[i] - center for i in np.nonzero(ball)], axis=1)
-    r_pts = radius[ball]
-    pts /= r_pts[:, None]  # unit directions, in place
-    g_pts = _sphere_interpolant(pts, fit, FIT_DEGREE)
-    leading = -2.0 * (2.0 * np.pi / r_pts) ** ((dim - 1) / 2.0) * np.real(
-        np.exp(1j * (k_plus * r_pts - (dim - 1) * np.pi / 4.0)) * g_pts
-    )
-    mismatch = (u.values[ball] - leading) ** 2
+    ball = np.flatnonzero((radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max))
+    r_pts = radius.reshape(-1)[ball]
+    del radius
+    u_flat = u.values.reshape(-1)
+    mismatch = np.empty(ball.size)
+    for start, stop in _row_blocks(ball.size, dim, FIT_DEGREE):
+        r_blk = r_pts[start:stop]
+        pts = np.stack([grid.axis_coordinates[i] - center
+                        for i in np.unravel_index(ball[start:stop], grid.shape)], axis=1)
+        pts /= r_blk[:, None]  # unit directions, in place
+        g_blk = _sphere_interpolant(pts, fit, FIT_DEGREE)
+        leading = -2.0 * (2.0 * np.pi / r_blk) ** ((dim - 1) / 2.0) * np.real(
+            np.exp(1j * (k_plus * r_blk - (dim - 1) * np.pi / 4.0)) * g_blk
+        )
+        np.square(u_flat[ball[start:stop]] - leading, out=mismatch[start:stop])
 
     expansion_radii = np.linspace(r_min + 0.25 * (r_max - r_min), r_max, max(4, shell_count // 2 + 3))
     expansion_errors = np.array([

@@ -14,6 +14,9 @@ solution enters, matching the dual variational formulation.
 
 This module applies neither symbol: `FunctionalContext` (dual_functional)
 runs R and K for the solver, and the checks of R run that same operator.
+A `GridSpec` keeps its per-axis coordinates and frequencies and the float
+`delta_min`, nothing the size of the grid: |k|^2 (`k_squared`,
+`squared_norm`) and the symbols are formed where they are used.
 """
 
 import math
@@ -100,13 +103,11 @@ class GridSpec:
         k.setflags(write=False)
         return k
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
-        # a broadcast sum over the sparse mesh rounds as over the full one
-        mesh = np.meshgrid(*([self.axis_frequencies] * self.dimension), indexing="ij", sparse=True)
-        k2 = sum(km ** 2 for km in mesh)
-        k2.setflags(write=False)
-        return k2
+        """|k|^2 over the frequency lattice, as a new array on each call: no
+        whole-grid symbol is kept on the grid."""
+        return squared_norm([self.axis_frequencies] * self.dimension)
 
     @cached_property
     def delta_min(self) -> float:
@@ -194,10 +195,21 @@ class Field:
         return float(self.grid.weight * np.sum(self.values * other.values))
 
 
+def squared_norm(axes) -> np.ndarray:
+    """sum_i a_i^2 over the grid that the per-axis vectors `axes` span, as a new array.
+
+    A broadcast sum over their sparse mesh rounds as over the full mesh, so a
+    cut axis (the half spectrum of a real transform) gives the slice of the
+    whole-grid values bit for bit.
+    """
+    return sum(a ** 2 for a in np.meshgrid(*axes, indexing="ij", sparse=True))
+
+
 def helmholtz_multiplier(grid: GridSpec) -> np.ndarray:
     """Resolvent symbol sigma over the frequency lattice (module docstring); for
     eps = 0 `GridSpec` already keeps every lattice point off the unit shell."""
-    shifted = grid.k_squared - 1.0
+    shifted = grid.k_squared
+    shifted -= 1.0
     out = shifted ** 2
     out += grid.shell_epsilon ** 2
     return np.divide(shifted, out, out=out)

@@ -914,18 +914,19 @@ def _record_order(rec):
     return rec.level, rec.v_star.values.tobytes()
 
 
+def _same_orbit(ctx, v, w, threshold):
+    """The dedup's decision: v lies within threshold * max(||v||_{p'}, ||w||_{p'})
+    of w's orbit (`_within_orbit` at that radius)."""
+    pc = ctx.exponents.p_conj
+    scale = max(ctx.lp_norm(ctx.restrict(v.values), pc), ctx.lp_norm(ctx.restrict(w.values), pc))
+    return _within_orbit(ctx, v, w, threshold * scale)
+
+
 def _dedup(ctx, cfg, records, distinct):
     """Append to distinct each record farther than the dedup threshold from all kept ones."""
-    pc = ctx.exponents.p_conj
     for rec in records:
-        duplicate = False
-        for kept in distinct:
-            scale = max(ctx.lp_norm(ctx.restrict(rec.v_star.values), pc),
-                        ctx.lp_norm(ctx.restrict(kept.v_star.values), pc))
-            duplicate = _within_orbit(ctx, rec.v_star, kept.v_star, cfg.dedup_rel_threshold * scale)
-            if duplicate:
-                break
-        if not duplicate:
+        if not any(_same_orbit(ctx, rec.v_star, kept.v_star, cfg.dedup_rel_threshold)
+                   for kept in distinct):
             distinct.append(rec)
     return distinct
 

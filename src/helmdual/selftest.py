@@ -24,7 +24,7 @@ from .errors import (
 )
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude, SphereSamples
 from .kernel import Field, GridSpec, helmholtz_symbol
-from .search import DescentConfig, find_critical_point, multistart_search, orbit_distance
+from .search import DescentConfig, find_critical_point, multistart_search, _same_orbit
 
 EIGEN_TOL = 1e-13         # Rayleigh quotient of R on a lattice mode against sigma, relative
 SYMMETRY_TOL = 1e-11      # |<f, A g> - <g, A f>| against ||f||_2 ||g||_2
@@ -219,17 +219,11 @@ def level_increase(records):
                         for rec in records if len(rec.j_values) > 1])
 
 
-def orbit_separation(ctx, records):
-    """Smallest `orbit_distance` between two records, each by the larger
-    ||v_*||_{p'} of its pair (inf for fewer than two records): above the dedup
-    threshold when the records are distinct orbits."""
-    pc = ctx.exponents.p_conj
-    out = np.inf
-    for i, a in enumerate(records):
-        for b in records[i + 1:]:
-            scale = max(a.v_star.lp_norm(pc), b.v_star.lp_norm(pc))
-            out = min(out, orbit_distance(ctx, a.v_star, b.v_star) / scale)
-    return out
+def orbits_distinct(ctx, records, threshold):
+    """No two records lie in one orbit by the dedup's decision (`search._same_orbit`
+    at `threshold`); True for fewer than two records."""
+    return not any(_same_orbit(ctx, a.v_star, b.v_star, threshold)
+                   for i, a in enumerate(records) for b in records[i + 1:])
 
 
 def transplant_identity_error(pair, w, v):
@@ -369,7 +363,7 @@ def check_search_mini():
         ok &= rec.dual_residual <= cfg.tol_residual
         ok &= rec.primal_residual <= PRIMAL_TOL
         ok &= ps_boundedness_check(ctx, rec.v_norms, rec.bound_constant)
-    ok &= orbit_separation(ctx, result.records) > cfg.dedup_rel_threshold
+    ok &= orbits_distinct(ctx, result.records, cfg.dedup_rel_threshold)
     detail = (f"{converged}/5 converged, {len(result.records)} distinct, "
               f"c={result.level_estimate:.6f}, max J increase {mono:.1e}")
 

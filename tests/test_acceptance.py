@@ -184,7 +184,7 @@ def test_criterion_06_reference_solver_run(reference_run):
     assert battery.level_increase(result.records) <= battery.MONOTONE_TOL
 
     assert len(result.records) >= 2  # geometrically distinct pairs
-    assert battery.orbit_separation(ctx, result.records) > cfg.dedup_rel_threshold
+    assert battery.orbits_distinct(ctx, result.records, cfg.dedup_rel_threshold)
 
     _report(6, (f"solver run (20/20 converged, {len(result.records)} distinct, "
                 f"c={result.level_estimate:.9f}, {elapsed:.0f}s)"))

@@ -259,8 +259,9 @@ class TestSupport:
         lambda: make_sine_context(n=48),
     ], ids=["compact_2d", "compact_3d", "full_2d"])
     def test_weighted_resolvent_is_bit_identical(self, make):
-        # dual_to_primal forms Q^{1/p} v on the support's box inside pruned_fftn,
-        # and the snap R(Q^{1/p} v) of a support vector v the same way
+        # on a compact box dual_to_primal scatters Q^{1/p} v from the support into
+        # a spectrum pruned to the box, and the snap R(Q^{1/p} v) of a support
+        # vector v the same way
         ctx = make()
         v = np.random.default_rng(28).standard_normal(ctx.grid.shape)
         want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real

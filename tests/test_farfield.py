@@ -1,5 +1,6 @@
 """Far-field amplitudes, decay fits, and expansion-error diagnostics."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -267,7 +268,9 @@ class TestMonomialDesign:
         monkeypatch.setattr(farfield, "_sphere_interpolant",
                             lambda d, fit, degree: fits.append(fit) or blocked(d, fit, degree))
         decay_and_expansion_check(ctx, u, SphereSamples(dirs, values))
-        (fit,) = fits
+        # the check streams its ball: one call per block, all with the one fit
+        fit = fits[0]
+        assert all(f is fit for f in fits)
         assert fit.shape == (_monomial_design(dirs, 6).shape[1], 2)
         points = rng.standard_normal((2000, dimension))
         points /= np.linalg.norm(points, axis=1)[:, None]
@@ -357,11 +360,14 @@ class TestDecayAndExpansion:
 
 
 def blocked_and_whole(dimension, n):
-    """One synthetic report with the blocked sphere interpolant and one with a
-    whole-ball design built here; returns what the blocked test compares.
+    """One synthetic report with the blocked sphere interpolant and one whose
+    interpolant values come from a whole-ball design built here; returns what
+    the blocked test compares.
 
-    The blocks are half the shipped BLOCK_BYTES: rows of the 13-column 2d
-    design are narrow, so the n = 256 ball fills only 2 blocks of the full size."""
+    The check streams its ball and asks `_sphere_interpolant` once per block;
+    the recorded calls, joined in order, are the ball's directions.  The
+    blocks are half the shipped BLOCK_BYTES: rows of the 13-column 2d design
+    are narrow, so the n = 256 ball fills only 2 blocks of the full size."""
     farfield.BLOCK_BYTES //= 2
     ctx = compact_context(dimension=dimension, n=n)
     u, samples = synthetic_expansion_field(ctx.grid)
@@ -377,14 +383,17 @@ def blocked_and_whole(dimension, n):
 
     farfield._sphere_interpolant = recorded
     report_blocked = decay_and_expansion_check(ctx, u, samples)
-    farfield._sphere_interpolant = whole
+    fit, degree = calls[0][1:]
+    g_whole = whole(np.concatenate([d for d, _, _ in calls]), fit, degree)
+    # the whole design's values, served to the second report block by block
+    pieces = iter(np.split(g_whole, np.cumsum([len(d) for d, _, _ in calls])[:-1]))
+    farfield._sphere_interpolant = lambda directions, fit, degree: next(pieces)
     report_whole = decay_and_expansion_check(ctx, u, samples)
     farfield._sphere_interpolant = blocked
-    (args,) = calls
     design = farfield._monomial_design
     blocks = []
     farfield._monomial_design = lambda d, degree: blocks.append(len(d)) or design(d, degree)
-    g_blocked = blocked(*args)
+    g_blocked = np.concatenate([blocked(*args) for args in calls])
     farfield._monomial_design = design
     # a last block of a few rows, which BLAS would sum in another kernel
     rng = np.random.default_rng(dimension)
@@ -392,14 +401,60 @@ def blocked_and_whole(dimension, n):
     for extra in (1, 2, 3, BLOCK_ALIGN - 1):
         dirs = rng.standard_normal((3 * blocks[0] + extra, dimension))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        short_tails.append(blocked(dirs, *args[1:]).tobytes() == whole(dirs, *args[1:]).tobytes())
+        short_tails.append(blocked(dirs, fit, degree).tobytes() == whole(dirs, fit, degree).tobytes())
     return {
         "blocks": len(blocks),
-        "g_equal": g_blocked.tobytes() == whole(*args).tobytes(),
+        "calls": len(calls),
+        "one_fit": all(f is fit for _, f, _ in calls),
+        "g_equal": g_blocked.tobytes() == g_whole.tobytes(),
         "errors_equal": report_blocked.expansion_errors.tobytes()
         == report_whole.expansion_errors.tobytes(),
         "short_tails_equal": short_tails,
     }
+
+
+def report_bytes_by_block_size(dimension, n):
+    """The bytes of every FarfieldReport field at the shipped BLOCK_BYTES, at half
+    and at twice it, with the number of blocks each streamed the ball in.
+
+    The field is the synthetic expansion with absorption plus noise, so the
+    expansion errors are far from zero."""
+    ctx = compact_context(dimension=dimension, n=n, eps=1.0)
+    u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
+    u = Field(ctx.grid, u.values + 1e-3 * np.random.default_rng(n).standard_normal(ctx.grid.shape))
+    shipped = farfield.BLOCK_BYTES
+    blocked = farfield._sphere_interpolant
+    out = []
+    for block_bytes in (shipped, shipped // 2, 2 * shipped):
+        calls = []
+        farfield.BLOCK_BYTES = block_bytes
+        farfield._sphere_interpolant = lambda *args: calls.append(1) or blocked(*args)
+        report = decay_and_expansion_check(ctx, u, samples)
+        fields = [np.asarray(getattr(report, f.name)).tobytes().hex()
+                  for f in dataclasses.fields(report)]
+        out.append({"blocks": len(calls), "fields": fields})
+    farfield.BLOCK_BYTES = shipped
+    farfield._sphere_interpolant = blocked
+    return out
+
+
+def one_blas_thread(call):
+    """The JSON result of `call`, a test_farfield expression, in a fresh interpreter
+    with one BLAS thread.
+
+    A threaded BLAS splits a matrix-vector product's rows at points that
+    depend on the row count, and a row at a split can round differently (the
+    whole design alone does so between one and two threads); with one BLAS
+    thread every row's sum is fixed, so blocked results are compared there."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(TESTS), str(TESTS.parent / "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = f"import json, test_farfield; print(json.dumps(test_farfield.{call}))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.strip().splitlines()[-1])
 
 
 def test_selftest_synthetic_field_is_the_mesh_formula(monkeypatch):
@@ -424,24 +479,21 @@ def test_selftest_synthetic_field_is_the_mesh_formula(monkeypatch):
 class TestBlockedInterpolant:
     @pytest.mark.parametrize("dimension, n", [(2, 256), (3, 48)])
     def test_bit_identical_to_whole_design(self, dimension, n):
-        # a threaded BLAS splits a matrix-vector product's rows at points that
-        # depend on the row count, and a row at a split can round differently
-        # (the whole design alone does so between one and two threads);
-        # with one BLAS thread every row's sum is fixed, so compare there
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([str(TESTS), str(TESTS.parent / "src"),
-                                               os.environ.get("PYTHONPATH", "")]))
-        code = ("import json, test_farfield; "
-                f"print(json.dumps(test_farfield.blocked_and_whole({dimension}, {n})))")
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        result = json.loads(run.stdout.strip().splitlines()[-1])
+        result = one_blas_thread(f"blocked_and_whole({dimension}, {n})")
         assert result["blocks"] >= 3
+        # each streamed block is one design block, all with the one fit
+        assert result["calls"] == result["blocks"]
+        assert result["one_fit"]
         assert result["g_equal"]
         assert result["errors_equal"]
         assert all(result["short_tails_equal"])
+
+    @pytest.mark.parametrize("dimension, n", [(2, 256), (3, 48)])
+    def test_report_does_not_depend_on_block_size(self, dimension, n):
+        # every field of the report, bit for bit, with BLOCK_BYTES halved and doubled
+        shipped, half, double = one_blas_thread(f"report_bytes_by_block_size({dimension}, {n})")
+        assert half["blocks"] > shipped["blocks"] > double["blocks"] >= 1
+        assert half["fields"] == shipped["fields"] == double["fields"]
 
     def test_bad_window_is_domain_error(self):
         ctx = compact_context(dimension=2, n=64)
@@ -468,3 +520,66 @@ class TestBlockedInterpolant:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20
+
+
+def farfield3d_context(n=48):
+    """The benchmark's 3d far-field config (compact bump, eps = 1, p = 5) at n points per axis."""
+    grid = GridSpec(3, 16.0, n, shell_epsilon=1.0)
+    q = bump_profile(grid, BumpDescriptor(center=(9.2, 8.7, 8.4), radius=1.6, amplitude=2.0))
+    return FunctionalContext(Field(grid, q), 5.0)
+
+
+class TestGridArrays:
+    """Traced memory of a compact-support run, in grid arrays of 8 grid.size bytes.
+
+    tracemalloc sees numpy's buffers exactly, with no page rounding, so the
+    counts repeat from run to run.  Each call's peak is taken above what was
+    traced on entry; the run's fixtures are built before tracing starts.
+    """
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = call(*args)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_compact_context_holds_q_and_little_else(self):
+        farfield3d_context(n=16).apply_k_support(np.ones(1))  # imports, outside the trace
+        grid = GridSpec(3, 16.0, 48, shell_epsilon=1.0)
+        tracemalloc.start()
+        try:
+            ctx = farfield3d_context()
+            ctx.apply_k_support(np.ones(ctx.support.size))  # builds K's window
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Q itself is one; the support, q_S and the window spectrum are small
+        assert retained <= 1.1 * 8 * grid.size
+        # the symbols stay readable, formed per call
+        assert ctx.sigma.shape == ctx.q_root.shape == grid.k_squared.shape == grid.shape
+
+    def test_resolvent_and_primal_residual_peaks(self):
+        ctx = farfield3d_context()
+        unit = 8 * ctx.grid.size
+        v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.support.size)))
+        ctx.primal_residual(ctx.dual_to_primal(v))  # window and imports, outside the trace
+        u, peak = self.traced_peak(ctx.dual_to_primal, v)
+        # sigma, the complex spectrum, then the real result: three arrays
+        assert peak <= 3.25 * unit
+        _, peak = self.traced_peak(ctx.primal_residual, u)
+        assert peak <= 3.25 * unit
+
+    def test_expansion_check_streams_its_ball(self):
+        # one block of the interpolant's design is about BLOCK_BYTES, 4.74 grid
+        # arrays at n = 48 by itself; the rest is the radius and three ball vectors
+        ctx = farfield3d_context()
+        unit = 8 * ctx.grid.size
+        u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
+        decay_and_expansion_check(ctx, u, samples)  # imports, outside the trace
+        _, peak = self.traced_peak(decay_and_expansion_check, ctx, u, samples)
+        assert peak <= farfield.BLOCK_BYTES + 2.5 * unit

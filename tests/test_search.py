@@ -585,7 +585,7 @@ class TestMultistart:
             assert status in ("converged", "max_iters", "not_in_u_plus")
 
     def test_records_distinct(self, mini_ctx, mini_result):
-        assert battery.orbit_separation(mini_ctx, mini_result.records) > MINI_CFG.dedup_rel_threshold
+        assert battery.orbits_distinct(mini_ctx, mini_result.records, MINI_CFG.dedup_rel_threshold)
 
     def test_level_estimate_is_minimum(self, mini_result):
         assert mini_result.level_estimate == min(r.level for r in mini_result.records)
