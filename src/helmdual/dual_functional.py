@@ -47,8 +47,9 @@ the 3d far-field run holds Q and little else the size of its grid.
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one real FFT pair, with |k|^2 formed on the half spectrum only,
-and forms Q |u|^{p-2} u on S only: off S
+eps = 0), as one real FFT pair run axis by axis, each complex pass on the
+half spectrum replacing the last, with |k|^2 formed on the half spectrum
+only, and forms Q |u|^{p-2} u on S only: off S
 the defect is the operator's image itself, so one power pass over the grid
 serves two of its three norms.
 """
@@ -412,7 +413,11 @@ class FunctionalContext:
         which is -Delta - 1 at eps = 0; with eps > 0 it is the regularized
         operator the run solves.  Relative to the magnitude of the two
         balanced terms; the absolute norm is returned for u = 0 (where it
-        vanishes anyway).  A u is one real FFT pair (`rfftn`, `irfftn`).  The
+        vanishes anyway).  A u is `rfftn` and `irfftn` written out axis by
+        axis in numpy's order, so bit for bit: one `rfft` over the last axis,
+        then the complex passes over the leading axes, and back the same way
+        to one `irfft`.  Each pass drops the half spectrum before it as soon
+        as its own exists, so at most two are ever live.  The
         nonlinearity rhs is formed on the support S of Q only: off S it
         vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
         over the points off S, taken in one pass over the grid, and the rest
@@ -422,13 +427,17 @@ class FunctionalContext:
         vals = self._own(u)
         p, pc = self.exponents.p, self.exponents.p_conj
         shape = self.grid.shape
-        spec = np.fft.rfftn(vals)
+        spec = np.fft.rfft(vals)
+        for axis in reversed(range(len(shape) - 1)):
+            spec = np.fft.fft(spec, axis=axis)
         k = self.grid.axis_frequencies
-        shifted = squared_norm([k] * (len(shape) - 1) + [k[:shape[-1] // 2 + 1]])  # rfftn's half
+        shifted = squared_norm([k] * (len(shape) - 1) + [k[:shape[-1] // 2 + 1]])  # the half spectrum
         shifted -= 1.0
         spec *= helmholtz_symbol(shifted, self.grid.shell_epsilon)
         del shifted
-        lhs = np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+        for axis in range(len(shape) - 1):
+            spec = np.fft.ifft(spec, axis=axis)
+        lhs = np.fft.irfft(spec, n=shape[-1])
         q = self.restrict(self.q)
         rhs = q * odd_power(self.restrict(vals), p - 1.0)
         lhs_s = self.restrict(lhs)

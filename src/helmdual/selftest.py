@@ -39,6 +39,7 @@ PSI_TOL = 1e-15           # closed-form values of the free-space kernel, absolut
 CHAIN_TOL = 1e-10         # slack of each link of the transplant level chain
 LEVEL_TOL = 1e-3          # c <= c_inf up to LEVEL_TOL |c_inf|
 ANTISYMMETRY_TOL = 1e-10  # far-field amplitude g(-x) + conj g(x) against max |g|
+SAMPLE_CHUNK = 8192       # samples per chunk of the reverse Hoelder slack
 
 
 def mode_field(grid, m, kind="cos"):
@@ -169,10 +170,18 @@ def fibering_defect(ctx, v):
 
 def reverse_hoelder_slack(pc, a, b):
     """min of (a^{p'-1} - b^{p'-1})(a - b) - (p'-1)(a - b)^2 (a + b)^{p'-2}
-    over positive arrays a, b.  >= -SLACK_TOL."""
-    lhs = (a ** (pc - 1.0) - b ** (pc - 1.0)) * (a - b)
-    rhs = (pc - 1.0) * (a - b) ** 2 * (a + b) ** (pc - 2.0)
-    return float((lhs - rhs).min())
+    over positive arrays a, b.  >= -SLACK_TOL.
+
+    Taken over chunks of SAMPLE_CHUNK samples, so its temporaries stay
+    chunk-sized: the minimum of the chunk minima is the same float."""
+
+    def slack(a, b):
+        lhs = (a ** (pc - 1.0) - b ** (pc - 1.0)) * (a - b)
+        rhs = (pc - 1.0) * (a - b) ** 2 * (a + b) ** (pc - 2.0)
+        return (lhs - rhs).min()
+
+    return float(np.min([slack(a[i:i + SAMPLE_CHUNK], b[i:i + SAMPLE_CHUNK])
+                         for i in range(0, len(a), SAMPLE_CHUNK)]))
 
 
 def reverse_hoelder_field_slack(ctx, v, w):
@@ -400,26 +409,30 @@ def check_farfield_synthetic():
     grid = GridSpec(3, 16.0, 48, shell_epsilon=0.0)
     mesh = grid.open_mesh()
     center = grid.box_length / 2.0
-    r2 = sum((m - center) ** 2 for m in mesh)
     q = bump_profile(grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))
     ctx = FunctionalContext(Field(grid, q), 5.0)
 
-    # expansion-built field with a smooth amplitude reproduces itself
+    # expansion-built field with a smooth amplitude reproduces itself; r and u
+    # are built one axis-0 slab at a time, so only slabs are temporaries
     dirs = equal_area_directions(3, 120)
     gvals = (0.05 + 0.02 * dirs[:, 0] + 0.01j * dirs[:, 1] * dirs[:, 2])
-    r = np.sqrt(r2)
-    rs = np.maximum(r, grid.spacing / 2)
-    x, y, z = ((m - center) / rs for m in mesh)
-    g_grid = 0.05 + 0.02 * x + 0.01j * y * z
-    u_vals = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
-    u = Field(grid, u_vals)
-    report = decay_and_expansion_check(ctx, u, SphereSamples(dirs, gvals))
+    r, u_vals = np.empty(grid.shape), np.empty(grid.shape)
+    for i in range(grid.points_per_axis):
+        slab = (mesh[0][i:i + 1], *mesh[1:])
+        np.sqrt(sum((m - center) ** 2 for m in slab), out=r[i:i + 1])
+        rs = np.maximum(r[i:i + 1], grid.spacing / 2)
+        x, y, z = ((m - center) / rs for m in slab)
+        g_grid = 0.05 + 0.02 * x + 0.01j * y * z
+        u_vals[i:i + 1] = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
+    report = decay_and_expansion_check(ctx, Field(grid, u_vals), SphereSamples(dirs, gvals))
+    del u_vals
     ok = report.expansion_errors[-1] <= 1e-16 and report.trend_nonincreasing
 
-    # sampled free-space kernel decays like 1/r
-    psi_vals = fundamental_solution_psi(np.maximum(r, 1e-3))
+    # sampled free-space kernel decays like 1/r; psi is taken slab by slab in place on r
+    for r_i in r:
+        r_i[...] = fundamental_solution_psi(np.maximum(r_i, 1e-3))
     report2 = decay_and_expansion_check(
-        ctx, Field(grid, psi_vals), SphereSamples(dirs, np.zeros(len(dirs), complex)),
+        ctx, Field(grid, r), SphereSamples(dirs, np.zeros(len(dirs), complex)),
         shell_count=6,
     )
     ok &= abs(report2.decay_exponent - 1.0) <= 0.15

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
 def full_mesh(grid):
     """The N whole-grid coordinate arrays, for oracles that need them unbroadcast."""
     return np.broadcast_arrays(*grid.open_mesh())
+
+
+def traced_peak(call, *args):
+    """call(*args) and the peak of the memory it traced above what was traced on
+    entry.  tracemalloc sees numpy's buffers exactly, with no page rounding, so
+    the peak repeats from run to run."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def dft_matrix(grid):

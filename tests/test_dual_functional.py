@@ -30,6 +30,7 @@ from conftest import (
     make_sine_context,
     mode_field,
     random_field,
+    traced_peak,
 )
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)
@@ -490,18 +491,51 @@ class TestPrimalResidual:
         assert ctx.lp_norm(lhs - rhs, pc) / (ctx.lp_norm(lhs, pc) + ctx.lp_norm(rhs, pc)) > 1e-2
 
     def test_compact_support_makes_no_complex_transform(self, monkeypatch):
-        # (-Delta - 1) u is one real pair; nothing complex of grid size is transformed
+        # (-Delta - 1) u is one real pair: one rfft, one irfft, and every complex
+        # pass between them on the half spectrum; nothing complex of grid size
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0)
         assert ctx.box is not None
         u = ctx.dual_to_primal(random_field(ctx, np.random.default_rng(5)))
         calls = []
-        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
-            def spy(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
-                calls.append(_name)
-                return _call(*args, **kwargs)
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            def spy(a, *args, _name=name, _call=getattr(np.fft, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _call(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, spy)
         assert ctx.primal_residual(u) > 0.0
-        assert calls == ["rfftn", "irfftn"]
+        names = [name for name, _ in calls]
+        assert names[0] == "rfft" and names[-1] == "irfft"
+        assert names.count("rfft") == names.count("irfft") == 1
+        half = ctx.grid.shape[:-1] + (ctx.grid.points_per_axis // 2 + 1,)
+        assert set(names[1:-1]) <= {"fft", "ifft"}
+        assert all(shape == half for _, shape in calls[1:])
+
+
+class TestReverseHoelder:
+    @staticmethod
+    def one_shot(pc, a, b):
+        lhs = (a ** (pc - 1.0) - b ** (pc - 1.0)) * (a - b)
+        rhs = (pc - 1.0) * (a - b) ** 2 * (a + b) ** (pc - 2.0)
+        return float((lhs - rhs).min())
+
+    @pytest.mark.parametrize("length", [
+        1, battery.SAMPLE_CHUNK - 1, battery.SAMPLE_CHUNK, 3 * battery.SAMPLE_CHUNK + 17, 100_000,
+    ])
+    def test_chunked_slack_is_the_one_shot_minimum(self, length):
+        pc = 7.0 / 6.0
+        rng = np.random.default_rng(length)
+        a, b = rng.uniform(1e-3, 1e3, size=(2, length))
+        assert battery.reverse_hoelder_slack(pc, a, b) == self.one_shot(pc, a, b)
+        # a = b has slack 0, below every other sample's: the last chunk is taken
+        a[-1] = b[-1]
+        assert battery.reverse_hoelder_slack(pc, a, b) == self.one_shot(pc, a, b) == 0.0
+
+    def test_suite_keeps_its_temporaries_chunk_sized(self):
+        # the two 100,000-sample draws are 1.6 MB; every temporary is one chunk
+        battery.check_reverse_hoelder()  # imports, outside the trace
+        (ok, _), peak = traced_peak(battery.check_reverse_hoelder)
+        assert ok
+        assert peak <= 2.5 * 2 ** 20
 
 
 class TestMountainPassGeometry:

@@ -29,7 +29,7 @@ from helmdual import (
 )
 from helmdual.asymptotic import bump_profile
 from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
-from conftest import full_mesh
+from conftest import full_mesh, traced_peak
 
 TESTS = Path(__file__).resolve().parent
 
@@ -532,21 +532,9 @@ def farfield3d_context(n=48):
 class TestGridArrays:
     """Traced memory of a compact-support run, in grid arrays of 8 grid.size bytes.
 
-    tracemalloc sees numpy's buffers exactly, with no page rounding, so the
-    counts repeat from run to run.  Each call's peak is taken above what was
-    traced on entry; the run's fixtures are built before tracing starts.
+    Each call's peak is taken above what was traced on entry (`traced_peak`);
+    the run's fixtures are built before tracing starts.
     """
-
-    @staticmethod
-    def traced_peak(call, *args):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            result = call(*args)
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        return result, peak
 
     def test_compact_context_holds_q_and_little_else(self):
         farfield3d_context(n=16).apply_k_support(np.ones(1))  # imports, outside the trace
@@ -568,18 +556,27 @@ class TestGridArrays:
         unit = 8 * ctx.grid.size
         v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.support.size)))
         ctx.primal_residual(ctx.dual_to_primal(v))  # window and imports, outside the trace
-        u, peak = self.traced_peak(ctx.dual_to_primal, v)
+        u, peak = traced_peak(ctx.dual_to_primal, v)
         # sigma, the complex spectrum, then the real result: three arrays
         assert peak <= 3.25 * unit
-        _, peak = self.traced_peak(ctx.primal_residual, u)
-        assert peak <= 3.25 * unit
+        _, peak = traced_peak(ctx.primal_residual, u)
+        # two half spectra, one pass's input and output, then one and the real result
+        assert peak <= 2.5 * unit
 
     def test_expansion_check_streams_its_ball(self):
-        # one block of the interpolant's design is about BLOCK_BYTES, 4.74 grid
+        # one block of the interpolant's design is about BLOCK_BYTES, 1.19 grid
         # arrays at n = 48 by itself; the rest is the radius and three ball vectors
         ctx = farfield3d_context()
         unit = 8 * ctx.grid.size
         u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
         decay_and_expansion_check(ctx, u, samples)  # imports, outside the trace
-        _, peak = self.traced_peak(decay_and_expansion_check, ctx, u, samples)
-        assert peak <= farfield.BLOCK_BYTES + 2.5 * unit
+        _, peak = traced_peak(decay_and_expansion_check, ctx, u, samples)
+        assert peak <= farfield.BLOCK_BYTES + 1.6 * unit
+
+    def test_selftest_synthetic_suite_builds_its_fields_by_slabs(self):
+        # Q, r and u, and the expansion check's peak above them: about 5.8 grid
+        # arrays of its 48^3 grid; every other temporary is one slab
+        selftest.check_farfield_synthetic()  # imports, outside the trace
+        (ok, _), peak = traced_peak(selftest.check_farfield_synthetic)
+        assert ok
+        assert peak <= 6 * 2 ** 20
