@@ -100,7 +100,7 @@ def transplant(pair: AsymptoticPair, w: Field) -> Field:
     ratio = np.zeros_like(q)
     positive = q_inf > 0.0
     ratio[positive] = (q_inf[positive] / q[positive]) ** (1.0 / p)
-    return Field(w.grid, ratio * w.values)
+    return Field(w.grid, ratio * pair.ctx_inf._own(w))
 
 
 def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -> CompareReport:

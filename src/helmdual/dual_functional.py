@@ -34,9 +34,11 @@ zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
 itself.  `resolvent_array` (`dual_to_primal`, the snap) needs R on the whole
-grid; on a compact box it scatters its source from S and prunes the forward
-transform to the box (`_resolve_support`), and it returns a contiguous real
-field.
+grid, and returns a contiguous real field.  Both run one routine, `_pair`:
+the source is scattered from S, the forward transform is pruned to the box
+(its window-local copy for K), and the spectrum is applied before one
+`ifftn`.  The box is always the support's bounding box; when it spans the
+grid, `_pair` is one plain `fftn` and one `ifftn`.
 
 So a context keeps Q, S, q_S = Q_S^{1/p} and the window spectrum.  On full
 support that is all it needs: the window spectrum is sigma and
@@ -74,6 +76,31 @@ def _smooth_size(m: int) -> int:
         if rest == 1:
             return m
         m += 1
+
+
+def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.ndarray:
+    """ifftn(spectrum * fftn(s)) as a new complex array, where s holds `source` at
+    the flat `index` and zeros elsewhere, and every nonzero of s lies in `box`.
+
+    The forward passes run last axis first, as `fftn` runs them, the pass over
+    axis d only on the lines whose earlier axes lie in the box: the others hold
+    exact zeros (Markel 1971).  The passes whose lines are the whole array are
+    one `fftn` call, so with a box that spans the array this is one `fftn` and
+    one `ifftn`.  The spectrum is released once applied.
+    """
+    spec = np.zeros(spectrum.shape, dtype=complex)
+    spec.reshape(-1)[index] = source
+    full = 0  # the passes over axes 0..full see the whole array
+    while full < spec.ndim - 1 and box[full] == slice(0, spec.shape[full]):
+        full += 1
+    for d in reversed(range(full + 1, spec.ndim)):
+        block = spec[box[:d]]
+        np.fft.fftn(block, axes=(d,), out=block)
+    # every axis as axes=None: explicit axes make numpy take the shape through np.take first
+    np.fft.fftn(spec, axes=None if full == spec.ndim - 1 else tuple(range(full + 1)), out=spec)
+    spec *= spectrum
+    del spectrum
+    return np.fft.ifftn(spec, out=spec)
 
 
 def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -183,11 +210,9 @@ class FunctionalContext:
         self.support = np.flatnonzero(vals > 0.0)
         self.full_support = self.support.size == grid.size
         self.q_support = self.restrict(vals) ** (1.0 / p)
-        # per-axis index range of the support; None when it spans the grid
-        box = tuple(slice(int(idx.min()), int(idx.max()) + 1)
-                    for idx in np.unravel_index(self.support, grid.shape))
-        spans = all(b.stop - b.start == n for b, n in zip(box, grid.shape))
-        self.box = None if spans else box
+        # per-axis index range of the support: its bounding box
+        self.box = tuple(slice(int(idx.min()), int(idx.max()) + 1)
+                         for idx in np.unravel_index(self.support, grid.shape))
 
     @property
     def sigma(self) -> np.ndarray:
@@ -244,42 +269,23 @@ class FunctionalContext:
 
     # -- array-level core (hot path for the solver) -------------------------
 
-    def resolvent_array(self, values: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """R(weight * values) on the grid, as a new C-contiguous real array.
+    def resolvent_array(self, vs: np.ndarray) -> np.ndarray:
+        """R(Q^{1/p} v) on the grid for a support vector v, as a new C-contiguous
+        real array: one `_pair` with sigma over the support's box.
 
-        The product must vanish off the support.  On a box that spans the grid
-        this is one `fftn` and one `ifftn`; otherwise the product is formed on
-        the support only and its forward transform is pruned to the box
-        (`_resolve_support`).  The real part is copied out of the complex work
-        array, so the result holds no complex buffer of twice its size alive.
+        On compact support sigma is a new array, formed before the complex
+        spectrum and released once applied, so at most three grid arrays are
+        live.  The real part is copied out of the complex work array, so the
+        result holds no complex buffer of twice its size alive.
         """
-        if self.box is not None:
-            return self._resolve_support(self.restrict(weight) * self.restrict(values))
-        spec = np.fft.fftn(weight * values)
-        spec *= self.sigma
-        return np.fft.ifftn(spec, out=spec).real.copy()
-
-    def _resolve_support(self, source: np.ndarray) -> np.ndarray:
-        """R of the support vector `source` on a compact box.  sigma, a new array
-        here, is formed before the complex spectrum and dropped once applied,
-        so at most three grid arrays are live.  The forward transform runs its
-        axes last to first, as `fftn` does, the pass over axis d only on the
-        lines whose earlier axes lie in the box: the others hold exact zeros.
-        """
-        sigma = self.sigma
-        spec = np.zeros(self.grid.shape, dtype=complex)
-        spec.reshape(-1)[self.support] = source
-        for d in reversed(range(spec.ndim)):
-            block = spec[self.box[:d]]
-            np.fft.fftn(block, axes=(d,), out=block)
-        spec *= sigma
-        del sigma
-        return np.fft.ifftn(spec, out=spec).real.copy()
+        index = slice(None) if self.full_support else self.support
+        return _pair(self.sigma, self.box, index, self.q_support * vs).real.copy()
 
     @cached_property
     def _k_window(self):
-        """Spectrum of the windowed torus kernel, and the window index of each
-        support point, for K on the support's box (module docstring).
+        """Spectrum of the windowed torus kernel, the support's box on the window
+        (slice(0, w_d) per axis) and the window index of each support point,
+        for K on the support's box (module docstring).
 
         A cut axis keeps r(d) for |d| <= w - 1; an axis whose window is the
         whole axis keeps sigma as it is.  sigma depends on k only through the
@@ -292,10 +298,9 @@ class FunctionalContext:
         spectrum is sigma itself, read-only, and on full support the index
         is slice(None), a view.
         """
-        box = self.box or tuple(slice(0, n) for n in self.grid.shape)
         kernel = helmholtz_multiplier(self.grid)
         shape, cut = [], []
-        for axis, (span, n) in enumerate(zip(box, self.grid.shape)):
+        for axis, (span, n) in enumerate(zip(self.box, self.grid.shape)):
             w = span.stop - span.start
             m = min(n, _smooth_size(max(1, 2 * w - 2)))
             shape.append(m)
@@ -313,21 +318,18 @@ class FunctionalContext:
         if cut:
             kernel = np.fft.fftn(kernel, axes=cut).real.copy()
         kernel.setflags(write=False)
+        local_box = tuple(slice(0, span.stop - span.start) for span in self.box)
         if self.full_support:
-            return kernel, slice(None)
+            return kernel, local_box, slice(None)
         local = np.unravel_index(self.support, self.grid.shape)
-        flat = np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, box)), shape)
-        return kernel, flat
+        flat = np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, self.box)), shape)
+        return kernel, local_box, flat
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
-        """K on support vectors: q_S R(extend(q_S v))|_S, as one FFT pair on
-        the window grid of `_k_window` (the grid itself on full support)."""
-        spectrum, flat = self._k_window
-        spec = np.zeros(spectrum.shape, dtype=complex)
-        spec.reshape(-1)[flat] = self.q_support * vs
-        np.fft.fftn(spec, out=spec)
-        spec *= spectrum
-        np.fft.ifftn(spec, out=spec)
+        """K on support vectors: q_S R(extend(q_S v))|_S, as one `_pair` on the
+        window grid of `_k_window` (the grid itself on full support)."""
+        spectrum, box, flat = self._k_window
+        spec = _pair(spectrum, box, flat, self.q_support * vs)
         return self.q_support * spec.reshape(-1).real[flat]
 
     def apply_k_array(self, values: np.ndarray) -> np.ndarray:
@@ -366,10 +368,6 @@ class FunctionalContext:
         vals = self._own(v)
         return Field(self.grid, self.gradient_arrays(vals, self.apply_k_array(vals)))
 
-    def dual_residual(self, v: Field) -> float:
-        vals = self._own(v)
-        return self.dual_residual_arrays(vals, self.apply_k_array(vals))
-
     def quadratic_form(self, v: Field) -> float:
         """int v K v; positive sign is membership in the admissible cone U^+."""
         vals = self._own(v)
@@ -399,12 +397,9 @@ class FunctionalContext:
         return float(self._fibered(v)[1])
 
     def dual_to_primal(self, v: Field) -> Field:
-        """Primal reconstruction u = R(Q^{1/p} v); on a compact box q_S v_S is
-        scattered from the support, with no whole-grid Q^{1/p}."""
-        vals = self._own(v)
-        if self.box is None:
-            return Field(self.grid, self.resolvent_array(vals, self.q_root))
-        return Field(self.grid, self._resolve_support(self.q_support * self.restrict(vals)))
+        """Primal reconstruction u = R(Q^{1/p} v), from v on the support: no
+        whole-grid Q^{1/p} is formed."""
+        return Field(self.grid, self.resolvent_array(self.restrict(self._own(v))))
 
     def primal_residual(self, u: Field) -> float:
         """Relative size of A u - Q |u|^{p-2} u in L^{p'}, A the operator that R inverts.

@@ -98,8 +98,8 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
     Evaluates int_box s(x) exp(-i k (x - center)) dx at arbitrary (complex)
     wavevectors through the Dirichlet-kernel interpolation of the lattice
     transform; spectrally accurate for sources supported inside the box.
-    `source` holds s on the support's box (`ctx.box`, or the whole grid when
-    it spans the grid); s vanishes off it.
+    `source` holds s on the support's box (`ctx.box`, which may be the whole
+    grid); s vanishes off it.
 
     With the interpolant's coefficients c = fftn(s)/n^N the integral is
     sum_m c_m prod_d A_d(m_d, k_d) for per-axis integrals A_d, which is
@@ -110,7 +110,6 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
-    box = ctx.box or (slice(0, n),) * grid.dimension
     lattice = grid.axis_frequencies
     # per-axis integral: int_0^L e^{i(k_m - k)x} e^{ikL/2} dx
     #                  = L sinc((k_m - k)L/2) e^{i k_m L/2} = L sinc(.) (-1)^m
@@ -129,7 +128,7 @@ def _box_transform(ctx: FunctionalContext, source: np.ndarray, wavevectors: np.n
         z_m = (nyquist - k_axis) * (L / 2.0)
         sinc[n // 2] = 0.5 * (sinc[n // 2] + np.sin(z_m) / z_m)
         sinc *= (L / n) * parity[:, None]
-        return np.fft.fft(sinc, axis=0)[box[axis]]
+        return np.fft.fft(sinc, axis=0)[ctx.box[axis]]
 
     # contract one axis at a time over all wavevectors; the last axis first,
     # as one matrix product on the contiguous source
@@ -163,8 +162,7 @@ def farfield_amplitude(
             f"{2 * np.pi / grid.box_length:.2f}; too coarse near the unit sphere"
         )
     dirs = np.asarray(directions, dtype=float)
-    box = ctx.box or (slice(0, grid.points_per_axis),) * grid.dimension
-    source = ctx.q[box] * odd_power(u.values[box], ctx.exponents.p - 1.0)
+    source = ctx.q[ctx.box] * odd_power(ctx._own(u)[ctx.box], ctx.exponents.p - 1.0)
     transform = _box_transform(ctx, source, wavenumber * dirs)
     constant = -0.25j * (2.0 * np.pi) ** (-(grid.dimension - 1))
     return SphereSamples(directions=dirs, values=constant * transform)
@@ -292,13 +290,14 @@ def decay_and_expansion_check(
     so no value depends on the block size.
     """
     grid = ctx.grid
+    values = ctx._own(u)
     dim = grid.dimension
     L = grid.box_length
     k_plus = np.sqrt(1.0 + 1j * grid.shell_epsilon)
     beta = float(k_plus.imag)
     r_min, r_max = radius_window(L, grid.spacing, r_min, r_max)
 
-    if not np.any(u.values):
+    if not np.any(values):
         return FarfieldReport(
             degenerate=True,
             decay_exponent=float("nan"),
@@ -318,7 +317,7 @@ def decay_and_expansion_check(
     edges = np.linspace(r_min, r_max, shell_count + 1)
     # the shells cut from the annulus r_min <= r < r_max keep the grid's element order
     annulus = (radius >= edges[0]) & (radius < edges[-1])
-    r_ann, u_ann = radius[annulus], u.values[annulus]
+    r_ann, u_ann = radius[annulus], values[annulus]
     del annulus
     shell_radii, shell_means = [], []
     for i in range(shell_count):
@@ -358,7 +357,7 @@ def decay_and_expansion_check(
     ball = np.flatnonzero((radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max))
     r_pts = radius.reshape(-1)[ball]
     del radius
-    u_flat = u.values.reshape(-1)
+    u_flat = values.reshape(-1)
     mismatch = np.empty(ball.size)
     for start, stop in _row_blocks(ball.size, dim, FIT_DEGREE):
         r_blk = r_pts[start:stop]

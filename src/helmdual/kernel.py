@@ -182,9 +182,6 @@ class Field:
     def __neg__(self) -> "Field":
         return Field(self.grid, -self.values)
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def lp_norm(self, q: float) -> float:
         """Discrete L^q norm with the grid quadrature weight."""
         return float((self.grid.weight * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))

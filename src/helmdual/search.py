@@ -46,14 +46,15 @@ correlation of Q with |phi|^{p'}, taken once.  Levels within LEVEL_TIE
 symmetric pair of shifts is not resolved by rounding.  A chosen shift is
 scored in full by the fibering projection like any candidate:
 
-* the snap, for every Q with full support: once per start, after SNAP_AFTER
+* the snap, for every Q whose support's box spans the grid (full support
+  among them): once per start, after SNAP_AFTER
   accepted steps, the shifts of the unit cell (unit-periodic Q) or of the
   whole box (any other Q) are searched coarse to fine (stride extent/4, then
   halving around the best shift; a tie keeps the earlier shift), and the
   placement at the lowest level is taken as the next step if it passes the
   monotone gate with a strict decrease.  The Anderson window restarts and
-  the heavy ball forgets its previous iterate.  A Q with compact support
-  never snaps;
+  the heavy ball forgets its previous iterate.  A Q whose support's box is
+  smaller than the grid never snaps;
 * the placement, for a unit-periodic Q only: after orbit dedup, the first
   (lowest) record's landscape is evaluated at every shift of the unit cell.
   Its discrete critical shifts (extrema over all neighbours, or saddles,
@@ -463,17 +464,19 @@ def _landscape(ctx, profile):
 def _snap(ctx, v):
     """Lowest placement of v's profile over the unit cell or the whole box, coarse to fine.
 
-    The shifts range over the unit cell for a unit-periodic Q and over the
-    whole box otherwise.  Shifts on the stride extent/4 lattice first, then
-    the neighbours of the best shift at half the stride, down to stride 1
-    (32 shifts for a 16-point cell in 2d), on the landscape levels; a level
-    within LEVEL_TIE of the best so far is a tie and keeps the earlier shift.
-    Returns the scored placement at the best shift, or None when no shift is
-    in U^+.
+    v is a support vector, and its profile comes from u = R(Q^{1/p} v), one
+    `resolvent_array` over the support's box, which spans the grid here
+    (`find_critical_point` snaps only then).  The shifts range over the unit
+    cell for a unit-periodic Q and over the whole box otherwise.  Shifts on
+    the stride extent/4 lattice first, then the neighbours of the best shift
+    at half the stride, down to stride 1 (32 shifts for a 16-point cell in
+    2d), on the landscape levels; a level within LEVEL_TIE of the best so far
+    is a tie and keeps the earlier shift.  Returns the scored placement at
+    the best shift, or None when no shift is in U^+.
     """
     extent = ctx.grid.unit_shift_points if ctx.periodic else ctx.grid.points_per_axis
     dim = ctx.grid.dimension
-    profile = _profile(ctx, ctx.resolvent_array(ctx.extend(v), ctx.q_root))
+    profile = _profile(ctx, ctx.resolvent_array(v))
     level = _landscape(ctx, profile)
     stride = max(extent // 4, 1)
     shifts = itertools.product(range(0, extent, stride), repeat=dim)
@@ -608,7 +611,8 @@ def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -
     anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
     v_prev = kv_prev = None  # the previous accepted iterate and its cached image
     iterations = 0
-    snap_due = ctx.box is None  # a full-support Q: the profile can move over the box
+    # the box spans the grid: the profile can move over the whole box
+    snap_due = ctx.box == tuple(slice(0, n) for n in ctx.grid.shape)
 
     def _passes(candidate, bound):
         """Monotone gate: energy at most bound, or a plateau with residual progress."""
@@ -849,16 +853,17 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
     so no whole-grid coordinate mesh is built.  The polynomial is a pruned
     `ifftn` of its Hermitian spectrum: one 1-d `ifft` per axis, last axis
     first as `ifftn` runs them, over the 7 mode rows (0..3, n-3..n-1) of
-    the axes not yet transformed, each transformed axis cut to the box.
+    the axes not yet transformed, each transformed axis cut to the box
+    (`ctx.box`, the support's bounding box, which may be the whole grid).
     Every line is one that `ifftn` transforms, so the values on the box are
-    the whole-grid mesh formula's, bit for bit; on full support the box is
-    the grid.  The descent starts from the values on the support only.
+    the whole-grid mesh formula's, bit for bit.  The descent starts from the
+    values on the support only.
     """
     grid = ctx.grid
     n = grid.points_per_axis
     L = grid.box_length
     dim = grid.dimension
-    box = ctx.box or tuple(slice(0, n) for _ in range(dim))
+    box = ctx.box
 
     if ctx.periodic:
         center = rng.uniform(0.0, L, size=dim)

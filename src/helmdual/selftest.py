@@ -275,9 +275,10 @@ def psi_closed_form_errors():
 # ---------------------------------------------------------------------------
 
 
-def _context(n=48, L=6.0, p=7.0, eps=0.0, dimension=2):
-    grid = GridSpec(dimension=dimension, box_length=L, points_per_axis=n, shell_epsilon=eps)
-    return FunctionalContext(Field(grid, sine_product(grid)), p, periodic=True)
+def _context():
+    """The reference periodic problem: the sine Q on a 2d n = 48, L = 6 grid, p = 7."""
+    grid = GridSpec(2, 6.0, 48)
+    return FunctionalContext(Field(grid, sine_product(grid)), 7.0, periodic=True)
 
 
 def _resolvent(grid):
@@ -304,7 +305,7 @@ def check_kernel_psi():
 
 
 def check_dual_identities():
-    ctx = _context(n=48)
+    ctx = _context()
     rng = np.random.default_rng(5)
     v, w = random_field(ctx, rng), random_field(ctx, rng)
     sym, scale = symmetry_defect(ctx.apply_k, v, w)
@@ -318,7 +319,7 @@ def check_dual_identities():
 
 
 def check_fibering():
-    ctx = _context(n=48)
+    ctx = _context()
     rng = np.random.default_rng(9)
     worst_slack, worst = np.inf, 0.0
     for _ in range(3):
@@ -336,7 +337,7 @@ def check_fibering():
 
 
 def check_reverse_hoelder():
-    ctx = _context(n=48)
+    ctx = _context()
     rng = np.random.default_rng(3)
     a = rng.uniform(1e-3, 1e3, size=100_000)
     b = rng.uniform(1e-3, 1e3, size=100_000)
@@ -347,7 +348,7 @@ def check_reverse_hoelder():
 
 
 def check_mountain_pass():
-    ctx = _context(n=48)
+    ctx = _context()
     rng = np.random.default_rng(21)
     min_j = min(sphere_energy(ctx, random_field(ctx, rng), 0.1) for _ in range(10))
     span = mode_field(ctx.grid, (1, 0)) + mode_field(ctx.grid, (0, 1))
@@ -356,13 +357,13 @@ def check_mountain_pass():
 
 
 def check_primal_chain():
-    ctx = _context(n=48)
+    ctx = _context()
     rel = transform_identity_error(ctx, random_field(ctx, np.random.default_rng(17)))
     return rel <= IDENTITY_TOL, f"transform identity rel {rel:.2e}"
 
 
 def check_search_mini():
-    ctx = _context(n=48)
+    ctx = _context()
     cfg = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
     result = multistart_search(ctx, cfg)
     converged = sum(1 for status, _ in result.outcomes if status == "converged")
@@ -382,7 +383,7 @@ def check_search_mini():
 
 
 def check_asymptotic_mini():
-    ctx = _context(n=48)
+    ctx = _context()
     bump = BumpDescriptor(center=(3.0, 3.0), radius=1.2, amplitude=0.3)
     pair = build_asymptotic_coefficient(ctx, bump)
     q, q_inf = pair.ctx.q, pair.ctx_inf.q

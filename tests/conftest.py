@@ -37,6 +37,19 @@ def make_bump_context(n=32, L=8.0, p=7.0, radius=1.5, dimension=2, eps=0.0):
     return FunctionalContext(Field(grid, q), p)
 
 
+def make_spanning_bump_context():
+    """A bump of radius 3.4 centred in L = 6 on n = 48 points: Q vanishes at 205 of
+    the 2,304 points, near the corners, but the support's box spans the grid."""
+    grid = GridSpec(dimension=2, box_length=6.0, points_per_axis=48)
+    q = bump_profile(grid, BumpDescriptor(center=(3.0, 3.0), radius=3.4, amplitude=0.5))
+    return FunctionalContext(Field(grid, q), 7.0)
+
+
+def spans_grid(ctx):
+    """Whether the support's box is the whole grid."""
+    return ctx.box == tuple(slice(0, n) for n in ctx.grid.shape)
+
+
 def full_mesh(grid):
     """The N whole-grid coordinate arrays, for oracles that need them unbroadcast."""
     return np.broadcast_arrays(*grid.open_mesh())

@@ -5,6 +5,9 @@ import pytest
 
 from helmdual import (
     BumpDescriptor,
+    Field,
+    GridMismatchError,
+    GridSpec,
     HypothesisViolatedError,
     SupportOverflowError,
     build_asymptotic_coefficient,
@@ -102,3 +105,10 @@ class TestTransplant:
         rng = np.random.default_rng(3)
         with pytest.raises(HypothesisViolatedError):
             transplant(broken, random_field(ctx, rng))
+
+    @pytest.mark.parametrize("grid", [GridSpec(2, 4.0, 48), GridSpec(2, 6.0, 24)],
+                             ids=["same_shape", "other_shape"])
+    def test_field_from_another_grid_is_grid_mismatch(self, pair, grid):
+        w = Field(grid, np.random.default_rng(4).standard_normal(grid.shape))
+        with pytest.raises(GridMismatchError):
+            transplant(pair, w)

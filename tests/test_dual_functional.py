@@ -28,8 +28,10 @@ from conftest import (
     make_bump_context,
     make_constant_context,
     make_sine_context,
+    make_spanning_bump_context,
     mode_field,
     random_field,
+    spans_grid,
     traced_peak,
 )
 
@@ -40,6 +42,28 @@ def sandwich(ctx, v):
     """The unpruned K: q R(q v) with one full fftn/ifftn pair."""
     q = ctx.q_root
     return q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real
+
+
+def window_pair(ctx, vs):
+    """K on support vectors as one unpruned fftn/ifftn pair on `_k_window`'s window."""
+    spectrum, _, flat = ctx._k_window
+    spec = np.zeros(spectrum.shape, dtype=complex)
+    spec.reshape(-1)[flat] = ctx.q_support * vs
+    spec = np.fft.ifftn(spectrum * np.fft.fftn(spec))
+    return ctx.q_support * spec.reshape(-1).real[flat]
+
+
+def holed_context(dimension, n=24, seed=31):
+    """Q > 0 at a random 60% of a block off the grid's corner: the support's
+    box holds zeros inside it, on whole lines as well as single points."""
+    grid = GridSpec(dimension=dimension, box_length=8.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    q = np.zeros(grid.shape)
+    block = (slice(3, 14),) + (slice(6, 15),) * (dimension - 1)
+    q[block] = rng.random(q[block].shape) * (rng.random(q[block].shape) < 0.6)
+    q[(slice(3, 14), 7) + (slice(None),) * (dimension - 2)] = 0.0  # one empty plane
+    p = 7.0 if dimension == 2 else 5.0
+    return FunctionalContext(Field(grid, q), p)
 
 
 def edge_context(dimension, axis, n=16):
@@ -190,7 +214,7 @@ class TestSupport:
     @pytest.mark.parametrize("shape", [{}, {"n": 24, "p": 5.0, "dimension": 3}])
     def test_windowed_k_is_the_sandwich(self, shape):
         ctx = make_bump_context(**shape)
-        assert ctx.box is not None
+        assert not spans_grid(ctx)
         v = np.random.default_rng(24).standard_normal(ctx.grid.shape)
         ref = ctx.restrict(sandwich(ctx, v))
         got = ctx.apply_k_support(ctx.restrict(v))
@@ -224,7 +248,9 @@ class TestSupport:
         ({"n": 24, "p": 5.0, "dimension": 3}, (9, 9, 9), (16, 16, 16)),
     ])
     def test_compact_support_k_is_one_small_fft_pair(self, shape, box, window, monkeypatch):
-        # window size per axis: the smallest 2*3*5-smooth integer >= max(1, 2 w - 2), at most n
+        # window size per axis: the smallest 2*3*5-smooth integer >= max(1, 2 w - 2), at most n;
+        # the forward transform runs one pass per axis, last first, the pass over
+        # axis d on the lines whose earlier axes lie in the box, the first on the window
         ctx = make_bump_context(**shape)
         assert tuple(b.stop - b.start for b in ctx.box) == box
         ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
@@ -234,19 +260,53 @@ class TestSupport:
             original = getattr(np.fft, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, a.shape))
+                calls.append((_name, a.shape, kwargs.get("axes")))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         ctx.apply_k_support(np.ones(ctx.support.size))
-        assert calls == [("fftn", window), ("ifftn", window)]
+        dim = len(window)
+        passes = [("fftn", box[:d] + window[d:], (d,)) for d in reversed(range(1, dim))]
+        assert calls == passes + [("fftn", window, (0,)), ("ifftn", window, None)]
 
     def test_full_support_k_is_bit_identical(self, sine_ctx):
-        assert sine_ctx.box is None
+        assert spans_grid(sine_ctx)
         v = np.random.default_rng(26).standard_normal(sine_ctx.grid.shape)
         np.testing.assert_array_equal(
             sine_ctx.apply_k_support(sine_ctx.restrict(v)), sine_ctx.restrict(sandwich(sine_ctx, v))
         )
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(),
+        lambda: make_bump_context(n=24, p=5.0, dimension=3),
+        lambda: edge_context(2, 0),
+        lambda: edge_context(2, 1),
+        lambda: edge_context(3, 1),
+        lambda: holed_context(2),
+        lambda: holed_context(3),
+    ], ids=["bump_2d", "bump_3d", "edge_2d_axis0", "edge_2d_axis1", "edge_3d_axis1",
+            "holed_2d", "holed_3d"])
+    def test_pruned_k_is_the_window_pair(self, make):
+        # the forward passes skip the window's lines outside the box, which hold
+        # exact zeros: K is the unpruned window pair bit for bit
+        ctx = make()
+        assert not spans_grid(ctx)
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            vs = rng.standard_normal(ctx.support.size)
+            assert ctx.apply_k_support(vs).tobytes() == window_pair(ctx, vs).tobytes()
+
+    def test_spanning_box_with_zeros_is_the_whole_grid_pair(self):
+        # Q vanishes near the corners, but the box spans the grid: the window is
+        # the grid, and K and R are the plain whole-grid pairs bit for bit
+        ctx = make_spanning_bump_context()
+        assert spans_grid(ctx) and ctx.support.size == 2099 and ctx.grid.size == 2304
+        assert ctx._k_window[0].shape == ctx.grid.shape
+        v = np.random.default_rng(33).standard_normal(ctx.grid.shape)
+        vs = ctx.restrict(v)
+        assert ctx.apply_k_support(vs).tobytes() == ctx.restrict(sandwich(ctx, v)).tobytes()
+        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
+        assert ctx.resolvent_array(vs).tobytes() == want.tobytes()
 
     def test_pruned_dual_to_primal_is_bit_identical(self):
         ctx = make_bump_context()
@@ -260,17 +320,13 @@ class TestSupport:
         lambda: make_sine_context(n=48),
     ], ids=["compact_2d", "compact_3d", "full_2d"])
     def test_weighted_resolvent_is_bit_identical(self, make):
-        # on a compact box dual_to_primal scatters Q^{1/p} v from the support into
-        # a spectrum pruned to the box, and the snap R(Q^{1/p} v) of a support
-        # vector v the same way
+        # R(Q^{1/p} v) of the support vector v, as dual_to_primal and the snap take
+        # it: Q^{1/p} v scattered from the support into a spectrum pruned to the box
         ctx = make()
         v = np.random.default_rng(28).standard_normal(ctx.grid.shape)
         want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        assert ctx.resolvent_array(v, ctx.q_root).tobytes() == want.tobytes()
+        assert ctx.resolvent_array(ctx.restrict(v)).tobytes() == want.tobytes()
         assert ctx.dual_to_primal(Field(ctx.grid, v)).values.tobytes() == want.tobytes()
-        vs = ctx.restrict(v)
-        snapped = ctx.resolvent_array(ctx.extend(ctx.q_support * vs), np.ones(ctx.grid.shape))
-        assert ctx.resolvent_array(ctx.extend(vs), ctx.q_root).tobytes() == snapped.tobytes()
 
     @pytest.mark.parametrize("kind", ["bump", "sine"])
     def test_k_results_do_not_alias(self, kind, sine_ctx):
@@ -421,7 +477,7 @@ class TestDualToPrimal:
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0) if kind == "bump_3d" else sine_ctx
         v = random_field(ctx, np.random.default_rng(29)).values
         want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        for got in (ctx.resolvent_array(v, ctx.q_root), ctx.dual_to_primal(Field(ctx.grid, v)).values):
+        for got in (ctx.resolvent_array(ctx.restrict(v)), ctx.dual_to_primal(Field(ctx.grid, v)).values):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.base is None
             np.testing.assert_array_equal(got, want)
@@ -494,7 +550,7 @@ class TestPrimalResidual:
         # (-Delta - 1) u is one real pair: one rfft, one irfft, and every complex
         # pass between them on the half spectrum; nothing complex of grid size
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0)
-        assert ctx.box is not None
+        assert not spans_grid(ctx)
         u = ctx.dual_to_primal(random_field(ctx, np.random.default_rng(5)))
         calls = []
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):

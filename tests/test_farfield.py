@@ -18,6 +18,7 @@ from helmdual import (
     DomainError,
     Field,
     FunctionalContext,
+    GridMismatchError,
     GridSpec,
     InsufficientShellsError,
     InterpolationDegenerateError,
@@ -29,7 +30,7 @@ from helmdual import (
 )
 from helmdual.asymptotic import bump_profile
 from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
-from conftest import full_mesh, traced_peak
+from conftest import full_mesh, spans_grid, traced_peak
 
 TESTS = Path(__file__).resolve().parent
 
@@ -40,6 +41,9 @@ def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, cent
     c = center or (L / 2.0,) * dimension
     q = bump_profile(grid, BumpDescriptor(center=c, radius=radius, amplitude=1.0))
     return FunctionalContext(Field(grid, q), p)
+
+
+OTHER_GRIDS = [GridSpec(2, 12.0, 64), GridSpec(2, 16.0, 32)]  # against compact_context()'s L = 16, n = 64
 
 
 class TestDirections:
@@ -108,6 +112,12 @@ class TestAmplitude:
         with pytest.raises(InterpolationDegenerateError):
             farfield_amplitude(ctx, Field(grid, q), equal_area_directions(2, 8))
 
+    @pytest.mark.parametrize("grid", OTHER_GRIDS, ids=["same_shape", "other_shape"])
+    def test_field_from_another_grid_is_grid_mismatch(self, grid):
+        u = Field(grid, np.random.default_rng(6).standard_normal(grid.shape))
+        with pytest.raises(GridMismatchError):
+            farfield_amplitude(compact_context(), u, equal_area_directions(2, 16))
+
 
 def synthetic_expansion_field(grid, k_plus=1.0):
     """Field built exactly from the leading-order expansion with a smooth
@@ -172,7 +182,7 @@ def full_support_context(dimension, n, L=8.0):
 def check_against_loop(ctx, wavenumber):
     """_box_transform of a random source on ctx's box against the per-wavevector loop."""
     dimension, n = ctx.grid.dimension, ctx.grid.points_per_axis
-    box = ctx.box or (slice(0, n),) * dimension
+    box = ctx.box
     source = ctx.q * np.random.default_rng(3).standard_normal(ctx.grid.shape)
     dirs = equal_area_directions(dimension, 24)
     # one wavevector on the lattice, where the per-axis sinc takes its series branch
@@ -195,7 +205,7 @@ class TestBoxTransform:
     @pytest.mark.parametrize("wavenumber", [1.0, np.sqrt(1.0 + 0.3j)])
     def test_full_support_matches_loop(self, dimension, n, wavenumber):
         ctx = full_support_context(dimension, n)
-        assert ctx.box is None
+        assert spans_grid(ctx)
         check_against_loop(ctx, wavenumber)
 
     @pytest.mark.parametrize("dimension, n", [(2, 32), (3, 16)])
@@ -211,7 +221,7 @@ class TestBoxTransform:
         ctx = compact_context(dimension, n=n)
         u = Field(ctx.grid, np.random.default_rng(1).standard_normal(ctx.grid.shape))
         dirs = equal_area_directions(dimension, count)
-        assert ctx.box is not None and len(dirs) != n
+        assert not spans_grid(ctx) and len(dirs) != n
         shapes = []
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             def recorded(a, *args, _transform=getattr(np.fft, name), **kwargs):
@@ -357,6 +367,13 @@ class TestDecayAndExpansion:
                 SphereSamples(equal_area_directions(2, 8), np.zeros(8, complex)),
                 r_min=0.05, r_max=0.3, shell_count=5,
             )
+
+    @pytest.mark.parametrize("grid", OTHER_GRIDS, ids=["same_shape", "other_shape"])
+    def test_field_from_another_grid_is_grid_mismatch(self, grid):
+        # on the same shape the check would read u's values against the wrong radii
+        u, samples = synthetic_expansion_field(grid)
+        with pytest.raises(GridMismatchError):
+            decay_and_expansion_check(compact_context(), u, samples)
 
 
 def blocked_and_whole(dimension, n):

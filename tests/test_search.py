@@ -26,7 +26,7 @@ from helmdual import (
 )
 from helmdual import selftest as battery
 from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scored
-from conftest import make_bump_context, make_sine_context, random_field
+from conftest import make_bump_context, make_sine_context, make_spanning_bump_context, random_field, spans_grid
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
 
@@ -88,7 +88,7 @@ class TestInitialField:
         # on the support's box (the grid, for full support) the values are the
         # mesh formula's bit for bit, and the field is zero outside the box
         ctx = make()
-        box = ctx.box or (slice(None),) * ctx.grid.dimension
+        box = ctx.box
         for seed in range(3):
             got = initial_field(ctx, np.random.default_rng(seed)).values
             want = mesh_initial_field(ctx, np.random.default_rng(seed))
@@ -104,7 +104,7 @@ class TestInitialField:
     def test_compact_support_transforms_no_grid_array(self, make, monkeypatch):
         # the pruned inverse transform touches mode rows and box slices only
         ctx = make()
-        assert ctx.box is not None
+        assert not spans_grid(ctx)
         shapes = []
         for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn"):
             def spy(a, *args, _call=getattr(np.fft, name), **kwargs):
@@ -140,7 +140,7 @@ class TestWithinOrbitOnSupport:
         # a Q that is not unit-periodic has the identity as its only shift;
         # the test on support vectors must decide as the grid's exact formula does
         ctx = make()
-        assert ctx.box is not None and not ctx.periodic
+        assert not spans_grid(ctx) and not ctx.periodic
         pc = ctx.exponents.p_conj
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -220,7 +220,8 @@ class TestFindCriticalPoint:
         assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
         assert np.all(rec.v_star.values[ctx.q == 0.0] == 0.0)
-        assert ctx.dual_residual(rec.v_star) <= cfg.tol_residual
+        v_star = rec.v_star.values
+        assert ctx.dual_residual_arrays(v_star, ctx.apply_k_array(v_star)) <= cfg.tol_residual
 
     def test_dual_to_primal_residual_chain(self, mini_result):
         # small dual residual forces a small primal residual; the recorded
@@ -296,7 +297,7 @@ class TestProjectScored:
             np.testing.assert_allclose(v, t * w.values, rtol=1e-12, atol=0)
             np.testing.assert_allclose(kv, t * kw, rtol=1e-12, atol=0)
             assert level == pytest.approx(ctx.nehari_energy(w), rel=1e-12, abs=0)
-            assert res == pytest.approx(ctx.dual_residual(vf), rel=1e-12, abs=0)
+            assert res == pytest.approx(ctx.dual_residual_arrays(v, ctx.apply_k_array(v)), rel=1e-12, abs=0)
             assert grad_norm == pytest.approx(g_ref.lp_norm(p), rel=1e-12, abs=0)
             assert v_norm == pytest.approx(vf.lp_norm(pc), rel=1e-12, abs=0)
             assert np.max(np.abs(g - g_ref.values)) <= 1e-12 * np.max(np.abs(g_ref.values))
@@ -495,7 +496,8 @@ class TestAndersonWindow:
 
 
 class TestPositionLandscape:
-    """The snap runs for every Q with full support, the placement only for a unit-periodic Q."""
+    """The snap runs for every Q whose support's box spans the grid, the placement
+    only for a unit-periodic Q."""
 
     def test_compact_coefficient_never_places(self, monkeypatch):
         shifts = []
@@ -531,6 +533,24 @@ class TestPositionLandscape:
             if snaps:
                 # the snap was accepted as step SNAP_AFTER + 1, with a strict decrease
                 assert rec.j_values[SNAP_AFTER + 1] == snaps[0][2] < rec.j_values[SNAP_AFTER]
+            assert battery.level_increase([rec]) <= battery.MONOTONE_TOL
+
+    def test_spanning_box_with_zeros_snaps(self, monkeypatch):
+        # Q vanishes near the corners, but its box spans the grid: each start snaps once
+        ctx = make_spanning_bump_context()
+        assert spans_grid(ctx) and not ctx.full_support
+        snaps = []
+        snap = search._snap
+
+        def kept(*args):
+            snaps.append(snap(*args))
+            return snaps[-1]
+
+        monkeypatch.setattr(search, "_snap", kept)
+        for seed in range(2):
+            rec = find_critical_point(ctx, initial_field(ctx, np.random.default_rng(seed)), MINI_CFG)
+            assert len(snaps) == seed + 1
+            assert rec.dual_residual <= MINI_CFG.tol_residual
             assert battery.level_increase([rec]) <= battery.MONOTONE_TOL
 
     def test_critical_shifts_of_a_cosine(self):
