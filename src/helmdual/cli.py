@@ -201,6 +201,7 @@ def _run_farfield(cfg, out: _OutputDir) -> int:
     result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
     rec = result.records[0]
     out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
+    del result  # the other records' grid fields: only the best one is read from here on
     out.write_bytes("u_best.hlmf", cfgmod.write_field(rec.u_star))
 
     dirs = equal_area_directions(ctx.grid.dimension, cfg.farfield_direction_count)

@@ -33,25 +33,31 @@ smaller) with r cut to those differences: the
 zero-padded convolution of Hockney & Eastwood, here with the torus kernel
 itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
-itself.  `resolvent_array` (`dual_to_primal`, the snap) needs R on the whole
-grid, and returns a contiguous real field.  Both run one routine, `_pair`:
-the source is scattered from S, the forward transform is pruned to the box
-(its window-local copy for K), and the spectrum is applied before one
-`ifftn`.  The box is always the support's bounding box; when it spans the
-grid, `_pair` is one plain `fftn` and one `ifftn`.
+itself.  K runs on `_pair`, a complex FFT pair whose forward passes skip
+the lines that hold exact zeros and whose inverse passes skip the lines that
+reach no point of the box (Markel 1971); when the box spans the window it is
+one plain `fftn` and one `ifftn`.
+
+`resolvent_array` (`dual_to_primal`, the snap) needs R on the whole grid.
+Its source is real, so it runs on `_real_pair`, the passes of `rfftn` and
+`irfftn` (Sorensen et al. 1987): the `rfft` runs on the box's lines only,
+the complex passes on the half spectrum are pruned to the box, and sigma is
+taken on the half spectrum only, a view of the window spectrum on full
+support, formed per call otherwise.  So R makes no complex array of the
+grid's size: its half spectrum holds about the bytes of one real grid array.
+The box is always the support's bounding box.
 
 So a context keeps Q, S, q_S = Q_S^{1/p} and the window spectrum.  On full
 support that is all it needs: the window spectrum is sigma and
 extend(q_S) is Q^{1/p}, both views.  On compact support both are whole-grid
-arrays that no hot path reads, so `sigma` and `q_root` form them per call:
-the 3d far-field run holds Q and little else the size of its grid.
+arrays that no hot path reads, so `half_sigma` and `q_root` form them per
+call: the 3d far-field run holds Q and little else the size of its grid.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one real FFT pair run axis by axis, each complex pass on the
-half spectrum replacing the last, with |k|^2 formed on the half spectrum
-only, and forms Q |u|^{p-2} u on S only: off S
+eps = 0), as one `_real_pair` over the whole grid, with the symbol formed on
+the half spectrum only, and forms Q |u|^{p-2} u on S only: off S
 the defect is the operator's image itself, so one power pass over the grid
 serves two of its three norms.
 """
@@ -63,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
-from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol, squared_norm
+from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
 
 
 def _smooth_size(m: int) -> int:
@@ -79,28 +85,57 @@ def _smooth_size(m: int) -> int:
 
 
 def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.ndarray:
-    """ifftn(spectrum * fftn(s)) as a new complex array, where s holds `source` at
-    the flat `index` and zeros elsewhere, and every nonzero of s lies in `box`.
+    """K's transform pair: ifftn(spectrum * fftn(s)) as a new complex array, exact
+    on `box`, where s holds `source` at the flat `index` and zeros elsewhere,
+    and every nonzero of s lies in `box`.
 
-    The forward passes run last axis first, as `fftn` runs them, the pass over
-    axis d only on the lines whose earlier axes lie in the box: the others hold
-    exact zeros (Markel 1971).  The passes whose lines are the whole array are
-    one `fftn` call, so with a box that spans the array this is one `fftn` and
-    one `ifftn`.  The spectrum is released once applied.
+    With a box that spans the array this is one `fftn` and one `ifftn`.
+    Otherwise both transforms run as `fftn` and `ifftn` do, one `fft` or
+    `ifft` pass per axis, last axis first, and each pass is pruned to the box
+    (Markel 1971).  The forward pass over axis d runs only on the lines whose
+    earlier axes lie in the box: the others hold exact zeros.  The inverse
+    pass over axis d runs only on the lines whose later axes lie in the box:
+    no other line reaches a value on the box, and values off it are left half
+    transformed.
     """
     spec = np.zeros(spectrum.shape, dtype=complex)
     spec.reshape(-1)[index] = source
-    full = 0  # the passes over axes 0..full see the whole array
-    while full < spec.ndim - 1 and box[full] == slice(0, spec.shape[full]):
-        full += 1
-    for d in reversed(range(full + 1, spec.ndim)):
+    if box == tuple(slice(0, m) for m in spec.shape):
+        np.fft.fftn(spec, out=spec)
+        spec *= spectrum
+        return np.fft.ifftn(spec, out=spec)
+    for d in reversed(range(spec.ndim)):
         block = spec[box[:d]]
-        np.fft.fftn(block, axes=(d,), out=block)
-    # every axis as axes=None: explicit axes make numpy take the shape through np.take first
-    np.fft.fftn(spec, axes=None if full == spec.ndim - 1 else tuple(range(full + 1)), out=spec)
+        np.fft.fft(block, axis=d, out=block)
     spec *= spectrum
-    del spectrum
-    return np.fft.ifftn(spec, out=spec)
+    for d in reversed(range(spec.ndim)):
+        block = spec[(slice(None),) * (d + 1) + box[d + 1:]]
+        np.fft.ifft(block, axis=d, out=block)
+    return spec
+
+
+def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
+    """irfftn(symbol() * rfftn(s)) over the grid of `shape`, as a new C-contiguous
+    real array, where s holds `lines` on the last-axis lines through the box's
+    leading slices and zeros elsewhere.
+
+    The passes are those of `rfftn` and `irfftn`, in their order, so the result
+    is theirs bit for bit: one `rfft` on the box's lines into a zeroed half
+    spectrum (the last axis cut to n/2 + 1), the complex passes over axes
+    N-2, ..., 0 in place, each only on the lines whose earlier axes lie in the
+    box (the others hold exact zeros), then the product with `symbol()`, the
+    symbol on the half spectrum, formed and released here, the in-place
+    `ifft`s and one `irfft`.
+    """
+    half = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    np.fft.rfft(lines, out=half[box[:-1]])
+    for d in reversed(range(len(shape) - 1)):
+        block = half[box[:d]]
+        np.fft.fft(block, axis=d, out=block)
+    half *= symbol()
+    for d in range(len(shape) - 1):
+        np.fft.ifft(half, axis=d, out=half)
+    return np.fft.irfft(half, n=shape[-1])
 
 
 def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -215,11 +250,14 @@ class FunctionalContext:
                          for idx in np.unravel_index(self.support, grid.shape))
 
     @property
-    def sigma(self) -> np.ndarray:
-        """The resolvent symbol on the grid (`kernel.helmholtz_multiplier`): K's
-        window spectrum when no window axis is cut, a new array otherwise."""
+    def half_sigma(self) -> np.ndarray:
+        """The resolvent symbol on the half spectrum of a real transform
+        (`kernel.helmholtz_multiplier`): a view of K's window spectrum when no
+        window axis is cut, a new array otherwise."""
         kernel = self._k_window[0]
-        return kernel if kernel.shape == self.grid.shape else helmholtz_multiplier(self.grid)
+        if kernel.shape == self.grid.shape:
+            return kernel[..., : kernel.shape[-1] // 2 + 1]
+        return helmholtz_multiplier(self.grid, half=True)
 
     @property
     def q_root(self) -> np.ndarray:
@@ -271,15 +309,28 @@ class FunctionalContext:
 
     def resolvent_array(self, vs: np.ndarray) -> np.ndarray:
         """R(Q^{1/p} v) on the grid for a support vector v, as a new C-contiguous
-        real array: one `_pair` with sigma over the support's box.
+        real array: one `_real_pair` with sigma on the half spectrum.
 
-        On compact support sigma is a new array, formed before the complex
-        spectrum and released once applied, so at most three grid arrays are
-        live.  The real part is copied out of the complex work array, so the
-        result holds no complex buffer of twice its size alive.
+        The source sits on the lines through the support's box, so it is
+        scattered into a block of those lines alone; on compact support the
+        symbol is formed after the forward passes and released once applied,
+        so about two grid arrays are live at most: the half spectrum, then
+        it and the result.
         """
-        index = slice(None) if self.full_support else self.support
-        return _pair(self.sigma, self.box, index, self.q_support * vs).real.copy()
+        shape = self.grid.shape
+        lines_box = self.box[:-1] + (slice(0, shape[-1]),)
+        lines = np.zeros([span.stop - span.start for span in lines_box])
+        lines.reshape(-1)[self._index_in(lines_box, lines.shape)] = self.q_support * vs
+        return _real_pair(lines, self.box, shape, lambda: self.half_sigma)
+
+    def _index_in(self, box: tuple, shape: tuple):
+        """Flat index of each support point in an array of `shape` whose origin
+        sits at the starts of `box`: slice(None) on full support, where the
+        array is the grid."""
+        if self.full_support:
+            return slice(None)
+        local = np.unravel_index(self.support, self.grid.shape)
+        return np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, box)), shape)
 
     @cached_property
     def _k_window(self):
@@ -319,11 +370,7 @@ class FunctionalContext:
             kernel = np.fft.fftn(kernel, axes=cut).real.copy()
         kernel.setflags(write=False)
         local_box = tuple(slice(0, span.stop - span.start) for span in self.box)
-        if self.full_support:
-            return kernel, local_box, slice(None)
-        local = np.unravel_index(self.support, self.grid.shape)
-        flat = np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, self.box)), shape)
-        return kernel, local_box, flat
+        return kernel, local_box, self._index_in(self.box, shape)
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
         """K on support vectors: q_S R(extend(q_S v))|_S, as one `_pair` on the
@@ -408,11 +455,8 @@ class FunctionalContext:
         which is -Delta - 1 at eps = 0; with eps > 0 it is the regularized
         operator the run solves.  Relative to the magnitude of the two
         balanced terms; the absolute norm is returned for u = 0 (where it
-        vanishes anyway).  A u is `rfftn` and `irfftn` written out axis by
-        axis in numpy's order, so bit for bit: one `rfft` over the last axis,
-        then the complex passes over the leading axes, and back the same way
-        to one `irfft`.  Each pass drops the half spectrum before it as soon
-        as its own exists, so at most two are ever live.  The
+        vanishes anyway).  A u is one `_real_pair` over the whole grid, with
+        the symbol formed on the half spectrum.  The
         nonlinearity rhs is formed on the support S of Q only: off S it
         vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
         over the points off S, taken in one pass over the grid, and the rest
@@ -421,18 +465,9 @@ class FunctionalContext:
         """
         vals = self._own(u)
         p, pc = self.exponents.p, self.exponents.p_conj
-        shape = self.grid.shape
-        spec = np.fft.rfft(vals)
-        for axis in reversed(range(len(shape) - 1)):
-            spec = np.fft.fft(spec, axis=axis)
-        k = self.grid.axis_frequencies
-        shifted = squared_norm([k] * (len(shape) - 1) + [k[:shape[-1] // 2 + 1]])  # the half spectrum
-        shifted -= 1.0
-        spec *= helmholtz_symbol(shifted, self.grid.shell_epsilon)
-        del shifted
-        for axis in range(len(shape) - 1):
-            spec = np.fft.ifft(spec, axis=axis)
-        lhs = np.fft.irfft(spec, n=shape[-1])
+        grid = self.grid
+        lhs = _real_pair(vals, tuple(slice(0, n) for n in grid.shape), grid.shape,
+                         lambda: helmholtz_symbol(grid.half_k_squared - 1.0, grid.shell_epsilon))
         q = self.restrict(self.q)
         rhs = q * odd_power(self.restrict(vals), p - 1.0)
         lhs_s = self.restrict(lhs)

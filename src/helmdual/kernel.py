@@ -15,8 +15,9 @@ solution enters, matching the dual variational formulation.
 This module applies neither symbol: `FunctionalContext` (dual_functional)
 runs R and K for the solver, and the checks of R run that same operator.
 A `GridSpec` keeps its per-axis coordinates and frequencies and the float
-`delta_min`, nothing the size of the grid: |k|^2 (`k_squared`,
-`squared_norm`) and the symbols are formed where they are used.
+`delta_min`, nothing the size of the grid: |k|^2 (`k_squared`, or
+`half_k_squared` on a real transform's half spectrum, both `squared_norm`)
+and the symbols are formed where they are used.
 """
 
 import math
@@ -108,6 +109,14 @@ class GridSpec:
         """|k|^2 over the frequency lattice, as a new array on each call: no
         whole-grid symbol is kept on the grid."""
         return squared_norm([self.axis_frequencies] * self.dimension)
+
+    @property
+    def half_k_squared(self) -> np.ndarray:
+        """|k|^2 on the half spectrum of a real transform, the last axis cut to
+        its n/2 + 1 nonnegative frequencies: that slice of `k_squared` bit for
+        bit (`squared_norm`), as a new array on each call."""
+        k = self.axis_frequencies
+        return squared_norm([k] * (self.dimension - 1) + [k[: k.size // 2 + 1]])
 
     @cached_property
     def delta_min(self) -> float:
@@ -202,10 +211,11 @@ def squared_norm(axes) -> np.ndarray:
     return sum(a ** 2 for a in np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
-def helmholtz_multiplier(grid: GridSpec) -> np.ndarray:
-    """Resolvent symbol sigma over the frequency lattice (module docstring); for
-    eps = 0 `GridSpec` already keeps every lattice point off the unit shell."""
-    shifted = grid.k_squared
+def helmholtz_multiplier(grid: GridSpec, half: bool = False) -> np.ndarray:
+    """Resolvent symbol sigma over the frequency lattice (module docstring), or
+    over its half spectrum (`GridSpec.half_k_squared`) when `half`; for eps = 0
+    `GridSpec` already keeps every lattice point off the unit shell."""
+    shifted = grid.half_k_squared if half else grid.k_squared
     shifted -= 1.0
     out = shifted ** 2
     out += grid.shell_epsilon ** 2

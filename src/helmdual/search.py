@@ -297,16 +297,15 @@ class _AndersonWindow:
     is orthogonalized by one classical Gram-Schmidt pass, and by a second
     only when the first leaves ||w|| < ||d|| / sqrt(2), the test of Daniel,
     Gragg, Kaufman & Stewart (Math. Comp. 30, 1976) for a cancellation that
-    the first pass cannot be trusted with.  When the window
-    is full it restarts: every column is dropped and only the newest image is
-    kept, so the next push leaves 2 images and 1 column.  A column that is
-    numerically dependent on the others gets a zero Q vector and a zero row in
-    R, so Q R = Delta still holds and the truncated mix stays finite.  The
-    mix solves R gamma = Q^T f by back substitution while every |r_ii| clears
-    lstsq's truncation threshold; a window holding a zeroed column goes to
-    `lstsq` for its minimum-norm answer.  The images G(v_j) and K G(v_j) sit
-    in a ring buffer, so the mixed candidate is one matrix-vector product per
-    image.
+    the first pass cannot be trusted with.  The window restarts when it is
+    full, when a new difference is numerically dependent on its columns, or
+    when a diagonal of R would fall below lstsq's truncation threshold:
+    every column is dropped and only the previous image is kept, so the push
+    leaves 2 images and 1 column (1 image and no column when the difference
+    is exactly zero).  So every |r_ii| clears that threshold, and the mix
+    solves R gamma = Q^T f by back substitution.  The images G(v_j) and
+    K G(v_j) sit in a ring buffer, so the mixed candidate is one
+    matrix-vector product per image.
     """
 
     def __init__(self, depth, size):
@@ -328,12 +327,15 @@ class _AndersonWindow:
         self.pushes += 1
         f = self.images[0, slot] - v
         if self.last is not None:
-            if self.cols == self.depth:
+            d = f - self.last
+            if self.cols == self.depth or not self._append(d):
                 self.cols = 0  # restart: keep only the previous image
-            self._append(f - self.last)
+                self._append(d)
         self.last = f
 
     def _append(self, d):
+        """Add the column d to Q R; False, adding nothing, when d is numerically
+        dependent on the columns or a diagonal of R falls below the threshold."""
         k = self.cols
         q = self.q[:k]
         h = q @ d
@@ -344,24 +346,20 @@ class _AndersonWindow:
             w -= h2 @ q
             h += h2
             norm = np.linalg.norm(w)
+        diag = np.append(np.abs(np.diagonal(self.r)[:k]), norm)
+        if not (norm > self.rcond * d_norm and diag.min() > self.rcond * diag.max()):
+            return False
         self.r[:k, k] = h
-        if norm > self.rcond * d_norm:
-            self.q[k] = w / norm
-            self.r[k, k] = norm
-        else:
-            self.q[k] = 0.0
-            self.r[k, k] = 0.0
+        self.q[k] = w / norm
+        self.r[k, k] = norm
         self.cols = k + 1
+        return True
 
     def gamma(self):
         """Coefficients minimizing ||Delta gamma - f|| for the newest residual f."""
         k = self.cols
         r = self.r[:k, :k]
         rhs = self.q[:k] @ self.last
-        diag = np.abs(np.diagonal(r))
-        if diag.min() <= self.rcond * diag.max():  # a zeroed column: the minimum-norm answer
-            gamma, *_ = np.linalg.lstsq(r, rhs, rcond=self.rcond)
-            return gamma
         gamma = np.zeros(k)
         for i in reversed(range(k)):
             gamma[i] = (rhs[i] - r[i, i + 1:] @ gamma[i + 1:]) / r[i, i]
@@ -383,15 +381,19 @@ class _AndersonWindow:
 
 
 def _finish(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
-    """SolutionRecord of the support vector v with its image kv and dual residual res."""
-    vf = Field(ctx.grid, ctx.extend(v))
-    u = ctx.dual_to_primal(vf)
+    """SolutionRecord of the support vector v with its image kv and dual residual res.
+
+    u = R(Q^{1/p} v) comes from v itself, and v's grid field is built after
+    the primal check, so that check runs beside u alone.
+    """
+    u = Field(ctx.grid, ctx.resolvent_array(v))
+    primal = ctx.primal_residual(u)
     return SolutionRecord(
-        v_star=vf,
+        v_star=Field(ctx.grid, ctx.extend(v)),
         u_star=u,
         level=ctx.energy_arrays(v, kv),
         dual_residual=res,
-        primal_residual=ctx.primal_residual(u),
+        primal_residual=primal,
         iterations=iterations,
         orbit_shift=(0,) * ctx.grid.dimension,
         sign=1,
@@ -442,7 +444,7 @@ def _landscape(ctx, profile):
     mass = np.abs(phi) ** pc
     q = ctx.q
     n = ctx.grid.points_per_axis
-    sigma = ctx.sigma[..., : n // 2 + 1] * (ctx.weight / ctx.grid.size)
+    sigma = ctx.half_sigma * (ctx.weight / ctx.grid.size)
     sigma[..., 1 : n // 2] *= 2.0
     sigma = np.repeat(sigma, 2, axis=-1)  # weights of the (real, imag) float pairs
 
@@ -586,17 +588,19 @@ def _place(ctx, record, tol):
     return placed
 
 
-def find_critical_point(ctx: FunctionalContext, v0: Field, cfg: DescentConfig) -> SolutionRecord:
+def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> SolutionRecord:
     """Run the constrained descent from v0 until the dual residual meets tol.
 
-    Raises NotInUPlusError when the projected seed is inadmissible and
-    MaxIterationsError when the budget runs out or a step stalls.  The
-    descent starts from v0 restricted to the support of Q, which has the
-    same quadratic form and a smaller norm, hence a lower fibering level.
+    v0 is a Field, or the vector of its values on the support of Q
+    (`ctx.restrict`).  Raises NotInUPlusError when the projected seed is
+    inadmissible and MaxIterationsError when the budget runs out or a step
+    stalls.  The descent starts from v0 restricted to the support of Q,
+    which has the same quadratic form and a smaller norm, hence a lower
+    fibering level.
     """
     pc = ctx.exponents.p_conj
     p = ctx.exponents.p
-    v = ctx.restrict(np.asarray(ctx._own(v0), dtype=float))
+    v = ctx.restrict(ctx._own(v0)) if isinstance(v0, Field) else v0
     if not np.any(v):
         raise NotInUPlusError("zero initial field is inadmissible")
     projected = _project_scored(ctx, v, ctx.apply_k_support(v))
@@ -904,7 +908,8 @@ def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
 def _solve_one(args):
     ctx, cfg, index, seed_seq = args
     rng = np.random.default_rng(seed_seq)
-    v0 = initial_field(ctx, rng)
+    # the start's values on the support only: its grid field is freed before the first step
+    v0 = ctx.restrict(initial_field(ctx, rng).values)
     try:
         record = find_critical_point(ctx, v0, cfg)
         record.start_index = index

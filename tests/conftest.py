@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helmdual import BumpDescriptor, Field, FunctionalContext, GridSpec
+from helmdual import BumpDescriptor, Field, FunctionalContext, GridSpec, helmholtz_multiplier
 from helmdual.asymptotic import bump_profile
 from helmdual.dual_functional import sine_product
 from helmdual.selftest import mode_field, random_field  # noqa: F401  (shared with the tests)
@@ -48,6 +48,23 @@ def make_spanning_bump_context():
 def spans_grid(ctx):
     """Whether the support's box is the whole grid."""
     return ctx.box == tuple(slice(0, n) for n in ctx.grid.shape)
+
+
+def window_pair(ctx, vs):
+    """K on support vectors as one unpruned fftn/ifftn pair on `_k_window`'s window."""
+    spectrum, _, flat = ctx._k_window
+    spec = np.zeros(spectrum.shape, dtype=complex)
+    spec.reshape(-1)[flat] = ctx.q_support * vs
+    spec = np.fft.ifftn(spectrum * np.fft.fftn(spec))
+    return ctx.q_support * spec.reshape(-1).real[flat]
+
+
+def real_resolvent(ctx, v):
+    """R(Q^{1/p} v) as numpy's unpruned real pair: sigma on the half spectrum.
+    `axes` goes with `s`: `s` alone is deprecated since numpy 2.0."""
+    shape = ctx.grid.shape
+    sigma = helmholtz_multiplier(ctx.grid)[..., : shape[-1] // 2 + 1]
+    return np.fft.irfftn(sigma * np.fft.rfftn(ctx.q_root * v), s=shape, axes=tuple(range(len(shape))))
 
 
 def full_mesh(grid):

@@ -16,6 +16,7 @@ from helmdual import (
     SphereSamples,
     ZeroFieldError,
     equal_area_directions,
+    helmholtz_multiplier,
     multistart_search,
     odd_power,
 )
@@ -31,8 +32,10 @@ from conftest import (
     make_spanning_bump_context,
     mode_field,
     random_field,
+    real_resolvent,
     spans_grid,
     traced_peak,
+    window_pair,
 )
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)
@@ -41,16 +44,19 @@ SQRT2_BOX = np.pi * np.sqrt(2.0)
 def sandwich(ctx, v):
     """The unpruned K: q R(q v) with one full fftn/ifftn pair."""
     q = ctx.q_root
-    return q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real
+    return q * np.fft.ifftn(helmholtz_multiplier(ctx.grid) * np.fft.fftn(q * v)).real
 
 
-def window_pair(ctx, vs):
-    """K on support vectors as one unpruned fftn/ifftn pair on `_k_window`'s window."""
-    spectrum, _, flat = ctx._k_window
-    spec = np.zeros(spectrum.shape, dtype=complex)
-    spec.reshape(-1)[flat] = ctx.q_support * vs
-    spec = np.fft.ifftn(spectrum * np.fft.fftn(spec))
-    return ctx.q_support * spec.reshape(-1).real[flat]
+def complex_resolvent(ctx, v):
+    """R(Q^{1/p} v) as the unpruned complex pair on the grid."""
+    return np.fft.ifftn(helmholtz_multiplier(ctx.grid) * np.fft.fftn(ctx.q_root * v)).real
+
+
+def assert_resolvent(ctx, got, v):
+    """got is R(Q^{1/p} v): numpy's real pair bit for bit, the complex pair to rounding."""
+    assert got.tobytes() == real_resolvent(ctx, v).tobytes()
+    want = complex_resolvent(ctx, v)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def holed_context(dimension, n=24, seed=31):
@@ -206,7 +212,7 @@ class TestSupport:
         ctx = make_bump_context()
         v = np.random.default_rng(21).standard_normal(ctx.grid.shape)
         q = ctx.q_root
-        ref = q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real
+        ref = q * np.fft.ifftn(helmholtz_multiplier(ctx.grid) * np.fft.fftn(q * v)).real
         got = ctx.apply_k_array(v)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         np.testing.assert_array_equal(ctx.restrict(got), ctx.apply_k_support(ctx.restrict(v)))
@@ -229,7 +235,8 @@ class TestSupport:
         v = np.random.default_rng(30).standard_normal(ctx.grid.size)
         q = ctx.q_root.reshape(-1)
         w = dft_matrix(ctx.grid)
-        want = q * (w.conj().T @ (ctx.sigma.reshape(-1) * (w @ (q * v)))).real / ctx.grid.size
+        sigma = helmholtz_multiplier(ctx.grid).reshape(-1)
+        want = q * (w.conj().T @ (sigma * (w @ (q * v)))).real / ctx.grid.size
         got = ctx.apply_k(Field(ctx.grid, v)).values.reshape(-1)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -249,25 +256,27 @@ class TestSupport:
     ])
     def test_compact_support_k_is_one_small_fft_pair(self, shape, box, window, monkeypatch):
         # window size per axis: the smallest 2*3*5-smooth integer >= max(1, 2 w - 2), at most n;
-        # the forward transform runs one pass per axis, last first, the pass over
-        # axis d on the lines whose earlier axes lie in the box, the first on the window
+        # each transform runs one 1-d pass per axis, last first: the forward pass
+        # over axis d on the lines whose earlier axes lie in the box, the inverse
+        # pass over axis d on the lines whose later axes lie in the box
         ctx = make_bump_context(**shape)
         assert tuple(b.stop - b.start for b in ctx.box) == box
         ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
         assert ctx._k_window[0].shape == window
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fft", "ifft", "fftn", "ifftn"):
             original = getattr(np.fft, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, a.shape, kwargs.get("axes")))
+                calls.append((_name, a.shape, kwargs.get("axis")))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         ctx.apply_k_support(np.ones(ctx.support.size))
         dim = len(window)
-        passes = [("fftn", box[:d] + window[d:], (d,)) for d in reversed(range(1, dim))]
-        assert calls == passes + [("fftn", window, (0,)), ("ifftn", window, None)]
+        forward = [("fft", box[:d] + window[d:], d) for d in reversed(range(dim))]
+        inverse = [("ifft", window[:d + 1] + box[d + 1:], d) for d in reversed(range(dim))]
+        assert calls == forward + inverse
 
     def test_full_support_k_is_bit_identical(self, sine_ctx):
         assert spans_grid(sine_ctx)
@@ -288,7 +297,8 @@ class TestSupport:
             "holed_2d", "holed_3d"])
     def test_pruned_k_is_the_window_pair(self, make):
         # the forward passes skip the window's lines outside the box, which hold
-        # exact zeros: K is the unpruned window pair bit for bit
+        # exact zeros, and the inverse passes the lines that reach no point of
+        # the box: K is the unpruned window pair bit for bit
         ctx = make()
         assert not spans_grid(ctx)
         rng = np.random.default_rng(32)
@@ -298,21 +308,20 @@ class TestSupport:
 
     def test_spanning_box_with_zeros_is_the_whole_grid_pair(self):
         # Q vanishes near the corners, but the box spans the grid: the window is
-        # the grid, and K and R are the plain whole-grid pairs bit for bit
+        # the grid, K is the plain whole-grid complex pair and R the plain real
+        # pair, bit for bit
         ctx = make_spanning_bump_context()
         assert spans_grid(ctx) and ctx.support.size == 2099 and ctx.grid.size == 2304
         assert ctx._k_window[0].shape == ctx.grid.shape
         v = np.random.default_rng(33).standard_normal(ctx.grid.shape)
         vs = ctx.restrict(v)
         assert ctx.apply_k_support(vs).tobytes() == ctx.restrict(sandwich(ctx, v)).tobytes()
-        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        assert ctx.resolvent_array(vs).tobytes() == want.tobytes()
+        assert_resolvent(ctx, ctx.resolvent_array(vs), v)
 
     def test_pruned_dual_to_primal_is_bit_identical(self):
         ctx = make_bump_context()
         v = np.random.default_rng(27).standard_normal(ctx.grid.shape)
-        ref = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        np.testing.assert_array_equal(ctx.dual_to_primal(Field(ctx.grid, v)).values, ref)
+        assert_resolvent(ctx, ctx.dual_to_primal(Field(ctx.grid, v)).values, v)
 
     @pytest.mark.parametrize("make", [
         lambda: make_bump_context(),
@@ -321,12 +330,12 @@ class TestSupport:
     ], ids=["compact_2d", "compact_3d", "full_2d"])
     def test_weighted_resolvent_is_bit_identical(self, make):
         # R(Q^{1/p} v) of the support vector v, as dual_to_primal and the snap take
-        # it: Q^{1/p} v scattered from the support into a spectrum pruned to the box
+        # it: Q^{1/p} v scattered from the support into the box's lines, and a
+        # half spectrum pruned to the box
         ctx = make()
         v = np.random.default_rng(28).standard_normal(ctx.grid.shape)
-        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
-        assert ctx.resolvent_array(ctx.restrict(v)).tobytes() == want.tobytes()
-        assert ctx.dual_to_primal(Field(ctx.grid, v)).values.tobytes() == want.tobytes()
+        assert_resolvent(ctx, ctx.resolvent_array(ctx.restrict(v)), v)
+        assert_resolvent(ctx, ctx.dual_to_primal(Field(ctx.grid, v)).values, v)
 
     @pytest.mark.parametrize("kind", ["bump", "sine"])
     def test_k_results_do_not_alias(self, kind, sine_ctx):
@@ -472,15 +481,14 @@ class TestDualToPrimal:
 
     @pytest.mark.parametrize("kind", ["bump_3d", "sine"])
     def test_contiguous_real_result(self, kind, sine_ctx):
-        # a new float64 array, no strided view on the complex work array, and
-        # the values of the unpruned complex pair bit for bit
+        # a new float64 array, no view on a work array, and the values of the
+        # unpruned real pair bit for bit
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0) if kind == "bump_3d" else sine_ctx
         v = random_field(ctx, np.random.default_rng(29)).values
-        want = np.fft.ifftn(ctx.sigma * np.fft.fftn(ctx.q_root * v)).real
         for got in (ctx.resolvent_array(ctx.restrict(v)), ctx.dual_to_primal(Field(ctx.grid, v)).values):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.base is None
-            np.testing.assert_array_equal(got, want)
+            assert_resolvent(ctx, got, v)
 
     def test_transform_identity(self, sine_ctx):
         v = random_field(sine_ctx, np.random.default_rng(9))

@@ -1,12 +1,14 @@
-"""Property tests on random supports: K's window grid against the torus pair,
-and the homogeneity of the fibering map; the integer powers against `**`."""
+"""Property tests on random supports: K's window grid against the torus pair
+and its pruned passes against the unpruned window pair, R against numpy's real
+pair, and the homogeneity of the fibering map; the integer powers against `**`."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helmdual import Field, FunctionalContext, GridSpec
+from helmdual import Field, FunctionalContext, GridSpec, helmholtz_multiplier
 from helmdual.dual_functional import abs_power, odd_power
+from conftest import real_resolvent, window_pair
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 # Worst case seen over 400 random supports: 1.5e-15 (sandwich, relative to
@@ -47,9 +49,27 @@ def test_k_is_the_torus_sandwich(drawn):
     ctx, rng = drawn
     v = rng.standard_normal(ctx.grid.shape)
     q = ctx.q_root
-    ref = ctx.restrict(q * np.fft.ifftn(ctx.sigma * np.fft.fftn(q * v)).real)
+    ref = ctx.restrict(q * np.fft.ifftn(helmholtz_multiplier(ctx.grid) * np.fft.fftn(q * v)).real)
     got = ctx.apply_k_support(ctx.restrict(v))
     assert np.max(np.abs(got - ref)) <= BOUND * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(support_contexts())
+def test_pruned_k_is_the_window_pair(drawn):
+    # K's transforms skip the lines that hold exact zeros or reach no point of
+    # the box, holes inside the box included: the unpruned window pair bit for bit
+    ctx, rng = drawn
+    vs = rng.standard_normal(ctx.support.size)
+    assert ctx.apply_k_support(vs).tobytes() == window_pair(ctx, vs).tobytes()
+
+
+@PROPERTY
+@given(support_contexts())
+def test_resolvent_is_the_real_pair(drawn):
+    ctx, rng = drawn
+    vs = rng.standard_normal(ctx.support.size)
+    assert ctx.resolvent_array(vs).tobytes() == real_resolvent(ctx, ctx.extend(vs)).tobytes()
 
 
 @PROPERTY

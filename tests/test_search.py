@@ -424,21 +424,22 @@ class TestAndersonWindow:
         a, b = rng.standard_normal(200), rng.standard_normal(200)
         zero = np.zeros(200)
         window = _AndersonWindow(3, 200)
-        for f in (a, b, a, b, a, b, a):  # every difference is +-(b - a); the fifth push restarts
+        for i, f in enumerate((a, b, a, b, a, b, a)):  # every difference is +-(b - a)
             window.push(zero, f, f)
+            # from the third push on each difference is dependent: the window
+            # restarts from the previous image, with the new difference alone
+            assert window.cols == min(i, 1)
         gamma = window.gamma()
         assert np.all(np.isfinite(gamma))
-        # the truncated solve still gives the least-squares fit of f
-        delta = np.stack([a - b, b - a, a - b], axis=1)
+        # the least-squares fit of f on the one column a - b
+        delta = (a - b)[:, None]
         expected, *_ = np.linalg.lstsq(delta, a, rcond=None)
-        np.testing.assert_allclose(delta @ gamma, delta @ expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gamma, expected, rtol=1e-12)
         assert all(np.all(np.isfinite(x)) for x in window.candidate())
-
 
     @staticmethod
     def orthonormality_defect(window):
         q = window.q[:window.cols]
-        q = q[np.any(q != 0.0, axis=1)]  # the zero rows of dependent columns
         return np.linalg.norm(q @ q.T - np.eye(len(q)))
 
     def test_orthonormal_after_every_push(self):
@@ -478,7 +479,7 @@ class TestAndersonWindow:
         assert second_passes >= 3
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["full_rank", "rank_deficient"])
-    def test_lstsq_only_for_a_zeroed_column(self, repeated, monkeypatch):
+    def test_dependent_column_restarts_the_window(self, repeated, monkeypatch):
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
@@ -490,9 +491,27 @@ class TestAndersonWindow:
             window.push(zero, f, f)
             if window.cols:
                 window.gamma()
-        # pushes a, b, a: the second difference a - b is minus the first, so its column is zeroed
-        assert (window.r[1, 1] == 0.0) == repeated
-        assert len(calls) == (1 if repeated else 0)
+        # pushes a, b, a: the second difference a - b is minus the first, so the
+        # window restarts and keeps it alone; no column is zeroed, and no mix needs lstsq
+        assert window.cols == (1 if repeated else 2)
+        assert np.all(np.diagonal(window.r)[:window.cols] > 0.0)
+        if repeated:
+            assert window.r[0, 0] == np.linalg.norm(a - b)
+        assert calls == []
+
+    def test_vanishing_difference_keeps_only_the_newest_image(self):
+        # a residual repeated exactly: the zero difference restarts the window
+        # with no column, so no mix is offered until the next push
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((2, 200))
+        window = _AndersonWindow(3, 200)
+        zero = np.zeros(200)
+        for f in (a, b, b):
+            window.push(zero, f, f)
+        assert window.cols == 0 and window.candidate() is None
+        window.push(zero, a, a)
+        assert window.cols == 1
+        assert all(np.all(np.isfinite(x)) for x in window.candidate())
 
 
 class TestPositionLandscape:
