@@ -36,6 +36,7 @@ from .search import (
     MultistartResult,
     SolutionRecord,
     find_critical_point,
+    finish_records,
     initial_field,
     multistart_search,
     orbit_distance,

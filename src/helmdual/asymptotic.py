@@ -23,7 +23,7 @@ from .errors import (
 )
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import DescentConfig, find_critical_point, multistart_search
+from .search import DescentConfig, find_critical_point, finish_records, multistart_search
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     try:
         transplant_rec = find_critical_point(ctx_q, v, cfg)
         transplant_rec.start_index = -2
-        records_q.append(transplant_rec)
+        records_q += finish_records(ctx_q, [transplant_rec])
     except (MaxIterationsError, NotInUPlusError):
         pass
 

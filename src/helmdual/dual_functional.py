@@ -38,11 +38,11 @@ the lines that hold exact zeros and whose inverse passes skip the lines that
 reach no point of the box (Markel 1971); when the box spans the window it is
 one plain `fftn` and one `ifftn`.
 
-`resolvent_array` (`dual_to_primal`, the snap) needs R on the whole grid.
-Its source is real, so it runs on `_real_pair`, the passes of `rfftn` and
-`irfftn` (Sorensen et al. 1987): the `rfft` runs on the box's lines only,
-the complex passes on the half spectrum are pruned to the box, and sigma is
-taken on the half spectrum only, a view of the window spectrum on full
+`resolvent_array` (`dual_to_primal`, the snap, `search.finish_records`)
+needs R on the whole grid.  Its source is real, so it runs on `_real_pair`,
+the passes of `rfftn` and `irfftn` (Sorensen et al. 1987): the `rfft` runs
+on the box's lines only, the complex passes on the half spectrum are pruned
+to the box, and sigma is taken on the half spectrum only, a view of the window spectrum on full
 support, formed per call otherwise.  So R makes no complex array of the
 grid's size: its half spectrum holds about the bytes of one real grid array.
 The box is always the support's bounding box.

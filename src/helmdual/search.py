@@ -74,11 +74,19 @@ a Q that is not unit-periodic) and sign bring a record within the dedup
 radius of a kept one.  A lower bound on every such distance comes from the
 L2 distances, which one Gram matrix of unit-cell blocks gives for all shifts
 at once; the exact p'-norm is taken only where the bound allows a match.
-With the identity alone the test runs on the support vectors.
+With the identity alone the test runs on the support vectors sign * v.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
-the grid is touched only inside the FFT pair of K.
+the grid is touched only inside the FFT pair of K.  A start stops at the
+critical point: its record holds the support vector v, and a worker hands
+back nothing the size of the grid.  `recenter` picks the orbit's
+representative (a unit-cell shift for a unit-periodic Q, whose moved grid
+field the dedup compares, and the sign of the peak), and only the records
+the dedup keeps are finished (`finish_records`): u = R(Q^{1/p} v) from the
+unshifted v, its primal check, then the shift and sign, and the grid field
+v_star last, after every primal check.  Records sort by level; the bytes
+of their grid fields are built only to break a tie.
 
 Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
@@ -88,6 +96,7 @@ its Newton steps as its iterations.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,22 +143,31 @@ class DescentConfig:
 
 @dataclass
 class SolutionRecord:
-    """Converged dual critical point with its primal partner and diagnostics."""
+    """Converged dual critical point with its primal partner and diagnostics.
 
-    v_star: Field
-    u_star: Field
+    `find_critical_point` fills in the descent's support vector `v` (the
+    values on the support of Q), its level, dual residual and trajectory.
+    `recenter` picks the orbit's representative (`orbit_shift`, `sign`), and
+    `finish_records` adds the primal partner `u_star`, its `primal_residual`
+    and the grid field `v_star`; until then those three are None (a
+    unit-periodic Q's `v_star` is built by `recenter`, since the dedup reads it).
+    """
+
+    v: np.ndarray
     level: float
     dual_residual: float
-    primal_residual: float
     iterations: int
     orbit_shift: tuple
-    sign: int
     j_values: np.ndarray
     grad_norms: np.ndarray
     v_norms: np.ndarray
     bound_constant: float
+    sign: int = 1
     newton_steps: int = 0
     start_index: int = -1
+    v_star: Field = None
+    u_star: Field = None
+    primal_residual: float = None
 
 
 @dataclass
@@ -380,23 +398,14 @@ class _AndersonWindow:
         return theta @ self.images[0], theta @ self.images[1]
 
 
-def _finish(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
-    """SolutionRecord of the support vector v with its image kv and dual residual res.
-
-    u = R(Q^{1/p} v) comes from v itself, and v's grid field is built after
-    the primal check, so that check runs beside u alone.
-    """
-    u = Field(ctx.grid, ctx.resolvent_array(v))
-    primal = ctx.primal_residual(u)
+def _record(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
+    """Unfinished SolutionRecord of the support vector v with its image kv and dual residual res."""
     return SolutionRecord(
-        v_star=Field(ctx.grid, ctx.extend(v)),
-        u_star=u,
+        v=v,
         level=ctx.energy_arrays(v, kv),
         dual_residual=res,
-        primal_residual=primal,
         iterations=iterations,
         orbit_shift=(0,) * ctx.grid.dimension,
-        sign=1,
         j_values=np.asarray(j_values),
         grad_norms=np.asarray(grad_norms),
         v_norms=np.asarray(v_norms),
@@ -583,7 +592,7 @@ def _place(ctx, record, tol):
         v, _, steps, ok = _newton_polish(ctx, start[0], start[1], tol)
         polished = _project_scored(ctx, v, ctx.apply_k_support(v)) if ok else None
         if polished is not None and polished[3] <= tol:  # checked on a fresh transform
-            placed.append(_finish(ctx, *polished[:2], polished[3], steps, steps,
+            placed.append(_record(ctx, *polished[:2], polished[3], steps, steps,
                                   [start[2]], [start[4]], [start[5]]))
     return placed
 
@@ -592,7 +601,9 @@ def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> Solut
     """Run the constrained descent from v0 until the dual residual meets tol.
 
     v0 is a Field, or the vector of its values on the support of Q
-    (`ctx.restrict`).  Raises NotInUPlusError when the projected seed is
+    (`ctx.restrict`).  Returns the record of the critical point on the
+    support, without its grid fields or primal check (`finish_records`
+    adds them).  Raises NotInUPlusError when the projected seed is
     inadmissible and MaxIterationsError when the budget runs out or a step
     stalls.  The descent starts from v0 restricted to the support of Q,
     which has the same quadratic form and a smaller norm, hence a lower
@@ -630,7 +641,7 @@ def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> Solut
             kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
-                return _finish(ctx, v, kv, res, iterations, 0, j_values, grad_norms, v_norms)
+                return _record(ctx, v, kv, res, iterations, 0, j_values, grad_norms, v_norms)
         if iterations >= cfg.max_iters:
             raise MaxIterationsError(
                 f"no convergence within {cfg.max_iters} iterations "
@@ -750,10 +761,11 @@ def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
 def _within_orbit(ctx, v, w, radius):
     """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
 
-    For a Q that is not unit-periodic the only shift is the identity (one
-    cell, the support): min(||v - w||_{p'}, ||v + w||_{p'}) <= radius, taken
-    on the support vectors ctx.restrict(v) and ctx.restrict(w), since both
-    fields vanish off the support of Q.
+    v and w are what the dedup compares (`_same_orbit`): grid arrays for a
+    unit-periodic Q.  For any other Q the only shift is the identity (one
+    cell, the support): v and w are the fields' vectors on the support of Q,
+    off which both vanish, and the test is min(||v - w||_{p'}, ||v + w||_{p'})
+    <= radius.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
     h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
     The squared L2 distances of all L^N cell shifts y and both signs s come
@@ -765,16 +777,14 @@ def _within_orbit(ctx, v, w, radius):
     bound is at most radius, so the answer is the same as the exact minimum's.
     """
     pc = ctx.exponents.p_conj
-    grid = v.grid
+    grid = ctx.grid
     dim = grid.dimension
     if ctx.periodic:
         shift_pts = grid.unit_shift_points
         cells = int(round(grid.box_length))
-        vv, wv = v.values, w.values
     else:  # the identity alone: one cell, the support
         shift_pts = None
         cells = 1
-        vv, wv = ctx.restrict(v.values), ctx.restrict(w.values)
 
     def blocks(values):  # one row per unit cell, in row-major cell order
         if cells == 1:
@@ -783,14 +793,14 @@ def _within_orbit(ctx, v, w, radius):
         return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))).reshape(
             cells ** dim, shift_pts ** dim)
 
-    gram = blocks(vv) @ blocks(wv).T
+    gram = blocks(v) @ blocks(w).T
     index = np.indices((cells,) * dim).reshape(dim, -1)  # cells, and cell shifts in product order
     # block i of w_y is block i - y of w, so <v, w_y> = sum_i gram[i, i - y]
     partner = np.ravel_multi_index((index[:, None, :] - index[:, :, None]) % cells, (cells,) * dim)
     inner = gram[np.arange(cells ** dim), partner].sum(axis=1)
-    norms = float(np.sum(vv * vv)) + float(np.sum(wv * wv))
-    slack = 4.0 * vv.size * np.finfo(float).eps * norms
-    peak = max(float(np.abs(vv).max() + np.abs(wv).max()), np.finfo(float).tiny)
+    norms = float(np.sum(v * v)) + float(np.sum(w * w))
+    slack = 4.0 * v.size * np.finfo(float).eps * norms
+    peak = max(float(np.abs(v).max() + np.abs(w).max()), np.finfo(float).tiny)
     squares = np.maximum(norms - 2.0 * np.stack([inner, -inner], axis=1) - slack, 0.0)
     floors = ctx.weight * squares * peak ** (pc - 2.0)
     # the relative margin covers the rounding of the floors and of the exact norms
@@ -801,8 +811,8 @@ def _within_orbit(ctx, v, w, radius):
     candidates = np.flatnonzero(floors.ravel() <= limit)
     for k in candidates[np.argsort(floors.ravel()[candidates], kind="stable")]:
         shift, sign = divmod(int(k), 2)
-        rolled = _cell_roll(wv, tuple(int(c) for c in index[:, shift]), shift_pts)
-        if ctx.lp_norm(vv - (1.0, -1.0)[sign] * rolled, pc) <= radius:
+        rolled = _cell_roll(w, tuple(int(c) for c in index[:, shift]), shift_pts)
+        if ctx.lp_norm(v - (1.0, -1.0)[sign] * rolled, pc) <= radius:
             return True
     return False
 
@@ -823,26 +833,61 @@ def mass_centroid(ctx: FunctionalContext, v: Field) -> np.ndarray:
 
 
 def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
-    """Shift the representative by whole unit cells so its mass centroid
-    lands nearest the box center, and normalize the sign at the peak."""
+    """Choose the representative of the record's orbit: the whole unit cells
+    that bring its mass centroid nearest the box center (a unit-periodic Q
+    only), and the sign that makes its peak positive.
+
+    Sets `orbit_shift` and `sign`.  For a unit-periodic Q it builds the
+    moved grid field `v_star`, which the dedup compares; for any other Q it
+    reads the peak off the support vector and builds no grid field.
+    """
     grid = ctx.grid
-    shift_pts = grid.unit_shift_points
+    values = record.v
     if ctx.periodic:
-        centroid = mass_centroid(ctx, record.v_star)
+        values = ctx.extend(values)
+        centroid = mass_centroid(ctx, Field(grid, values))
         cells = int(round(grid.box_length))
-        shift_cells = tuple(
-            int(np.rint((grid.box_length / 2.0 - c))) % cells for c in centroid
-        )
-        if any(shift_cells):
-            record.v_star = Field(grid, _cell_roll(record.v_star.values, shift_cells, shift_pts))
-            record.u_star = Field(grid, _cell_roll(record.u_star.values, shift_cells, shift_pts))
-        record.orbit_shift = shift_cells
-    peak = np.unravel_index(np.argmax(np.abs(record.v_star.values)), grid.shape)
-    if record.v_star.values[peak] < 0.0:
-        record.v_star = -record.v_star
-        record.u_star = -record.u_star
+        record.orbit_shift = tuple(int(np.rint(grid.box_length / 2.0 - c)) % cells for c in centroid)
+        values = _cell_roll(values, record.orbit_shift, grid.unit_shift_points)
+    if values.reshape(-1)[np.argmax(np.abs(values))] < 0.0:
         record.sign = -1
+    if ctx.periodic:
+        record.v_star = Field(grid, -values if record.sign < 0 else values)
     return record
+
+
+def _grid_values(ctx, rec):
+    """A recentered record's grid field: its v_star, or sign * extend(v), with
+    -0.0 off the support when the sign is -1 (extend is a view of v on full support)."""
+    if rec.v_star is not None:
+        return rec.v_star.values
+    values = ctx.extend(rec.v)
+    if rec.sign > 0:
+        return values
+    return -values if ctx.full_support else np.negative(values, out=values)
+
+
+def finish_records(ctx: FunctionalContext, records: list) -> list:
+    """Add the primal partner u_star, its primal residual and the grid field
+    v_star to each recentered record of `find_critical_point`.
+
+    u = R(Q^{1/p} v) is formed from the unshifted support vector v and
+    checked by `primal_residual`, then moved by the record's orbit shift and
+    sign.  The grid fields v_star are built last, after every primal check
+    (a unit-periodic Q's are already built by `recenter`).  Returns records.
+    """
+    grid = ctx.grid
+    for rec in records:
+        u = ctx.resolvent_array(rec.v)
+        rec.primal_residual = ctx.primal_residual(Field(grid, u))
+        u = _cell_roll(u, rec.orbit_shift, grid.unit_shift_points)
+        if rec.sign < 0:
+            np.negative(u, out=u)
+        rec.u_star = Field(grid, u)
+    for rec in records:
+        if rec.v_star is None:
+            rec.v_star = Field(grid, _grid_values(ctx, rec))
+    return records
 
 
 def initial_field(ctx: FunctionalContext, rng: np.random.Generator) -> Field:
@@ -920,23 +965,31 @@ def _solve_one(args):
         return index, "max_iters", f"{exc} (residual={exc.residual:.3e})"
 
 
-def _record_order(rec):
-    return rec.level, rec.v_star.values.tobytes()
+def _by_level(ctx, records):
+    """records sorted by (level, bytes of the grid field), the bytes built only on a tie of levels."""
+    ties = Counter(rec.level for rec in records)
+    return sorted(records, key=lambda rec: (
+        rec.level, _grid_values(ctx, rec).tobytes() if ties[rec.level] > 1 else b""))
 
 
-def _same_orbit(ctx, v, w, threshold):
-    """The dedup's decision: v lies within threshold * max(||v||_{p'}, ||w||_{p'})
-    of w's orbit (`_within_orbit` at that radius)."""
+def _same_orbit(ctx, a, b, threshold):
+    """The dedup's decision on the recentered records a and b: a lies within
+    threshold * max(||a||_{p'}, ||b||_{p'}) of b's orbit (`_within_orbit` at
+    that radius), compared on the grid fields v_star for a unit-periodic Q
+    and on sign * v, those fields' values on the support, otherwise."""
     pc = ctx.exponents.p_conj
-    scale = max(ctx.lp_norm(ctx.restrict(v.values), pc), ctx.lp_norm(ctx.restrict(w.values), pc))
+    if ctx.periodic:
+        v, w = a.v_star.values, b.v_star.values
+    else:
+        v, w = (-rec.v if rec.sign < 0 else rec.v for rec in (a, b))
+    scale = max(ctx.lp_norm(ctx.restrict(x) if ctx.periodic else x, pc) for x in (v, w))
     return _within_orbit(ctx, v, w, threshold * scale)
 
 
 def _dedup(ctx, cfg, records, distinct):
     """Append to distinct each record farther than the dedup threshold from all kept ones."""
     for rec in records:
-        if not any(_same_orbit(ctx, rec.v_star, kept.v_star, cfg.dedup_rel_threshold)
-                   for kept in distinct):
+        if not any(_same_orbit(ctx, rec, kept, cfg.dedup_rel_threshold) for kept in distinct):
             distinct.append(rec)
     return distinct
 
@@ -948,7 +1001,8 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     (pairwise orbit distance above the configured threshold), sorted by
     (level, lexicographic field bytes).  Deterministic for a fixed seed
     regardless of the worker count.  A worker process that dies (killed, or
-    out of memory) raises WorkerPoolError.
+    out of memory) raises WorkerPoolError.  Starts return support vectors;
+    only the records kept by the dedup are finished (`finish_records`).
     """
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)
     jobs = [(ctx, cfg, i, seeds[i]) for i in range(cfg.multistart_count)]
@@ -974,18 +1028,17 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
             + ", ".join(status for status, _ in outcomes)
         )
 
-    records = [recenter(ctx, rec) for rec in records]
-    records.sort(key=_record_order)
-
-    distinct = _dedup(ctx, cfg, records, [])
+    records = _by_level(ctx, [recenter(ctx, rec) for rec in records])
+    distinct = finish_records(ctx, _dedup(ctx, cfg, records, []))
     if ctx.periodic:
-        placed = [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)]
-        placed.sort(key=_record_order)
-        distinct = sorted(_dedup(ctx, cfg, placed, distinct), key=_record_order)
+        placed = _by_level(ctx, [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)])
+        kept = len(distinct)
+        distinct = _dedup(ctx, cfg, placed, distinct)
+        finish_records(ctx, distinct[kept:])
+        distinct = _by_level(ctx, distinct)
 
     return MultistartResult(
         records=distinct,
         level_estimate=min(rec.level for rec in distinct),
         outcomes=outcomes,
     )
-

@@ -231,7 +231,7 @@ def level_increase(records):
 def orbits_distinct(ctx, records, threshold):
     """No two records lie in one orbit by the dedup's decision (`search._same_orbit`
     at `threshold`); True for fewer than two records."""
-    return not any(_same_orbit(ctx, a.v_star, b.v_star, threshold)
+    return not any(_same_orbit(ctx, a, b, threshold)
                    for i, a in enumerate(records) for b in records[i + 1:])
 
 

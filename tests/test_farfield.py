@@ -15,6 +15,7 @@ import pytest
 from helmdual import farfield, selftest
 from helmdual import (
     BumpDescriptor,
+    DescentConfig,
     DomainError,
     Field,
     FunctionalContext,
@@ -26,6 +27,7 @@ from helmdual import (
     decay_and_expansion_check,
     equal_area_directions,
     farfield_amplitude,
+    multistart_search,
     odd_power,
 )
 from helmdual.asymptotic import bump_profile
@@ -591,6 +593,18 @@ class TestGridArrays:
         ctx.resolvent_array(vs)  # window and imports, outside the trace
         _, peak = traced_peak(ctx.resolvent_array, vs)
         assert peak <= 2.15 * unit
+
+    def test_multistart_finishes_only_the_kept_records(self):
+        # starts hand back support vectors, and the two kept records are finished
+        # after the dedup: u of both and the second primal check's pair, 4.37 grid
+        # arrays; 6.16 when every start built both grid fields and its primal check
+        cfg = DescentConfig(multistart_count=2, rng_seed=12345)
+        multistart_search(farfield3d_context(n=16), cfg)  # imports, outside the trace
+        ctx = farfield3d_context(n=32)
+        ctx.apply_k_support(np.ones(ctx.support.size))  # builds K's window
+        result, peak = traced_peak(multistart_search, ctx, cfg)
+        assert len(result.records) == 2
+        assert peak <= 4.5 * 8 * ctx.grid.size
 
     def test_expansion_check_streams_its_ball(self):
         # one block of the interpolant's design is about BLOCK_BYTES, 1.19 grid

@@ -25,6 +25,8 @@ from helmdual import (
     ps_boundedness_check,
 )
 from helmdual import selftest as battery
+from helmdual.cli import build_context
+from helmdual.config import descent_config, parse_config
 from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scored
 from conftest import make_bump_context, make_sine_context, make_spanning_bump_context, random_field, spans_grid
 
@@ -151,7 +153,8 @@ class TestWithinOrbitOnSupport:
                 exact = min(ctx.lp_norm(v.values - s * w.values, pc) for s in (1.0, -1.0))
                 for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
                     radius = factor * exact
-                    assert search._within_orbit(ctx, v, w, radius) == (exact <= radius)
+                    on_support = ctx.restrict(v.values), ctx.restrict(w.values)
+                    assert search._within_orbit(ctx, *on_support, radius) == (exact <= radius)
 
 
 class TestFindCriticalPoint:
@@ -219,6 +222,10 @@ class TestFindCriticalPoint:
         v0 = initial_field(ctx, np.random.default_rng(11))
         assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
+        # the descent returns its support vector; the grid fields come with finishing
+        assert rec.v.shape == ctx.support.shape
+        assert rec.v_star is rec.u_star is rec.primal_residual is None
+        search.finish_records(ctx, [rec])
         assert np.all(rec.v_star.values[ctx.q == 0.0] == 0.0)
         v_star = rec.v_star.values
         assert ctx.dual_residual_arrays(v_star, ctx.apply_k_array(v_star)) <= cfg.tol_residual
@@ -589,6 +596,89 @@ class TestPositionLandscape:
             ([(0, 0), (0, 1), (7, 0)], (0, 0)),
             ([(3, 3)], (3, 3)),
         ]
+
+
+# a compact bump whose support's box is smaller than the grid: 293 of 2,304 points
+COMPACT_CFG = """\
+mode = solve
+grid.dimension = 2
+grid.box_length = 6.0
+grid.points_per_axis = 48
+exponents.p = 7.0
+coefficient.kind = compact_bump
+coefficient.center = 3.0, 3.0
+coefficient.radius = 1.2
+coefficient.periodic = false
+descent.multistart_count = 4
+seed = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def compact_run():
+    cfg = parse_config(COMPACT_CFG)
+    ctx = build_context(cfg)
+    return ctx, multistart_search(ctx, descent_config(cfg))
+
+
+class TestFinishRecords:
+    """Starts return support vectors; the kept records get u, the primal check and v_star."""
+
+    def test_negative_record_keeps_the_signed_zeros(self, compact_run):
+        ctx, result = compact_run
+        rec = result.records[0]
+        assert rec.sign == -1
+        off = np.ones(ctx.grid.size, dtype=bool)
+        off[ctx.support] = False
+        assert off.sum() == 2011
+        # -Field(extend(v)) writes -0.0 off the support, where extend(-v) writes +0.0
+        values = rec.v_star.values.reshape(-1)
+        assert np.all(values[off] == 0.0) and np.all(np.signbit(values[off]))
+        assert values.tobytes() == (-Field(ctx.grid, ctx.extend(rec.v))).values.tobytes()
+        # u_star is the sign times R of the unshifted v
+        assert rec.u_star.values.tobytes() == (-ctx.resolvent_array(rec.v)).tobytes()
+
+    def test_periodic_u_is_the_moved_resolvent_of_v(self, mini_ctx, mini_result):
+        shift_pts = mini_ctx.grid.unit_shift_points
+        moved = [rec for rec in mini_result.records if any(rec.orbit_shift)]
+        assert moved
+        for rec in moved:
+            shift = tuple(c * shift_pts for c in rec.orbit_shift)
+            u = rec.sign * np.roll(mini_ctx.resolvent_array(rec.v), shift, axis=(0, 1))
+            assert rec.u_star.values.tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "compact"])
+    def test_one_primal_check_per_returned_record(self, periodic, mini_ctx, monkeypatch):
+        ctx = mini_ctx if periodic else build_context(parse_config(COMPACT_CFG))
+        cfg = MINI_CFG if periodic else descent_config(parse_config(COMPACT_CFG))
+        checked = []
+        primal = dual_functional.FunctionalContext.primal_residual
+
+        def counted(self, u):
+            checked.append(u)
+            return primal(self, u)
+
+        monkeypatch.setattr(dual_functional.FunctionalContext, "primal_residual", counted)
+        result = multistart_search(ctx, cfg)
+        assert len(checked) == len(result.records)
+        if not periodic:  # four starts converge onto one orbit
+            assert [status for status, _ in result.outcomes] == ["converged"] * 4
+            assert len(result.records) == 1
+
+    def test_level_ties_break_on_the_field_bytes(self, compact_run):
+        # one level, fields that differ only in the sign of their zeros off the support
+        ctx, result = compact_run
+        minus = replace(result.records[0], v_star=None, u_star=None)
+        plus = replace(minus, v=-minus.v, sign=1)
+        ordered = search._by_level(ctx, [minus, plus])
+        search.finish_records(ctx, [minus, plus])
+        assert minus.v_star.values.tobytes() > plus.v_star.values.tobytes()
+        assert ordered[0] is plus and ordered[1] is minus
+
+    def test_records_sorted_by_level_then_field_bytes(self, mini_result):
+        keys = [(rec.level, rec.v_star.values.tobytes()) for rec in mini_result.records]
+        assert keys == sorted(keys)
+        assert len({level for level, _ in keys}) < len(keys)  # a tie broken by the bytes
 
 
 class TestOrbitDistance:
