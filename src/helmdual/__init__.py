@@ -16,6 +16,7 @@ from .errors import (
     MissingRequiredError,
     NoSolutionFoundError,
     NotInUPlusError,
+    OutOfMemoryError,
     OutputError,
     ShellResonanceError,
     SupportOverflowError,

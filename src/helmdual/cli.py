@@ -12,7 +12,8 @@ An output directory that cannot be made (the path, or one of its parents,
 is an existing file) ends the run before any work with exit status 2 and a
 message on stderr; an artifact that cannot be written (a full disk, for
 example) ends it as an OutputError in error.json, when that can still be
-written, with exit status 1.
+written, with exit status 1.  A run that asks for more memory than the
+process can allocate ends the same way, as an OutOfMemoryError.
 """
 
 import argparse
@@ -28,7 +29,7 @@ import numpy as np
 from . import config as cfgmod
 from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
 from .dual_functional import FunctionalContext, sine_product
-from .errors import DomainError, FieldFileError, HelmdualError, OutputError
+from .errors import DomainError, FieldFileError, HelmdualError, OutOfMemoryError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
 from .search import multistart_search
@@ -270,7 +271,10 @@ def run_experiment(cfg: cfgmod.RunConfig) -> int:
         return 2
     try:
         out.write_text("effective_config.cfg", effective)
-        status = _MODE_RUNNERS[cfg.mode](cfg, out)
+        try:
+            status = _MODE_RUNNERS[cfg.mode](cfg, out)
+        except MemoryError as exc:
+            raise OutOfMemoryError(f"the run ran out of memory: {exc or 'allocation failed'}") from exc
         out.finish()
     except HelmdualError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -35,8 +35,8 @@ itself, so the operator is the same to rounding.  A window axis of n_d points
 keeps sigma as it is, so on full support the window is the grid with sigma
 itself.  K runs on `_pair`, a complex FFT pair whose forward passes skip
 the lines that hold exact zeros and whose inverse passes skip the lines that
-reach no point of the box (Markel 1971); when the box spans the window it is
-one plain `fftn` and one `ifftn`.
+reach no point of the box (Markel 1971); on a box that spans the window
+nothing is skipped, and the passes are those of `fftn` and `ifftn`.
 
 `resolvent_array` (`dual_to_primal`, the snap, `search.finish_records`)
 needs R on the whole grid.  Its source is real, so it runs on `_real_pair`,
@@ -47,11 +47,14 @@ support, formed per call otherwise.  So R makes no complex array of the
 grid's size: its half spectrum holds about the bytes of one real grid array.
 The box is always the support's bounding box.
 
-So a context keeps Q, S, q_S = Q_S^{1/p} and the window spectrum.  On full
-support that is all it needs: the window spectrum is sigma and
-extend(q_S) is Q^{1/p}, both views.  On compact support both are whole-grid
-arrays that no hot path reads, so `half_sigma` and `q_root` form them per
-call: the 3d far-field run holds Q and little else the size of its grid.
+So a context keeps Q, S as a boolean mask on its box, q_S = Q_S^{1/p} and
+the window spectrum.  Every move between support vectors and grid arrays
+goes through that mask (`restrict`, `extend`, and the scatters of K and R
+into their boxes), in row-major order.  On full support that is all it
+needs: the window spectrum is sigma and extend(q_S) is Q^{1/p}, both views.
+On compact support both are whole-grid arrays that no hot path reads, so
+`half_sigma` and `q_root` form them per call: the 3d far-field run holds Q
+and little else the size of its grid.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
@@ -86,12 +89,11 @@ def _smooth_size(m: int) -> int:
 
 def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.ndarray:
     """K's transform pair: ifftn(spectrum * fftn(s)) as a new complex array, exact
-    on `box`, where s holds `source` at the flat `index` and zeros elsewhere,
-    and every nonzero of s lies in `box`.
+    on `box`, where s holds `source` at the flat `index` (a mask, or
+    slice(None)) and zeros elsewhere, and every nonzero of s lies in `box`.
 
-    With a box that spans the array this is one `fftn` and one `ifftn`.
-    Otherwise both transforms run as `fftn` and `ifftn` do, one `fft` or
-    `ifft` pass per axis, last axis first, and each pass is pruned to the box
+    Both transforms run as `fftn` and `ifftn` do, one `fft` or `ifft` pass
+    per axis, last axis first, and each pass is pruned to the box
     (Markel 1971).  The forward pass over axis d runs only on the lines whose
     earlier axes lie in the box: the others hold exact zeros.  The inverse
     pass over axis d runs only on the lines whose later axes lie in the box:
@@ -100,10 +102,6 @@ def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.nda
     """
     spec = np.zeros(spectrum.shape, dtype=complex)
     spec.reshape(-1)[index] = source
-    if box == tuple(slice(0, m) for m in spec.shape):
-        np.fft.fftn(spec, out=spec)
-        spec *= spectrum
-        return np.fft.ifftn(spec, out=spec)
     for d in reversed(range(spec.ndim)):
         block = spec[box[:d]]
         np.fft.fft(block, axis=d, out=block)
@@ -225,7 +223,8 @@ class FunctionalContext:
         vals = q.values
         if np.any(vals < 0.0):
             raise DomainError("coefficient must be nonnegative")
-        if not np.any(vals > 0.0):
+        positive = vals > 0.0
+        if not positive.any():
             raise DomainError("coefficient must not vanish identically")
         if periodic:
             shift = grid.unit_shift_points
@@ -241,13 +240,15 @@ class FunctionalContext:
         self.q = vals
         self.periodic = periodic
         self.weight = grid.weight
-        # Q == 0 is rejected above, so the support is never empty
-        self.support = np.flatnonzero(vals > 0.0)
-        self.full_support = self.support.size == grid.size
+        # the support's bounding box, from the slices along each axis that meet
+        # it (Q == 0 is rejected above, so the support is never empty)
+        axes = range(grid.dimension)
+        meets = (np.flatnonzero(positive.any(axis=tuple(b for b in axes if b != a))) for a in axes)
+        self.box = tuple(slice(int(idx[0]), int(idx[-1]) + 1) for idx in meets)
+        # the support as a mask on its box: a copy, so the grid's mask is freed
+        self.support = positive[self.box].copy()
+        self.full_support = self.support.size == grid.size and bool(self.support.all())
         self.q_support = self.restrict(vals) ** (1.0 / p)
-        # per-axis index range of the support: its bounding box
-        self.box = tuple(slice(int(idx.min()), int(idx.max()) + 1)
-                         for idx in np.unravel_index(self.support, grid.shape))
 
     @property
     def half_sigma(self) -> np.ndarray:
@@ -280,17 +281,18 @@ class FunctionalContext:
     # -- the support of Q --------------------------------------------------
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Grid values at the support points, as a flat vector (a view on full support)."""
-        flat = values.reshape(-1)
-        return flat if self.full_support else flat[self.support]
+        """Grid values at the support points in row-major order (a view on full support)."""
+        if self.full_support:
+            return values.reshape(-1)
+        return values[self.box][self.support]
 
     def extend(self, vs: np.ndarray) -> np.ndarray:
         """Support vector back on the grid, zero off the support (a view on full support)."""
         if self.full_support:
             return vs.reshape(self.grid.shape)
-        out = np.zeros(self.grid.size)
-        out[self.support] = vs
-        return out.reshape(self.grid.shape)
+        out = np.zeros(self.grid.shape)
+        out[self.box][self.support] = vs
+        return out
 
     @cached_property
     def support_ball(self):
@@ -301,9 +303,9 @@ class FunctionalContext:
         q = self.q
         total = q.sum()
         centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
-        local = np.unravel_index(self.support, grid.shape)
-        dist2 = sum((grid.axis_coordinates[i] - c) ** 2 for i, c in zip(local, centroid))
-        return centroid, float(np.sqrt(dist2.max()))
+        mesh = np.meshgrid(*(grid.axis_coordinates[span] for span in self.box), indexing="ij", sparse=True)
+        dist2 = sum((x - c) ** 2 for x, c in zip(mesh, centroid))
+        return centroid, float(np.sqrt(dist2[self.support].max()))
 
     # -- array-level core (hot path for the solver) -------------------------
 
@@ -312,30 +314,20 @@ class FunctionalContext:
         real array: one `_real_pair` with sigma on the half spectrum.
 
         The source sits on the lines through the support's box, so it is
-        scattered into a block of those lines alone; on compact support the
-        symbol is formed after the forward passes and released once applied,
-        so about two grid arrays are live at most: the half spectrum, then
-        it and the result.
+        scattered through the support's mask into a block of those lines
+        alone; on compact support the symbol is formed after the forward
+        passes and released once applied, so about two grid arrays are live
+        at most: the half spectrum, then it and the result.
         """
         shape = self.grid.shape
-        lines_box = self.box[:-1] + (slice(0, shape[-1]),)
-        lines = np.zeros([span.stop - span.start for span in lines_box])
-        lines.reshape(-1)[self._index_in(lines_box, lines.shape)] = self.q_support * vs
+        lines = np.zeros(tuple(span.stop - span.start for span in self.box[:-1]) + shape[-1:])
+        lines[..., self.box[-1]][self.support] = self.q_support * vs
         return _real_pair(lines, self.box, shape, lambda: self.half_sigma)
-
-    def _index_in(self, box: tuple, shape: tuple):
-        """Flat index of each support point in an array of `shape` whose origin
-        sits at the starts of `box`: slice(None) on full support, where the
-        array is the grid."""
-        if self.full_support:
-            return slice(None)
-        local = np.unravel_index(self.support, self.grid.shape)
-        return np.ravel_multi_index(tuple(i - span.start for i, span in zip(local, box)), shape)
 
     @cached_property
     def _k_window(self):
         """Spectrum of the windowed torus kernel, the support's box on the window
-        (slice(0, w_d) per axis) and the window index of each support point,
+        (slice(0, w_d) per axis) and the support's flat mask on the window,
         for K on the support's box (module docstring).
 
         A cut axis keeps r(d) for |d| <= w - 1; an axis whose window is the
@@ -346,8 +338,8 @@ class FunctionalContext:
         per cut axis, applied without forming r on the grid, then one FFT over
         the cut axes.  The einsum contraction stays off BLAS, so the window
         does not depend on the BLAS thread count.  With no cut axis the
-        spectrum is sigma itself, read-only, and on full support the index
-        is slice(None), a view.
+        spectrum is sigma itself, read-only, and on full support the mask
+        is slice(None), so K's scatter and gather are views.
         """
         kernel = helmholtz_multiplier(self.grid)
         shape, cut = [], []
@@ -370,7 +362,11 @@ class FunctionalContext:
             kernel = np.fft.fftn(kernel, axes=cut).real.copy()
         kernel.setflags(write=False)
         local_box = tuple(slice(0, span.stop - span.start) for span in self.box)
-        return kernel, local_box, self._index_in(self.box, shape)
+        if self.full_support:
+            return kernel, local_box, slice(None)
+        mask = np.zeros(shape, dtype=bool)
+        mask[local_box] = self.support
+        return kernel, local_box, mask.reshape(-1)
 
     def apply_k_support(self, vs: np.ndarray) -> np.ndarray:
         """K on support vectors: q_S R(extend(q_S v))|_S, as one `_pair` on the
@@ -476,7 +472,7 @@ class FunctionalContext:
             # lhs_s is a copy here, so lhs can take the powers in place
             power = np.abs(lhs, out=lhs)
             power **= pc
-            power.reshape(-1)[self.support] = 0.0
+            power[self.box][self.support] = 0.0
             off = power.sum()
 
         def norm(values, rest=0.0):

@@ -43,6 +43,10 @@ class WorkerPoolError(HelmdualError):
     """A multistart worker process died before returning its start."""
 
 
+class OutOfMemoryError(HelmdualError):
+    """A run asked for more memory than the process could allocate."""
+
+
 class SupportOverflowError(HelmdualError):
     """Compactly supported perturbation does not fit inside the box."""
 

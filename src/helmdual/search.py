@@ -74,19 +74,21 @@ a Q that is not unit-periodic) and sign bring a record within the dedup
 radius of a kept one.  A lower bound on every such distance comes from the
 L2 distances, which one Gram matrix of unit-cell blocks gives for all shifts
 at once; the exact p'-norm is taken only where the bound allows a match.
-With the identity alone the test runs on the support vectors sign * v.
+The test runs over both signs and every shift, so it compares the support
+vectors v, extended to the grid for a unit-periodic Q.
 
 The iterate lives on the support of Q (see dual_functional): every power,
 norm, Anderson column and Krylov vector has one entry per support point, and
 the grid is touched only inside the FFT pair of K.  A start stops at the
 critical point: its record holds the support vector v, and a worker hands
 back nothing the size of the grid.  `recenter` picks the orbit's
-representative (a unit-cell shift for a unit-periodic Q, whose moved grid
-field the dedup compares, and the sign of the peak), and only the records
-the dedup keeps are finished (`finish_records`): u = R(Q^{1/p} v) from the
-unshifted v, its primal check, then the shift and sign, and the grid field
-v_star last, after every primal check.  Records sort by level; the bytes
-of their grid fields are built only to break a tie.
+representative (a unit-cell shift for a unit-periodic Q and the sign of the
+peak) and keeps no grid array, and only the records the dedup keeps are
+finished (`finish_records`): u = R(Q^{1/p} v) from the unshifted v, its
+primal check, then the shift and sign, and the grid field v_star last,
+after every primal check.  A record's grid field has one formula
+(`_grid_values`), which also breaks ties: records sort by level, and the
+bytes of their grid fields are built only when levels tie.
 
 Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
@@ -149,8 +151,7 @@ class SolutionRecord:
     values on the support of Q), its level, dual residual and trajectory.
     `recenter` picks the orbit's representative (`orbit_shift`, `sign`), and
     `finish_records` adds the primal partner `u_star`, its `primal_residual`
-    and the grid field `v_star`; until then those three are None (a
-    unit-periodic Q's `v_star` is built by `recenter`, since the dedup reads it).
+    and the grid field `v_star`; until then those three are None.
     """
 
     v: np.ndarray
@@ -762,8 +763,8 @@ def _within_orbit(ctx, v, w, radius):
     """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
 
     v and w are what the dedup compares (`_same_orbit`): grid arrays for a
-    unit-periodic Q.  For any other Q the only shift is the identity (one
-    cell, the support): v and w are the fields' vectors on the support of Q,
+    unit-periodic Q, zero off its support.  For any other Q the only shift
+    is the identity (one cell, the support): v and w are the fields' vectors on the support of Q,
     off which both vanish, and the test is min(||v - w||_{p'}, ||v + w||_{p'})
     <= radius.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
@@ -837,9 +838,9 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     that bring its mass centroid nearest the box center (a unit-periodic Q
     only), and the sign that makes its peak positive.
 
-    Sets `orbit_shift` and `sign`.  For a unit-periodic Q it builds the
-    moved grid field `v_star`, which the dedup compares; for any other Q it
-    reads the peak off the support vector and builds no grid field.
+    Sets `orbit_shift` and `sign` and keeps no grid array.  For a
+    unit-periodic Q the peak is read off the moved grid field; for any other
+    Q, off the support vector.
     """
     grid = ctx.grid
     values = record.v
@@ -851,20 +852,18 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
         values = _cell_roll(values, record.orbit_shift, grid.unit_shift_points)
     if values.reshape(-1)[np.argmax(np.abs(values))] < 0.0:
         record.sign = -1
-    if ctx.periodic:
-        record.v_star = Field(grid, -values if record.sign < 0 else values)
     return record
 
 
 def _grid_values(ctx, rec):
-    """A recentered record's grid field: its v_star, or sign * extend(v), with
-    -0.0 off the support when the sign is -1 (extend is a view of v on full support)."""
-    if rec.v_star is not None:
-        return rec.v_star.values
-    values = ctx.extend(rec.v)
+    """A recentered record's grid field sign * extend(v)(. - y), y its orbit
+    shift: -0.0 off the support when the sign is -1.  extend is a view of v
+    on full support, and so is the roll at y = 0; any other array is fresh
+    and negated in place."""
+    values = _cell_roll(ctx.extend(rec.v), rec.orbit_shift, ctx.grid.unit_shift_points)
     if rec.sign > 0:
         return values
-    return -values if ctx.full_support else np.negative(values, out=values)
+    return np.negative(values, out=None if np.may_share_memory(values, rec.v) else values)
 
 
 def finish_records(ctx: FunctionalContext, records: list) -> list:
@@ -873,8 +872,8 @@ def finish_records(ctx: FunctionalContext, records: list) -> list:
 
     u = R(Q^{1/p} v) is formed from the unshifted support vector v and
     checked by `primal_residual`, then moved by the record's orbit shift and
-    sign.  The grid fields v_star are built last, after every primal check
-    (a unit-periodic Q's are already built by `recenter`).  Returns records.
+    sign.  The grid fields v_star (`_grid_values`) are built last, after
+    every primal check.  Returns records.
     """
     grid = ctx.grid
     for rec in records:
@@ -885,8 +884,7 @@ def finish_records(ctx: FunctionalContext, records: list) -> list:
             np.negative(u, out=u)
         rec.u_star = Field(grid, u)
     for rec in records:
-        if rec.v_star is None:
-            rec.v_star = Field(grid, _grid_values(ctx, rec))
+        rec.v_star = Field(grid, _grid_values(ctx, rec))
     return records
 
 
@@ -973,16 +971,12 @@ def _by_level(ctx, records):
 
 
 def _same_orbit(ctx, a, b, threshold):
-    """The dedup's decision on the recentered records a and b: a lies within
+    """The dedup's decision on the records a and b: a lies within
     threshold * max(||a||_{p'}, ||b||_{p'}) of b's orbit (`_within_orbit` at
-    that radius), compared on the grid fields v_star for a unit-periodic Q
-    and on sign * v, those fields' values on the support, otherwise."""
-    pc = ctx.exponents.p_conj
-    if ctx.periodic:
-        v, w = a.v_star.values, b.v_star.values
-    else:
-        v, w = (-rec.v if rec.sign < 0 else rec.v for rec in (a, b))
-    scale = max(ctx.lp_norm(ctx.restrict(x) if ctx.periodic else x, pc) for x in (v, w))
+    that radius).  The test runs over both signs and every cell shift, so it
+    compares the support vectors v, extended to the grid for a unit-periodic Q."""
+    scale = max(ctx.lp_norm(rec.v, ctx.exponents.p_conj) for rec in (a, b))
+    v, w = (ctx.extend(rec.v) if ctx.periodic else rec.v for rec in (a, b))
     return _within_orbit(ctx, v, w, threshold * scale)
 
 

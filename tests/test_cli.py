@@ -4,7 +4,10 @@ import csv
 import errno
 import json
 import os
+import resource
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,21 @@ descent.multistart_count = 2
 farfield.direction_count = 84
 seed = 1
 """
+
+
+# a 3d sine Q on 192^3 points: one grid array is 54 MiB, more than a
+# 384 MiB address space leaves once numpy and helmdual are imported
+OOM_CFG = """
+mode = solve
+grid.dimension = 3
+grid.box_length = 6.0
+grid.points_per_axis = 192
+exponents.p = 5.0
+coefficient.kind = sine_product
+descent.multistart_count = 1
+seed = 1
+"""
+OOM_CAP = 384 * 2 ** 20
 
 
 def _die(job):
@@ -377,6 +395,25 @@ class TestErrors:
         assert json.loads((out / "error.json").read_text())["error"] == "WorkerPoolError"
         manifest = {r[0] for r in read_rows(out / "manifest.csv")[1:]}
         assert manifest == {"effective_config.cfg", "error.json"}
+
+    def test_out_of_memory_writes_record(self, tmp_path):
+        # the child's own address space is capped: the allocation that does not
+        # fit is a typed run error with its record, not a raw traceback
+        cfg_file = tmp_path / "oom.cfg"
+        cfg_file.write_text(OOM_CFG)
+        out = tmp_path / "oom"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "helmdual.cli", "solve", "--config", str(cfg_file), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (OOM_CAP, OOM_CAP)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "error: OutOfMemoryError: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert_error_record(out, "OutOfMemoryError")
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
     def test_output_path_at_a_file_is_output_error(self, tmp_path, capsys, below):

@@ -1,5 +1,7 @@
 """Dual energy, derivative, fibering, and duality-chain identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ class TestSupport:
     def test_bump_support(self):
         ctx = make_bump_context()
         inside = ctx.q > 0.0
-        assert 0 < ctx.support.size == inside.sum() < ctx.grid.size
+        assert 0 < ctx.q_support.size == inside.sum() < ctx.grid.size
         assert not ctx.full_support
 
     def test_extend_restrict_round_trip(self):
@@ -202,7 +204,7 @@ class TestSupport:
         inside = ctx.q > 0.0
         x = np.random.default_rng(20).standard_normal(ctx.grid.shape)
         vs = ctx.restrict(x)
-        assert vs.shape == (ctx.support.size,)
+        assert vs.shape == (ctx.q_support.size,)
         back = ctx.extend(vs)
         assert back.shape == ctx.grid.shape
         np.testing.assert_array_equal(back[inside], x[inside])
@@ -230,7 +232,7 @@ class TestSupport:
     def test_windowed_k_against_dense_dft_oracle(self, dimension):
         # K = Q^{1/p} W^H diag(sigma) W Q^{1/p} / n^N with W the grid's dense DFT
         ctx = make_bump_context(n=8, dimension=dimension, p=7.0 if dimension == 2 else 5.0)
-        ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
+        ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds the window
         assert all(m < n for m, n in zip(ctx._k_window[0].shape, ctx.grid.shape))
         v = np.random.default_rng(30).standard_normal(ctx.grid.size)
         q = ctx.q_root.reshape(-1)
@@ -253,15 +255,18 @@ class TestSupport:
     @pytest.mark.parametrize("shape,box,window", [
         ({}, (12, 11), (24, 20)),
         ({"n": 24, "p": 5.0, "dimension": 3}, (9, 9, 9), (16, 16, 16)),
+        ({"radius": 6.0}, (32, 32), (32, 32)),  # full support: the passes of fftn and ifftn
     ])
     def test_compact_support_k_is_one_small_fft_pair(self, shape, box, window, monkeypatch):
         # window size per axis: the smallest 2*3*5-smooth integer >= max(1, 2 w - 2), at most n;
         # each transform runs one 1-d pass per axis, last first: the forward pass
         # over axis d on the lines whose earlier axes lie in the box, the inverse
-        # pass over axis d on the lines whose later axes lie in the box
+        # pass over axis d on the lines whose later axes lie in the box; a box
+        # that spans the grid is one more input, with no line skipped
         ctx = make_bump_context(**shape)
         assert tuple(b.stop - b.start for b in ctx.box) == box
-        ctx.apply_k_support(np.ones(ctx.support.size))  # builds the window
+        assert ctx.full_support == (box == ctx.grid.shape)
+        ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds the window
         assert ctx._k_window[0].shape == window
         calls = []
         for name in ("fft", "ifft", "fftn", "ifftn"):
@@ -272,7 +277,7 @@ class TestSupport:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        ctx.apply_k_support(np.ones(ctx.support.size))
+        ctx.apply_k_support(np.ones(ctx.q_support.size))
         dim = len(window)
         forward = [("fft", box[:d] + window[d:], d) for d in reversed(range(dim))]
         inverse = [("ifft", window[:d + 1] + box[d + 1:], d) for d in reversed(range(dim))]
@@ -303,7 +308,7 @@ class TestSupport:
         assert not spans_grid(ctx)
         rng = np.random.default_rng(32)
         for _ in range(3):
-            vs = rng.standard_normal(ctx.support.size)
+            vs = rng.standard_normal(ctx.q_support.size)
             assert ctx.apply_k_support(vs).tobytes() == window_pair(ctx, vs).tobytes()
 
     def test_spanning_box_with_zeros_is_the_whole_grid_pair(self):
@@ -311,7 +316,7 @@ class TestSupport:
         # the grid, K is the plain whole-grid complex pair and R the plain real
         # pair, bit for bit
         ctx = make_spanning_bump_context()
-        assert spans_grid(ctx) and ctx.support.size == 2099 and ctx.grid.size == 2304
+        assert spans_grid(ctx) and ctx.q_support.size == 2099 and ctx.grid.size == 2304
         assert ctx._k_window[0].shape == ctx.grid.shape
         v = np.random.default_rng(33).standard_normal(ctx.grid.shape)
         vs = ctx.restrict(v)
@@ -341,23 +346,30 @@ class TestSupport:
     def test_k_results_do_not_alias(self, kind, sine_ctx):
         ctx = make_bump_context() if kind == "bump" else sine_ctx
         rng = np.random.default_rng(28)
-        first = ctx.apply_k_support(rng.standard_normal(ctx.support.size))
+        first = ctx.apply_k_support(rng.standard_normal(ctx.q_support.size))
         kept = first.copy()
-        ctx.apply_k_support(rng.standard_normal(ctx.support.size))
+        ctx.apply_k_support(rng.standard_normal(ctx.q_support.size))
         np.testing.assert_array_equal(first, kept)
 
-    def test_full_support_k_is_one_fft_pair(self, sine_ctx, monkeypatch):
-        calls = []
-        for name in ("fftn", "ifftn"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        sine_ctx.apply_k_support(np.ones(sine_ctx.support.size))
-        assert calls == ["fftn", "ifftn"]
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "not_periodic"])
+    def test_full_support_context_holds_q_support_and_a_mask(self, periodic):
+        # traced in grid arrays of 8 grid.size bytes, with Q built before the trace:
+        # q_S (1) and the support's mask on its box (1/8), and at the peak also
+        # the grid's mask (1/8) or the periodicity check's roll: no index array
+        grid = GridSpec(dimension=3, box_length=6.0, points_per_axis=48)
+        q = Field(grid, sine_product(grid))
+        FunctionalContext(q, 5.0, periodic=periodic)  # imports, outside the trace
+        unit = 8 * grid.size
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            ctx = FunctionalContext(q, 5.0, periodic=periodic)
+            retained, peak = (m - entry for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert ctx.full_support and ctx.support.shape == grid.shape
+        assert peak <= 1.5 * unit
+        assert retained <= 1.2 * unit
 
     def test_full_support_maps_are_views(self, sine_ctx):
         assert sine_ctx.full_support

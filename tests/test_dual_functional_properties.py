@@ -60,7 +60,7 @@ def test_pruned_k_is_the_window_pair(drawn):
     # K's transforms skip the lines that hold exact zeros or reach no point of
     # the box, holes inside the box included: the unpruned window pair bit for bit
     ctx, rng = drawn
-    vs = rng.standard_normal(ctx.support.size)
+    vs = rng.standard_normal(ctx.q_support.size)
     assert ctx.apply_k_support(vs).tobytes() == window_pair(ctx, vs).tobytes()
 
 
@@ -68,7 +68,7 @@ def test_pruned_k_is_the_window_pair(drawn):
 @given(support_contexts())
 def test_resolvent_is_the_real_pair(drawn):
     ctx, rng = drawn
-    vs = rng.standard_normal(ctx.support.size)
+    vs = rng.standard_normal(ctx.q_support.size)
     assert ctx.resolvent_array(vs).tobytes() == real_resolvent(ctx, ctx.extend(vs)).tobytes()
 
 
@@ -76,7 +76,7 @@ def test_resolvent_is_the_real_pair(drawn):
 @given(support_contexts())
 def test_k_is_symmetric(drawn):
     ctx, rng = drawn
-    u, v = rng.standard_normal((2, ctx.support.size))
+    u, v = rng.standard_normal((2, ctx.q_support.size))
     ku, kv = ctx.apply_k_support(u), ctx.apply_k_support(v)
     scale = np.linalg.norm(u) * np.linalg.norm(kv) + np.linalg.norm(v) * np.linalg.norm(ku)
     assert abs(u @ kv - v @ ku) <= BOUND * scale
@@ -88,7 +88,7 @@ def test_fibering_is_homogeneous(drawn, log_s):
     # t_{s v} = t_v / s, and the fibering level does not see the scale s in [1e-3, 1e3]
     ctx, rng = drawn
     s = 10.0 ** log_s
-    v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.support.size)))
+    v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.q_support.size)))
     assume(ctx.quadratic_form(v) > 0.0)
     t, level = ctx.fibering_scale(v), ctx.nehari_energy(v)
     assert abs(s * ctx.fibering_scale(s * v) - t) <= 1e-12 * t

@@ -561,7 +561,7 @@ class TestGridArrays:
         tracemalloc.start()
         try:
             ctx = farfield3d_context()
-            ctx.apply_k_support(np.ones(ctx.support.size))  # builds K's window
+            ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds K's window
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -574,7 +574,7 @@ class TestGridArrays:
     def test_resolvent_and_primal_residual_peaks(self):
         ctx = farfield3d_context()
         unit = 8 * ctx.grid.size
-        v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.support.size)))
+        v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.q_support.size)))
         ctx.primal_residual(ctx.dual_to_primal(v))  # window and imports, outside the trace
         u, peak = traced_peak(ctx.dual_to_primal, v)
         # the half spectrum (1.03) with sigma formed on it (0.52, and its square),
@@ -589,7 +589,7 @@ class TestGridArrays:
         # size, where the complex pair peaked at 3.07 grid arrays
         ctx = farfield3d_context(n=64)
         unit = 8 * ctx.grid.size
-        vs = np.random.default_rng(4).standard_normal(ctx.support.size)
+        vs = np.random.default_rng(4).standard_normal(ctx.q_support.size)
         ctx.resolvent_array(vs)  # window and imports, outside the trace
         _, peak = traced_peak(ctx.resolvent_array, vs)
         assert peak <= 2.15 * unit
@@ -601,7 +601,7 @@ class TestGridArrays:
         cfg = DescentConfig(multistart_count=2, rng_seed=12345)
         multistart_search(farfield3d_context(n=16), cfg)  # imports, outside the trace
         ctx = farfield3d_context(n=32)
-        ctx.apply_k_support(np.ones(ctx.support.size))  # builds K's window
+        ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds K's window
         result, peak = traced_peak(multistart_search, ctx, cfg)
         assert len(result.records) == 2
         assert peak <= 4.5 * 8 * ctx.grid.size

@@ -146,8 +146,8 @@ class TestWithinOrbitOnSupport:
         pc = ctx.exponents.p_conj
         rng = np.random.default_rng(21)
         for _ in range(10):
-            v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.support.size)))
-            noise = ctx.extend(rng.standard_normal(ctx.support.size)) * 10.0 ** rng.uniform(-3.0, 0.5)
+            v = Field(ctx.grid, ctx.extend(rng.standard_normal(ctx.q_support.size)))
+            noise = ctx.extend(rng.standard_normal(ctx.q_support.size)) * 10.0 ** rng.uniform(-3.0, 0.5)
             for sign in (1.0, -1.0):
                 w = Field(ctx.grid, sign * v.values + noise)
                 exact = min(ctx.lp_norm(v.values - s * w.values, pc) for s in (1.0, -1.0))
@@ -223,7 +223,7 @@ class TestFindCriticalPoint:
         assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
         # the descent returns its support vector; the grid fields come with finishing
-        assert rec.v.shape == ctx.support.shape
+        assert rec.v.shape == ctx.q_support.shape
         assert rec.v_star is rec.u_star is rec.primal_residual is None
         search.finish_records(ctx, [rec])
         assert np.all(rec.v_star.values[ctx.q == 0.0] == 0.0)
@@ -628,8 +628,7 @@ class TestFinishRecords:
         ctx, result = compact_run
         rec = result.records[0]
         assert rec.sign == -1
-        off = np.ones(ctx.grid.size, dtype=bool)
-        off[ctx.support] = False
+        off = (ctx.q == 0.0).reshape(-1)
         assert off.sum() == 2011
         # -Field(extend(v)) writes -0.0 off the support, where extend(-v) writes +0.0
         values = rec.v_star.values.reshape(-1)
