@@ -38,6 +38,7 @@ from .search import (
     SolutionRecord,
     find_critical_point,
     finish_records,
+    grid_field,
     initial_field,
     multistart_search,
     orbit_distance,

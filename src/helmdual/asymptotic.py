@@ -23,7 +23,7 @@ from .errors import (
 )
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import DescentConfig, find_critical_point, finish_records, multistart_search
+from .search import DescentConfig, find_critical_point, finish_records, grid_field, multistart_search
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     result_q = multistart_search(ctx_q, cfg, workers=workers)
 
     best_inf = result_inf.records[0]
-    w = best_inf.v_star
+    w = grid_field(ctx_inf, best_inf)
     v = transplant(pair, w)
 
     j_inf_w = ctx_inf.energy(w)

@@ -32,7 +32,7 @@ from .dual_functional import FunctionalContext, sine_product
 from .errors import DomainError, FieldFileError, HelmdualError, OutOfMemoryError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
-from .search import multistart_search
+from .search import grid_field, multistart_search
 from .selftest import run_selftest
 
 FLOAT_FORMAT = "%.17g"
@@ -172,7 +172,7 @@ def _run_solve(cfg, out: _OutputDir) -> int:
         [[i, status, detail] for i, (status, detail) in enumerate(result.outcomes)],
     )
     for i, rec in enumerate(result.records):
-        out.write_bytes(f"v_{i:03d}.hlmf", cfgmod.write_field(rec.v_star))
+        out.write_bytes(f"v_{i:03d}.hlmf", cfgmod.write_field(grid_field(ctx, rec)))
         out.write_bytes(f"u_{i:03d}.hlmf", cfgmod.write_field(rec.u_star))
     return 0 if result.records else 1
 
@@ -202,7 +202,7 @@ def _run_farfield(cfg, out: _OutputDir) -> int:
     result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
     rec = result.records[0]
     out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
-    del result  # the other records' grid fields: only the best one is read from here on
+    del result  # the other records' u fields: only the best one is read from here on
     out.write_bytes("u_best.hlmf", cfgmod.write_field(rec.u_star))
 
     dirs = equal_area_directions(ctx.grid.dimension, cfg.farfield_direction_count)

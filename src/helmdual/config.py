@@ -257,7 +257,8 @@ def write_field(field: Field) -> bytes:
     header = _HEADER.pack(
         MAGIC, VERSION, grid.dimension, grid.points_per_axis, grid.box_length
     )
-    return header + np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    # one allocation: the header and the values joined straight from their buffers
+    return b"".join((header, memoryview(np.ascontiguousarray(field.values, dtype="<f8"))))
 
 
 def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:

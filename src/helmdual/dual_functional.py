@@ -42,25 +42,27 @@ nothing is skipped, and the passes are those of `fftn` and `ifftn`.
 needs R on the whole grid.  Its source is real, so it runs on `_real_pair`,
 the passes of `rfftn` and `irfftn` (Sorensen et al. 1987): the `rfft` runs
 on the box's lines only, the complex passes on the half spectrum are pruned
-to the box, and sigma is taken on the half spectrum only, a view of the window spectrum on full
-support, formed per call otherwise.  So R makes no complex array of the
-grid's size: its half spectrum holds about the bytes of one real grid array.
+to the box, and sigma is taken on the half spectrum only, a block of rows at
+a time: a view of the window spectrum on full support, formed per block
+otherwise.  The result is written back into the half spectrum's own bytes,
+so R holds one array about the size of one real grid array, and a block.
 The box is always the support's bounding box.
 
-So a context keeps Q, S as a boolean mask on its box, q_S = Q_S^{1/p} and
-the window spectrum.  Every move between support vectors and grid arrays
-goes through that mask (`restrict`, `extend`, and the scatters of K and R
-into their boxes), in row-major order.  On full support that is all it
-needs: the window spectrum is sigma and extend(q_S) is Q^{1/p}, both views.
-On compact support both are whole-grid arrays that no hot path reads, so
-`half_sigma` and `q_root` form them per call: the 3d far-field run holds Q
-and little else the size of its grid.
+So a context keeps Q on its support (`q_on_support`), S as a boolean mask
+on its box, q_S = Q_S^{1/p} and the window spectrum.  Every move between
+support vectors and grid arrays goes through that mask (`restrict`,
+`extend`, and the scatters of K and R into their boxes), in row-major
+order.  On full support that is all it needs: Q, sigma and Q^{1/p} on the
+grid are views of the grid's Q, the window spectrum and q_S.  On compact
+support they are whole-grid arrays that no hot path reads, so `q`,
+`half_sigma` and `q_root` form them per call: the 3d far-field context
+holds nothing the size of its grid.
 
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one `_real_pair` over the whole grid, with the symbol formed on
-the half spectrum only, and forms Q |u|^{p-2} u on S only: off S
+eps = 0), as one `_real_pair` over the whole grid, with the symbol formed a
+block of the half spectrum at a time, and forms Q |u|^{p-2} u on S only: off S
 the defect is the operator's image itself, so one power pass over the grid
 serves two of its three norms.
 """
@@ -73,6 +75,9 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
 from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
+
+
+BLOCK_BYTES = 1 << 18  # half-spectrum bytes per block of axis-0 rows in `_real_pair`
 
 
 def _smooth_size(m: int) -> int:
@@ -113,27 +118,42 @@ def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.nda
 
 
 def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
-    """irfftn(symbol() * rfftn(s)) over the grid of `shape`, as a new C-contiguous
-    real array, where s holds `lines` on the last-axis lines through the box's
-    leading slices and zeros elsewhere.
+    """irfftn(symbol * rfftn(s)) over the grid of `shape`, as a C-contiguous real
+    array that lives in the pair's own half spectrum, where s holds `lines` on
+    the last-axis lines through the box's leading slices and zeros elsewhere,
+    and symbol(rows) is the symbol on the axis-0 rows `rows` of the half
+    spectrum.
 
     The passes are those of `rfftn` and `irfftn`, in their order, so the result
     is theirs bit for bit: one `rfft` on the box's lines into a zeroed half
     spectrum (the last axis cut to n/2 + 1), the complex passes over axes
     N-2, ..., 0 in place, each only on the lines whose earlier axes lie in the
-    box (the others hold exact zeros), then the product with `symbol()`, the
-    symbol on the half spectrum, formed and released here, the in-place
-    `ifft`s and one `irfft`.
+    box (the others hold exact zeros), then the product with the symbol, the
+    in-place `ifft`s and one `irfft`.  The product and the `irfft` run one
+    block of axis-0 rows at a time: the fewest blocks of at most about
+    BLOCK_BYTES of the half spectrum, as even as the rows allow, so the
+    symbol is formed a block at a time.  The `irfft` writes each block's n
+    real values per line into the bytes where the half spectrum's lines of
+    n/2 + 1 complex values begin: a block's result ends before the next
+    block's input starts, and numpy copies the block's own input, which it
+    overlaps.
     """
     half = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
     np.fft.rfft(lines, out=half[box[:-1]])
     for d in reversed(range(len(shape) - 1)):
         block = half[box[:d]]
         np.fft.fft(block, axis=d, out=block)
-    half *= symbol()
+    count = -(-half.nbytes // BLOCK_BYTES)
+    step = -(-shape[0] // count)
+    blocks = [slice(a, a + step) for a in range(0, shape[0], step)]
+    for rows in blocks:
+        half[rows] *= symbol(rows)
     for d in range(len(shape) - 1):
         np.fft.ifft(half, axis=d, out=half)
-    return np.fft.irfft(half, n=shape[-1])
+    out = half.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)
+    for rows in blocks:
+        np.fft.irfft(half[rows], n=shape[-1], out=out[rows])
+    return out
 
 
 def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -237,7 +257,6 @@ class FunctionalContext:
                     raise DomainError(f"coefficient not unit-periodic along axis {axis}")
         self.grid = grid
         self.exponents = Exponents(grid.dimension, p)
-        self.q = vals
         self.periodic = periodic
         self.weight = grid.weight
         # the support's bounding box, from the slices along each axis that meet
@@ -248,17 +267,25 @@ class FunctionalContext:
         # the support as a mask on its box: a copy, so the grid's mask is freed
         self.support = positive[self.box].copy()
         self.full_support = self.support.size == grid.size and bool(self.support.all())
-        self.q_support = self.restrict(vals) ** (1.0 / p)
+        # Q on the support only: a view of the grid's values on full support
+        self.q_on_support = self.restrict(vals)
+        self.q_support = self.q_on_support ** (1.0 / p)
 
     @property
-    def half_sigma(self) -> np.ndarray:
-        """The resolvent symbol on the half spectrum of a real transform
-        (`kernel.helmholtz_multiplier`): a view of K's window spectrum when no
-        window axis is cut, a new array otherwise."""
+    def q(self) -> np.ndarray:
+        """Q on the grid, 0 off the support: a view of `q_on_support` on full
+        support, a new array otherwise."""
+        return self.extend(self.q_on_support)
+
+    def half_sigma(self, rows: slice = slice(None)) -> np.ndarray:
+        """The resolvent symbol on the axis-0 rows `rows` (all by default) of the
+        half spectrum of a real transform (`kernel.helmholtz_multiplier`): a
+        view of K's window spectrum when no window axis is cut, a new array
+        otherwise."""
         kernel = self._k_window[0]
         if kernel.shape == self.grid.shape:
-            return kernel[..., : kernel.shape[-1] // 2 + 1]
-        return helmholtz_multiplier(self.grid, half=True)
+            return kernel[rows, ..., : kernel.shape[-1] // 2 + 1]
+        return helmholtz_multiplier(self.grid, half_rows=rows)
 
     @property
     def q_root(self) -> np.ndarray:
@@ -298,7 +325,8 @@ class FunctionalContext:
     def support_ball(self):
         """Centroid of Q over the grid, and the largest distance from it to a
         support point: where a start on a non-periodic Q is centred, and how
-        wide its bump is.  Three whole-grid products, so taken once."""
+        wide its bump is.  It forms Q on the grid and takes three whole-grid
+        products, so it is taken once."""
         grid = self.grid
         q = self.q
         total = q.sum()
@@ -311,18 +339,18 @@ class FunctionalContext:
 
     def resolvent_array(self, vs: np.ndarray) -> np.ndarray:
         """R(Q^{1/p} v) on the grid for a support vector v, as a new C-contiguous
-        real array: one `_real_pair` with sigma on the half spectrum.
+        real array in the memory of its own half spectrum: one `_real_pair`
+        with sigma on the half spectrum.
 
         The source sits on the lines through the support's box, so it is
         scattered through the support's mask into a block of those lines
-        alone; on compact support the symbol is formed after the forward
-        passes and released once applied, so about two grid arrays are live
-        at most: the half spectrum, then it and the result.
+        alone; on compact support sigma is formed one block of rows at a
+        time, so the half spectrum and one block are live at most.
         """
         shape = self.grid.shape
         lines = np.zeros(tuple(span.stop - span.start for span in self.box[:-1]) + shape[-1:])
         lines[..., self.box[-1]][self.support] = self.q_support * vs
-        return _real_pair(lines, self.box, shape, lambda: self.half_sigma)
+        return _real_pair(lines, self.box, shape, self.half_sigma)
 
     @cached_property
     def _k_window(self):
@@ -452,7 +480,7 @@ class FunctionalContext:
         operator the run solves.  Relative to the magnitude of the two
         balanced terms; the absolute norm is returned for u = 0 (where it
         vanishes anyway).  A u is one `_real_pair` over the whole grid, with
-        the symbol formed on the half spectrum.  The
+        the symbol formed a block of the half spectrum at a time.  The
         nonlinearity rhs is formed on the support S of Q only: off S it
         vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
         over the points off S, taken in one pass over the grid, and the rest
@@ -463,9 +491,8 @@ class FunctionalContext:
         p, pc = self.exponents.p, self.exponents.p_conj
         grid = self.grid
         lhs = _real_pair(vals, tuple(slice(0, n) for n in grid.shape), grid.shape,
-                         lambda: helmholtz_symbol(grid.half_k_squared - 1.0, grid.shell_epsilon))
-        q = self.restrict(self.q)
-        rhs = q * odd_power(self.restrict(vals), p - 1.0)
+                         lambda rows: helmholtz_symbol(grid.half_k_squared(rows) - 1.0, grid.shell_epsilon))
+        rhs = self.q_on_support * odd_power(self.restrict(vals), p - 1.0)
         lhs_s = self.restrict(lhs)
         off = 0.0
         if not self.full_support:

@@ -152,7 +152,8 @@ def farfield_amplitude(
     wavenumber evaluates the transform at k+ xi for absorption-aware checks.
     The conjugate antisymmetry g(-xi) = -conj(g(xi)) holds for real u and
     real wavenumber.  h vanishes off the support of Q, so it is formed on
-    the support's box only and no whole-grid array is transformed.
+    the support's box only, with Q placed on the box through the support's
+    mask, and no whole-grid array is formed or transformed.
     """
     grid = ctx.grid
     k_max = np.pi * grid.points_per_axis / grid.box_length
@@ -162,7 +163,9 @@ def farfield_amplitude(
             f"{2 * np.pi / grid.box_length:.2f}; too coarse near the unit sphere"
         )
     dirs = np.asarray(directions, dtype=float)
-    source = ctx.q[ctx.box] * odd_power(ctx._own(u)[ctx.box], ctx.exponents.p - 1.0)
+    q = np.zeros(ctx.support.shape)
+    q[ctx.support] = ctx.q_on_support
+    source = q * odd_power(ctx._own(u)[ctx.box], ctx.exponents.p - 1.0)
     transform = _box_transform(ctx, source, wavenumber * dirs)
     constant = -0.25j * (2.0 * np.pi) ** (-(grid.dimension - 1))
     return SphereSamples(directions=dirs, values=constant * transform)
@@ -312,7 +315,8 @@ def decay_and_expansion_check(
         )
 
     center = L / 2.0
-    radius = np.sqrt(sum((m - center) ** 2 for m in grid.open_mesh()))
+    radius = sum((m - center) ** 2 for m in grid.open_mesh())
+    np.sqrt(radius, out=radius)
 
     edges = np.linspace(r_min, r_max, shell_count + 1)
     # the shells cut from the annulus r_min <= r < r_max keep the grid's element order

@@ -16,7 +16,7 @@ This module applies neither symbol: `FunctionalContext` (dual_functional)
 runs R and K for the solver, and the checks of R run that same operator.
 A `GridSpec` keeps its per-axis coordinates and frequencies and the float
 `delta_min`, nothing the size of the grid: |k|^2 (`k_squared`, or
-`half_k_squared` on a real transform's half spectrum, both `squared_norm`)
+`half_k_squared` on rows of a real transform's half spectrum, both `squared_norm`)
 and the symbols are formed where they are used.
 """
 
@@ -110,13 +110,13 @@ class GridSpec:
         whole-grid symbol is kept on the grid."""
         return squared_norm([self.axis_frequencies] * self.dimension)
 
-    @property
-    def half_k_squared(self) -> np.ndarray:
-        """|k|^2 on the half spectrum of a real transform, the last axis cut to
-        its n/2 + 1 nonnegative frequencies: that slice of `k_squared` bit for
-        bit (`squared_norm`), as a new array on each call."""
+    def half_k_squared(self, rows: slice = slice(None)) -> np.ndarray:
+        """|k|^2 on the axis-0 rows `rows` (all by default) of the half spectrum
+        of a real transform, the last axis cut to its n/2 + 1 nonnegative
+        frequencies: that slice of `k_squared` bit for bit (`squared_norm`), as
+        a new array on each call."""
         k = self.axis_frequencies
-        return squared_norm([k] * (self.dimension - 1) + [k[: k.size // 2 + 1]])
+        return squared_norm([k[rows]] + [k] * (self.dimension - 2) + [k[: k.size // 2 + 1]])
 
     @cached_property
     def delta_min(self) -> float:
@@ -204,18 +204,21 @@ class Field:
 def squared_norm(axes) -> np.ndarray:
     """sum_i a_i^2 over the grid that the per-axis vectors `axes` span, as a new array.
 
-    A broadcast sum over their sparse mesh rounds as over the full mesh, so a
-    cut axis (the half spectrum of a real transform) gives the slice of the
-    whole-grid values bit for bit.
+    The squares are shaped along their own axes and summed by broadcasting,
+    axis 0 first, which rounds as the same sum over the full mesh, so a cut
+    axis (rows of the half spectrum of a real transform) gives the slice of
+    the whole-grid values bit for bit.
     """
-    return sum(a ** 2 for a in np.meshgrid(*axes, indexing="ij", sparse=True))
+    dim = len(axes)
+    return sum(np.square(a).reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i, a in enumerate(axes))
 
 
-def helmholtz_multiplier(grid: GridSpec, half: bool = False) -> np.ndarray:
-    """Resolvent symbol sigma over the frequency lattice (module docstring), or
-    over its half spectrum (`GridSpec.half_k_squared`) when `half`; for eps = 0
-    `GridSpec` already keeps every lattice point off the unit shell."""
-    shifted = grid.half_k_squared if half else grid.k_squared
+def helmholtz_multiplier(grid: GridSpec, half_rows: slice = None) -> np.ndarray:
+    """Resolvent symbol sigma over the frequency lattice (module docstring), or,
+    given `half_rows`, over those axis-0 rows of its half spectrum
+    (`GridSpec.half_k_squared`); for eps = 0 `GridSpec` already keeps every
+    lattice point off the unit shell."""
+    shifted = grid.k_squared if half_rows is None else grid.half_k_squared(half_rows)
     shifted -= 1.0
     out = shifted ** 2
     out += grid.shell_epsilon ** 2

@@ -85,10 +85,11 @@ back nothing the size of the grid.  `recenter` picks the orbit's
 representative (a unit-cell shift for a unit-periodic Q and the sign of the
 peak) and keeps no grid array, and only the records the dedup keeps are
 finished (`finish_records`): u = R(Q^{1/p} v) from the unshifted v, its
-primal check, then the shift and sign, and the grid field v_star last,
-after every primal check.  A record's grid field has one formula
-(`_grid_values`), which also breaks ties: records sort by level, and the
-bytes of their grid fields are built only when levels tie.
+primal check, then the shift and sign.  A record keeps no grid field of v:
+it has one formula (`grid_field`), built where it is used (the solve's
+writer, the transplant of `compare`, the self-test's rerun), which also
+breaks ties: records sort by level, and the bytes of their grid fields are
+built only when levels tie.
 
 Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
@@ -150,8 +151,9 @@ class SolutionRecord:
     `find_critical_point` fills in the descent's support vector `v` (the
     values on the support of Q), its level, dual residual and trajectory.
     `recenter` picks the orbit's representative (`orbit_shift`, `sign`), and
-    `finish_records` adds the primal partner `u_star`, its `primal_residual`
-    and the grid field `v_star`; until then those three are None.
+    `finish_records` adds the primal partner `u_star` and its
+    `primal_residual`; until then both are None.  The grid field of v is
+    `grid_field(ctx, record)`, built on each call.
     """
 
     v: np.ndarray
@@ -166,7 +168,6 @@ class SolutionRecord:
     sign: int = 1
     newton_steps: int = 0
     start_index: int = -1
-    v_star: Field = None
     u_star: Field = None
     primal_residual: float = None
 
@@ -454,7 +455,7 @@ def _landscape(ctx, profile):
     mass = np.abs(phi) ** pc
     q = ctx.q
     n = ctx.grid.points_per_axis
-    sigma = ctx.half_sigma * (ctx.weight / ctx.grid.size)
+    sigma = ctx.half_sigma() * (ctx.weight / ctx.grid.size)
     sigma[..., 1 : n // 2] *= 2.0
     sigma = np.repeat(sigma, 2, axis=-1)  # weights of the (real, imag) float pairs
 
@@ -855,25 +856,24 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     return record
 
 
-def _grid_values(ctx, rec):
+def grid_field(ctx: FunctionalContext, rec: SolutionRecord) -> Field:
     """A recentered record's grid field sign * extend(v)(. - y), y its orbit
     shift: -0.0 off the support when the sign is -1.  extend is a view of v
     on full support, and so is the roll at y = 0; any other array is fresh
-    and negated in place."""
+    and negated in place.  Built on each call and kept by no record."""
     values = _cell_roll(ctx.extend(rec.v), rec.orbit_shift, ctx.grid.unit_shift_points)
-    if rec.sign > 0:
-        return values
-    return np.negative(values, out=None if np.may_share_memory(values, rec.v) else values)
+    if rec.sign < 0:
+        values = np.negative(values, out=None if np.may_share_memory(values, rec.v) else values)
+    return Field(ctx.grid, values)
 
 
 def finish_records(ctx: FunctionalContext, records: list) -> list:
-    """Add the primal partner u_star, its primal residual and the grid field
-    v_star to each recentered record of `find_critical_point`.
+    """Add the primal partner u_star and its primal residual to each
+    recentered record of `find_critical_point`.
 
     u = R(Q^{1/p} v) is formed from the unshifted support vector v and
     checked by `primal_residual`, then moved by the record's orbit shift and
-    sign.  The grid fields v_star (`_grid_values`) are built last, after
-    every primal check.  Returns records.
+    sign.  Returns records.
     """
     grid = ctx.grid
     for rec in records:
@@ -883,8 +883,6 @@ def finish_records(ctx: FunctionalContext, records: list) -> list:
         if rec.sign < 0:
             np.negative(u, out=u)
         rec.u_star = Field(grid, u)
-    for rec in records:
-        rec.v_star = Field(grid, _grid_values(ctx, rec))
     return records
 
 
@@ -967,7 +965,7 @@ def _by_level(ctx, records):
     """records sorted by (level, bytes of the grid field), the bytes built only on a tie of levels."""
     ties = Counter(rec.level for rec in records)
     return sorted(records, key=lambda rec: (
-        rec.level, _grid_values(ctx, rec).tobytes() if ties[rec.level] > 1 else b""))
+        rec.level, grid_field(ctx, rec).values.tobytes() if ties[rec.level] > 1 else b""))
 
 
 def _same_orbit(ctx, a, b, threshold):

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude, SphereSamples
 from .kernel import Field, GridSpec, helmholtz_symbol
-from .search import DescentConfig, find_critical_point, multistart_search, _same_orbit
+from .search import DescentConfig, find_critical_point, grid_field, multistart_search, _same_orbit
 
 EIGEN_TOL = 1e-13         # Rayleigh quotient of R on a lattice mode against sigma, relative
 SYMMETRY_TOL = 1e-11      # |<f, A g> - <g, A f>| against ||f||_2 ||g||_2
@@ -377,7 +377,7 @@ def check_search_mini():
     detail = (f"{converged}/5 converged, {len(result.records)} distinct, "
               f"c={result.level_estimate:.6f}, max J increase {mono:.1e}")
 
-    rerun = find_critical_point(ctx, result.records[0].v_star, cfg)
+    rerun = find_critical_point(ctx, grid_field(ctx, result.records[0]), cfg)
     ok &= rerun.iterations == 0
     return ok, detail
 

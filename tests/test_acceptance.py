@@ -25,6 +25,7 @@ from helmdual import (
     decay_and_expansion_check,
     equal_area_directions,
     farfield_amplitude,
+    grid_field,
     multistart_search,
     ps_boundedness_check,
     transplant,
@@ -225,7 +226,7 @@ def test_criterion_09_asymptotic_comparison(compare_run):
     assert elapsed < 600.0
     assert battery.level_excess(report) <= battery.LEVEL_TOL
     assert report.transplant_check
-    w = report.records_inf[0].v_star
+    w = grid_field(pair.ctx_inf, report.records_inf[0])
     assert battery.transplant_identity_error(pair, w, transplant(pair, w)) <= battery.IDENTITY_TOL
     # energy chain J_Q(t_v v) <= J_inf(t_v w) <= J_inf(w)
     assert battery.level_chain_slack(report) >= -battery.CHAIN_TOL

@@ -1,5 +1,6 @@
 """Dual energy, derivative, fibering, and duality-chain identities."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from helmdual import (
     multistart_search,
     odd_power,
 )
+from helmdual import dual_functional
 from helmdual import selftest as battery
 from helmdual.cli import build_context
 from helmdual.dual_functional import sine_product
@@ -481,6 +483,60 @@ class TestNehariEnergy:
                 assert battery.fibering_defect(sine_ctx, v) <= battery.IDENTITY_TOL
 
 
+class TestRealPair:
+    """`_real_pair` is numpy's `irfftn(symbol * rfftn(s))` bit for bit, with the
+    symbol taken and the `irfft` run one block of axis-0 rows at a time."""
+
+    @pytest.mark.parametrize("blocks", ["default", "five"])
+    @pytest.mark.parametrize("support", ["full", "compact"])
+    @pytest.mark.parametrize("dimension, n", [(2, 48), (2, 96), (3, 32), (3, 64)])
+    def test_is_numpys_real_pair(self, dimension, n, support, blocks, monkeypatch):
+        shape = (n,) * dimension
+        half_shape = shape[:-1] + (n // 2 + 1,)
+        if blocks == "five":
+            # five blocks of ceil(n/5) rows: the last one is shorter at every n here
+            monkeypatch.setattr(dual_functional, "BLOCK_BYTES", 16 * math.prod(half_shape) // 5 + 1)
+        rng = np.random.default_rng(n + dimension)
+        if support == "full":
+            box = tuple(slice(0, n) for _ in shape)
+        else:
+            box = tuple(slice(n // 4 + a, n // 2 + 3 * a) for a in range(dimension))
+        s = np.zeros(shape)
+        s[box] = rng.standard_normal(s[box].shape)
+        symbol = rng.standard_normal(half_shape)
+        taken = []
+
+        def symbol_rows(rows):
+            taken.append(len(range(n)[rows]))
+            return symbol[rows]
+
+        got = dual_functional._real_pair(s[box[:-1]], box, shape, symbol_rows)
+        axes = tuple(range(dimension))
+        want = np.fft.irfftn(symbol * np.fft.rfftn(s), s=shape, axes=axes)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        # the result lives in the half spectrum's own memory
+        assert got.base.shape == half_shape and got.base.dtype == complex
+        assert sum(taken) == n
+        if blocks == "five":
+            assert len(taken) == 5 and taken[-1] < taken[0]
+        else:
+            # blocks of at most one row over BLOCK_BYTES, one block for a 2d grid here
+            row_bytes = 16 * math.prod(half_shape[1:])
+            assert max(taken) * row_bytes <= dual_functional.BLOCK_BYTES + row_bytes
+            assert (len(taken) == 1) == (dimension == 2)
+
+    def test_full_support_symbol_is_a_view_of_the_window(self, sine_ctx):
+        kernel = sine_ctx._k_window[0]
+        assert np.shares_memory(sine_ctx.half_sigma(slice(3, 9)), kernel)
+        assert sine_ctx.half_sigma(slice(3, 9)).tobytes() == sine_ctx.half_sigma()[3:9].tobytes()
+
+    def test_compact_symbol_rows_are_slices_of_the_half_symbol(self):
+        ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0)
+        assert ctx.half_sigma().shape == (16, 16, 9)
+        assert ctx.half_sigma(slice(4, 7)).tobytes() == ctx.half_sigma()[4:7].tobytes()
+
+
 class TestDualToPrimal:
     def test_eigenmode(self, const_ctx):
         v = mode_field(const_ctx.grid, (1, 0))
@@ -493,14 +549,18 @@ class TestDualToPrimal:
 
     @pytest.mark.parametrize("kind", ["bump_3d", "sine"])
     def test_contiguous_real_result(self, kind, sine_ctx):
-        # a new float64 array, no view on a work array, and the values of the
-        # unpruned real pair bit for bit
+        # a float64 array in the memory of its own half spectrum, shared with no
+        # other call, and the values of the unpruned real pair bit for bit
         ctx = make_bump_context(n=16, L=8.0, dimension=3, p=5.0) if kind == "bump_3d" else sine_ctx
+        shape = ctx.grid.shape
         v = random_field(ctx, np.random.default_rng(29)).values
-        for got in (ctx.resolvent_array(ctx.restrict(v)), ctx.dual_to_primal(Field(ctx.grid, v)).values):
+        results = (ctx.resolvent_array(ctx.restrict(v)), ctx.dual_to_primal(Field(ctx.grid, v)).values)
+        for got in results:
             assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert got.base is None
+            assert got.base.dtype == complex and got.base.base is None
+            assert got.base.shape == shape[:-1] + (shape[-1] // 2 + 1,)
             assert_resolvent(ctx, got, v)
+        assert not np.shares_memory(*results)
 
     def test_transform_identity(self, sine_ctx):
         v = random_field(sine_ctx, np.random.default_rng(9))

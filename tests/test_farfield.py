@@ -565,11 +565,25 @@ class TestGridArrays:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # Q itself is one; the support, q_S and the window spectrum are small
-        assert retained <= 1.1 * 8 * grid.size
-        # the symbols stay readable, formed per call, sigma on the half spectrum only
-        assert ctx.half_sigma.shape == grid.half_k_squared.shape == (48, 48, 25)
-        assert ctx.q_root.shape == grid.k_squared.shape == grid.shape
+        # Q and q_S on the support, its mask and K's window spectrum (0.05): 0.06
+        # grid arrays, where the context that kept Q on the grid held 1.06
+        assert retained <= 0.08 * 8 * grid.size
+        # Q and the symbols stay readable, formed per call, sigma on the half spectrum only
+        assert ctx.half_sigma().shape == grid.half_k_squared().shape == (48, 48, 25)
+        assert ctx.q_root.shape == ctx.q.shape == grid.k_squared.shape == grid.shape
+        assert ctx.restrict(ctx.q).tobytes() == ctx.q_on_support.tobytes()
+
+    def test_compact_context_at_the_benchmark_size_keeps_q_on_its_support(self):
+        # n = 64: the built context holds support vectors and the support's mask,
+        # 0.01 grid arrays, where the whole-grid Q alone was 1.00
+        farfield3d_context(n=16)  # imports, outside the trace
+        tracemalloc.start()
+        try:
+            ctx = farfield3d_context(n=64)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 0.05 * 8 * ctx.grid.size
 
     def test_resolvent_and_primal_residual_peaks(self):
         ctx = farfield3d_context()
@@ -577,34 +591,50 @@ class TestGridArrays:
         v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.q_support.size)))
         ctx.primal_residual(ctx.dual_to_primal(v))  # window and imports, outside the trace
         u, peak = traced_peak(ctx.dual_to_primal, v)
-        # the half spectrum (1.03) with sigma formed on it (0.52, and its square),
-        # then the half spectrum and the real result; the box's lines are small
-        assert peak <= 2.2 * unit
+        # the half spectrum (1.04), which takes the result, and one block of at
+        # most about 256 KiB (12 rows, 0.26 here) with its symbol: 1.37, against
+        # 2.13 when the symbol was formed on the whole half spectrum and the
+        # result took an array of its own
+        assert peak <= 1.4 * unit
         _, peak = traced_peak(ctx.primal_residual, u)
-        # the same pair, with the symbol s + eps^2/s formed on the half spectrum
-        assert peak <= 2.25 * unit
+        # the same pair, with the symbol s + eps^2/s formed a block at a time: 1.33
+        assert peak <= 1.35 * unit
 
     def test_resolvent_peak_at_the_benchmark_size(self):
-        # n = 64, the far-field benchmark's grid: no complex array of the grid's
-        # size, where the complex pair peaked at 3.07 grid arrays
+        # n = 64, the far-field benchmark's grid: the half spectrum (1.03) and a
+        # block of 8 of its 64 rows, 1.20 grid arrays, where the result in an
+        # array of its own peaked at 2.10 and the complex pair at 3.07
         ctx = farfield3d_context(n=64)
         unit = 8 * ctx.grid.size
         vs = np.random.default_rng(4).standard_normal(ctx.q_support.size)
         ctx.resolvent_array(vs)  # window and imports, outside the trace
         _, peak = traced_peak(ctx.resolvent_array, vs)
-        assert peak <= 2.15 * unit
+        assert peak <= 1.3 * unit
+
+    def test_primal_residual_peak_at_the_benchmark_size(self):
+        # the primal check's pair over the whole grid, and its norms of the
+        # points off the support in place: 1.17 grid arrays, where it was 2.13
+        ctx = farfield3d_context(n=64)
+        unit = 8 * ctx.grid.size
+        u = ctx.dual_to_primal(Field(ctx.grid, ctx.extend(
+            np.random.default_rng(5).standard_normal(ctx.q_support.size))))
+        ctx.primal_residual(u)  # imports, outside the trace
+        _, peak = traced_peak(ctx.primal_residual, u)
+        assert peak <= 1.3 * unit
 
     def test_multistart_finishes_only_the_kept_records(self):
         # starts hand back support vectors, and the two kept records are finished
-        # after the dedup: u of both and the second primal check's pair, 4.37 grid
-        # arrays; 6.16 when every start built both grid fields and its primal check
+        # after the dedup: u of both in their half spectra and the second primal
+        # check's pair, 4.15 grid arrays; 4.37 when each u was an array of its own
+        # and each record kept its grid field of v, 6.16 when every start built
+        # both grid fields and its primal check
         cfg = DescentConfig(multistart_count=2, rng_seed=12345)
         multistart_search(farfield3d_context(n=16), cfg)  # imports, outside the trace
         ctx = farfield3d_context(n=32)
         ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds K's window
         result, peak = traced_peak(multistart_search, ctx, cfg)
         assert len(result.records) == 2
-        assert peak <= 4.5 * 8 * ctx.grid.size
+        assert peak <= 4.2 * 8 * ctx.grid.size
 
     def test_expansion_check_streams_its_ball(self):
         # one block of the interpolant's design is about BLOCK_BYTES, 1.19 grid

@@ -130,6 +130,18 @@ class TestMultiplier:
         want = shifted / (shifted ** 2 + eps ** 2)
         assert helmholtz_multiplier(g).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dimension, eps", [(2, 0.0), (3, 1.0)])
+    def test_half_rows_are_slices_of_the_lattice(self, dimension, eps):
+        # the symbol and |k|^2 on axis-0 rows of the half spectrum, as `_real_pair`
+        # forms them a block at a time: the slices of the whole-lattice arrays bit for bit
+        g = GridSpec(dimension, 16.0 if eps else 6.0, 16, shell_epsilon=eps)
+        half = (Ellipsis, slice(0, 9))
+        for rows in (slice(None), slice(0, 5), slice(5, 10), slice(15, 20)):
+            want_k2 = g.k_squared[rows][half]
+            assert g.half_k_squared(rows).tobytes() == want_k2.tobytes()
+            want = helmholtz_multiplier(g)[rows][half]
+            assert helmholtz_multiplier(g, half_rows=rows).tobytes() == want.tobytes()
+
 
 class TestSymbol:
     """The symbol s + eps^2/s of the operator that sigma inverts."""

@@ -19,6 +19,7 @@ from helmdual import (
     NotInUPlusError,
     build_asymptotic_coefficient,
     find_critical_point,
+    grid_field,
     initial_field,
     multistart_search,
     orbit_distance,
@@ -170,7 +171,7 @@ class TestFindCriticalPoint:
 
     def test_already_critical_returns_immediately(self, mini_ctx, mini_result):
         rec = mini_result.records[0]
-        rerun = find_critical_point(mini_ctx, rec.v_star, MINI_CFG)
+        rerun = find_critical_point(mini_ctx, grid_field(mini_ctx, rec), MINI_CFG)
         assert rerun.iterations == 0
         assert rerun.dual_residual <= MINI_CFG.tol_residual
 
@@ -222,13 +223,13 @@ class TestFindCriticalPoint:
         v0 = initial_field(ctx, np.random.default_rng(11))
         assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
-        # the descent returns its support vector; the grid fields come with finishing
+        # the descent returns its support vector; u comes with finishing, and the
+        # grid field of v is built on demand
         assert rec.v.shape == ctx.q_support.shape
-        assert rec.v_star is rec.u_star is rec.primal_residual is None
-        search.finish_records(ctx, [rec])
-        assert np.all(rec.v_star.values[ctx.q == 0.0] == 0.0)
-        v_star = rec.v_star.values
-        assert ctx.dual_residual_arrays(v_star, ctx.apply_k_array(v_star)) <= cfg.tol_residual
+        assert rec.u_star is rec.primal_residual is None
+        values = grid_field(ctx, rec).values
+        assert np.all(values[ctx.q == 0.0] == 0.0)
+        assert ctx.dual_residual_arrays(values, ctx.apply_k_array(values)) <= cfg.tol_residual
 
     def test_dual_to_primal_residual_chain(self, mini_result):
         # small dual residual forces a small primal residual; the recorded
@@ -622,7 +623,8 @@ def compact_run():
 
 
 class TestFinishRecords:
-    """Starts return support vectors; the kept records get u, the primal check and v_star."""
+    """Starts return support vectors; the kept records get u and the primal check,
+    and `grid_field` builds a record's grid field of v on each call."""
 
     def test_negative_record_keeps_the_signed_zeros(self, compact_run):
         ctx, result = compact_run
@@ -631,7 +633,7 @@ class TestFinishRecords:
         off = (ctx.q == 0.0).reshape(-1)
         assert off.sum() == 2011
         # -Field(extend(v)) writes -0.0 off the support, where extend(-v) writes +0.0
-        values = rec.v_star.values.reshape(-1)
+        values = grid_field(ctx, rec).values.reshape(-1)
         assert np.all(values[off] == 0.0) and np.all(np.signbit(values[off]))
         assert values.tobytes() == (-Field(ctx.grid, ctx.extend(rec.v))).values.tobytes()
         # u_star is the sign times R of the unshifted v
@@ -667,28 +669,27 @@ class TestFinishRecords:
     def test_level_ties_break_on_the_field_bytes(self, compact_run):
         # one level, fields that differ only in the sign of their zeros off the support
         ctx, result = compact_run
-        minus = replace(result.records[0], v_star=None, u_star=None)
+        minus = replace(result.records[0], u_star=None)
         plus = replace(minus, v=-minus.v, sign=1)
         ordered = search._by_level(ctx, [minus, plus])
-        search.finish_records(ctx, [minus, plus])
-        assert minus.v_star.values.tobytes() > plus.v_star.values.tobytes()
+        assert grid_field(ctx, minus).values.tobytes() > grid_field(ctx, plus).values.tobytes()
         assert ordered[0] is plus and ordered[1] is minus
 
-    def test_records_sorted_by_level_then_field_bytes(self, mini_result):
-        keys = [(rec.level, rec.v_star.values.tobytes()) for rec in mini_result.records]
+    def test_records_sorted_by_level_then_field_bytes(self, mini_ctx, mini_result):
+        keys = [(rec.level, grid_field(mini_ctx, rec).values.tobytes()) for rec in mini_result.records]
         assert keys == sorted(keys)
         assert len({level for level, _ in keys}) < len(keys)  # a tie broken by the bytes
 
 
 class TestOrbitDistance:
     def test_translate_is_zero(self, mini_ctx, mini_result):
-        v = mini_result.records[0].v_star
+        v = grid_field(mini_ctx, mini_result.records[0])
         shift = mini_ctx.grid.unit_shift_points
         w = Field(mini_ctx.grid, np.roll(v.values, shift, axis=0))
         assert orbit_distance(mini_ctx, v, w) <= 1e-12
 
     def test_sign_flip_is_zero(self, mini_ctx, mini_result):
-        v = mini_result.records[0].v_star
+        v = grid_field(mini_ctx, mini_result.records[0])
         assert orbit_distance(mini_ctx, v, -v) <= 1e-12
 
     def test_symmetry(self, mini_ctx):
@@ -723,7 +724,7 @@ class TestMultistart:
         assert len(again.records) == len(mini_result.records)
         for a, b in zip(again.records, mini_result.records):
             assert a.level == b.level
-            np.testing.assert_array_equal(a.v_star.values, b.v_star.values)
+            np.testing.assert_array_equal(grid_field(mini_ctx, a).values, grid_field(mini_ctx, b).values)
 
     def test_worker_count_does_not_change_results(self, mini_ctx, mini_result):
         cfg = DescentConfig(multistart_count=3, rng_seed=MINI_CFG.rng_seed,
@@ -732,11 +733,11 @@ class TestMultistart:
         par = multistart_search(mini_ctx, cfg, workers=2)
         assert [r.level for r in par.records] == [r.level for r in seq.records]
         for a, b in zip(par.records, seq.records):
-            np.testing.assert_array_equal(a.v_star.values, b.v_star.values)
+            np.testing.assert_array_equal(grid_field(mini_ctx, a).values, grid_field(mini_ctx, b).values)
         # placed records are built in the parent after the pool returns
         assert any(r.start_index == -1 for r in seq.records)
-        assert [r.v_star.values.tobytes() for r in par.records] == [
-            r.v_star.values.tobytes() for r in seq.records]
+        assert [grid_field(mini_ctx, r).values.tobytes() for r in par.records] == [
+            grid_field(mini_ctx, r).values.tobytes() for r in seq.records]
 
     def test_worker_count_does_not_change_compact_results(self):
         ctx = make_bump_context()
@@ -747,13 +748,13 @@ class TestMultistart:
         assert seq.records
         assert [r.level for r in par.records] == [r.level for r in seq.records]
         for a, b in zip(par.records, seq.records):
-            assert a.v_star.values.tobytes() == b.v_star.values.tobytes()
+            assert grid_field(ctx, a).values.tobytes() == grid_field(ctx, b).values.tobytes()
 
     def test_translated_duplicates_collapse(self, mini_ctx, mini_result):
         # feeding a lattice translate back into the dedup must not create
         # a second record
         pc = mini_ctx.exponents.p_conj
-        v = mini_result.records[0].v_star
+        v = grid_field(mini_ctx, mini_result.records[0])
         shift = mini_ctx.grid.unit_shift_points
         w = Field(mini_ctx.grid, np.roll(v.values, (2 * shift, shift), axis=(0, 1)))
         scale = max(v.lp_norm(pc), w.lp_norm(pc))
