@@ -42,6 +42,7 @@ from .search import (
     initial_field,
     multistart_search,
     orbit_distance,
+    primal_field,
     recenter,
 )
 from .asymptotic import (

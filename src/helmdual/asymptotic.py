@@ -59,12 +59,27 @@ class CompareReport:
 
 
 def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
-    """Smooth compactly supported profile amplitude * exp(1 - 1/(1 - (r/radius)^2))."""
-    dist2 = sum((m - c) ** 2 for m, c in zip(grid.open_mesh(), bump.center))
-    s2 = dist2 / bump.radius ** 2
-    inside = s2 < 1.0
+    """Smooth compactly supported profile amplitude * exp(1 - 1/(1 - (r/radius)^2)).
+
+    The bump is built on the box of grid slices that can meet its ball and
+    written into a zeroed grid array.  A point lies in the ball when
+    s2 = sum_i (x_i - c_i)^2 / radius^2 < 1, and every term of that rounded
+    sum is at most the sum, so the slices along axis i that hold a point of
+    the ball are those with (x_i - c_i)^2 / radius^2 < 1: on the box each
+    value is the whole-grid formula's bit for bit.
+    """
     out = np.zeros(grid.shape)
-    out[inside] = bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    box = []
+    for c in bump.center:
+        meets = np.flatnonzero((grid.axis_coordinates - c) ** 2 / bump.radius ** 2 < 1.0)
+        if meets.size == 0:
+            return out
+        box.append(slice(int(meets[0]), int(meets[-1]) + 1))
+    mesh = np.meshgrid(*(grid.axis_coordinates[span] for span in box), indexing="ij", sparse=True)
+    s2 = sum((m - c) ** 2 for m, c in zip(mesh, bump.center))
+    s2 /= bump.radius ** 2
+    inside = s2 < 1.0
+    out[tuple(box)][inside] = bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
     return out
 
 
@@ -82,7 +97,9 @@ def build_asymptotic_coefficient(ctx_inf: FunctionalContext, bump: BumpDescripto
             raise SupportOverflowError(
                 f"bump support [{c - bump.radius}, {c + bump.radius}] leaves the box"
             )
-    q = Field(grid, ctx_inf.q + bump_profile(grid, bump))
+    values = bump_profile(grid, bump)
+    values += ctx_inf.q
+    q = Field(grid, values)
     return AsymptoticPair(ctx=FunctionalContext(q, ctx_inf.exponents.p), ctx_inf=ctx_inf, bump=bump)
 
 

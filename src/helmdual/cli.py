@@ -32,7 +32,7 @@ from .dual_functional import FunctionalContext, sine_product
 from .errors import DomainError, FieldFileError, HelmdualError, OutOfMemoryError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec
-from .search import grid_field, multistart_search
+from .search import grid_field, multistart_search, primal_field
 from .selftest import run_selftest
 
 FLOAT_FORMAT = "%.17g"
@@ -151,29 +151,32 @@ _SOLUTION_HEADER = [
 ]
 
 
-def _position(ctx, rec) -> str:
+def _position(ctx, u: Field) -> str:
     """Grid index of the peak of |u| modulo the unit cell; blank unless Q is
     declared unit-periodic."""
     if not ctx.periodic:
         return ""
-    peak = np.unravel_index(np.argmax(np.abs(rec.u_star.values)), ctx.grid.shape)
+    peak = np.unravel_index(np.argmax(np.abs(u.values)), ctx.grid.shape)
     return " ".join(str(int(i) % ctx.grid.unit_shift_points) for i in peak)
 
 
 def _run_solve(cfg, out: _OutputDir) -> int:
     ctx = build_context(cfg)
     result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
+    positions = []
+    for i, rec in enumerate(result.records):  # one u per record, for its file and its peak
+        out.write_bytes(f"v_{i:03d}.hlmf", cfgmod.write_field(grid_field(ctx, rec)))
+        u = primal_field(ctx, rec)
+        positions.append(_position(ctx, u))
+        out.write_bytes(f"u_{i:03d}.hlmf", cfgmod.write_field(u))
     out.write_csv(
         "solutions.csv", _SOLUTION_HEADER + ["position"],
-        [row + [_position(ctx, rec)] for row, rec in zip(_solution_rows(result.records), result.records)],
+        [row + [position] for row, position in zip(_solution_rows(result.records), positions)],
     )
     out.write_csv(
         "starts.csv", ["start", "status", "detail"],
         [[i, status, detail] for i, (status, detail) in enumerate(result.outcomes)],
     )
-    for i, rec in enumerate(result.records):
-        out.write_bytes(f"v_{i:03d}.hlmf", cfgmod.write_field(grid_field(ctx, rec)))
-        out.write_bytes(f"u_{i:03d}.hlmf", cfgmod.write_field(rec.u_star))
     return 0 if result.records else 1
 
 
@@ -200,19 +203,18 @@ def _run_compare(cfg, out: _OutputDir) -> int:
 def _run_farfield(cfg, out: _OutputDir) -> int:
     ctx = build_context(cfg)
     result = multistart_search(ctx, cfgmod.descent_config(cfg), workers=_workers())
-    rec = result.records[0]
     out.write_csv("solutions.csv", _SOLUTION_HEADER, _solution_rows(result.records))
-    del result  # the other records' u fields: only the best one is read from here on
-    out.write_bytes("u_best.hlmf", cfgmod.write_field(rec.u_star))
+    u = primal_field(ctx, result.records[0])  # the best record's u: the one grid field from here on
+    out.write_bytes("u_best.hlmf", cfgmod.write_field(u))
 
     dirs = equal_area_directions(ctx.grid.dimension, cfg.farfield_direction_count)
-    samples = farfield_amplitude(ctx, rec.u_star, dirs)
+    samples = farfield_amplitude(ctx, u, dirs)
     eps = ctx.grid.shell_epsilon
     checked = samples
     if eps > 0.0:
-        checked = farfield_amplitude(ctx, rec.u_star, dirs, wavenumber=complex(np.sqrt(1 + 1j * eps)))
+        checked = farfield_amplitude(ctx, u, dirs, wavenumber=complex(np.sqrt(1 + 1j * eps)))
     report = decay_and_expansion_check(
-        ctx, rec.u_star, checked,
+        ctx, u, checked,
         r_min=cfg.farfield_r_min,
         r_max=cfg.farfield_r_max,
     )

@@ -61,10 +61,14 @@ holds nothing the size of its grid.
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one `_real_pair` over the whole grid, with the symbol formed a
-block of the half spectrum at a time, and forms Q |u|^{p-2} u on S only: off S
-the defect is the operator's image itself, so one power pass over the grid
-serves two of its three norms.
+eps = 0), as one real pair over the whole grid run in u's own half spectrum
+(`_real_pair_in_place`), with the symbol formed a block of the half
+spectrum at a time, and forms Q |u|^{p-2} u on S only: off S the defect is
+the operator's image itself, so one power pass over the grid serves two of
+its three norms.  `primal_residual_support` checks u = R(Q^{1/p} v) in the
+half spectrum where R left it, so the check holds one array about the size
+of one real grid array, and a block; the public check copies u into a
+fresh half spectrum first.
 """
 
 import math
@@ -117,43 +121,84 @@ def _pair(spectrum: np.ndarray, box: tuple, index, source: np.ndarray) -> np.nda
     return spec
 
 
+def _half_spectrum(shape: tuple) -> np.ndarray:
+    """The zeroed complex half spectrum of a real transform over a grid of
+    `shape`, the last axis cut to n/2 + 1."""
+    return np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+
+
+def _real_view(half: np.ndarray, shape: tuple) -> np.ndarray:
+    """The real grid array of `shape` in the first bytes of the half spectrum `half`."""
+    return half.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)
+
+
+def _half_blocks(half: np.ndarray) -> list:
+    """The fewest blocks of axis-0 rows of at most about BLOCK_BYTES of the half
+    spectrum, as even as the rows allow."""
+    count = -(-half.nbytes // BLOCK_BYTES)
+    step = -(-half.shape[0] // count)
+    return [slice(a, a + step) for a in range(0, half.shape[0], step)]
+
+
 def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
     """irfftn(symbol * rfftn(s)) over the grid of `shape`, as a C-contiguous real
-    array that lives in the pair's own half spectrum, where s holds `lines` on
-    the last-axis lines through the box's leading slices and zeros elsewhere,
-    and symbol(rows) is the symbol on the axis-0 rows `rows` of the half
-    spectrum.
+    array that lives in the pair's own half spectrum (its `base`), where s
+    holds `lines` on the last-axis lines through the box's leading slices and
+    zeros elsewhere, and symbol(rows) is the symbol on the axis-0 rows `rows`
+    of the half spectrum.
 
     The passes are those of `rfftn` and `irfftn`, in their order, so the result
     is theirs bit for bit: one `rfft` on the box's lines into a zeroed half
-    spectrum (the last axis cut to n/2 + 1), the complex passes over axes
-    N-2, ..., 0 in place, each only on the lines whose earlier axes lie in the
-    box (the others hold exact zeros), then the product with the symbol, the
-    in-place `ifft`s and one `irfft`.  The product and the `irfft` run one
-    block of axis-0 rows at a time: the fewest blocks of at most about
-    BLOCK_BYTES of the half spectrum, as even as the rows allow, so the
-    symbol is formed a block at a time.  The `irfft` writes each block's n
-    real values per line into the bytes where the half spectrum's lines of
-    n/2 + 1 complex values begin: a block's result ends before the next
-    block's input starts, and numpy copies the block's own input, which it
-    overlaps.
+    spectrum (the last axis cut to n/2 + 1), then `_pair_in_half`.
     """
-    half = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    half = _half_spectrum(shape)
     np.fft.rfft(lines, out=half[box[:-1]])
+    return _pair_in_half(half, box, shape, symbol)
+
+
+def _pair_in_half(half: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
+    """The rest of `_real_pair` after its `rfft`, on the half spectrum `half`.
+
+    The complex passes over axes N-2, ..., 0 run in place, each only on the
+    lines whose earlier axes lie in the box (the others hold exact zeros),
+    then the product with the symbol, the in-place `ifft`s and one `irfft`.
+    The product and the `irfft` run one block of axis-0 rows at a time
+    (`_half_blocks`), so the symbol is formed a block at a time.  The `irfft`
+    writes each block's n real values per line into the bytes where the
+    half spectrum's lines of n/2 + 1 complex values begin: a block's result
+    ends before the next block's input starts, and numpy copies the block's
+    own input, which it overlaps.
+    """
     for d in reversed(range(len(shape) - 1)):
         block = half[box[:d]]
         np.fft.fft(block, axis=d, out=block)
-    count = -(-half.nbytes // BLOCK_BYTES)
-    step = -(-shape[0] // count)
-    blocks = [slice(a, a + step) for a in range(0, shape[0], step)]
+    blocks = _half_blocks(half)
     for rows in blocks:
         half[rows] *= symbol(rows)
     for d in range(len(shape) - 1):
         np.fft.ifft(half, axis=d, out=half)
-    out = half.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)
+    out = _real_view(half, shape)
     for rows in blocks:
         np.fft.irfft(half[rows], n=shape[-1], out=out[rows])
     return out
+
+
+def _real_pair_in_place(half: np.ndarray, shape: tuple, symbol) -> np.ndarray:
+    """irfftn(symbol * rfftn(u)) for the real grid array u held in the first bytes
+    of its own half spectrum `half` (`_real_view`), written back into those bytes.
+
+    The `rfft` runs a block of axis-0 rows at a time, from the last block to
+    the first: a block's n/2 + 1 complex values per line start at or after
+    its n real ones, so its output never reaches an earlier block's input,
+    and numpy copies the block's own input, which it overlaps.  The other
+    passes are `_pair_in_half`'s over the whole grid, so the result is
+    `_real_pair`'s over the whole grid bit for bit, and nothing the size of
+    the grid is formed.
+    """
+    u = _real_view(half, shape)
+    for rows in reversed(_half_blocks(half)):
+        np.fft.rfft(u[rows], out=half[rows])
+    return _pair_in_half(half, tuple(slice(0, n) for n in shape), shape, symbol)
 
 
 def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -285,7 +330,7 @@ class FunctionalContext:
         kernel = self._k_window[0]
         if kernel.shape == self.grid.shape:
             return kernel[rows, ..., : kernel.shape[-1] // 2 + 1]
-        return helmholtz_multiplier(self.grid, half_rows=rows)
+        return helmholtz_multiplier(self.grid, self.grid.half_frequencies(rows))
 
     @property
     def q_root(self) -> np.ndarray:
@@ -325,12 +370,23 @@ class FunctionalContext:
     def support_ball(self):
         """Centroid of Q over the grid, and the largest distance from it to a
         support point: where a start on a non-periodic Q is centred, and how
-        wide its bump is.  It forms Q on the grid and takes three whole-grid
-        products, so it is taken once."""
+        wide its bump is.
+
+        Each sum runs over the whole grid, in numpy's pairwise order, which
+        the start fields depend on: a sum over the support points alone
+        rounds differently.  For each axis Q is formed on the grid and
+        multiplied in place by that axis's coordinates, so one grid array is
+        live on compact support (a product of its own on full support, where
+        Q is a view of the context's).  It is taken once."""
         grid = self.grid
-        q = self.q
-        total = q.sum()
-        centroid = np.array([float((q * xa).sum() / total) for xa in grid.open_mesh()])
+        total = self.q.sum()
+        centroid = []
+        for xa in grid.open_mesh():
+            q = self.q
+            q = np.multiply(q, xa, out=None if self.full_support else q)
+            centroid.append(float(q.sum() / total))
+            del q  # before the next axis forms Q again
+        centroid = np.array(centroid)
         mesh = np.meshgrid(*(grid.axis_coordinates[span] for span in self.box), indexing="ij", sparse=True)
         dist2 = sum((x - c) ** 2 for x, c in zip(mesh, centroid))
         return centroid, float(np.sqrt(dist2[self.support].max()))
@@ -364,28 +420,32 @@ class FunctionalContext:
         prod_i cos(2 pi k_i d_i / n) / n^N, where each axis can run over
         0 <= k_i <= n/2 only, counting 0 < k_i < n/2 twice: one cosine matrix
         per cut axis, applied without forming r on the grid, then one FFT over
-        the cut axes.  The einsum contraction stays off BLAS, so the window
-        does not depend on the BLAS thread count.  With no cut axis the
-        spectrum is sigma itself, read-only, and on full support the mask
-        is slice(None), so K's scatter and gather are views.
+        the cut axes.  So sigma is formed only on the rows k_i <= n/2 of each
+        cut axis (`helmholtz_multiplier` on those per-axis frequencies, the
+        slice of the whole-lattice sigma bit for bit): 33^3 of the 64^3 points
+        for the far-field bump, 0.28 grid arrays at the first build where
+        sigma on the grid took 2.  The einsum contraction stays off BLAS, so
+        the window does not depend on the BLAS thread count.  With no cut
+        axis the spectrum is sigma itself, read-only, and on full support the
+        mask is slice(None), so K's scatter and gather are views.
         """
-        kernel = helmholtz_multiplier(self.grid)
-        shape, cut = [], []
-        for axis, (span, n) in enumerate(zip(self.box, self.grid.shape)):
-            w = span.stop - span.start
-            m = min(n, _smooth_size(max(1, 2 * w - 2)))
-            shape.append(m)
-            if m == n:
-                continue
-            cut.append(axis)
+        grid = self.grid
+        widths = [span.stop - span.start for span in self.box]
+        shape = [min(n, _smooth_size(max(1, 2 * w - 2))) for w, n in zip(widths, grid.shape)]
+        cut = [axis for axis, (m, n) in enumerate(zip(shape, grid.shape)) if m < n]
+        # sigma on the rows k_i <= n/2 of each cut axis, the only ones they read
+        k = grid.axis_frequencies
+        kernel = helmholtz_multiplier(grid, [k[: k.size // 2 + 1] if axis in cut else k
+                                             for axis in range(grid.dimension)])
+        for axis in cut:
+            m, n, w = shape[axis], grid.shape[axis], widths[axis]
             d = np.arange(m)
             d = np.where(d <= m // 2, d, d - m)
-            k = np.arange(n // 2 + 1)
-            fold = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n
-            rows = np.cos((2.0 * np.pi / n) * (np.outer(d, k) % n)) * fold
+            j = np.arange(n // 2 + 1)
+            fold = np.where((j == 0) | (j == n // 2), 1.0, 2.0) / n
+            rows = np.cos((2.0 * np.pi / n) * (np.outer(d, j) % n)) * fold
             rows[np.abs(d) >= w] = 0.0
-            half = np.moveaxis(kernel, axis, 0)[:n // 2 + 1]
-            kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, half), 0, axis)
+            kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, np.moveaxis(kernel, axis, 0)), 0, axis)
         if cut:
             kernel = np.fft.fftn(kernel, axes=cut).real.copy()
         kernel.setflags(write=False)
@@ -479,20 +539,36 @@ class FunctionalContext:
         which is -Delta - 1 at eps = 0; with eps > 0 it is the regularized
         operator the run solves.  Relative to the magnitude of the two
         balanced terms; the absolute norm is returned for u = 0 (where it
-        vanishes anyway).  A u is one `_real_pair` over the whole grid, with
-        the symbol formed a block of the half spectrum at a time.  The
-        nonlinearity rhs is formed on the support S of Q only: off S it
+        vanishes anyway).  u is copied into a fresh half spectrum, where
+        `_primal_check` runs, so u itself is left as it was.
+        """
+        vals = self._own(u)
+        half = _half_spectrum(self.grid.shape)
+        _real_view(half, self.grid.shape)[...] = vals
+        return self._primal_check(half)
+
+    def primal_residual_support(self, vs: np.ndarray) -> float:
+        """`primal_residual` of u = R(Q^{1/p} v) for a support vector v, run in
+        u's own half spectrum: u is formed by `resolvent_array` and not kept."""
+        return self._primal_check(self.resolvent_array(vs).base)
+
+    def _primal_check(self, half: np.ndarray) -> float:
+        """`primal_residual` of the grid array u held in the first bytes of its own
+        half spectrum `half` (`_real_view`), which the pair overwrites.
+
+        The nonlinearity rhs is formed from u on the support S of Q first; A u
+        is one `_real_pair_in_place` over the whole grid, with the symbol
+        formed a block of the half spectrum at a time.  Off S the rhs
         vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
         over the points off S, taken in one pass over the grid, and the rest
         of all three norms are sums over S.  On full support that pass is
         empty and the three sums are the whole-grid ones.
         """
-        vals = self._own(u)
         p, pc = self.exponents.p, self.exponents.p_conj
         grid = self.grid
-        lhs = _real_pair(vals, tuple(slice(0, n) for n in grid.shape), grid.shape,
-                         lambda rows: helmholtz_symbol(grid.half_k_squared(rows) - 1.0, grid.shell_epsilon))
-        rhs = self.q_on_support * odd_power(self.restrict(vals), p - 1.0)
+        rhs = self.q_on_support * odd_power(self.restrict(_real_view(half, grid.shape)), p - 1.0)
+        lhs = _real_pair_in_place(half, grid.shape, lambda rows: helmholtz_symbol(
+            grid.half_k_squared(rows) - 1.0, grid.shell_epsilon))
         lhs_s = self.restrict(lhs)
         off = 0.0
         if not self.full_support:

@@ -17,14 +17,18 @@ eps -> 0.  The decay fit removes the known attenuation exp(-Im k+ r) and
 compares only the power of r, so it stays constant-free.
 
 h vanishes off the support of Q, so the amplitude is a contraction over the
-support's box in real space (`_box_transform`), and the decay check builds
-its radius over the grid's open mesh: neither forms a whole-grid coordinate
-mesh or transforms a whole-grid array.  The check streams its ball in blocks
-of rows: beyond one whole-grid radius, released before the ball, it holds
-three ball-sized vectors (flat indices, radii, squared mismatch) and one
-block of the interpolant's design with its power tables, about BLOCK_BYTES
-(1 MiB: 2,048 rows of 49 columns in 3d, about 1.2 grid arrays at n = 48).
-The report does not depend on the block size, so the block is kept small.
+support's box in real space (`_box_transform`): it forms no whole-grid
+coordinate mesh and transforms no whole-grid array.  The decay check
+streams the grid twice, a slab of axis-0 rows at a time, and forms no
+whole-grid array either.  Besides u, its working set is the larger of its
+two passes.  The first holds u on the annulus with a one-byte shell index,
+and the one-byte rank of each ball point among the expansion radii.  The
+second holds the ball's squared mismatch (one float per ball point, about
+0.41 grid arrays in 3d), the ranks, one slab's table of offsets, radii and
+values, and one block of the interpolant's design, about BLOCK_BYTES (1 MiB:
+2,048 rows of 49 columns in 3d, 0.5 grid arrays at n = 64).  In all it
+peaks at about 1.2 grid arrays above u at n = 64.  The report does not
+depend on the block or slab size, so both are kept small.
 
 The check fits the sampled amplitudes by the sphere harmonics of degree at
 most FIT_DEGREE, written as the monomials whose last exponent is 0 or 1
@@ -36,7 +40,6 @@ directions must reach the count of all the monomials of that degree, the
 direction floor that the config checks too.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -203,30 +206,42 @@ def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
     monomial of degree <= degree is a combination of these, and they are as
     many as the harmonics: 49 of the 84 monomials in 3d, 13 of 28 in 2d.
     Columns run over the leading exponents in lexicographic order, each
-    monomial m followed by m x_N when its degree allows.  They come from
-    per-axis power tables, one multiply each, written into one preallocated
-    array; the result is its Fortran-ordered transpose.
+    monomial m followed by m x_N when its degree allows.  They are written
+    into one preallocated array, whose transpose (Fortran-ordered) is the
+    result, one multiply each: the powers of the leading axes, built by
+    repeated multiplication from a column of ones, are columns of the design
+    themselves, and every other column is a product of them, or of a column
+    and x_N.
     """
     count, dim = directions.shape
-    lead = directions[:, :-1].T
-    powers = np.empty((dim - 1, degree + 1, count))
-    powers[:, 0] = 1.0
-    for k in range(1, degree + 1):
-        np.multiply(powers[:, k - 1], lead, out=powers[:, k])
     out = np.empty((_basis_size(dim, degree), count))
-    col = 0
-    for e in itertools.product(range(degree + 1), repeat=dim - 1):
-        if sum(e) > degree:
-            continue
-        if dim == 2:
-            out[col] = powers[0, e[0]]
-        else:
-            np.multiply(powers[0, e[0]], powers[1, e[1]], out=out[col])
-        if sum(e) < degree:
-            np.multiply(out[col], directions[:, -1], out=out[col + 1])
-            col += 1
-        col += 1
+    out[0] = 1.0
+    if dim == 2:
+        for a in range(1, degree + 1):
+            np.multiply(out[2 * a - 2], directions[:, 0], out=out[2 * a])
+        np.multiply(out[:-1:2], directions[:, -1], out=out[1::2])
+        return out.T
+    # the block of x_1^a: x_1^a x_2^b, then x_1^a x_2^b x_3, for b = 0..degree - a
+    # (no x_3 factor at b = degree - a); the first block holds the powers of x_2
+    starts = np.cumsum([0] + [2 * (degree - a) + 1 for a in range(degree)])
+    for b in range(1, degree + 1):
+        np.multiply(out[2 * b - 2], directions[:, 1], out=out[2 * b])
+    for a in range(1, degree + 1):
+        np.multiply(out[starts[a - 1]], directions[:, 0], out=out[starts[a]])
+    for a, start in enumerate(starts):
+        block = out[start: start + 2 * (degree - a) + 1]
+        if a:
+            np.multiply(out[start], out[2: 2 * (degree - a) + 1: 2], out=block[2::2])
+        np.multiply(block[:-1:2], directions[:, -1], out=block[1::2])
     return out.T
+
+
+def _block_rows(dim: int, degree: int) -> int:
+    """Design rows per block of about BLOCK_BYTES, a multiple of BLOCK_ALIGN."""
+    # a design row and (N - 1)(degree + 1) values more: the count that sizes the
+    # blocks, and so the rows of each BLAS call
+    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))
+    return max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
 
 
 def _row_blocks(count: int, dim: int, degree: int) -> list:
@@ -235,8 +250,7 @@ def _row_blocks(count: int, dim: int, degree: int) -> list:
     Blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter
     rest, so a block that is passed on alone is one block again.
     """
-    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))  # design row, power tables
-    rows = max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
+    rows = _block_rows(dim, degree)
     starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
     return list(zip([0] + starts, starts + [count]))
 
@@ -264,6 +278,66 @@ def radius_window(L: float, spacing: float, r_min=None, r_max=None) -> tuple:
     return r_min, r_max
 
 
+def _radius_slabs(grid, center: float, points: int):
+    """(rows, r) for each slab of axis-0 rows of the grid, r the distance to the
+    point (center, ..., center) on those rows, in the grid's element order.
+
+    A slab holds about `points` points, at least one row, and its r lives in
+    one buffer that the next slab overwrites.  Each r is the slice of the
+    whole-grid radius over the open mesh bit for bit: the squared per-axis
+    distances are summed by broadcasting, axis 0 first.
+    """
+    squares = [(m - center) ** 2 for m in grid.open_mesh()]
+    n = grid.points_per_axis
+    step = min(n, max(1, points * n // grid.size))
+    buffer = np.empty((step,) + grid.shape[1:])
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        r = buffer[: rows.stop - start]
+        np.add(sum(squares[1:-1], squares[0][rows]), squares[-1], out=r)
+        yield rows, np.sqrt(r, out=r)
+
+
+def _ball_points(grid, values: np.ndarray, center: float, r_lo: float, r_hi: float):
+    """The points with r_lo <= r <= r_hi, one slab of `_radius_slabs` at a time
+    (about one design block of points), in the grid's element order: for each
+    slab an array whose rows are x_1 - center, ..., x_N - center, r and u.
+
+    The rows are written into one table over the slab and its columns in the
+    ball taken at once; the offsets past the first axis are the same on
+    every slab."""
+    dim = grid.dimension
+    offsets = grid.axis_coordinates - center
+    table = None
+    for rows, r in _radius_slabs(grid, center, _block_rows(dim, FIT_DEGREE)):
+        if table is None:
+            table = np.empty((dim + 2,) + r.shape)
+            for axis, x in enumerate(grid.open_mesh()[1:], 1):
+                table[axis] = x - center
+        here = table[:, : r.shape[0]]
+        here[0] = offsets[rows].reshape((-1,) + (1,) * (dim - 1))
+        here[dim] = r
+        here[dim + 1] = values[rows]
+        inside = (r >= r_lo) & (r <= r_hi)
+        yield np.compress(inside.reshape(-1), here.reshape(dim + 2, -1), axis=1)
+
+
+def _in_blocks(pieces, blocks):
+    """The columns of the consecutive arrays `pieces`, cut into the (start, stop)
+    `blocks` that partition them: one new array per block, in order, and no
+    piece is held longer than its last block."""
+    pending = []
+    for start, stop in blocks:
+        parts, need = [], stop - start
+        while need:
+            piece = pending.pop() if pending else next(pieces)
+            parts.append(piece[:, :need])
+            if piece.shape[1] > need:
+                pending.append(piece[:, need:])
+            need -= parts[-1].shape[1]
+        yield np.concatenate(parts, axis=1)
+
+
 def decay_and_expansion_check(
     ctx: FunctionalContext,
     u: Field,
@@ -282,15 +356,20 @@ def decay_and_expansion_check(
     (module docstring); the report flags whether the error is
     nonincreasing over the tabulated radii.
 
-    The shells are cut from one selection of the annulus r_min <= r < r_max,
-    in the grid's element order, so each shell mean sums the elements a
-    whole-grid shell mask selects, in the same order; the annulus copies are
-    released before the ball.  The ball is streamed: it is kept as flat
-    indices with their radii, and each block of `_row_blocks` rows takes its
-    unit directions, its interpolant (one `_sphere_interpolant` block), its
-    leading term and its squared mismatch, written into one ball-sized
-    array.  The sums over r <= R run over that array, in the grid's order,
-    so no value depends on the block size.
+    The grid is streamed twice, a slab of axis-0 rows at a time
+    (`_radius_slabs`), and no whole-grid radius is formed.  The first pass
+    keeps u on the annulus r_min <= r < r_max with the index of its shell (a
+    small integer), in the grid's element order, so each shell mean sums
+    the elements a whole-grid shell mask selects, in the same order; the
+    annulus is released before the second pass.  The first pass also keeps
+    the rank of each ball point, the index of the first expansion radius
+    R_j with r <= R_j: the radii increase, so r <= R_j is rank <= j.  The
+    second pass cuts the ball's points into the blocks of `_row_blocks` and
+    gives each block its unit directions, its interpolant (one
+    `_sphere_interpolant` block), its leading term and its squared
+    mismatch, written into one ball-sized array.  The sum over r <= R_j
+    runs over the points of rank <= j, in the grid's order: no value
+    depends on the block or slab size.
     """
     grid = ctx.grid
     values = ctx._own(u)
@@ -315,22 +394,29 @@ def decay_and_expansion_check(
         )
 
     center = L / 2.0
-    radius = sum((m - center) ** 2 for m in grid.open_mesh())
-    np.sqrt(radius, out=radius)
-
+    r_lo = max(2.0 * grid.spacing, 1e-9)  # the ball leaves out the points near the center
     edges = np.linspace(r_min, r_max, shell_count + 1)
-    # the shells cut from the annulus r_min <= r < r_max keep the grid's element order
-    annulus = (radius >= edges[0]) & (radius < edges[-1])
-    r_ann, u_ann = radius[annulus], values[annulus]
-    del annulus
+    expansion_radii = np.linspace(r_min + 0.25 * (r_max - r_min), r_max, max(4, shell_count // 2 + 3))
+    u_ann, shell, rank = [], [], []
+    # slabs of BLOCK_BYTES / 4 of radius: this pass holds no design block
+    for rows, r in _radius_slabs(grid, center, BLOCK_BYTES // 32):
+        annulus = (r >= edges[0]) & (r < edges[-1])
+        u_ann.append(values[rows][annulus])
+        # the shell of r: the number of inner edges at or below it
+        shell.append(np.searchsorted(edges[1:], r[annulus], side="right").astype(np.min_scalar_type(shell_count)))
+        # the rank of r: the first expansion radius at or above it
+        r_ball = r[(r >= r_lo) & (r <= r_max)]
+        rank.append(np.searchsorted(expansion_radii, r_ball).astype(np.min_scalar_type(expansion_radii.size)))
+    del r, annulus, r_ball  # the last slab's arrays
+    u_ann, shell, rank = np.concatenate(u_ann), np.concatenate(shell), np.concatenate(rank)
     shell_radii, shell_means = [], []
     for i in range(shell_count):
-        mask = (r_ann >= edges[i]) & (r_ann < edges[i + 1])
-        if mask.sum() < 8:
+        mask = shell == i
+        if np.count_nonzero(mask) < 8:
             continue
         shell_radii.append(0.5 * (edges[i] + edges[i + 1]))
         shell_means.append(float(np.abs(u_ann[mask]).mean()))
-    del r_ann, u_ann  # released before the ball
+    del u_ann, shell, mask  # released before the ball
     if len(shell_radii) < 3:
         raise InsufficientShellsError(
             f"only {len(shell_radii)} usable shells between r={r_min} and {r_max}"
@@ -355,28 +441,25 @@ def decay_and_expansion_check(
     parts = np.stack([samples.values.real, samples.values.imag], axis=1)
     fit, *_ = np.linalg.lstsq(design_s, parts, rcond=None)
     reproduced = (design_s @ fit).view(complex)[:, 0]
+    del design_s
     scale = np.abs(samples.values).max()
     interp_residual = float(np.abs(reproduced - samples.values).max() / scale) if scale > 0 else 0.0
 
-    ball = np.flatnonzero((radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max))
-    r_pts = radius.reshape(-1)[ball]
-    del radius
-    u_flat = values.reshape(-1)
-    mismatch = np.empty(ball.size)
-    for start, stop in _row_blocks(ball.size, dim, FIT_DEGREE):
-        r_blk = r_pts[start:stop]
-        pts = np.stack([grid.axis_coordinates[i] - center
-                        for i in np.unravel_index(ball[start:stop], grid.shape)], axis=1)
+    mismatch = np.empty(rank.size)
+    blocks = _row_blocks(rank.size, dim, FIT_DEGREE) if rank.size else []
+    ball = _in_blocks(_ball_points(grid, values, center, r_lo, r_max), blocks)
+    for (start, stop), block in zip(blocks, ball):
+        pts, r_blk, u_blk = block[:dim].T, block[dim], block[dim + 1]
         pts /= r_blk[:, None]  # unit directions, in place
         g_blk = _sphere_interpolant(pts, fit, FIT_DEGREE)
         leading = -2.0 * (2.0 * np.pi / r_blk) ** ((dim - 1) / 2.0) * np.real(
             np.exp(1j * (k_plus * r_blk - (dim - 1) * np.pi / 4.0)) * g_blk
         )
-        np.square(u_flat[ball[start:stop]] - leading, out=mismatch[start:stop])
+        np.square(u_blk - leading, out=mismatch[start:stop])
+    del ball  # and its slab table
 
-    expansion_radii = np.linspace(r_min + 0.25 * (r_max - r_min), r_max, max(4, shell_count // 2 + 3))
     expansion_errors = np.array([
-        grid.weight * float(mismatch[r_pts <= R].sum()) / R for R in expansion_radii
+        grid.weight * float(mismatch[rank <= j].sum()) / R for j, R in enumerate(expansion_radii)
     ])
     tail = expansion_errors[-3:]
     trend = bool(np.all(np.diff(tail) <= 1e-12 * max(1.0, tail.max())))

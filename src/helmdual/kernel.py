@@ -110,13 +110,18 @@ class GridSpec:
         whole-grid symbol is kept on the grid."""
         return squared_norm([self.axis_frequencies] * self.dimension)
 
+    def half_frequencies(self, rows: slice = slice(None)) -> list:
+        """The per-axis frequencies of the axis-0 rows `rows` (all by default) of
+        the half spectrum of a real transform, the last axis cut to its n/2 + 1
+        nonnegative frequencies."""
+        k = self.axis_frequencies
+        return [k[rows]] + [k] * (self.dimension - 2) + [k[: k.size // 2 + 1]]
+
     def half_k_squared(self, rows: slice = slice(None)) -> np.ndarray:
         """|k|^2 on the axis-0 rows `rows` (all by default) of the half spectrum
-        of a real transform, the last axis cut to its n/2 + 1 nonnegative
-        frequencies: that slice of `k_squared` bit for bit (`squared_norm`), as
-        a new array on each call."""
-        k = self.axis_frequencies
-        return squared_norm([k[rows]] + [k] * (self.dimension - 2) + [k[: k.size // 2 + 1]])
+        of a real transform (`half_frequencies`): that slice of `k_squared` bit
+        for bit (`squared_norm`), as a new array on each call."""
+        return squared_norm(self.half_frequencies(rows))
 
     @cached_property
     def delta_min(self) -> float:
@@ -213,12 +218,14 @@ def squared_norm(axes) -> np.ndarray:
     return sum(np.square(a).reshape((1,) * i + (-1,) + (1,) * (dim - 1 - i)) for i, a in enumerate(axes))
 
 
-def helmholtz_multiplier(grid: GridSpec, half_rows: slice = None) -> np.ndarray:
+def helmholtz_multiplier(grid: GridSpec, axes: list = None) -> np.ndarray:
     """Resolvent symbol sigma over the frequency lattice (module docstring), or,
-    given `half_rows`, over those axis-0 rows of its half spectrum
-    (`GridSpec.half_k_squared`); for eps = 0 `GridSpec` already keeps every
-    lattice point off the unit shell."""
-    shifted = grid.k_squared if half_rows is None else grid.half_k_squared(half_rows)
+    given per-axis frequency vectors `axes` that are slices of the grid's,
+    over the lattice they span (`squared_norm`), such as rows of a real
+    transform's half spectrum (`GridSpec.half_frequencies`): that slice of
+    the whole-lattice sigma bit for bit.  For eps = 0 `GridSpec` already
+    keeps every lattice point off the unit shell."""
+    shifted = grid.k_squared if axes is None else squared_norm(axes)
     shifted -= 1.0
     out = shifted ** 2
     out += grid.shell_epsilon ** 2

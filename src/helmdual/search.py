@@ -84,12 +84,16 @@ critical point: its record holds the support vector v, and a worker hands
 back nothing the size of the grid.  `recenter` picks the orbit's
 representative (a unit-cell shift for a unit-periodic Q and the sign of the
 peak) and keeps no grid array, and only the records the dedup keeps are
-finished (`finish_records`): u = R(Q^{1/p} v) from the unshifted v, its
-primal check, then the shift and sign.  A record keeps no grid field of v:
-it has one formula (`grid_field`), built where it is used (the solve's
-writer, the transplant of `compare`, the self-test's rerun), which also
-breaks ties: records sort by level, and the bytes of their grid fields are
-built only when levels tie.
+finished (`finish_records`): u = R(Q^{1/p} v) from the unshifted v and its
+primal check in u's own half spectrum, one record at a time, and u is
+dropped.  A record keeps no grid field.  The grid field of v has one
+formula (`grid_field`), built where it is used (the solve's writer, the
+transplant of `compare`, the self-test's rerun), which also breaks ties:
+records sort by level, and the bytes of their grid fields are built only
+when levels tie.  The primal partner u, moved by the record's shift and
+sign, has one too (`primal_field`), built where it is used: once per record
+by the solve's writer, which also reads its peak, once by the placement
+and once by the far-field run.
 
 Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
@@ -151,9 +155,10 @@ class SolutionRecord:
     `find_critical_point` fills in the descent's support vector `v` (the
     values on the support of Q), its level, dual residual and trajectory.
     `recenter` picks the orbit's representative (`orbit_shift`, `sign`), and
-    `finish_records` adds the primal partner `u_star` and its
-    `primal_residual`; until then both are None.  The grid field of v is
-    `grid_field(ctx, record)`, built on each call.
+    `finish_records` adds the `primal_residual` of the primal partner u;
+    until then it is None.  A record keeps no grid array: the grid field of
+    v is `grid_field(ctx, record)` and u is `primal_field(ctx, record)`,
+    each built on each call.
     """
 
     v: np.ndarray
@@ -168,7 +173,6 @@ class SolutionRecord:
     sign: int = 1
     newton_steps: int = 0
     start_index: int = -1
-    u_star: Field = None
     primal_residual: float = None
 
 
@@ -580,7 +584,7 @@ def _place(ctx, record, tol):
     whose trajectory is the placed level.
     """
     cell = ctx.grid.unit_shift_points
-    profile = _profile(ctx, record.u_star.values)
+    profile = _profile(ctx, primal_field(ctx, record).values)
     level = _landscape(ctx, profile)
     shifts = itertools.product(range(cell), repeat=ctx.grid.dimension)
     landscape = np.reshape([level(shift) for shift in shifts], (cell,) * ctx.grid.dimension)
@@ -867,22 +871,29 @@ def grid_field(ctx: FunctionalContext, rec: SolutionRecord) -> Field:
     return Field(ctx.grid, values)
 
 
+def primal_field(ctx: FunctionalContext, rec: SolutionRecord) -> Field:
+    """A recentered record's primal partner sign * u(. - y), u = R(Q^{1/p} v)
+    formed from the unshifted support vector v and y its orbit shift: a new
+    array, moved and negated in place where it can be.  Built on each call
+    and kept by no record."""
+    grid = ctx.grid
+    u = _cell_roll(ctx.resolvent_array(rec.v), rec.orbit_shift, grid.unit_shift_points)
+    if rec.sign < 0:
+        np.negative(u, out=u)
+    return Field(grid, u)
+
+
 def finish_records(ctx: FunctionalContext, records: list) -> list:
-    """Add the primal partner u_star and its primal residual to each
-    recentered record of `find_critical_point`.
+    """Add the primal residual to each recentered record of `find_critical_point`.
 
     u = R(Q^{1/p} v) is formed from the unshifted support vector v and
-    checked by `primal_residual`, then moved by the record's orbit shift and
-    sign.  Returns records.
+    checked in its own half spectrum (`primal_residual_support`), so one u
+    and no other grid array is live, and u is dropped: `primal_field`
+    builds it, moved by the record's orbit shift and sign, where it is
+    used.  Returns records.
     """
-    grid = ctx.grid
     for rec in records:
-        u = ctx.resolvent_array(rec.v)
-        rec.primal_residual = ctx.primal_residual(Field(grid, u))
-        u = _cell_roll(u, rec.orbit_shift, grid.unit_shift_points)
-        if rec.sign < 0:
-            np.negative(u, out=u)
-        rec.u_star = Field(grid, u)
+        rec.primal_residual = ctx.primal_residual_support(rec.v)
     return records
 
 

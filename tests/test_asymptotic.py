@@ -50,6 +50,25 @@ class TestBuild:
         center_idx = tuple(int(3.0 / ctx.grid.spacing) for _ in range(2))
         assert abs(profile[center_idx] - pair.bump.amplitude) < 1e-14
 
+    @pytest.mark.parametrize("dimension, n, L, center, radius", [
+        (2, 48, 6.0, (3.0, 3.0), 1.2),
+        (2, 48, 6.0, (3.0, 3.0), 1.25),       # the ball's edge runs through grid points
+        (2, 32, 8.0, (4.4, 4.0), 1.5),
+        (3, 64, 16.0, (9.2, 8.7, 8.4), 1.6),  # the far-field bump
+        (3, 16, 8.0, (4.0, 4.25, 3.9), 2.0),
+        (2, 16, 8.0, (4.25, 4.25), 0.1),      # meets no grid point
+    ])
+    def test_profile_is_the_whole_grid_formula(self, dimension, n, L, center, radius):
+        grid = GridSpec(dimension, L, n)
+        bump = BumpDescriptor(center=center, radius=radius, amplitude=0.7)
+        s2 = sum((m - c) ** 2 for m, c in zip(grid.open_mesh(), center)) / radius ** 2
+        want = np.zeros(grid.shape)
+        want[s2 < 1.0] = bump.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[s2 < 1.0]))
+        assert bump_profile(grid, bump).tobytes() == want.tobytes()
+
+    def test_perturbed_q_is_the_background_plus_the_bump(self, ctx, pair):
+        assert pair.ctx.q.tobytes() == (ctx.q + bump_profile(ctx.grid, pair.bump)).tobytes()
+
     def test_support_overflow(self, ctx):
         with pytest.raises(SupportOverflowError):
             build_asymptotic_coefficient(

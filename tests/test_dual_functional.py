@@ -22,6 +22,7 @@ from helmdual import (
     helmholtz_multiplier,
     multistart_search,
     odd_power,
+    primal_field,
 )
 from helmdual import dual_functional
 from helmdual import selftest as battery
@@ -87,6 +88,42 @@ def edge_context(dimension, axis, n=16):
     q *= 1.0 + np.random.default_rng(23).random(grid.shape)
     p = 7.0 if dimension == 2 else 5.0
     return FunctionalContext(Field(grid, q), p)
+
+
+def whole_grid_window(ctx):
+    """K's window spectrum from sigma on the whole grid: each cut axis contracts
+    the rows k <= n/2 of the array it is given, then one FFT over the cut axes."""
+    kernel = helmholtz_multiplier(ctx.grid)
+    cut = []
+    for axis, (span, n) in enumerate(zip(ctx.box, ctx.grid.shape)):
+        w = span.stop - span.start
+        m = min(n, dual_functional._smooth_size(max(1, 2 * w - 2)))
+        if m == n:
+            continue
+        cut.append(axis)
+        d = np.arange(m)
+        d = np.where(d <= m // 2, d, d - m)
+        k = np.arange(n // 2 + 1)
+        fold = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n
+        rows = np.cos((2.0 * np.pi / n) * (np.outer(d, k) % n)) * fold
+        rows[np.abs(d) >= w] = 0.0
+        half = np.moveaxis(kernel, axis, 0)[:n // 2 + 1]
+        kernel = np.moveaxis(np.einsum("ij,j...->i...", rows, half), 0, axis)
+    return np.fft.fftn(kernel, axes=cut).real if cut else kernel
+
+
+WINDOW_CONTEXTS = [
+    lambda: make_bump_context(),
+    lambda: make_bump_context(n=24, p=5.0, dimension=3),
+    lambda: make_bump_context(n=32, L=16.0, p=5.0, dimension=3, radius=1.6, eps=1.0),
+    lambda: edge_context(2, 0),
+    lambda: edge_context(3, 1),
+    lambda: holed_context(3),
+    lambda: make_spanning_bump_context(),
+    lambda: make_sine_context(n=48, periodic=False),
+]
+WINDOW_IDS = ["bump_2d", "bump_3d", "farfield_3d", "edge_2d_axis0", "edge_3d_axis1", "holed_3d",
+              "spanning", "full"]
 
 
 @pytest.mark.parametrize("build", [
@@ -313,6 +350,25 @@ class TestSupport:
             vs = rng.standard_normal(ctx.q_support.size)
             assert ctx.apply_k_support(vs).tobytes() == window_pair(ctx, vs).tobytes()
 
+    @pytest.mark.parametrize("make", WINDOW_CONTEXTS, ids=WINDOW_IDS)
+    def test_window_spectrum_is_the_whole_grid_construction(self, make):
+        # sigma formed only on the rows k <= n/2 of each cut axis gives the
+        # spectrum of sigma formed on the whole grid, bit for bit
+        ctx = make()
+        assert ctx._k_window[0].tobytes() == whole_grid_window(ctx).tobytes()
+
+    @pytest.mark.parametrize("make", WINDOW_CONTEXTS, ids=WINDOW_IDS)
+    def test_support_ball_is_the_whole_grid_formula(self, make):
+        # the centroid's sums run over the whole grid in numpy's pairwise order
+        ctx = make()
+        q = ctx.q.copy()
+        centroid = np.array([float((q * xa).sum() / q.sum()) for xa in ctx.grid.open_mesh()])
+        dist2 = sum((x - c) ** 2 for x, c in zip(full_mesh(ctx.grid), centroid))
+        got_centroid, got_radius = ctx.support_ball
+        assert got_centroid.tobytes() == centroid.tobytes()
+        assert got_radius == float(np.sqrt(dist2[q > 0.0].max()))
+        assert ctx.q.tobytes() == q.tobytes()  # Q itself is left as it was
+
     def test_spanning_box_with_zeros_is_the_whole_grid_pair(self):
         # Q vanishes near the corners, but the box spans the grid: the window is
         # the grid, K is the plain whole-grid complex pair and R the plain real
@@ -526,6 +582,27 @@ class TestRealPair:
             assert max(taken) * row_bytes <= dual_functional.BLOCK_BYTES + row_bytes
             assert (len(taken) == 1) == (dimension == 2)
 
+    @pytest.mark.parametrize("blocks", ["default", "five"])
+    @pytest.mark.parametrize("dimension, n", [(2, 48), (2, 96), (3, 32), (3, 64)])
+    def test_in_place_is_the_real_pair(self, dimension, n, blocks, monkeypatch):
+        # u in the first bytes of its own half spectrum, transformed there a
+        # block of rows at a time from the last block: the whole-grid real pair
+        # bit for bit, in the same bytes
+        shape = (n,) * dimension
+        half_shape = shape[:-1] + (n // 2 + 1,)
+        if blocks == "five":
+            monkeypatch.setattr(dual_functional, "BLOCK_BYTES", 16 * math.prod(half_shape) // 5 + 1)
+        rng = np.random.default_rng(n + dimension)
+        u = rng.standard_normal(shape)
+        symbol = rng.standard_normal(half_shape)
+        full = tuple(slice(0, n) for _ in shape)
+        want = dual_functional._real_pair(u, full, shape, lambda rows: symbol[rows])
+        half = dual_functional._half_spectrum(shape)
+        dual_functional._real_view(half, shape)[...] = u
+        got = dual_functional._real_pair_in_place(half, shape, lambda rows: symbol[rows])
+        assert got.tobytes() == want.tobytes()
+        assert got.base is half
+
     def test_full_support_symbol_is_a_view_of_the_window(self, sine_ctx):
         kernel = sine_ctx._k_window[0]
         assert np.shares_memory(sine_ctx.half_sigma(slice(3, 9)), kernel)
@@ -568,6 +645,21 @@ class TestDualToPrimal:
 
 
 class TestPrimalResidual:
+    @pytest.mark.parametrize("make", [
+        lambda: make_bump_context(n=32),
+        lambda: make_bump_context(n=32, L=16.0, dimension=3, p=5.0, radius=1.6, eps=1.0),
+        lambda: make_sine_context(n=48),
+    ], ids=["compact_2d", "compact_3d", "full_2d"])
+    def test_support_check_is_the_public_check(self, make):
+        # the check of R(Q^{1/p} v) in u's own half spectrum is the check of a
+        # copy of u, and the public check leaves its field as it was
+        ctx = make()
+        vs = np.random.default_rng(40).standard_normal(ctx.q_support.size)
+        u = ctx.dual_to_primal(Field(ctx.grid, ctx.extend(vs)))
+        before = u.values.tobytes()
+        assert ctx.primal_residual_support(vs) == ctx.primal_residual(u)
+        assert u.values.tobytes() == before
+
     def test_zero_field(self, sine_ctx):
         zero = Field(sine_ctx.grid, np.zeros(sine_ctx.grid.shape))
         assert sine_ctx.primal_residual(zero) == 0.0
@@ -619,7 +711,7 @@ class TestPrimalResidual:
             assert rec.dual_residual <= cfg.tol_residual
             assert rec.primal_residual <= 2.0 * rec.dual_residual
         # against -Delta - 1 the same field is off by O(eps)
-        u = records[0].u_star.values
+        u = primal_field(ctx, records[0]).values
         spec = np.fft.fftn(u) * (ctx.grid.k_squared - 1.0)
         lhs = np.fft.ifftn(spec).real
         rhs = ctx.q * odd_power(u, ctx.exponents.p - 1.0)

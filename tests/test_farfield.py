@@ -31,10 +31,21 @@ from helmdual import (
     odd_power,
 )
 from helmdual.asymptotic import bump_profile
-from helmdual.farfield import BLOCK_ALIGN, _box_transform, _monomial_design, radius_window
+from helmdual.cli import build_context, main
+from helmdual.config import parse_config
+from helmdual.farfield import (
+    BLOCK_ALIGN,
+    FIT_DEGREE,
+    _box_transform,
+    _monomial_design,
+    _row_blocks,
+    _sphere_interpolant,
+    radius_window,
+)
 from conftest import full_mesh, spans_grid, traced_peak
 
 TESTS = Path(__file__).resolve().parent
+FARFIELD3D = TESTS.parent / "perfbench" / "configs" / "farfield3d.cfg"  # the far-field run at n = 64
 
 
 def compact_context(dimension=2, n=64, L=16.0, p=None, eps=0.0, radius=2.0, center=None):
@@ -251,7 +262,34 @@ def monomial_fit(directions, values, degree):
     return lambda d: design(d) @ fit_re + 1j * (design(d) @ fit_im)
 
 
+def power_table_design(directions, degree):
+    """The design from per-axis power tables: each column one product of a power
+    of x_1 and a power of x_2 (3d), or a copied power of x_1 (2d), then the
+    columns times x_N where the degree allows."""
+    count, dim = directions.shape
+    powers = np.empty((dim - 1, degree + 1, count))
+    powers[:, 0] = 1.0
+    for k in range(1, degree + 1):
+        np.multiply(powers[:, k - 1], directions[:, :-1].T, out=powers[:, k])
+    columns = []
+    for e in itertools.product(range(degree + 1), repeat=dim - 1):
+        if sum(e) > degree:
+            continue
+        columns.append(powers[0, e[0]] if dim == 2 else powers[0, e[0]] * powers[1, e[1]])
+        if sum(e) < degree:
+            columns.append(columns[-1] * directions[:, -1])
+    return np.array(columns).T
+
+
 class TestMonomialDesign:
+    @pytest.mark.parametrize("dimension, count", [(2, 28), (2, 2048), (3, 84), (3, 2048)])
+    def test_is_the_power_table_design(self, dimension, count):
+        # the powers of the leading axes are design columns: the same products, bit for bit
+        dirs = np.random.default_rng(count + dimension).standard_normal((count, dimension))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for degree in (2, 6):
+            assert _monomial_design(dirs, degree).tobytes() == power_table_design(dirs, degree).tobytes()
+
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_matches_explicit_powers(self, dimension):
         dirs = equal_area_directions(dimension, 50)
@@ -376,6 +414,85 @@ class TestDecayAndExpansion:
         u, samples = synthetic_expansion_field(grid)
         with pytest.raises(GridMismatchError):
             decay_and_expansion_check(compact_context(), u, samples)
+
+
+def whole_grid_decay(ctx, u, samples, r_min=None, r_max=None, shell_count=8):
+    """(shell_radii, shell_means, expansion_radii, expansion_errors) of the decay
+    check from whole-grid arrays: the whole-grid radius, the shell masks over
+    one selection of the annulus, and the ball as flat indices with their
+    radii, in the check's blocks of interpolant rows."""
+    grid = ctx.grid
+    dim = grid.dimension
+    k_plus = np.sqrt(1.0 + 1j * grid.shell_epsilon)
+    r_min, r_max = radius_window(grid.box_length, grid.spacing, r_min, r_max)
+    center = grid.box_length / 2.0
+    radius = np.sqrt(sum((m - center) ** 2 for m in grid.open_mesh()))
+    edges = np.linspace(r_min, r_max, shell_count + 1)
+    annulus = (radius >= edges[0]) & (radius < edges[-1])
+    r_ann, u_ann = radius[annulus], u.values[annulus]
+    shell_radii, shell_means = [], []
+    for i in range(shell_count):
+        mask = (r_ann >= edges[i]) & (r_ann < edges[i + 1])
+        if mask.sum() >= 8:
+            shell_radii.append(0.5 * (edges[i] + edges[i + 1]))
+            shell_means.append(float(np.abs(u_ann[mask]).mean()))
+    parts = np.stack([samples.values.real, samples.values.imag], axis=1)
+    fit, *_ = np.linalg.lstsq(_monomial_design(samples.directions, FIT_DEGREE), parts, rcond=None)
+    ball = np.flatnonzero((radius >= max(2.0 * grid.spacing, 1e-9)) & (radius <= r_max))
+    r_pts = radius.reshape(-1)[ball]
+    mismatch = np.empty(ball.size)
+    for start, stop in _row_blocks(ball.size, dim, FIT_DEGREE):
+        r_blk = r_pts[start:stop]
+        pts = np.stack([grid.axis_coordinates[i] - center
+                        for i in np.unravel_index(ball[start:stop], grid.shape)], axis=1)
+        pts /= r_blk[:, None]
+        leading = -2.0 * (2.0 * np.pi / r_blk) ** ((dim - 1) / 2.0) * np.real(
+            np.exp(1j * (k_plus * r_blk - (dim - 1) * np.pi / 4.0)) * _sphere_interpolant(pts, fit, FIT_DEGREE)
+        )
+        np.square(u.values.reshape(-1)[ball[start:stop]] - leading, out=mismatch[start:stop])
+    expansion_radii = np.linspace(r_min + 0.25 * (r_max - r_min), r_max, max(4, shell_count // 2 + 3))
+    errors = [grid.weight * float(mismatch[r_pts <= R].sum()) / R for R in expansion_radii]
+    return np.asarray(shell_radii), np.asarray(shell_means), expansion_radii, np.asarray(errors)
+
+
+class TestStreamedDecay:
+    """The check streams the grid in slabs; its report is the whole-grid code's bit for bit."""
+
+    @pytest.mark.parametrize("window", ["default", "grid_radii"])
+    @pytest.mark.parametrize("shell_count", [6, 8])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    @pytest.mark.parametrize("dimension, n", [(2, 64), (3, 32)])
+    def test_report_is_the_whole_grid_report(self, dimension, n, eps, shell_count, window):
+        ctx = compact_context(dimension=dimension, n=n, eps=eps)
+        grid = ctx.grid
+        u, samples = synthetic_expansion_field(grid, k_plus=np.sqrt(1.0 + 1j * eps))
+        u = Field(grid, u.values + 1e-3 * np.random.default_rng(n).standard_normal(grid.shape))
+        edges = (None, None)
+        if window == "grid_radii":
+            # distances of grid points from the center: 4 and 12 points along axis 0
+            x = np.abs(grid.axis_coordinates - grid.box_length / 2.0)
+            edges = (x[n // 2 + 4], x[n // 2 + 12])
+        report = decay_and_expansion_check(ctx, u, samples, *edges, shell_count=shell_count)
+        got = (report.shell_radii, report.shell_means, report.expansion_radii, report.expansion_errors)
+        want = whole_grid_decay(ctx, u, samples, *edges, shell_count=shell_count)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert len(report.shell_means) >= 3
+
+    def test_several_slabs_and_blocks_in_2d(self):
+        # n = 256: slabs of 25 rows, and the ball in 7 blocks of interpolant rows
+        ctx = compact_context(dimension=2, n=256, eps=1.0)
+        u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
+        report = decay_and_expansion_check(ctx, u, samples)
+        want = whole_grid_decay(ctx, u, samples)
+        assert report.shell_means.tobytes() == want[1].tobytes()
+        assert report.expansion_errors.tobytes() == want[3].tobytes()
+
+    def test_slabs_are_the_whole_grid_radius(self):
+        grid = GridSpec(3, 16.0, 32)
+        radius = np.sqrt(sum((m - 8.0) ** 2 for m in grid.open_mesh()))
+        slabs = [(rows, r.copy()) for rows, r in farfield._radius_slabs(grid, 8.0, 3 * 32 * 32)]
+        assert [rows for rows, _ in slabs] == [slice(a, min(32, a + 3)) for a in range(0, 32, 3)]
+        assert np.concatenate([r for _, r in slabs]).tobytes() == radius.tobytes()
 
 
 def blocked_and_whole(dimension, n):
@@ -624,9 +741,9 @@ class TestGridArrays:
 
     def test_multistart_finishes_only_the_kept_records(self):
         # starts hand back support vectors, and the two kept records are finished
-        # after the dedup: u of both in their half spectra and the second primal
-        # check's pair, 4.15 grid arrays; 4.37 when each u was an array of its own
-        # and each record kept its grid field of v, 6.16 when every start built
+        # after the dedup, one at a time: u in its half spectrum, where its primal
+        # check runs, and nothing else, 2.06 grid arrays; 4.15 when each record
+        # kept u while the next one was checked, 6.16 when every start built
         # both grid fields and its primal check
         cfg = DescentConfig(multistart_count=2, rng_seed=12345)
         multistart_search(farfield3d_context(n=16), cfg)  # imports, outside the trace
@@ -634,22 +751,64 @@ class TestGridArrays:
         ctx.apply_k_support(np.ones(ctx.q_support.size))  # builds K's window
         result, peak = traced_peak(multistart_search, ctx, cfg)
         assert len(result.records) == 2
-        assert peak <= 4.2 * 8 * ctx.grid.size
+        assert peak <= 2.1 * 8 * ctx.grid.size
 
     def test_expansion_check_streams_its_ball(self):
         # one block of the interpolant's design is about BLOCK_BYTES, 1.19 grid
-        # arrays at n = 48 by itself; the rest is the radius and three ball vectors
+        # arrays at n = 48 by itself; the rest is the ball's squared mismatch and
+        # rank, and one slab: 0.94 grid arrays, where a whole-grid radius, the
+        # ball's flat indices and radii took 1.45
         ctx = farfield3d_context()
         unit = 8 * ctx.grid.size
         u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
         decay_and_expansion_check(ctx, u, samples)  # imports, outside the trace
         _, peak = traced_peak(decay_and_expansion_check, ctx, u, samples)
-        assert peak <= farfield.BLOCK_BYTES + 1.6 * unit
+        assert peak <= farfield.BLOCK_BYTES + 1.0 * unit
 
     def test_selftest_synthetic_suite_builds_its_fields_by_slabs(self):
-        # Q, r and u, and the expansion check's peak above them: about 5.8 grid
-        # arrays of its 48^3 grid; every other temporary is one slab
+        # Q, r and u, and the expansion check's peak above them: 4.45 MiB on its
+        # 48^3 grid (4.89 with a whole-grid radius in the check); every other
+        # temporary is one slab
         selftest.check_farfield_synthetic()  # imports, outside the trace
         (ok, _), peak = traced_peak(selftest.check_farfield_synthetic)
         assert ok
-        assert peak <= 6 * 2 ** 20
+        assert peak <= 4.5 * 2 ** 20
+
+    def test_bump_context_builds_q_on_the_bump_box(self):
+        # the far-field config's context at n = 64: the grid Q, its support mask
+        # (a bool grid array) and the bump built on its box, 1.14 grid arrays;
+        # 3.14 when the bump's distances and mask took the whole grid
+        cfg = parse_config(FARFIELD3D.read_text(), mode_override="farfield")
+        build_context(parse_config(FARFIELD3D.read_text().replace("= 64", "= 16"), mode_override="farfield"))
+        ctx, peak = traced_peak(build_context, cfg)
+        assert ctx.grid.points_per_axis == 64
+        assert peak <= 1.2 * 8 * ctx.grid.size
+
+    def test_support_ball_forms_one_grid_q(self):
+        # Q on the grid once per axis, multiplied in place by that axis's
+        # coordinates: 1.03 grid arrays at n = 64, where a product of its own
+        # per axis took 2.03
+        ctx = farfield3d_context(n=64)
+        _, peak = traced_peak(lambda: ctx.support_ball)
+        assert peak <= 1.1 * 8 * ctx.grid.size
+
+    def test_window_spectrum_forms_sigma_on_the_rows_it_reads(self):
+        # every axis of the far-field box is cut, so sigma is formed on 33^3 of the
+        # 64^3 points: 0.28 grid arrays, where sigma on the grid took 2.00
+        ctx = farfield3d_context(n=64)
+        _, peak = traced_peak(lambda: ctx._k_window)
+        assert peak <= 0.3 * 8 * ctx.grid.size
+
+    def test_far_field_run_holds_u_and_one_working_set(self, tmp_path):
+        # the whole in-process far-field run at n = 64: u in its half spectrum
+        # (1.03 grid arrays) and the largest working set on top of it, the
+        # expansion check's (its ball's mismatch and rank, one slab and one
+        # design block): 2.37 grid arrays, where 3.34 was the bump's whole-grid
+        # build, and each record's u while the next one was checked
+        small = tmp_path / "small.cfg"  # imports, outside the trace
+        small.write_text(FARFIELD3D.read_text().replace("= 64", "= 32"))
+        assert main(["farfield", "--config", str(small), "--out", str(tmp_path / "warm")]) == 0
+        status, peak = traced_peak(main, ["farfield", "--config", str(FARFIELD3D),
+                                          "--seed", "12345", "--out", str(tmp_path / "run")])
+        assert status == 0
+        assert peak <= 2.5 * 8 * 64 ** 3

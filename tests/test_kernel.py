@@ -140,7 +140,7 @@ class TestMultiplier:
             want_k2 = g.k_squared[rows][half]
             assert g.half_k_squared(rows).tobytes() == want_k2.tobytes()
             want = helmholtz_multiplier(g)[rows][half]
-            assert helmholtz_multiplier(g, half_rows=rows).tobytes() == want.tobytes()
+            assert helmholtz_multiplier(g, g.half_frequencies(rows)).tobytes() == want.tobytes()
 
 
 class TestSymbol:

@@ -23,6 +23,7 @@ from helmdual import (
     initial_field,
     multistart_search,
     orbit_distance,
+    primal_field,
     ps_boundedness_check,
 )
 from helmdual import selftest as battery
@@ -223,10 +224,11 @@ class TestFindCriticalPoint:
         v0 = initial_field(ctx, np.random.default_rng(11))
         assert np.any(v0.values[ctx.q == 0.0])
         rec = find_critical_point(ctx, v0, cfg)
-        # the descent returns its support vector; u comes with finishing, and the
-        # grid field of v is built on demand
+        # the descent returns its support vector; the primal check comes with
+        # finishing, and the grid fields of v and u are built on demand
         assert rec.v.shape == ctx.q_support.shape
-        assert rec.u_star is rec.primal_residual is None
+        assert rec.primal_residual is None
+        assert primal_field(ctx, rec).values.tobytes() == ctx.resolvent_array(rec.v).tobytes()
         values = grid_field(ctx, rec).values
         assert np.all(values[ctx.q == 0.0] == 0.0)
         assert ctx.dual_residual_arrays(values, ctx.apply_k_array(values)) <= cfg.tol_residual
@@ -623,8 +625,9 @@ def compact_run():
 
 
 class TestFinishRecords:
-    """Starts return support vectors; the kept records get u and the primal check,
-    and `grid_field` builds a record's grid field of v on each call."""
+    """Starts return support vectors; the kept records get the primal check of u,
+    and `grid_field` and `primal_field` build a record's grid fields of v and u
+    on each call."""
 
     def test_negative_record_keeps_the_signed_zeros(self, compact_run):
         ctx, result = compact_run
@@ -636,8 +639,8 @@ class TestFinishRecords:
         values = grid_field(ctx, rec).values.reshape(-1)
         assert np.all(values[off] == 0.0) and np.all(np.signbit(values[off]))
         assert values.tobytes() == (-Field(ctx.grid, ctx.extend(rec.v))).values.tobytes()
-        # u_star is the sign times R of the unshifted v
-        assert rec.u_star.values.tobytes() == (-ctx.resolvent_array(rec.v)).tobytes()
+        # u is the sign times R of the unshifted v
+        assert primal_field(ctx, rec).values.tobytes() == (-ctx.resolvent_array(rec.v)).tobytes()
 
     def test_periodic_u_is_the_moved_resolvent_of_v(self, mini_ctx, mini_result):
         shift_pts = mini_ctx.grid.unit_shift_points
@@ -646,20 +649,20 @@ class TestFinishRecords:
         for rec in moved:
             shift = tuple(c * shift_pts for c in rec.orbit_shift)
             u = rec.sign * np.roll(mini_ctx.resolvent_array(rec.v), shift, axis=(0, 1))
-            assert rec.u_star.values.tobytes() == u.tobytes()
+            assert primal_field(mini_ctx, rec).values.tobytes() == u.tobytes()
 
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "compact"])
     def test_one_primal_check_per_returned_record(self, periodic, mini_ctx, monkeypatch):
         ctx = mini_ctx if periodic else build_context(parse_config(COMPACT_CFG))
         cfg = MINI_CFG if periodic else descent_config(parse_config(COMPACT_CFG))
         checked = []
-        primal = dual_functional.FunctionalContext.primal_residual
+        primal = dual_functional.FunctionalContext.primal_residual_support
 
-        def counted(self, u):
-            checked.append(u)
-            return primal(self, u)
+        def counted(self, vs):
+            checked.append(vs)
+            return primal(self, vs)
 
-        monkeypatch.setattr(dual_functional.FunctionalContext, "primal_residual", counted)
+        monkeypatch.setattr(dual_functional.FunctionalContext, "primal_residual_support", counted)
         result = multistart_search(ctx, cfg)
         assert len(checked) == len(result.records)
         if not periodic:  # four starts converge onto one orbit
@@ -669,7 +672,7 @@ class TestFinishRecords:
     def test_level_ties_break_on_the_field_bytes(self, compact_run):
         # one level, fields that differ only in the sign of their zeros off the support
         ctx, result = compact_run
-        minus = replace(result.records[0], u_star=None)
+        minus = replace(result.records[0])
         plus = replace(minus, v=-minus.v, sign=1)
         ordered = search._by_level(ctx, [minus, plus])
         assert grid_field(ctx, minus).values.tobytes() > grid_field(ctx, plus).values.tobytes()
