@@ -23,7 +23,15 @@ from .errors import (
 )
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import DescentConfig, find_critical_point, finish_records, grid_field, multistart_search
+from .search import (
+    DescentConfig,
+    _dedup,
+    find_critical_point,
+    finish_records,
+    grid_field,
+    multistart_search,
+    recenter,
+)
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,10 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     Both searches run from the same seed sequence.  The best background
     solution w is additionally transplanted; its fibering level on the
     perturbed side is verified against J_inf(w), and one extra descent from
-    the transplant joins the perturbed-side estimate (the same mechanism the
-    level comparison rests on).
+    the transplant (the same mechanism the level comparison rests on) is
+    recentered and deduplicated against the perturbed records like a
+    multistart record, with start index -2.  It joins them, and is finished,
+    only if it is a new orbit; c_est is the lowest level of the records listed.
     """
     ctx_q, ctx_inf = pair.ctx, pair.ctx_inf
 
@@ -149,7 +159,8 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     try:
         transplant_rec = find_critical_point(ctx_q, v, cfg)
         transplant_rec.start_index = -2
-        records_q += finish_records(ctx_q, [transplant_rec])
+        kept = len(records_q)
+        finish_records(ctx_q, _dedup(ctx_q, cfg, [recenter(ctx_q, transplant_rec)], records_q)[kept:])
     except (MaxIterationsError, NotInUPlusError):
         pass
 

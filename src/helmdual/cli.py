@@ -276,7 +276,9 @@ def run_experiment(cfg: cfgmod.RunConfig) -> int:
         try:
             status = _MODE_RUNNERS[cfg.mode](cfg, out)
         except MemoryError as exc:
-            raise OutOfMemoryError(f"the run ran out of memory: {exc or 'allocation failed'}") from exc
+            # a bare MemoryError has no message, and an exception instance is always true
+            raise OutOfMemoryError(
+                f"the {cfg.mode} run ran out of memory: {str(exc) or 'allocation failed'}") from exc
         out.finish()
     except HelmdualError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -276,7 +276,7 @@ def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:
     if dimension not in (2, 3):
         raise FieldFileError(f"unsupported dimension {dimension}")
     expected = (n ** dimension) * 8
-    payload = data[_HEADER.size:]
+    payload = memoryview(data)[_HEADER.size:]  # a view: the one copy is the conversion below
     if len(payload) < expected:
         raise TruncatedPayloadError(
             f"payload holds {len(payload) // 8} values, header promises {n ** dimension}"

@@ -125,8 +125,12 @@ class GridSpec:
 
     @cached_property
     def delta_min(self) -> float:
-        """Distance of the frequency lattice to the unit shell, min ||k|^2 - 1|."""
-        return float(np.abs(self.k_squared - 1.0).min())
+        """Distance of the frequency lattice to the unit shell, min ||k|^2 - 1|,
+        taken in place over the half spectrum: fftfreq negates a frequency
+        exactly, so its negative has the same |k|^2 bit for bit."""
+        shifted = self.half_k_squared()
+        shifted -= 1.0
+        return float(np.abs(shifted, out=shifted).min())
 
     def open_mesh(self) -> list:
         """Per-axis coordinate vectors shaped to broadcast against each other.

@@ -22,7 +22,13 @@ from .errors import (
     TruncatedPayloadError,
     UnknownKeyError,
 )
-from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude, SphereSamples
+from .farfield import (
+    SphereSamples,
+    _radius_slabs,
+    decay_and_expansion_check,
+    equal_area_directions,
+    farfield_amplitude,
+)
 from .kernel import Field, GridSpec, helmholtz_symbol
 from .search import DescentConfig, find_critical_point, grid_field, multistart_search, _same_orbit
 
@@ -410,30 +416,31 @@ def check_farfield_synthetic():
     grid = GridSpec(3, 16.0, 48, shell_epsilon=0.0)
     mesh = grid.open_mesh()
     center = grid.box_length / 2.0
-    q = bump_profile(grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))
-    ctx = FunctionalContext(Field(grid, q), 5.0)
+    ctx = FunctionalContext(Field(grid, bump_profile(
+        grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))), 5.0)
+    # the expansion check's radius one axis-0 row at a time: one 3d field is
+    # built at a time, and no whole-grid radius is kept
+    row = grid.points_per_axis ** 2
 
-    # expansion-built field with a smooth amplitude reproduces itself; r and u
-    # are built one axis-0 slab at a time, so only slabs are temporaries
+    # expansion-built field with a smooth amplitude reproduces itself
     dirs = equal_area_directions(3, 120)
     gvals = (0.05 + 0.02 * dirs[:, 0] + 0.01j * dirs[:, 1] * dirs[:, 2])
-    r, u_vals = np.empty(grid.shape), np.empty(grid.shape)
-    for i in range(grid.points_per_axis):
-        slab = (mesh[0][i:i + 1], *mesh[1:])
-        np.sqrt(sum((m - center) ** 2 for m in slab), out=r[i:i + 1])
-        rs = np.maximum(r[i:i + 1], grid.spacing / 2)
-        x, y, z = ((m - center) / rs for m in slab)
+    u = np.empty(grid.shape)
+    for rows, r in _radius_slabs(grid, center, row):
+        rs = np.maximum(r, grid.spacing / 2)
+        x, y, z = ((m - center) / rs for m in (mesh[0][rows], *mesh[1:]))
         g_grid = 0.05 + 0.02 * x + 0.01j * y * z
-        u_vals[i:i + 1] = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
-    report = decay_and_expansion_check(ctx, Field(grid, u_vals), SphereSamples(dirs, gvals))
-    del u_vals
+        u[rows] = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
+    report = decay_and_expansion_check(ctx, Field(grid, u), SphereSamples(dirs, gvals))
+    del u
     ok = report.expansion_errors[-1] <= 1e-16 and report.trend_nonincreasing
 
-    # sampled free-space kernel decays like 1/r; psi is taken slab by slab in place on r
-    for r_i in r:
-        r_i[...] = fundamental_solution_psi(np.maximum(r_i, 1e-3))
+    # sampled free-space kernel decays like 1/r
+    psi = np.empty(grid.shape)
+    for rows, r in _radius_slabs(grid, center, row):
+        psi[rows] = fundamental_solution_psi(np.maximum(r, 1e-3))
     report2 = decay_and_expansion_check(
-        ctx, Field(grid, r), SphereSamples(dirs, np.zeros(len(dirs), complex)),
+        ctx, Field(grid, psi), SphereSamples(dirs, np.zeros(len(dirs), complex)),
         shell_count=6,
     )
     ok &= abs(report2.decay_exponent - 1.0) <= 0.15

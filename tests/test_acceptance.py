@@ -237,6 +237,15 @@ def test_criterion_09_asymptotic_comparison(compare_run):
                 f"transplant ok, {elapsed:.0f}s)"))
 
 
+def test_compare_tables_list_each_orbit_once(compare_run):
+    # the transplant record (start index -2) goes through the perturbed side's dedup
+    _, pair, report, _ = compare_run
+    threshold = DescentConfig().dedup_rel_threshold
+    assert battery.orbits_distinct(pair.ctx, report.records_q, threshold)
+    assert battery.orbits_distinct(pair.ctx_inf, report.records_inf, threshold)
+    assert report.c_est == min(rec.level for rec in report.records_q)
+
+
 def test_criterion_10_farfield(farfield_run):
     ctx, rec, samples, report, elapsed = farfield_run
     assert elapsed < 300.0

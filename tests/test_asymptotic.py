@@ -5,16 +5,18 @@ import pytest
 
 from helmdual import (
     BumpDescriptor,
+    DescentConfig,
     Field,
     GridMismatchError,
     GridSpec,
     HypothesisViolatedError,
     SupportOverflowError,
     build_asymptotic_coefficient,
+    compare_levels,
     transplant,
 )
 from helmdual.asymptotic import bump_profile
-from helmdual.selftest import IDENTITY_TOL, transplant_identity_error
+from helmdual.selftest import IDENTITY_TOL, orbits_distinct, transplant_identity_error
 from conftest import make_sine_context, random_field
 
 
@@ -131,3 +133,16 @@ class TestTransplant:
         w = Field(grid, np.random.default_rng(4).standard_normal(grid.shape))
         with pytest.raises(GridMismatchError):
             transplant(pair, w)
+
+
+class TestCompareLevels:
+    def test_tables_list_each_orbit_once(self, pair):
+        # the n = 48 compare config of CI: the descent from the transplanted
+        # background ground state lands on start 0's orbit, so it is not listed
+        # again, and c_est is start 0's level
+        cfg = DescentConfig(multistart_count=4, rng_seed=12345)
+        report = compare_levels(pair, cfg)
+        assert orbits_distinct(pair.ctx, report.records_q, cfg.dedup_rel_threshold)
+        assert orbits_distinct(pair.ctx_inf, report.records_inf, cfg.dedup_rel_threshold)
+        assert [rec.start_index for rec in report.records_q] == [0]
+        assert report.c_est == min(rec.level for rec in report.records_q)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helmdual import Field, GridSpec, parse_config, read_field, write_field
-from helmdual import search
+from helmdual import cli, search
 from helmdual.cli import main, run_experiment
 
 SOLVE_CFG = """
@@ -414,6 +414,20 @@ class TestErrors:
         assert "error: OutOfMemoryError: " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert_error_record(out, "OutOfMemoryError")
+
+    @pytest.mark.parametrize("mode", ["solve", "compare", "farfield", "selftest"])
+    def test_bare_memory_error_detail_is_not_blank(self, tmp_path, monkeypatch, mode):
+        # numpy's failed allocations carry a message; a bare MemoryError() does not,
+        # and its record still says which mode ran out and that an allocation failed
+        def oom(cfg, out):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._MODE_RUNNERS, mode, oom)
+        status, out = run_cli(tmp_path, "bare_oom", "", mode)
+        assert status == 1
+        assert_error_record(out, "OutOfMemoryError")
+        detail = json.loads((out / "error.json").read_text())["detail"]
+        assert detail == f"the {mode} run ran out of memory: allocation failed"
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
     def test_output_path_at_a_file_is_output_error(self, tmp_path, capsys, below):

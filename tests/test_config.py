@@ -22,6 +22,8 @@ from helmdual import (
     write_field,
 )
 
+from conftest import traced_peak
+
 
 class TestParse:
     def test_minimal_config_gets_defaults(self):
@@ -279,6 +281,18 @@ class TestFieldFile:
         blob = write_field(Field(grid, np.zeros(grid.shape)))
         with pytest.raises(FieldFileError):
             read_field(blob + b"\x00" * 8)
+
+    def test_read_holds_the_file_and_one_array(self):
+        # the payload is read through a view and converted once, and the header's
+        # grid checks its resonance on the half spectrum: the field and its
+        # finiteness mask, 1.13 fields above the file's bytes, where the sliced
+        # payload beside a whole-lattice |k|^2 - 1 and its abs took 3.0
+        grid = GridSpec(2, 6.0, 256)
+        blob = write_field(Field(grid, np.random.default_rng(1).standard_normal(grid.shape)))
+        read_field(blob)  # imports, outside the trace
+        back, peak = traced_peak(read_field, blob)
+        assert back.values.tobytes() == blob[struct.calcsize("<4sIIId"):]
+        assert peak <= 1.3 * 8 * grid.size
 
     def test_epsilon_override(self):
         grid = GridSpec(2, 2.0 * np.pi, 16, shell_epsilon=0.5)

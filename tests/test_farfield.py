@@ -766,13 +766,21 @@ class TestGridArrays:
         assert peak <= farfield.BLOCK_BYTES + 1.0 * unit
 
     def test_selftest_synthetic_suite_builds_its_fields_by_slabs(self):
-        # Q, r and u, and the expansion check's peak above them: 4.45 MiB on its
-        # 48^3 grid (4.89 with a whole-grid radius in the check); every other
-        # temporary is one slab
+        # one 48^3 field at a time (u, then psi) and the expansion check's peak
+        # above it: 2.78 MiB, where the bump's grid Q and a whole-grid radius
+        # kept beside u took 4.45; the radius and every other temporary is one slab
         selftest.check_farfield_synthetic()  # imports, outside the trace
         (ok, _), peak = traced_peak(selftest.check_farfield_synthetic)
         assert ok
-        assert peak <= 4.5 * 2 ** 20
+        assert peak <= 3.3 * 2 ** 20
+
+    def test_selftest_peaks_at_its_synthetic_suite(self):
+        # the whole battery after a warm-up call: the far-field suite's one field
+        # and check set the peak, 2.80 MiB, where it was 4.47
+        selftest.run_selftest(report=None)  # imports and cached windows, outside the trace
+        results, peak = traced_peak(selftest.run_selftest, None)
+        assert all(ok for _, ok, _ in results)
+        assert peak <= 3.3 * 2 ** 20
 
     def test_bump_context_builds_q_on_the_bump_box(self):
         # the far-field config's context at n = 64: the grid Q, its support mask

@@ -39,6 +39,14 @@ class TestGridSpec:
         assert g.k_squared.shape == g.shape
         assert g.k_squared.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dimension, box_length, n", [
+        (2, 6.0, 48), (2, 6.0, 256), (2, 16.0, 64), (2, 2.0 * np.pi, 16),
+        (2, SQRT2_BOX, 32), (3, 6.0, 16), (3, 16.0, 48), (3, 7.3, 10),
+    ])
+    def test_delta_min_is_the_whole_lattice_minimum(self, dimension, box_length, n):
+        g = GridSpec(dimension, box_length, n, shell_epsilon=0.5)
+        assert g.delta_min == float(np.abs(g.k_squared - 1.0).min())
+
     def test_resonant_grid_rejected(self):
         # L = 2 pi puts |m| = 1 modes exactly on the unit shell
         with pytest.raises(ShellResonanceError):
