@@ -23,15 +23,7 @@ from .errors import (
 )
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import (
-    DescentConfig,
-    _dedup,
-    find_critical_point,
-    finish_records,
-    grid_field,
-    multistart_search,
-    recenter,
-)
+from .search import DescentConfig, _admit, find_critical_point, grid_field, multistart_search
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,7 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     try:
         transplant_rec = find_critical_point(ctx_q, v, cfg)
         transplant_rec.start_index = -2
-        kept = len(records_q)
-        finish_records(ctx_q, _dedup(ctx_q, cfg, [recenter(ctx_q, transplant_rec)], records_q)[kept:])
+        _admit(ctx_q, cfg, [transplant_rec], records_q)
     except (MaxIterationsError, NotInUPlusError):
         pass
 

@@ -293,6 +293,7 @@ def read_field(data: bytes, shell_epsilon: float = 0.0) -> Field:
     except (ValueError, ShellResonanceError) as exc:
         raise FieldFileError(f"bad header: {exc}") from exc
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(grid.shape)
-    if not np.all(np.isfinite(values)):
-        raise FieldFileError("payload holds non-finite values")
-    return Field(grid, values)
+    try:
+        return Field(grid, values)  # the one scan for non-finite values
+    except ValueError as exc:
+        raise FieldFileError("payload holds non-finite values") from exc

@@ -43,7 +43,8 @@ needs R on the whole grid.  Its source is real, so it runs on `_real_pair`,
 the passes of `rfftn` and `irfftn` (Sorensen et al. 1987): the `rfft` runs
 on the box's lines only, the complex passes on the half spectrum are pruned
 to the box, and sigma is taken on the half spectrum only, a block of rows at
-a time: a view of the window spectrum on full support, formed per block
+a time (`kernel.row_slices`, about `kernel.BLOCK_BYTES` of half spectrum
+per block): a view of the window spectrum on full support, formed per block
 otherwise.  The result is written back into the half spectrum's own bytes,
 so R holds one array about the size of one real grid array, and a block.
 The box is always the support's bounding box.
@@ -78,10 +79,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NotInUPlusError, ZeroFieldError
-from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol
-
-
-BLOCK_BYTES = 1 << 18  # half-spectrum bytes per block of axis-0 rows in `_real_pair`
+from .kernel import Field, GridSpec, helmholtz_multiplier, helmholtz_symbol, row_slices
 
 
 def _smooth_size(m: int) -> int:
@@ -132,14 +130,6 @@ def _real_view(half: np.ndarray, shape: tuple) -> np.ndarray:
     return half.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)
 
 
-def _half_blocks(half: np.ndarray) -> list:
-    """The fewest blocks of axis-0 rows of at most about BLOCK_BYTES of the half
-    spectrum, as even as the rows allow."""
-    count = -(-half.nbytes // BLOCK_BYTES)
-    step = -(-half.shape[0] // count)
-    return [slice(a, a + step) for a in range(0, half.shape[0], step)]
-
-
 def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
     """irfftn(symbol * rfftn(s)) over the grid of `shape`, as a C-contiguous real
     array that lives in the pair's own half spectrum (its `base`), where s
@@ -163,16 +153,17 @@ def _pair_in_half(half: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndar
     lines whose earlier axes lie in the box (the others hold exact zeros),
     then the product with the symbol, the in-place `ifft`s and one `irfft`.
     The product and the `irfft` run one block of axis-0 rows at a time
-    (`_half_blocks`), so the symbol is formed a block at a time.  The `irfft`
-    writes each block's n real values per line into the bytes where the
-    half spectrum's lines of n/2 + 1 complex values begin: a block's result
-    ends before the next block's input starts, and numpy copies the block's
-    own input, which it overlaps.
+    (`kernel.row_slices` at a row of the half spectrum), so the symbol is
+    formed a block at a time.  The `irfft` writes each block's n real
+    values per line into the bytes where the half spectrum's lines of
+    n/2 + 1 complex values begin: a block's result ends before the next
+    block's input starts, and numpy copies the block's own input, which it
+    overlaps.
     """
     for d in reversed(range(len(shape) - 1)):
         block = half[box[:d]]
         np.fft.fft(block, axis=d, out=block)
-    blocks = _half_blocks(half)
+    blocks = row_slices(len(half), half[0].nbytes)
     for rows in blocks:
         half[rows] *= symbol(rows)
     for d in range(len(shape) - 1):
@@ -196,7 +187,7 @@ def _real_pair_in_place(half: np.ndarray, shape: tuple, symbol) -> np.ndarray:
     the grid is formed.
     """
     u = _real_view(half, shape)
-    for rows in reversed(_half_blocks(half)):
+    for rows in reversed(row_slices(len(half), half[0].nbytes)):
         np.fft.rfft(u[rows], out=half[rows])
     return _pair_in_half(half, tuple(slice(0, n) for n in shape), shape, symbol)
 

@@ -19,16 +19,17 @@ compares only the power of r, so it stays constant-free.
 h vanishes off the support of Q, so the amplitude is a contraction over the
 support's box in real space (`_box_transform`): it forms no whole-grid
 coordinate mesh and transforms no whole-grid array.  The decay check
-streams the grid twice, a slab of axis-0 rows at a time, and forms no
-whole-grid array either.  Besides u, its working set is the larger of its
-two passes.  The first holds u on the annulus with a one-byte shell index,
-and the one-byte rank of each ball point among the expansion radii.  The
-second holds the ball's squared mismatch (one float per ball point, about
-0.41 grid arrays in 3d), the ranks, one slab's table of offsets, radii and
-values, and one block of the interpolant's design, about BLOCK_BYTES (1 MiB:
-2,048 rows of 49 columns in 3d, 0.5 grid arrays at n = 64).  In all it
-peaks at about 1.2 grid arrays above u at n = 64.  The report does not
-depend on the block or slab size, so both are kept small.
+streams the grid twice in slabs of axis-0 rows (`GridSpec.radius_slabs`,
+about `kernel.BLOCK_BYTES` each) and forms no whole-grid array either.
+Besides u, its working set is the larger of its two passes.  The first
+holds u on the annulus with a one-byte shell index, and the one-byte rank
+of each ball point among the expansion radii.  The second holds the ball's
+squared mismatch (one float per ball point, about 0.41 grid arrays in 3d),
+the ranks, one slab's table of offsets, radii and values, and one design
+block (`_row_blocks`, about DESIGN_BYTES: 2,048 rows of 49 columns in 3d,
+0.5 grid arrays at n = 64).  In all it peaks at about 1.2 grid arrays
+above u at n = 64.  No value depends on the slab size; BLAS sees the
+design blocks, so their boundaries stay.
 
 The check fits the sampled amplitudes by the sphere harmonics of degree at
 most FIT_DEGREE, written as the monomials whose last exponent is 0 or 1
@@ -50,7 +51,7 @@ from .dual_functional import FunctionalContext, odd_power
 from .kernel import Field
 
 MIN_BANDWIDTH = 2.0  # required max lattice |k| relative to the unit sphere
-BLOCK_BYTES = 1 << 20  # design bytes per block of ball points in the expansion check
+DESIGN_BYTES = 1 << 20  # design bytes per block of ball points in the expansion check
 BLOCK_ALIGN = 64       # block rows come in multiples of this, so BLAS rounds each row alike
 FIT_DEGREE = 6         # total degree of the sphere harmonics fitted to the sampled amplitudes
 
@@ -236,36 +237,25 @@ def _monomial_design(directions: np.ndarray, degree: int) -> np.ndarray:
     return out.T
 
 
-def _block_rows(dim: int, degree: int) -> int:
-    """Design rows per block of about BLOCK_BYTES, a multiple of BLOCK_ALIGN."""
-    # a design row and (N - 1)(degree + 1) values more: the count that sizes the
-    # blocks, and so the rows of each BLAS call
-    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))
-    return max(1, BLOCK_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
-
-
 def _row_blocks(count: int, dim: int, degree: int) -> list:
-    """(start, stop) of the blocks of `count` design rows of about BLOCK_BYTES each.
+    """(start, stop) of the blocks of `count` design rows of about DESIGN_BYTES each.
 
     Blocks start at multiples of BLOCK_ALIGN; the last one takes any shorter
     rest, so a block that is passed on alone is one block again.
     """
-    rows = _block_rows(dim, degree)
+    # a design row and (N - 1)(degree + 1) values more: the count that sizes the
+    # blocks, and so the rows of each BLAS call
+    row_bytes = 8 * (_basis_size(dim, degree) + (dim - 1) * (degree + 1))
+    rows = max(1, DESIGN_BYTES // (row_bytes * BLOCK_ALIGN)) * BLOCK_ALIGN
     starts = [s for s in range(rows, count, rows) if count - s >= BLOCK_ALIGN]
     return list(zip([0] + starts, starts + [count]))
 
 
 def _sphere_interpolant(directions, fit, degree: int) -> np.ndarray:
-    """The fitted amplitude at unit directions, from one harmonic design per
-    block of rows (`_row_blocks`) and one product with the (real, imaginary)
-    columns of `fit`, read as complex.  With one BLAS thread each value is
-    bit-identical to the whole design's product (a block of a few rows would
-    reach another kernel)."""
-    count, dim = directions.shape
-    out = np.empty((count, 2))
-    for start, stop in _row_blocks(count, dim, degree):
-        np.matmul(_monomial_design(directions[start:stop], degree), fit, out=out[start:stop])
-    return out.view(complex)[:, 0]
+    """The fitted amplitude at unit directions: their harmonic design times the
+    (real, imaginary) columns of `fit`, read as complex.  Callers pass one
+    block of `_row_blocks` at most, so each product sees that block's rows."""
+    return (_monomial_design(directions, degree) @ fit).view(complex)[:, 0]
 
 
 def radius_window(L: float, spacing: float, r_min=None, r_max=None) -> tuple:
@@ -278,30 +268,10 @@ def radius_window(L: float, spacing: float, r_min=None, r_max=None) -> tuple:
     return r_min, r_max
 
 
-def _radius_slabs(grid, center: float, points: int):
-    """(rows, r) for each slab of axis-0 rows of the grid, r the distance to the
-    point (center, ..., center) on those rows, in the grid's element order.
-
-    A slab holds about `points` points, at least one row, and its r lives in
-    one buffer that the next slab overwrites.  Each r is the slice of the
-    whole-grid radius over the open mesh bit for bit: the squared per-axis
-    distances are summed by broadcasting, axis 0 first.
-    """
-    squares = [(m - center) ** 2 for m in grid.open_mesh()]
-    n = grid.points_per_axis
-    step = min(n, max(1, points * n // grid.size))
-    buffer = np.empty((step,) + grid.shape[1:])
-    for start in range(0, n, step):
-        rows = slice(start, min(n, start + step))
-        r = buffer[: rows.stop - start]
-        np.add(sum(squares[1:-1], squares[0][rows]), squares[-1], out=r)
-        yield rows, np.sqrt(r, out=r)
-
-
 def _ball_points(grid, values: np.ndarray, center: float, r_lo: float, r_hi: float):
-    """The points with r_lo <= r <= r_hi, one slab of `_radius_slabs` at a time
-    (about one design block of points), in the grid's element order: for each
-    slab an array whose rows are x_1 - center, ..., x_N - center, r and u.
+    """The points with r_lo <= r <= r_hi, one slab of `GridSpec.radius_slabs` at
+    a time, in the grid's element order: for each slab an array whose rows
+    are x_1 - center, ..., x_N - center, r and u.
 
     The rows are written into one table over the slab and its columns in the
     ball taken at once; the offsets past the first axis are the same on
@@ -309,7 +279,8 @@ def _ball_points(grid, values: np.ndarray, center: float, r_lo: float, r_hi: flo
     dim = grid.dimension
     offsets = grid.axis_coordinates - center
     table = None
-    for rows, r in _radius_slabs(grid, center, _block_rows(dim, FIT_DEGREE)):
+    # a point forms its radius, its table column and the ball's copy of it
+    for rows, r in grid.radius_slabs(center, 8 * (2 * dim + 5)):
         if table is None:
             table = np.empty((dim + 2,) + r.shape)
             for axis, x in enumerate(grid.open_mesh()[1:], 1):
@@ -357,19 +328,19 @@ def decay_and_expansion_check(
     nonincreasing over the tabulated radii.
 
     The grid is streamed twice, a slab of axis-0 rows at a time
-    (`_radius_slabs`), and no whole-grid radius is formed.  The first pass
-    keeps u on the annulus r_min <= r < r_max with the index of its shell (a
-    small integer), in the grid's element order, so each shell mean sums
-    the elements a whole-grid shell mask selects, in the same order; the
-    annulus is released before the second pass.  The first pass also keeps
-    the rank of each ball point, the index of the first expansion radius
-    R_j with r <= R_j: the radii increase, so r <= R_j is rank <= j.  The
-    second pass cuts the ball's points into the blocks of `_row_blocks` and
-    gives each block its unit directions, its interpolant (one
-    `_sphere_interpolant` block), its leading term and its squared
-    mismatch, written into one ball-sized array.  The sum over r <= R_j
-    runs over the points of rank <= j, in the grid's order: no value
-    depends on the block or slab size.
+    (`GridSpec.radius_slabs`), and no whole-grid radius is formed.  The
+    first pass keeps u on the annulus r_min <= r < r_max with the index of
+    its shell (a small integer), in the grid's element order, so each shell
+    mean sums the elements a whole-grid shell mask selects, in the same
+    order; the annulus is released before the second pass.  The first pass
+    also keeps the rank of each ball point, the index of the first expansion
+    radius R_j with r <= R_j: the radii increase, so r <= R_j is rank <= j.
+    The second pass cuts the ball's points into the blocks of `_row_blocks`
+    and gives each block its unit directions, its interpolant
+    (`_sphere_interpolant`), its leading term and its squared mismatch,
+    written into one ball-sized array.  The sum over r <= R_j runs over the
+    points of rank <= j, in the grid's order: no value depends on the block
+    or slab size.
     """
     grid = ctx.grid
     values = ctx._own(u)
@@ -398,8 +369,8 @@ def decay_and_expansion_check(
     edges = np.linspace(r_min, r_max, shell_count + 1)
     expansion_radii = np.linspace(r_min + 0.25 * (r_max - r_min), r_max, max(4, shell_count // 2 + 3))
     u_ann, shell, rank = [], [], []
-    # slabs of BLOCK_BYTES / 4 of radius: this pass holds no design block
-    for rows, r in _radius_slabs(grid, center, BLOCK_BYTES // 32):
+    # slabs of about kernel.BLOCK_BYTES of radius
+    for rows, r in grid.radius_slabs(center, 8):
         annulus = (r >= edges[0]) & (r < edges[-1])
         u_ann.append(values[rows][annulus])
         # the shell of r: the number of inner edges at or below it
@@ -437,11 +408,9 @@ def decay_and_expansion_check(
             f"{samples.values.size} sampled directions cannot fit the {monomials} "
             f"monomials of degree {FIT_DEGREE} in {dim}d"
         )
-    design_s = _monomial_design(samples.directions, FIT_DEGREE)
     parts = np.stack([samples.values.real, samples.values.imag], axis=1)
-    fit, *_ = np.linalg.lstsq(design_s, parts, rcond=None)
-    reproduced = (design_s @ fit).view(complex)[:, 0]
-    del design_s
+    fit, *_ = np.linalg.lstsq(_monomial_design(samples.directions, FIT_DEGREE), parts, rcond=None)
+    reproduced = _sphere_interpolant(samples.directions, fit, FIT_DEGREE)
     scale = np.abs(samples.values).max()
     interp_residual = float(np.abs(reproduced - samples.values).max() / scale) if scale > 0 else 0.0
 

@@ -17,7 +17,8 @@ runs R and K for the solver, and the checks of R run that same operator.
 A `GridSpec` keeps its per-axis coordinates and frequencies and the float
 `delta_min`, nothing the size of the grid: |k|^2 (`k_squared`, or
 `half_k_squared` on rows of a real transform's half spectrum, both `squared_norm`)
-and the symbols are formed where they are used.
+and the symbols are formed where they are used.  Every pass that streams
+the grid cuts its axis-0 rows with `row_slices`.
 """
 
 import math
@@ -29,6 +30,16 @@ import numpy as np
 from .errors import DomainError, GridMismatchError, ShellResonanceError
 
 RESONANCE_TOL = 1e-9
+BLOCK_BYTES = 1 << 18  # bytes a streamed pass forms per slice of axis-0 rows (`row_slices`)
+
+
+def row_slices(rows: int, row_bytes: int) -> list:
+    """`rows` >= 1 axis-0 rows in order, as the fewest slices that each form at most
+    BLOCK_BYTES at `row_bytes` a row or are one row, all of one size but a
+    shorter last one.  BLOCK_BYTES is read on each call."""
+    count = -(-rows // max(1, BLOCK_BYTES // row_bytes))
+    step = -(-rows // count)
+    return [slice(a, min(rows, a + step)) for a in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,20 @@ class GridSpec:
         in the same order), without building N whole-grid arrays.
         """
         return np.meshgrid(*([self.axis_coordinates] * self.dimension), indexing="ij", sparse=True)
+
+    def radius_slabs(self, center: float, point_bytes: int):
+        """(rows, r) per `row_slices` slab at the caller's `point_bytes` a point, r
+        the distance to (center, ..., center) on those rows in one buffer that
+        the next slab overwrites: that slice of the whole-grid radius over
+        `open_mesh` bit for bit, the squares summed by broadcasting."""
+        squares = [(m - center) ** 2 for m in self.open_mesh()]
+        n = self.points_per_axis
+        slabs = row_slices(n, point_bytes * (self.size // n))
+        buffer = np.empty((slabs[0].stop,) + self.shape[1:])
+        for rows in slabs:
+            r = buffer[: rows.stop - rows.start]
+            np.add(sum(squares[1:-1], squares[0][rows]), squares[-1], out=r)
+            yield rows, np.sqrt(r, out=r)
 
     def unit_cell_mesh(self) -> list:
         """`open_mesh` folded into [0, 1) per axis, bit-identical across unit

@@ -989,12 +989,15 @@ def _same_orbit(ctx, a, b, threshold):
     return _within_orbit(ctx, v, w, threshold * scale)
 
 
-def _dedup(ctx, cfg, records, distinct):
-    """Append to distinct each record farther than the dedup threshold from all kept ones."""
-    for rec in records:
-        if not any(_same_orbit(ctx, rec, kept, cfg.dedup_rel_threshold) for kept in distinct):
-            distinct.append(rec)
-    return distinct
+def _admit(ctx, cfg, records, kept):
+    """Recenter `records`, sort them by level, append to `kept` each one farther than
+    the dedup threshold from every kept record, and finish those.  Returns kept."""
+    start = len(kept)
+    for rec in _by_level(ctx, [recenter(ctx, rec) for rec in records]):
+        if not any(_same_orbit(ctx, rec, other, cfg.dedup_rel_threshold) for other in kept):
+            kept.append(rec)
+    finish_records(ctx, kept[start:])
+    return kept
 
 
 def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int = 1):
@@ -1031,14 +1034,9 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
             + ", ".join(status for status, _ in outcomes)
         )
 
-    records = _by_level(ctx, [recenter(ctx, rec) for rec in records])
-    distinct = finish_records(ctx, _dedup(ctx, cfg, records, []))
+    distinct = _admit(ctx, cfg, records, [])
     if ctx.periodic:
-        placed = _by_level(ctx, [recenter(ctx, rec) for rec in _place(ctx, distinct[0], cfg.tol_residual)])
-        kept = len(distinct)
-        distinct = _dedup(ctx, cfg, placed, distinct)
-        finish_records(ctx, distinct[kept:])
-        distinct = _by_level(ctx, distinct)
+        distinct = _by_level(ctx, _admit(ctx, cfg, _place(ctx, distinct[0], cfg.tol_residual), distinct))
 
     return MultistartResult(
         records=distinct,

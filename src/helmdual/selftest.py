@@ -22,13 +22,7 @@ from .errors import (
     TruncatedPayloadError,
     UnknownKeyError,
 )
-from .farfield import (
-    SphereSamples,
-    _radius_slabs,
-    decay_and_expansion_check,
-    equal_area_directions,
-    farfield_amplitude,
-)
+from .farfield import SphereSamples, decay_and_expansion_check, equal_area_directions, farfield_amplitude
 from .kernel import Field, GridSpec, helmholtz_symbol
 from .search import DescentConfig, find_critical_point, grid_field, multistart_search, _same_orbit
 
@@ -418,15 +412,16 @@ def check_farfield_synthetic():
     center = grid.box_length / 2.0
     ctx = FunctionalContext(Field(grid, bump_profile(
         grid, BumpDescriptor(center=(center,) * 3, radius=1.5, amplitude=1.0))), 5.0)
-    # the expansion check's radius one axis-0 row at a time: one 3d field is
-    # built at a time, and no whole-grid radius is kept
-    row = grid.points_per_axis ** 2
+    # the radius a slab of axis-0 rows at a time, at the dozen floats a point of
+    # u forms (one row at n = 48): one 3d field is built at a time, and no
+    # whole-grid radius is kept
+    point_bytes = 96
 
     # expansion-built field with a smooth amplitude reproduces itself
     dirs = equal_area_directions(3, 120)
     gvals = (0.05 + 0.02 * dirs[:, 0] + 0.01j * dirs[:, 1] * dirs[:, 2])
     u = np.empty(grid.shape)
-    for rows, r in _radius_slabs(grid, center, row):
+    for rows, r in grid.radius_slabs(center, point_bytes):
         rs = np.maximum(r, grid.spacing / 2)
         x, y, z = ((m - center) / rs for m in (mesh[0][rows], *mesh[1:]))
         g_grid = 0.05 + 0.02 * x + 0.01j * y * z
@@ -437,7 +432,7 @@ def check_farfield_synthetic():
 
     # sampled free-space kernel decays like 1/r
     psi = np.empty(grid.shape)
-    for rows, r in _radius_slabs(grid, center, row):
+    for rows, r in grid.radius_slabs(center, point_bytes):
         psi[rows] = fundamental_solution_psi(np.maximum(r, 1e-3))
     report2 = decay_and_expansion_check(
         ctx, Field(grid, psi), SphereSamples(dirs, np.zeros(len(dirs), complex)),

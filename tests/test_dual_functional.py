@@ -24,7 +24,7 @@ from helmdual import (
     odd_power,
     primal_field,
 )
-from helmdual import dual_functional
+from helmdual import dual_functional, kernel
 from helmdual import selftest as battery
 from helmdual.cli import build_context
 from helmdual.dual_functional import sine_product
@@ -541,7 +541,8 @@ class TestNehariEnergy:
 
 class TestRealPair:
     """`_real_pair` is numpy's `irfftn(symbol * rfftn(s))` bit for bit, with the
-    symbol taken and the `irfft` run one block of axis-0 rows at a time."""
+    symbol taken and the `irfft` run one block of axis-0 rows at a time: the
+    slices of `kernel.row_slices` at a row of the half spectrum."""
 
     @pytest.mark.parametrize("blocks", ["default", "five"])
     @pytest.mark.parametrize("support", ["full", "compact"])
@@ -549,9 +550,10 @@ class TestRealPair:
     def test_is_numpys_real_pair(self, dimension, n, support, blocks, monkeypatch):
         shape = (n,) * dimension
         half_shape = shape[:-1] + (n // 2 + 1,)
+        row_bytes = 16 * math.prod(half_shape[1:])
         if blocks == "five":
-            # five blocks of ceil(n/5) rows: the last one is shorter at every n here
-            monkeypatch.setattr(dual_functional, "BLOCK_BYTES", 16 * math.prod(half_shape) // 5 + 1)
+            # a budget of ceil(n/5) rows: five blocks, the last one shorter at every n here
+            monkeypatch.setattr(kernel, "BLOCK_BYTES", row_bytes * -(-n // 5))
         rng = np.random.default_rng(n + dimension)
         if support == "full":
             box = tuple(slice(0, n) for _ in shape)
@@ -563,7 +565,7 @@ class TestRealPair:
         taken = []
 
         def symbol_rows(rows):
-            taken.append(len(range(n)[rows]))
+            taken.append(rows)
             return symbol[rows]
 
         got = dual_functional._real_pair(s[box[:-1]], box, shape, symbol_rows)
@@ -573,13 +575,13 @@ class TestRealPair:
         assert got.tobytes() == want.tobytes()
         # the result lives in the half spectrum's own memory
         assert got.base.shape == half_shape and got.base.dtype == complex
-        assert sum(taken) == n
+        assert taken == kernel.row_slices(n, row_bytes)
         if blocks == "five":
-            assert len(taken) == 5 and taken[-1] < taken[0]
+            sizes = [len(range(n)[rows]) for rows in taken]
+            assert len(sizes) == 5 and sizes[-1] < sizes[0]
         else:
-            # blocks of at most one row over BLOCK_BYTES, one block for a 2d grid here
-            row_bytes = 16 * math.prod(half_shape[1:])
-            assert max(taken) * row_bytes <= dual_functional.BLOCK_BYTES + row_bytes
+            # blocks within BLOCK_BYTES of the half spectrum, one block for a 2d grid here
+            assert max(rows.stop - rows.start for rows in taken) * row_bytes <= kernel.BLOCK_BYTES
             assert (len(taken) == 1) == (dimension == 2)
 
     @pytest.mark.parametrize("blocks", ["default", "five"])
@@ -591,7 +593,7 @@ class TestRealPair:
         shape = (n,) * dimension
         half_shape = shape[:-1] + (n // 2 + 1,)
         if blocks == "five":
-            monkeypatch.setattr(dual_functional, "BLOCK_BYTES", 16 * math.prod(half_shape) // 5 + 1)
+            monkeypatch.setattr(kernel, "BLOCK_BYTES", 16 * math.prod(half_shape[1:]) * -(-n // 5))
         rng = np.random.default_rng(n + dimension)
         u = rng.standard_normal(shape)
         symbol = rng.standard_normal(half_shape)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmdual import farfield, selftest
+from helmdual import farfield, kernel, selftest
 from helmdual import (
     BumpDescriptor,
     DescentConfig,
@@ -479,7 +479,7 @@ class TestStreamedDecay:
         assert len(report.shell_means) >= 3
 
     def test_several_slabs_and_blocks_in_2d(self):
-        # n = 256: slabs of 25 rows, and the ball in 7 blocks of interpolant rows
+        # n = 256: slabs of 128 and 14 rows, and the ball in 7 blocks of interpolant rows
         ctx = compact_context(dimension=2, n=256, eps=1.0)
         u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
         report = decay_and_expansion_check(ctx, u, samples)
@@ -488,9 +488,12 @@ class TestStreamedDecay:
         assert report.expansion_errors.tobytes() == want[3].tobytes()
 
     def test_slabs_are_the_whole_grid_radius(self):
+        # a point's share of the block budget that makes slabs of 3 rows
         grid = GridSpec(3, 16.0, 32)
+        point_bytes = kernel.BLOCK_BYTES // (3 * 32 * 32)
         radius = np.sqrt(sum((m - 8.0) ** 2 for m in grid.open_mesh()))
-        slabs = [(rows, r.copy()) for rows, r in farfield._radius_slabs(grid, 8.0, 3 * 32 * 32)]
+        slabs = [(rows, r.copy()) for rows, r in grid.radius_slabs(8.0, point_bytes)]
+        assert [rows for rows, _ in slabs] == kernel.row_slices(32, point_bytes * 32 * 32)
         assert [rows for rows, _ in slabs] == [slice(a, min(32, a + 3)) for a in range(0, 32, 3)]
         assert np.concatenate([r for _, r in slabs]).tobytes() == radius.tobytes()
 
@@ -500,11 +503,12 @@ def blocked_and_whole(dimension, n):
     interpolant values come from a whole-ball design built here; returns what
     the blocked test compares.
 
-    The check streams its ball and asks `_sphere_interpolant` once per block;
-    the recorded calls, joined in order, are the ball's directions.  The
-    blocks are half the shipped BLOCK_BYTES: rows of the 13-column 2d design
-    are narrow, so the n = 256 ball fills only 2 blocks of the full size."""
-    farfield.BLOCK_BYTES //= 2
+    The check asks `_sphere_interpolant` once for the sampled directions and
+    then once per block of its ball; the recorded calls, joined in order, are
+    those directions.  The blocks are half the shipped DESIGN_BYTES: rows of
+    the 13-column 2d design are narrow, so the n = 256 ball fills only 2
+    blocks of the full size."""
+    farfield.DESIGN_BYTES //= 2
     ctx = compact_context(dimension=dimension, n=n)
     u, samples = synthetic_expansion_field(ctx.grid)
     blocked = farfield._sphere_interpolant
@@ -531,13 +535,17 @@ def blocked_and_whole(dimension, n):
     farfield._monomial_design = lambda d, degree: blocks.append(len(d)) or design(d, degree)
     g_blocked = np.concatenate([blocked(*args) for args in calls])
     farfield._monomial_design = design
-    # a last block of a few rows, which BLAS would sum in another kernel
+    # a rest of a few rows, which BLAS would sum in another kernel (one row goes
+    # to gemv): `_row_blocks` joins it to the last block, so the blocks' values
+    # are the whole design's
     rng = np.random.default_rng(dimension)
+    full = _row_blocks(10 ** 9, dimension, degree)[0][1]
     short_tails = []
     for extra in (1, 2, 3, BLOCK_ALIGN - 1):
-        dirs = rng.standard_normal((3 * blocks[0] + extra, dimension))
+        dirs = rng.standard_normal((3 * full + extra, dimension))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        short_tails.append(blocked(dirs, fit, degree).tobytes() == whole(dirs, fit, degree).tobytes())
+        split = [blocked(dirs[a:b], fit, degree) for a, b in _row_blocks(len(dirs), dimension, degree)]
+        short_tails.append(np.concatenate(split).tobytes() == whole(dirs, fit, degree).tobytes())
     return {
         "blocks": len(blocks),
         "calls": len(calls),
@@ -550,7 +558,7 @@ def blocked_and_whole(dimension, n):
 
 
 def report_bytes_by_block_size(dimension, n):
-    """The bytes of every FarfieldReport field at the shipped BLOCK_BYTES, at half
+    """The bytes of every FarfieldReport field at the shipped DESIGN_BYTES, at half
     and at twice it, with the number of blocks each streamed the ball in.
 
     The field is the synthetic expansion with absorption plus noise, so the
@@ -558,18 +566,18 @@ def report_bytes_by_block_size(dimension, n):
     ctx = compact_context(dimension=dimension, n=n, eps=1.0)
     u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
     u = Field(ctx.grid, u.values + 1e-3 * np.random.default_rng(n).standard_normal(ctx.grid.shape))
-    shipped = farfield.BLOCK_BYTES
+    shipped = farfield.DESIGN_BYTES
     blocked = farfield._sphere_interpolant
     out = []
     for block_bytes in (shipped, shipped // 2, 2 * shipped):
         calls = []
-        farfield.BLOCK_BYTES = block_bytes
+        farfield.DESIGN_BYTES = block_bytes
         farfield._sphere_interpolant = lambda *args: calls.append(1) or blocked(*args)
         report = decay_and_expansion_check(ctx, u, samples)
         fields = [np.asarray(getattr(report, f.name)).tobytes().hex()
                   for f in dataclasses.fields(report)]
         out.append({"blocks": len(calls), "fields": fields})
-    farfield.BLOCK_BYTES = shipped
+    farfield.DESIGN_BYTES = shipped
     farfield._sphere_interpolant = blocked
     return out
 
@@ -626,7 +634,7 @@ class TestBlockedInterpolant:
 
     @pytest.mark.parametrize("dimension, n", [(2, 256), (3, 48)])
     def test_report_does_not_depend_on_block_size(self, dimension, n):
-        # every field of the report, bit for bit, with BLOCK_BYTES halved and doubled
+        # every field of the report, bit for bit, with DESIGN_BYTES halved and doubled
         shipped, half, double = one_blas_thread(f"report_bytes_by_block_size({dimension}, {n})")
         assert half["blocks"] > shipped["blocks"] > double["blocks"] >= 1
         assert half["fields"] == shipped["fields"] == double["fields"]
@@ -719,8 +727,9 @@ class TestGridArrays:
 
     def test_resolvent_peak_at_the_benchmark_size(self):
         # n = 64, the far-field benchmark's grid: the half spectrum (1.03) and a
-        # block of 8 of its 64 rows, 1.20 grid arrays, where the result in an
-        # array of its own peaked at 2.10 and the complex pair at 3.07
+        # block of 7 of its 64 rows, 1.19 grid arrays (1.20 with blocks of 8),
+        # where the result in an array of its own peaked at 2.10 and the
+        # complex pair at 3.07
         ctx = farfield3d_context(n=64)
         unit = 8 * ctx.grid.size
         vs = np.random.default_rng(4).standard_normal(ctx.q_support.size)
@@ -754,7 +763,7 @@ class TestGridArrays:
         assert peak <= 2.1 * 8 * ctx.grid.size
 
     def test_expansion_check_streams_its_ball(self):
-        # one block of the interpolant's design is about BLOCK_BYTES, 1.19 grid
+        # one block of the interpolant's design is about DESIGN_BYTES, 1.19 grid
         # arrays at n = 48 by itself; the rest is the ball's squared mismatch and
         # rank, and one slab: 0.94 grid arrays, where a whole-grid radius, the
         # ball's flat indices and radii took 1.45
@@ -763,7 +772,7 @@ class TestGridArrays:
         u, samples = synthetic_expansion_field(ctx.grid, k_plus=np.sqrt(1.0 + 1.0j))
         decay_and_expansion_check(ctx, u, samples)  # imports, outside the trace
         _, peak = traced_peak(decay_and_expansion_check, ctx, u, samples)
-        assert peak <= farfield.BLOCK_BYTES + 1.0 * unit
+        assert peak <= farfield.DESIGN_BYTES + 1.0 * unit
 
     def test_selftest_synthetic_suite_builds_its_fields_by_slabs(self):
         # one 48^3 field at a time (u, then psi) and the expansion check's peak

@@ -13,8 +13,8 @@ from helmdual import (
     ShellResonanceError,
     helmholtz_multiplier,
 )
-from helmdual import selftest as battery
-from helmdual.kernel import helmholtz_symbol
+from helmdual import kernel, selftest as battery
+from helmdual.kernel import helmholtz_symbol, row_slices
 from conftest import dft_matrix, make_constant_context, mode_field, random_field
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)  # lattice |k|^2 = 2 |m|^2, no unit-shell point
@@ -81,6 +81,25 @@ class TestGridSpec:
     def test_small_box_with_finite_spectrum_accepted(self):
         g = GridSpec(2, 1e-70, 16)
         assert np.isfinite(helmholtz_multiplier(g)).all()
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+@pytest.mark.parametrize("rows, row_bytes", [
+    (1, 8), (7, 8), (48, 8 * 48), (48, 8 * 48 * 48), (48, 96 * 48 * 48), (64, 8 * 64 * 64),
+    (64, 16 * 64 * 33), (256, 8 * 256 * 256), (5, 1 << 18), (5, (1 << 18) + 1), (9, 3 << 18),
+])
+def test_row_slices_partition_the_rows(rows, row_bytes, budget, monkeypatch):
+    # in order, each row exactly once, and each slice within the budget (read
+    # on each call) or a single row; as few slices as that allows, all of one
+    # size but a shorter last one
+    if budget is not None:
+        monkeypatch.setattr(kernel, "BLOCK_BYTES", budget)
+    slices = row_slices(rows, row_bytes)
+    assert [i for span in slices for i in range(rows)[span]] == list(range(rows))
+    sizes = [span.stop - span.start for span in slices]
+    assert all(size * row_bytes <= kernel.BLOCK_BYTES or size == 1 for size in sizes)
+    assert len(sizes) == -(-rows // max(1, kernel.BLOCK_BYTES // row_bytes))
+    assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
 
 
 class TestField:
