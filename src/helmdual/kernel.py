@@ -201,7 +201,8 @@ class Field:
             vals = vals.reshape(self.grid.shape)
         if vals.shape != self.grid.shape:
             raise DomainError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
+        # NaN propagates through both reductions and an infinity shows in one: no bool mask
+        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise DomainError("field values must be finite")
         self.values = vals
 

@@ -60,14 +60,12 @@ scored in full by the fibering projection like any candidate:
   Its discrete critical shifts (extrema over all neighbours, or saddles,
   where the ring of neighbours in a coordinate plane changes sign at least 4
   times) fall into small clusters; the centre of each cluster away from
-  shift 0 is placed and taken to the tolerance by a Levenberg-regularized
-  Newton-GMRES polish of the smooth residual r(v) = v - |Kv|^{p-2} Kv, and
-  each success joins the dedup as a record of its own.  Each GMRES solve
-  stops at the Eisenstat-Walker forcing tolerance max(1e-10, min(1e-2, mu)),
-  with mu = ||r|| / ||v|| the Levenberg shift (Eisenstat & Walker, SIAM J.
-  Sci. Comput. 1996).  By Lusternik-Schnirelmann theory a profile has at
-  least cat(T^N) = N + 1 critical positions, so this finds the saddle and
-  maximum positions that random starts reach only by chance.
+  shift 0 is placed and taken to the tolerance by the same descent as any
+  start, within SNAP_AFTER steps, so before its snap could move it; each
+  success joins the dedup as a record of its own.  By Lusternik-Schnirelmann
+  theory a profile has at least cat(T^N) = N + 1 critical positions, so this
+  finds the saddle and maximum positions that random starts reach only by
+  chance.
 
 The orbit dedup asks only whether some cell shift (the identity alone for
 a Q that is not unit-periodic) and sign bring a record within the dedup
@@ -78,8 +76,8 @@ The test runs over both signs and every shift, so it compares the support
 vectors v, extended to the grid for a unit-periodic Q.
 
 The iterate lives on the support of Q (see dual_functional): every power,
-norm, Anderson column and Krylov vector has one entry per support point, and
-the grid is touched only inside the FFT pair of K.  A start stops at the
+norm and Anderson column has one entry per support point, and the grid is
+touched only inside the FFT pair of K.  A start stops at the
 critical point: its record holds the support vector v, and a worker hands
 back nothing the size of the grid.  `recenter` picks the orbit's
 representative (a unit-cell shift for a unit-periodic Q and the sign of the
@@ -98,13 +96,13 @@ and once by the far-field run.
 Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
 descent compares is a fibering level (1/p' - 1/2) t^{p'} ||w||_{p'}^{p'} > 0.
-A placed record has start_index -1, its placed level as its trajectory, and
-its Newton steps as its iterations.
+A placed record has start_index -1, and its trajectory and iterations are
+those of its descent from the placed start.
 """
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,7 +156,10 @@ class SolutionRecord:
     `finish_records` adds the `primal_residual` of the primal partner u;
     until then it is None.  A record keeps no grid array: the grid field of
     v is `grid_field(ctx, record)` and u is `primal_field(ctx, record)`,
-    each built on each call.
+    each built on each call.  A record of the placement has `start_index`
+    -1, and its `iterations` count its descent from the placed start like
+    any other record's.  `newton_steps` is always 0; the field and its CSV
+    column are kept because the CSV schema is public.
     """
 
     v: np.ndarray
@@ -218,98 +219,6 @@ def _project_scored(ctx, w, kw, ceiling=None):
     del power
     v_norm = t * m ** (1.0 / pc)
     return t * w, kv, level, grad_norm / v_norm ** (pc - 1.0), grad_norm, v_norm, g
-
-
-def _gmres(apply_a, b, maxk, rtol):
-    """Unrestarted GMRES with Givens rotations on flat float64 arrays."""
-    n0 = np.linalg.norm(b)
-    if n0 == 0.0:
-        return np.zeros_like(b)
-    basis = [b / n0]
-    hess = np.zeros((maxk + 1, maxk))
-    cs = np.zeros(maxk)
-    sn = np.zeros(maxk)
-    resid = np.zeros(maxk + 1)
-    resid[0] = n0
-    k_used = 0
-    for k in range(maxk):
-        w = apply_a(basis[k])
-        for j in range(k + 1):
-            hess[j, k] = np.dot(basis[j], w)
-            w = w - hess[j, k] * basis[j]
-        hess[k + 1, k] = np.linalg.norm(w)
-        basis.append(w / hess[k + 1, k] if hess[k + 1, k] > 1e-300 else 0.0 * w)
-        for j in range(k):
-            t = cs[j] * hess[j, k] + sn[j] * hess[j + 1, k]
-            hess[j + 1, k] = -sn[j] * hess[j, k] + cs[j] * hess[j + 1, k]
-            hess[j, k] = t
-        denom = np.hypot(hess[k, k], hess[k + 1, k])
-        if denom == 0.0:
-            k_used = k
-            break
-        cs[k] = hess[k, k] / denom
-        sn[k] = hess[k + 1, k] / denom
-        hess[k, k] = denom
-        hess[k + 1, k] = 0.0
-        resid[k + 1] = -sn[k] * resid[k]
-        resid[k] = cs[k] * resid[k]
-        k_used = k + 1
-        if abs(resid[k + 1]) <= rtol * n0:
-            break
-    y = np.linalg.solve(hess[:k_used, :k_used], resid[:k_used])
-    return sum(y[j] * basis[j] for j in range(k_used))
-
-
-def _newton_polish(ctx, v, kv, tol, max_steps=40):
-    """Levenberg-regularized Newton-GMRES on r(v) = v - |Kv|^{p-2} Kv.
-
-    Accepts steps on the Euclidean norm of r (the quantity Newton models).
-    It succeeds only through the projected Picard image of the iterate:
-    before each step, and once more before giving up (the step budget spent
-    or two steps failed in a row), the image is scored and returned if its
-    scale-invariant dual residual meets tol.  The image has the exact power
-    structure |Kv|^{p-2} Kv, without which rounding noise under the (p'-1)-th
-    root in the iterate's tails would floor the dual residual.  The image is
-    only tested; the steps continue from v.
-    """
-    p = ctx.exponents.p
-    steps = 0
-    enter_norm = ctx.lp_norm(v, ctx.exponents.p_conj)
-    fails = 0
-    for attempt in range(max_steps + 1):
-        picard = odd_power(kv, p - 1.0)
-        projected = _project_scored(ctx, picard, ctx.apply_k_support(picard))
-        if projected is not None and projected[3] <= tol:
-            return projected[0], projected[1], steps, True
-        if attempt == max_steps or fails >= 2:
-            return v, kv, steps, False
-
-        r = v - picard
-        rn0 = np.linalg.norm(r)
-        damping = abs_power(kv, p - 2.0)
-        damping *= p - 1.0
-        mu = rn0 / max(np.linalg.norm(v), 1e-300)
-
-        def apply_a(w):
-            return (1.0 + mu) * w - damping * ctx.apply_k_support(w)
-
-        # Eisenstat-Walker forcing: solve loosely far from the root, tightly near it
-        step = _gmres(apply_a, r, maxk=120, rtol=max(1e-10, min(1e-2, mu)))
-        s, ok = 1.0, False
-        for _bt in range(12):
-            vn = v - s * step
-            if ctx.lp_norm(vn, ctx.exponents.p_conj) < 0.3 * enter_norm:
-                s *= 0.5
-                continue
-            kvn = ctx.apply_k_support(vn)
-            rn = np.linalg.norm(vn - odd_power(kvn, p - 1.0))
-            if rn < rn0 * (1.0 - 0.1 * s):
-                v, kv = vn, kvn
-                ok = True
-                steps += 1
-                break
-            s *= 0.5
-        fails = 0 if ok else fails + 1
 
 
 class _AndersonWindow:
@@ -402,22 +311,6 @@ class _AndersonWindow:
         theta[slots[1:]] -= gamma
         theta[slots[:-1]] += gamma
         return theta @ self.images[0], theta @ self.images[1]
-
-
-def _record(ctx, v, kv, res, iterations, newton_steps, j_values, grad_norms, v_norms):
-    """Unfinished SolutionRecord of the support vector v with its image kv and dual residual res."""
-    return SolutionRecord(
-        v=v,
-        level=ctx.energy_arrays(v, kv),
-        dual_residual=res,
-        iterations=iterations,
-        orbit_shift=(0,) * ctx.grid.dimension,
-        j_values=np.asarray(j_values),
-        grad_norms=np.asarray(grad_norms),
-        v_norms=np.asarray(v_norms),
-        bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
-        newton_steps=newton_steps,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +465,18 @@ def _cluster_centres(mask):
     return clusters
 
 
-def _place(ctx, record, tol):
-    """Records polished from the record's profile placed at the critical shifts of its landscape.
+def _place(ctx, record, cfg):
+    """Records descended from the record's profile placed at the critical shifts of its landscape.
 
     The landscape is the level of every placement over the unit cell.
     Critical shifts come in small clusters around each critical point of the
     continuous landscape, and a cluster member off the point's symmetry lines
-    polishes slowly onto an orbit its centre reaches in a few steps.  So each
+    descends slowly onto an orbit its centre reaches in a few steps.  So each
     cluster is placed once, at its centre, and the cluster of shift 0 (the
-    record itself) is skipped.  Each polish that meets tol gives a record
-    whose trajectory is the placed level.
+    record itself) is skipped.  Each placed start runs `find_critical_point`
+    with a budget of SNAP_AFTER steps, which ends where its snap would begin,
+    so no placed start is snapped off its position; a start that has not met
+    the tolerance by then is dropped.
     """
     cell = ctx.grid.unit_shift_points
     profile = _profile(ctx, primal_field(ctx, record).values)
@@ -595,11 +490,10 @@ def _place(ctx, record, tol):
         start = _placed(ctx, profile, shift)
         if start is None:
             continue  # an infinite peak of the landscape: outside U^+
-        v, _, steps, ok = _newton_polish(ctx, start[0], start[1], tol)
-        polished = _project_scored(ctx, v, ctx.apply_k_support(v)) if ok else None
-        if polished is not None and polished[3] <= tol:  # checked on a fresh transform
-            placed.append(_record(ctx, *polished[:2], polished[3], steps, steps,
-                                  [start[2]], [start[4]], [start[5]]))
+        try:
+            placed.append(find_critical_point(ctx, start[0], replace(cfg, max_iters=SNAP_AFTER)))
+        except MaxIterationsError:
+            pass  # not at the tolerance within its budget: dropped
     return placed
 
 
@@ -647,7 +541,17 @@ def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> Solut
             kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
             res = ctx.dual_residual_arrays(v, kv)
             if res <= cfg.tol_residual:
-                return _record(ctx, v, kv, res, iterations, 0, j_values, grad_norms, v_norms)
+                return SolutionRecord(
+                    v=v,
+                    level=ctx.energy_arrays(v, kv),
+                    dual_residual=res,
+                    iterations=iterations,
+                    orbit_shift=(0,) * ctx.grid.dimension,
+                    j_values=np.asarray(j_values),
+                    grad_norms=np.asarray(grad_norms),
+                    v_norms=np.asarray(v_norms),
+                    bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
+                )
         if iterations >= cfg.max_iters:
             raise MaxIterationsError(
                 f"no convergence within {cfg.max_iters} iterations "
@@ -1036,7 +940,7 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
 
     distinct = _admit(ctx, cfg, records, [])
     if ctx.periodic:
-        distinct = _by_level(ctx, _admit(ctx, cfg, _place(ctx, distinct[0], cfg.tol_residual), distinct))
+        distinct = _by_level(ctx, _admit(ctx, cfg, _place(ctx, distinct[0], cfg), distinct))
 
     return MultistartResult(
         records=distinct,

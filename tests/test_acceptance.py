@@ -195,7 +195,8 @@ def test_criterion_06_reference_solver_run(reference_run):
 
 def test_reference_run_places_every_level(reference_run):
     # the three levels are the minimum, saddle and maximum of one bump's
-    # position landscape; placement polishes the ground state onto each
+    # position landscape; the placement puts the ground state's profile at
+    # each, and the descent of every start takes it to the tolerance
     _, _, result, _ = reference_run
     assert [status for status, _ in result.outcomes].count("converged") == 20
     assert abs(result.level_estimate - 0.183934971713) <= 1e-9

@@ -284,9 +284,9 @@ class TestFieldFile:
 
     def test_read_holds_the_file_and_one_array(self):
         # the payload is read through a view and converted once, and the header's
-        # grid checks its resonance on the half spectrum: the field and its
-        # finiteness mask, 1.13 fields above the file's bytes, where the sliced
-        # payload beside a whole-lattice |k|^2 - 1 and its abs took 3.0
+        # grid checks its resonance on the half spectrum, and the finiteness
+        # check forms no mask: 1.01 fields above the file's bytes, where the
+        # sliced payload beside a whole-lattice |k|^2 - 1 and its abs took 3.0
         grid = GridSpec(2, 6.0, 256)
         blob = write_field(Field(grid, np.random.default_rng(1).standard_normal(grid.shape)))
         read_field(blob)  # imports, outside the trace

@@ -15,7 +15,7 @@ from helmdual import (
 )
 from helmdual import kernel, selftest as battery
 from helmdual.kernel import helmholtz_symbol, row_slices
-from conftest import dft_matrix, make_constant_context, mode_field, random_field
+from conftest import dft_matrix, make_constant_context, mode_field, random_field, traced_peak
 
 SQRT2_BOX = np.pi * np.sqrt(2.0)  # lattice |k|^2 = 2 |m|^2, no unit-shell point
 
@@ -118,12 +118,24 @@ class TestField:
 
     def test_finiteness_and_shape(self):
         g = GridSpec(2, 6.0, 16)
-        with pytest.raises(ValueError):
-            Field(g, np.full(g.shape, np.nan))
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.zeros(g.shape)
+            values[3, 5] = bad
+            with pytest.raises(ValueError):
+                Field(g, values)
         with pytest.raises(ValueError):
             Field(g, np.zeros((4, 4)))
         flat = Field(g, np.zeros(g.size))
         assert flat.values.shape == g.shape
+
+    def test_finiteness_check_forms_no_mask(self):
+        # two reductions, no whole-grid bool mask (0.125 of the field)
+        g = GridSpec(2, 6.0, 256)
+        values = np.random.default_rng(0).standard_normal(g.shape)
+        Field(g, values)  # imports, outside the trace
+        field, peak = traced_peak(Field, g, values)
+        assert field.values is values
+        assert peak < 0.01 * values.nbytes
 
 
 class TestMultiplier:

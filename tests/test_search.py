@@ -582,6 +582,36 @@ class TestPositionLandscape:
             assert rec.dual_residual <= MINI_CFG.tol_residual
             assert battery.level_increase([rec]) <= battery.MONOTONE_TOL
 
+    def test_placed_records_descend_within_the_snap_budget(self, mini_ctx, mini_result):
+        # the descent of every start takes each placed start to the tolerance
+        # before its snap could move it
+        placed = [rec for rec in mini_result.records if rec.start_index == -1]
+        assert placed
+        for rec in placed:
+            assert rec.newton_steps == 0
+            assert rec.iterations <= SNAP_AFTER
+            fresh = mini_ctx.dual_residual_arrays(rec.v, mini_ctx.apply_k_support(rec.v))
+            assert fresh <= MINI_CFG.tol_residual
+
+    def test_placed_starts_out_of_budget_are_dropped(self, mini_ctx, monkeypatch):
+        # two steps are too few for the placed starts off the ground orbit
+        monkeypatch.setattr(search, "SNAP_AFTER", 2)
+        out_of_budget = []
+        descend = search.find_critical_point
+
+        def counted(ctx, v0, cfg):
+            try:
+                return descend(ctx, v0, cfg)
+            except MaxIterationsError:
+                out_of_budget.append(cfg.max_iters)
+                raise
+
+        monkeypatch.setattr(search, "find_critical_point", counted)
+        result = multistart_search(mini_ctx, MINI_CFG)
+        assert out_of_budget and set(out_of_budget) == {2}
+        assert result.records
+        assert all(rec.start_index >= 0 for rec in result.records)
+
     def test_critical_shifts_of_a_cosine(self):
         # cos x + cos y on a 16-point cell: one minimum, one maximum, two saddles
         x = 2.0 * np.pi * np.arange(16) / 16
