@@ -10,6 +10,7 @@ comparison below evaluates that chain numerically next to two identically
 seeded multistart searches.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class BumpDescriptor:
     center: tuple
     radius: float
     amplitude: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError(f"bump radius must be finite and positive, got {self.radius!r}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise DomainError(f"bump amplitude must be finite and nonnegative, got {self.amplitude!r}")
 
 
 @dataclass
@@ -68,6 +75,8 @@ def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
     the ball are those with (x_i - c_i)^2 / radius^2 < 1: on the box each
     value is the whole-grid formula's bit for bit.
     """
+    if len(bump.center) != grid.dimension:
+        raise DomainError(f"bump center has {len(bump.center)} entries; the grid has dimension {grid.dimension}")
     out = np.zeros(grid.shape)
     box = []
     for c in bump.center:
@@ -86,18 +95,12 @@ def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
 def build_asymptotic_coefficient(ctx_inf: FunctionalContext, bump: BumpDescriptor) -> AsymptoticPair:
     """Attach a compact nonnegative bump to the coefficient of a periodic background."""
     grid = ctx_inf.grid
-    if bump.amplitude < 0.0:
-        raise DomainError("bump amplitude must be nonnegative")
-    if bump.radius <= 0.0:
-        raise DomainError("bump radius must be positive")
-    if len(bump.center) != grid.dimension:
-        raise DomainError("bump center has wrong dimension")
+    values = bump_profile(grid, bump)  # a center of the wrong length is a DomainError
     for c in bump.center:
         if c - bump.radius < 0.0 or c + bump.radius > grid.box_length:
             raise SupportOverflowError(
                 f"bump support [{c - bump.radius}, {c + bump.radius}] leaves the box"
             )
-    values = bump_profile(grid, bump)
     values += ctx_inf.q
     q = Field(grid, values)
     return AsymptoticPair(ctx=FunctionalContext(q, ctx_inf.exponents.p), ctx_inf=ctx_inf, bump=bump)

@@ -10,7 +10,6 @@ u32 dimension, u32 points per axis, f64 box length) followed by the
 row-major float64 payload; write/read is bit-exact.
 """
 
-import math
 import re
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
@@ -29,7 +28,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .dual_functional import Exponents
-from .farfield import FIT_DEGREE, radius_window
+from .farfield import FIT_DEGREE, direction_floor, radius_window
 from .kernel import Field, GridSpec
 from .search import DescentConfig
 
@@ -184,8 +183,7 @@ def _validate(cfg: RunConfig, lines: dict):
                           cfg.farfield_r_min, cfg.farfield_r_max)
         except ValueError as exc:  # DomainError
             raise _at_line(lines, ("farfield.r_min", "farfield.r_max"), str(exc)) from exc
-        # the sphere fit needs at least one sampled direction per monomial
-        least = math.comb(FIT_DEGREE + cfg.grid_dimension, cfg.grid_dimension)
+        least = direction_floor(cfg.grid_dimension)
         if cfg.farfield_direction_count < least:
             raise _at_line(lines, ("farfield.direction_count",), (
                 f"farfield.direction_count = {cfg.farfield_direction_count} is below the "

@@ -194,6 +194,13 @@ class FarfieldReport:
     attenuation_rate: float
 
 
+def direction_floor(dim: int) -> int:
+    """Fewest sampled directions the sphere fit takes: one per monomial of degree
+    <= FIT_DEGREE in dim variables (84 in 3d, 28 in 2d), though the fit itself runs
+    on the `_basis_size` harmonics."""
+    return math.comb(FIT_DEGREE + dim, dim)
+
+
 def _basis_size(dim: int, degree: int) -> int:
     """Columns of `_monomial_design`: (degree + 1)^2 in 3d, 2 degree + 1 in 2d."""
     return math.comb(degree + dim - 1, dim - 1) + math.comb(degree + dim - 2, dim - 1)
@@ -400,9 +407,8 @@ def decay_and_expansion_check(
     coeffs, *_ = np.linalg.lstsq(design, corrected, rcond=None)
     decay_exponent = float(-coeffs[1])
 
-    # smooth interpolation of the sampled amplitudes across the sphere; the
-    # floor counts all monomials of the degree, as the config's does
-    monomials = math.comb(FIT_DEGREE + dim, dim)
+    # smooth interpolation of the sampled amplitudes across the sphere
+    monomials = direction_floor(dim)
     if samples.values.size < monomials:
         raise DomainError(
             f"{samples.values.size} sampled directions cannot fit the {monomials} "

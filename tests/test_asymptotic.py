@@ -1,11 +1,14 @@
 """Perturbed-coefficient construction and transplant identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from helmdual import (
     BumpDescriptor,
     DescentConfig,
+    DomainError,
     Field,
     GridMismatchError,
     GridSpec,
@@ -87,6 +90,25 @@ class TestBuild:
             build_asymptotic_coefficient(
                 ctx, BumpDescriptor((3.0, 3.0), -1.0, 0.1)
             )
+
+    @pytest.mark.parametrize("center", [(8.0, 8.0), (8.0, 8.0, 8.0, 8.0)])
+    def test_center_of_the_wrong_length_is_domain_error(self, center):
+        # on a 3d grid numpy raised a shape mismatch (2 entries) or an IndexError (4)
+        with pytest.raises(DomainError, match="center has"):
+            bump_profile(GridSpec(3, 16.0, 16), BumpDescriptor(center, 1.6, 1.0))
+
+    @pytest.mark.parametrize("radius, amplitude", [
+        (-1.0, 1.0),       # built the radius-1 bump
+        (0.0, 1.0),        # built an all-zero profile, warning of a division by zero
+        (math.nan, 1.0),
+        (math.inf, 1.0),   # built the amplitude on every grid point
+        (1.0, -0.1),
+        (1.0, math.nan),
+        (1.0, math.inf),
+    ])
+    def test_malformed_radius_or_amplitude_is_domain_error(self, radius, amplitude):
+        with pytest.raises(DomainError, match="radius" if amplitude == 1.0 else "amplitude"):
+            BumpDescriptor((3.0, 3.0), radius, amplitude)
 
 
 class TestTransplant:
