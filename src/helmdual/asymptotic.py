@@ -37,9 +37,14 @@ class BumpDescriptor:
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError(f"bump radius must be finite and positive, got {self.radius!r}")
+            raise DomainError(f"radius must be finite and positive, got {self.radius!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise DomainError(f"bump amplitude must be finite and nonnegative, got {self.amplitude!r}")
+            raise DomainError(f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
+
+    def check_dimension(self, dimension: int):
+        """A DomainError unless the center has one entry per axis of a `dimension`-d grid."""
+        if len(self.center) != dimension:
+            raise DomainError(f"center has {len(self.center)} entries; the grid has dimension {dimension}")
 
 
 @dataclass
@@ -75,8 +80,7 @@ def bump_profile(grid: GridSpec, bump: BumpDescriptor) -> np.ndarray:
     the ball are those with (x_i - c_i)^2 / radius^2 < 1: on the box each
     value is the whole-grid formula's bit for bit.
     """
-    if len(bump.center) != grid.dimension:
-        raise DomainError(f"bump center has {len(bump.center)} entries; the grid has dimension {grid.dimension}")
+    bump.check_dimension(grid.dimension)
     out = np.zeros(grid.shape)
     box = []
     for c in bump.center:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels
+from .asymptotic import build_asymptotic_coefficient, bump_profile, compare_levels
 from .dual_functional import FunctionalContext, sine_product
 from .errors import DomainError, FieldFileError, HelmdualError, OutOfMemoryError, OutputError
 from .farfield import decay_and_expansion_check, equal_area_directions, farfield_amplitude
@@ -59,8 +59,7 @@ def build_context(cfg: cfgmod.RunConfig) -> FunctionalContext:
     elif kind == "sine_product":
         values = sine_product(grid, cfg.coefficient_offset, cfg.coefficient_amplitude)
     elif kind == "compact_bump":
-        center = cfg.coefficient_center or (grid.box_length / 2.0,) * grid.dimension
-        values = bump_profile(grid, BumpDescriptor(center, cfg.coefficient_radius, cfg.coefficient_amplitude))
+        values = bump_profile(grid, cfgmod.coefficient_bump(cfg))
     elif kind == "file":
         try:
             data = Path(cfg.coefficient_path).read_bytes()
@@ -181,11 +180,7 @@ def _run_solve(cfg, out: _OutputDir) -> int:
 
 
 def _run_compare(cfg, out: _OutputDir) -> int:
-    ctx_inf = build_context(cfg)
-    grid = ctx_inf.grid
-    center = cfg.bump_center or (grid.box_length / 2.0,) * grid.dimension
-    bump = BumpDescriptor(center=tuple(center), radius=cfg.bump_radius, amplitude=cfg.bump_amplitude)
-    pair = build_asymptotic_coefficient(ctx_inf, bump)
+    pair = build_asymptotic_coefficient(build_context(cfg), cfgmod.compare_bump(cfg))
     report = compare_levels(pair, cfgmod.descent_config(cfg), workers=_workers())
     out.write_csv(
         "compare.csv",

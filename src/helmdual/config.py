@@ -27,6 +27,7 @@ from .errors import (
     UnknownKeyError,
     VersionMismatchError,
 )
+from .asymptotic import BumpDescriptor
 from .dual_functional import Exponents
 from .farfield import FIT_DEGREE, direction_floor, radius_window
 from .kernel import Field, GridSpec
@@ -148,15 +149,20 @@ def _validate(cfg: RunConfig, lines: dict):
     if cfg.coefficient_kind == "file" and not cfg.coefficient_path:
         raise MissingRequiredError("coefficient.path required when coefficient.kind = file")
     # the domain objects own their range rules, and their messages name the
-    # offending field first; a resonant box is a run-time failure
+    # offending field first; a resonant box is a run-time failure.  Both bumps
+    # are built whatever the mode and kind
     grid_keys = ("grid.dimension", "grid.box_length", "grid.points_per_axis", "grid.shell_epsilon")
     descent_keys = ("descent.tol_residual", "descent.dedup_rel_threshold",
                     "descent.max_iters", "descent.multistart_count", "seed")
+    coefficient_keys = ("coefficient.center", "coefficient.radius", "coefficient.amplitude")
+    bump_keys = ("bump.center", "bump.radius", "bump.amplitude")
     for keys, build in (
         (grid_keys, lambda: GridSpec(cfg.grid_dimension, cfg.grid_box_length,
                                      cfg.grid_points_per_axis, cfg.grid_shell_epsilon)),
         (("exponents.p",), lambda: Exponents(cfg.grid_dimension, cfg.exponents_p)),
         (descent_keys, lambda: descent_config(cfg)),
+        (coefficient_keys, lambda: coefficient_bump(cfg).check_dimension(cfg.grid_dimension)),
+        (bump_keys, lambda: compare_bump(cfg).check_dimension(cfg.grid_dimension)),
     ):
         try:
             build()
@@ -164,19 +170,6 @@ def _validate(cfg: RunConfig, lines: dict):
             pass
         except ValueError as exc:
             raise _at_line(lines, _named_first(keys, str(exc)), str(exc)) from exc
-    # the bump builders zip a center with the mesh, so a short one would not fail
-    for key, center in (("coefficient.center", cfg.coefficient_center),
-                        ("bump.center", cfg.bump_center)):
-        if center and len(center) != cfg.grid_dimension:
-            raise _at_line(lines, (key,), (
-                f"{key} has {len(center)} entries; grid.dimension is {cfg.grid_dimension}"))
-    for key, radius in (("coefficient.radius", cfg.coefficient_radius),
-                        ("bump.radius", cfg.bump_radius)):
-        if not radius > 0.0:
-            raise _at_line(lines, (key,), f"{key} must be positive, got {radius!r}")
-    if not cfg.bump_amplitude >= 0.0:
-        raise _at_line(lines, ("bump.amplitude",),
-                       f"bump.amplitude must be nonnegative, got {cfg.bump_amplitude!r}")
     if cfg.mode == "farfield":
         try:
             radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
@@ -203,6 +196,25 @@ def _at_line(lines: dict, keys: tuple, message: str) -> ConfigTypeError:
     """A ConfigTypeError naming the line of the first of `keys` the file sets."""
     line = next((lines[k] for k in keys if k in lines), 0)
     return ConfigTypeError(f"line {line}: {message}" if line else message)
+
+
+def coefficient_bump(cfg: RunConfig) -> BumpDescriptor:
+    """The bump of `coefficient.kind = compact_bump`, centred in the box unless
+    `coefficient.center` says otherwise.  `sine_product` reads
+    `coefficient.amplitude` too, so for any other kind the bump takes
+    amplitude 0, and only its center and radius are a bump's."""
+    amplitude = cfg.coefficient_amplitude if cfg.coefficient_kind == "compact_bump" else 0.0
+    return BumpDescriptor(_center(cfg, cfg.coefficient_center), cfg.coefficient_radius, amplitude)
+
+
+def compare_bump(cfg: RunConfig) -> BumpDescriptor:
+    """The bump that `compare` adds to the periodic background, centred in the
+    box unless `bump.center` says otherwise."""
+    return BumpDescriptor(_center(cfg, cfg.bump_center), cfg.bump_radius, cfg.bump_amplitude)
+
+
+def _center(cfg: RunConfig, center: tuple) -> tuple:
+    return center or (cfg.grid_box_length / 2.0,) * cfg.grid_dimension
 
 
 def descent_config(cfg: RunConfig) -> DescentConfig:

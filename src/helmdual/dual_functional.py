@@ -146,6 +146,37 @@ def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarra
     return _pair_in_half(half, box, shape, symbol)
 
 
+def prolong(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Trigonometric interpolation of the real grid array `values` (m points per
+    axis) onto the grid of `shape` (n = 2m points per axis), as a new array.
+
+    One real pair: the `rfftn` of `values` is copied into the zeroed half
+    spectrum of the fine grid (`_half_spectrum`), each frequency to the same
+    frequency, and `irfftn` returns to the fine grid; the spectrum is scaled by
+    2^N, the ratio of the two grids' point counts.  The coarse Nyquist line
+    m/2 of an axis stands for both frequencies +m/2 and -m/2 there, so it is
+    split in half between them: between the rows m/2 and n - m/2 of every axis
+    but the last, and on the last, whose negative half the real transform
+    leaves implied, halved in place.  So the interpolant takes the coarse
+    values at the even fine points (to rounding), and a field with no
+    frequency |k_d| >= m/2 on any axis comes back from its even points whole
+    (zero-padding the spectrum; Trefethen, Spectral Methods in MATLAB, ch. 3).
+    """
+    dim = values.ndim
+    coarse = np.fft.rfftn(values)
+    coarse *= 2.0 ** dim
+    coarse[..., -1] *= 0.5
+    fine, source = [], []
+    for axis, (m, n) in enumerate(zip(values.shape[:-1], shape[:-1])):
+        coarse[(slice(None),) * axis + (m // 2,)] *= 0.5
+        fine.append(np.r_[0 : m // 2 + 1, n - m // 2 : n])
+        source.append(np.r_[0 : m // 2 + 1, m // 2 : m])
+    last = np.arange(values.shape[-1] // 2 + 1)
+    half = _half_spectrum(shape)
+    half[np.ix_(*fine, last)] = coarse[np.ix_(*source, last)]
+    return np.fft.irfftn(half, s=shape, axes=tuple(range(dim)))
+
+
 def _pair_in_half(half: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
     """The rest of `_real_pair` after its `rfft`, on the half spectrum `half`.
 

@@ -281,6 +281,16 @@ class TestErrors:
         assert main(["compare", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["coefficient.radius = inf", "coefficient.amplitude = -1"])
+    def test_unbuildable_coefficient_bump_is_config_error(self, tmp_path, capsys, line):
+        # the compact-bump coefficient is built at parse time, as the bump of compare is
+        cfg_file = tmp_path / "bad_coefficient.cfg"
+        cfg_file.write_text(f"mode = solve\ngrid.points_per_axis = 48\ncoefficient.kind = compact_bump\n{line}\n")
+        out = tmp_path / "bad_coefficient"
+        assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: line 4: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("lines", [
         "farfield.r_min = 7.5",  # above the default r_max = 0.46 L = 7.36
         "farfield.r_max = 8.5",  # beyond L/2

@@ -112,6 +112,10 @@ grid.points_per_axis = 48
         "bump.radius = -1.0",
         "bump.radius = nan",
         "bump.amplitude = -0.3",
+        "bump.radius = inf",
+        "bump.amplitude = inf",
+        "coefficient.kind = compact_bump\ncoefficient.radius = inf",
+        "coefficient.kind = compact_bump\ncoefficient.amplitude = -1",
     ])
     def test_unbuildable_values_rejected(self, line):
         # the last line of each case is the rejected one, after mode on line 1;

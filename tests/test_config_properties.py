@@ -109,6 +109,11 @@ def _floats(**kwargs):
     return st.floats(allow_nan=False, **kwargs)
 
 
+def _bump_floats(**kwargs):
+    """A bump's radius or amplitude: finite, as `BumpDescriptor` requires."""
+    return st.floats(allow_nan=False, allow_infinity=False, **kwargs)
+
+
 @st.composite
 def valid_configs(draw):
     """A RunConfig that passes validation, drawn field by field from its rules."""
@@ -143,9 +148,10 @@ def valid_configs(draw):
         coefficient_kind=kind,
         coefficient_value=draw(_floats()),
         coefficient_offset=draw(_floats()),
-        coefficient_amplitude=draw(_floats()),
+        # a bump's amplitude for compact_bump, any float for sine_product
+        coefficient_amplitude=draw(_bump_floats(min_value=0.0) if kind == "compact_bump" else _floats()),
         coefficient_center=draw(centers),
-        coefficient_radius=draw(_floats(min_value=0.0, exclude_min=True)),
+        coefficient_radius=draw(_bump_floats(min_value=0.0, exclude_min=True)),
         coefficient_path=path,
         coefficient_periodic=draw(st.booleans()),
         descent_tol_residual=draw(_floats(min_value=0.0, exclude_min=True)),
@@ -153,8 +159,8 @@ def valid_configs(draw):
         descent_dedup_rel_threshold=draw(_floats(min_value=0.0, exclude_min=True)),
         descent_multistart_count=draw(st.integers(1, 2**31)),
         bump_center=draw(centers),
-        bump_radius=draw(_floats(min_value=0.0, exclude_min=True)),
-        bump_amplitude=draw(_floats(min_value=0.0)),
+        bump_radius=draw(_bump_floats(min_value=0.0, exclude_min=True)),
+        bump_amplitude=draw(_bump_floats(min_value=0.0)),
         farfield_direction_count=draw(st.integers(least, 2**31)),
         farfield_r_min=r_min,
         farfield_r_max=r_max,

@@ -616,6 +616,44 @@ class TestRealPair:
         assert ctx.half_sigma(slice(4, 7)).tobytes() == ctx.half_sigma()[4:7].tobytes()
 
 
+class TestProlong:
+    """`prolong` interpolates a grid array onto the grid of twice the points
+    per axis by zero-padding its spectrum, the coarse Nyquist lines split."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (24, 24), (6, 6, 6), (12, 12, 12)])
+    def test_exact_at_the_coarse_points(self, shape):
+        # white noise fills every coarse frequency, the Nyquist lines included
+        coarse = np.random.default_rng(sum(shape)).standard_normal(shape)
+        fine = dual_functional.prolong(coarse, tuple(2 * m for m in shape))
+        assert fine.shape == tuple(2 * m for m in shape) and fine.dtype == np.float64
+        np.testing.assert_allclose(fine[(slice(None, None, 2),) * len(shape)], coarse, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (48, 48), (12, 12, 12)])
+    def test_reproduces_a_band_limited_field(self, shape):
+        # a real field with no frequency |k_d| >= m/2 on the fine grid comes back
+        # from its even points on every fine point
+        n = shape[0]
+        rng = np.random.default_rng(n)
+        band = np.abs(np.fft.fftfreq(n, 1.0 / n)) < n // 4
+        half = dual_functional._half_spectrum(shape)
+        low = np.ix_(*[np.flatnonzero(band)] * (len(shape) - 1), np.arange(n // 4))
+        half[low] = rng.standard_normal(half[low].shape) + 1j * rng.standard_normal(half[low].shape)
+        field = np.fft.irfftn(half, s=shape, axes=tuple(range(len(shape))))
+        even = field[(slice(None, None, 2),) * len(shape)]
+        scale = np.abs(field).max()
+        np.testing.assert_allclose(dual_functional.prolong(even, shape), field, rtol=0, atol=1e-13 * scale)
+
+    def test_nyquist_line_is_split(self):
+        # the coarse Nyquist mode cos(pi x / H), H the coarse spacing, alternates
+        # in sign; its interpolant is the same cosine, which vanishes at the odd
+        # fine points, midway between the coarse ones
+        coarse = np.cos(np.pi * np.arange(8))[:, None] * np.ones((8, 8))
+        for values in (coarse, coarse.T):
+            fine = dual_functional.prolong(values, (16, 16))
+            np.testing.assert_allclose(fine[::2, ::2], values, rtol=0, atol=1e-15)
+            assert np.abs(fine[1::2, 1::2]).max() < 1e-15
+
+
 class TestDualToPrimal:
     def test_eigenmode(self, const_ctx):
         v = mode_field(const_ctx.grid, (1, 0))

@@ -30,7 +30,14 @@ from helmdual import selftest as battery
 from helmdual.cli import build_context
 from helmdual.config import descent_config, parse_config
 from helmdual.search import KREFRESH, SNAP_AFTER, _AndersonWindow, _project_scored
-from conftest import make_bump_context, make_sine_context, make_spanning_bump_context, random_field, spans_grid
+from conftest import (
+    make_bump_context,
+    make_constant_context,
+    make_sine_context,
+    make_spanning_bump_context,
+    random_field,
+    spans_grid,
+)
 
 MINI_CFG = DescentConfig(multistart_count=5, rng_seed=20240601, max_iters=1500)
 
@@ -87,7 +94,8 @@ class TestInitialField:
         lambda: make_sine_context(n=48),
         lambda: make_bump_context(n=32),
         lambda: make_bump_context(n=24, L=8.0, dimension=3, p=5.0),
-    ], ids=["periodic_2d", "compact_2d", "compact_3d"])
+        lambda: make_sine_context(n=6),  # modes 3 and -3 share a row: the later one stays
+    ], ids=["periodic_2d", "compact_2d", "compact_3d", "aliased_rows"])
     def test_bit_identical_to_mesh_formula(self, make):
         # on the support's box (the grid, for full support) the values are the
         # mesh formula's bit for bit, and the field is zero outside the box
@@ -711,7 +719,15 @@ class TestFinishRecords:
     def test_records_sorted_by_level_then_field_bytes(self, mini_ctx, mini_result):
         keys = [(rec.level, grid_field(mini_ctx, rec).values.tobytes()) for rec in mini_result.records]
         assert keys == sorted(keys)
-        assert len({level for level, _ in keys}) < len(keys)  # a tie broken by the bytes
+        # a tie broken by the bytes: the ground record next to its translate by one
+        # cell, which has its level to the bit (the run's own records no longer tie)
+        ground = mini_result.records[0]
+        cells = int(round(mini_ctx.grid.box_length))
+        moved = replace(ground, orbit_shift=tuple((s + 1) % cells for s in ground.orbit_shift))
+        ties = [(rec.level, grid_field(mini_ctx, rec).values.tobytes()) for rec in (ground, moved)]
+        assert ties[0][0] == ties[1][0] and ties[0][1] != ties[1][1]
+        ordered = search._by_level(mini_ctx, [moved, ground] if ties[0] < ties[1] else [ground, moved])
+        assert [(rec.level, grid_field(mini_ctx, rec).values.tobytes()) for rec in ordered] == sorted(ties)
 
 
 class TestOrbitDistance:
@@ -792,6 +808,78 @@ class TestMultistart:
         w = Field(mini_ctx.grid, np.roll(v.values, (2 * shift, shift), axis=(0, 1)))
         scale = max(v.lp_norm(pc), w.lp_norm(pc))
         assert orbit_distance(mini_ctx, v, w) <= MINI_CFG.dedup_rel_threshold * scale
+
+
+class TestCoarseStarts:
+    """A random start on a full-support Q descends on the half grid first (`_coarse`)."""
+
+    @pytest.mark.parametrize("make", [
+        make_bump_context,                              # compact support
+        make_spanning_bump_context,                     # the box spans the grid, with zeros
+        lambda: make_sine_context(n=30),                # n % 4 == 2
+        lambda: make_sine_context(n=30, periodic=False),
+        lambda: make_sine_context(n=12, L=4.0),         # 3 points a cell: no unit shift at n/2 = 6
+    ], ids=["compact", "spanning", "n_30", "n_30_not_periodic", "no_unit_shift_at_half"])
+    def test_no_coarse_grid(self, make):
+        assert search._coarse(make()) is None
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_coarse_context_samples_q_at_the_even_points(self, periodic):
+        ctx = make_sine_context(n=48, periodic=periodic)
+        coarse = search._coarse(ctx)
+        assert coarse.grid == GridSpec(2, 6.0, 24)
+        assert coarse.periodic == periodic and coarse.exponents == ctx.exponents
+        assert coarse.q.tobytes() == np.ascontiguousarray(ctx.q[::2, ::2]).tobytes()
+
+    def test_start_descends_on_both_grids(self, mini_ctx, monkeypatch):
+        # the even points of the start descend on n = 24, and the prolonged
+        # critical point is the start of the descent on n = 48
+        find = search.find_critical_point
+        calls = []
+
+        def recorded(ctx, v0, cfg):
+            calls.append((ctx.grid.points_per_axis, v0.copy()))
+            return find(ctx, v0, cfg)
+
+        monkeypatch.setattr(search, "find_critical_point", recorded)
+        coarse = search._coarse(mini_ctx)
+        seed = np.random.SeedSequence(MINI_CFG.rng_seed).spawn(1)[0]
+        index, status, record = search._solve_one((mini_ctx, coarse, MINI_CFG, 0, seed))
+        assert status == "converged" and record.start_index == 0
+        (n_first, v_first), (n_second, v_second) = calls
+        start = initial_field(mini_ctx, np.random.default_rng(seed)).values
+        assert (n_first, n_second) == (24, 48)
+        assert v_first.tobytes() == np.ascontiguousarray(start[::2, ::2]).reshape(-1).tobytes()
+        found = find(coarse, v_first, MINI_CFG)
+        assert v_second.tobytes() == dual_functional.prolong(coarse.extend(found.v), (48, 48)).reshape(-1).tobytes()
+        # the record's steps are those on the run's grid
+        assert record.iterations == len(record.j_values) - 1 < found.iterations
+
+    def test_failed_coarse_descent_fails_the_start(self, mini_ctx, mini_result, monkeypatch):
+        find = search.find_critical_point
+        grids = []
+
+        def first_coarse_fails(ctx, v0, cfg):
+            grids.append(ctx.grid.points_per_axis)
+            if grids == [24]:
+                raise MaxIterationsError("no convergence on the half grid", residual=1e-3)
+            return find(ctx, v0, cfg)
+
+        monkeypatch.setattr(search, "find_critical_point", first_coarse_fails)
+        result = multistart_search(mini_ctx, replace(MINI_CFG, multistart_count=2))
+        assert result.outcomes[0] == ("max_iters", "no convergence on the half grid (residual=1.000e-03)")
+        assert result.outcomes[1] == mini_result.outcomes[1] == ("converged", "")
+        # start 0 never reaches the run's grid; start 1 descends on both
+        assert grids[:3] == [24, 24, 48]
+
+    def test_constant_q_starts_converge(self):
+        # the constant-Q starts that crawled along a sub-grid translation valley
+        # (4 of 10 at max_iters = 2,000 on n = 32 alone) converge from the half grid
+        ctx = make_constant_context()
+        result = multistart_search(ctx, DescentConfig(multistart_count=10, rng_seed=12345))
+        assert result.outcomes == [("converged", "")] * 10
+        assert all(rec.iterations <= DescentConfig().max_iters for rec in result.records)
+        assert abs(result.level_estimate - 2.326125848803) <= 1e-9
 
 
 class TestPalaisSmaleBound:
