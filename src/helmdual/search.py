@@ -9,26 +9,40 @@ plateau combined with strict residual decrease.  The accepted-step energies
 are therefore nonincreasing to within 1e-13, which is the computable
 analogue of descent along a pseudo-gradient flow.
 
-Two accelerations wrap the plain iteration without weakening the gate:
+Each step takes the first rung of a fixed ladder whose candidate passes
+that gate (`_passes`); every rung returns a scored point (`_Point`) or None:
 
-* Anderson extrapolation over a short history of Picard images (combinations
-  reuse the cached linear images of K, so no extra transforms).  The
-  least-squares mix works on a QR factorization of the residual differences
-  that grows by one column per step and restarts from the newest image when
-  the window is full (Walker & Ni, SIAM J. Numer. Anal. 2011).  A new
-  column costs one classical Gram-Schmidt pass over the vector, and a
-  second only when the Daniel-Gragg-Kaufman-Stewart test asks for it; the
-  solve is a back substitution on the small triangular factor.  A mix that
-  passes the gate with a residual above the iterate's is scored again on a
-  fresh transform, because a mix with large coefficients cancels and its
-  combined image drifts from K of the mix;
-* when the mix is rejected, the heavy-ball candidate
-  w = G(v) + MOMENTUM (v - v_prev) (Polyak 1964), with the Picard map G in
-  the role of the preconditioned gradient, as in Petviashvili-type
-  iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev) comes from cached
-  images.  It and then the plain step G(v), already scored, must pass the
-  Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>; a step where none of the
-  three candidates passes raises MaxIterationsError ("line search stalled").
+1. `_snap_rung`, once per start, at step SNAP_AFTER, for a Q whose
+   support's box spans the grid: the profile placed at its best position
+   (the snap, below), if it passes the gate with a strict decrease.  The
+   Anderson window restarts and the heavy ball forgets its previous point.
+   Otherwise the step goes on to `_step`, which projects and scores the
+   Picard image G(v) once and pushes it to the Anderson window;
+2. `_anderson_rung`: Anderson extrapolation over a short history of Picard
+   images (combinations reuse the cached linear images of K, so no extra
+   transforms).  The least-squares mix works on a QR factorization of the
+   residual differences that grows by one column per step and restarts
+   from the newest image when the window is full (Walker & Ni, SIAM J.
+   Numer. Anal. 2011).  A new column costs one classical Gram-Schmidt pass
+   over the vector, and a second only when the Daniel-Gragg-Kaufman-Stewart
+   test asks for it; the solve is a back substitution on the small
+   triangular factor.  A mix that passes the gate with a residual above the
+   iterate's is scored again on a fresh transform, because a mix with large
+   coefficients cancels and its combined image drifts from K of the mix;
+3. `_heavy_ball_rung`: w = G(v) + MOMENTUM (v - v_prev) (Polyak 1964), with
+   the Picard map G in the role of the preconditioned gradient, as in
+   Petviashvili-type iterations.  Its image K G(v) + MOMENTUM (Kv - Kv_prev)
+   comes from cached images.  It has no v_prev on a start's first step and
+   on the step after a snap;
+4. `_picard_rung`: the plain step G(v), already scored.  It and the heavy
+   ball must pass the Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>.
+
+A descent ends in one of three MaxIterationsErrors (`_failure`, whose
+message names the grid): a step where no rung passes ("line search
+stalled"), a Picard image outside U^+ ("iteration left the admissible
+cone") and the step budget.  Every KREFRESH accepted steps the point's
+cached image is taken again on a fresh transform (`_refreshed`), and a
+residual below the tolerance is confirmed on one before the descent returns.
 
 For a Q with full support, the level of one bump profile depends on where
 it sits: in the unit cell for a Q declared unit-periodic (`ctx.periodic`),
@@ -46,15 +60,12 @@ correlation of Q with |phi|^{p'}, taken once.  Levels within LEVEL_TIE
 symmetric pair of shifts is not resolved by rounding.  A chosen shift is
 scored in full by the fibering projection like any candidate:
 
-* the snap, for every Q whose support's box spans the grid (full support
-  among them): once per start, after SNAP_AFTER
-  accepted steps, the shifts of the unit cell (unit-periodic Q) or of the
-  whole box (any other Q) are searched coarse to fine (stride extent/4, then
-  halving around the best shift; a tie keeps the earlier shift), and the
-  placement at the lowest level is taken as the next step if it passes the
-  monotone gate with a strict decrease.  The Anderson window restarts and
-  the heavy ball forgets its previous iterate.  A Q whose support's box is
-  smaller than the grid never snaps;
+* the snap (`_snap`), the search of the first rung: the shifts of the unit
+  cell (unit-periodic Q) or of the whole box (any other Q) are searched
+  coarse to fine (stride extent/4, then halving around the best shift; a
+  tie keeps the earlier shift), and the placement at the lowest level is
+  the rung's candidate.  A Q whose support's box is smaller than the grid
+  never snaps;
 * the placement, for a unit-periodic Q only: after orbit dedup, the first
   (lowest) record's landscape is evaluated at every shift of the unit cell.
   Its discrete critical shifts (extrema over all neighbours, or saddles,
@@ -118,6 +129,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,15 +217,29 @@ class MultistartResult:
 # ---------------------------------------------------------------------------
 
 
+class _Point(NamedTuple):
+    """A point of the descent on the Nehari constraint, scored: v, its image
+    kv = K v, the level J(v), the dual residual res, ||J'(v)||_p, ||v||_{p'}
+    and J'(v)."""
+
+    v: np.ndarray
+    kv: np.ndarray
+    level: float
+    res: float
+    grad_norm: float
+    v_norm: float
+    g: np.ndarray
+
+
 def _project_scored(ctx, w, kw, ceiling=None):
     """Fibering projection v = t_w w onto the Nehari constraint, scored in the same pass.
 
-    Returns (v, kv, level, residual, ||J'(v)||_p, ||v||_{p'}, J'(v)), or None
-    outside U^+ or when the level exceeds `ceiling` (checked before J'(v) is
-    built).  The projected point shares every power with w up to a scalar
-    factor: with a = |w|^{p'-1}, the mass is sum a |w|, J'(v) = t^{p'-1}
-    sign(w) a - t Kw and ||v||_{p'} = t ||w||_{p'}, so |w|^{p'-1} and |J'(v)|^p
-    are the only powers over the vector.  The inputs are left untouched.
+    Returns the _Point of v, or None outside U^+ or when the level exceeds
+    `ceiling` (checked before J'(v) is built).  The projected point shares
+    every power with w up to a scalar factor: with a = |w|^{p'-1}, the mass
+    is sum a |w|, J'(v) = t^{p'-1} sign(w) a - t Kw and ||v||_{p'} =
+    t ||w||_{p'}, so |w|^{p'-1} and |J'(v)|^p are the only powers over the
+    vector.  The inputs are left untouched.
     """
     pc, p = ctx.exponents.p_conj, ctx.exponents.p
     qf = ctx.weight * float(np.vdot(w, kw))
@@ -234,7 +260,7 @@ def _project_scored(ctx, w, kw, ceiling=None):
     grad_norm = float((ctx.weight * power.sum()) ** (1.0 / p))
     del power
     v_norm = t * m ** (1.0 / pc)
-    return t * w, kv, level, grad_norm / v_norm ** (pc - 1.0), grad_norm, v_norm, g
+    return _Point(t * w, kv, level, grad_norm / v_norm ** (pc - 1.0), grad_norm, v_norm, g)
 
 
 class _AndersonWindow:
@@ -507,10 +533,125 @@ def _place(ctx, record, cfg):
         if start is None:
             continue  # an infinite peak of the landscape: outside U^+
         try:
-            placed.append(find_critical_point(ctx, start[0], replace(cfg, max_iters=SNAP_AFTER)))
+            placed.append(find_critical_point(ctx, start.v, replace(cfg, max_iters=SNAP_AFTER)))
         except MaxIterationsError:
             pass  # not at the tolerance within its budget: dropped
     return placed
+
+
+# ---------------------------------------------------------------------------
+# the step ladder
+# ---------------------------------------------------------------------------
+
+
+def _ceiling(point):
+    """The highest level the gate lets through from point: its level plus the plateau slack."""
+    return point.level + PLATEAU_SLACK * max(1.0, abs(point.level))
+
+
+def _passes(candidate, point, bound):
+    """The monotone gate from point: a candidate with level at most bound, or on the
+    plateau (level at most `_ceiling`) with residual progress.  None never passes."""
+    return candidate is not None and (candidate.level <= bound or (
+        candidate.level <= _ceiling(point) and candidate.res <= RESIDUAL_SHRINK * point.res))
+
+
+def _failure(ctx, point, iterations, reason):
+    """The MaxIterationsError of a descent that ends at point after `iterations` steps."""
+    return MaxIterationsError(f"{reason} on the n = {ctx.grid.points_per_axis} grid",
+                              iterations=iterations, residual=point.res, level=point.level)
+
+
+def _snap_rung(ctx, point):
+    """Rung 1, once per start: the snap's placement, if it passes the gate with a strict decrease."""
+    snapped = _snap(ctx, point.v)
+    return snapped if _passes(snapped, point, np.nextafter(point.level, -np.inf)) else None
+
+
+def _anderson_rung(ctx, point, window):
+    """Rung 2: the Anderson mix of the window, if it passes the gate with a strict decrease
+    or on the plateau.  A mix that passes with a residual above the point's is scored
+    again on a fresh transform: a mix with large coefficients cancels, and its combined
+    image drifts from K of the mixed point.  A level above `_ceiling` fails both
+    branches of the gate, so such a mix is not scored further."""
+    mixed = window.candidate()
+    if mixed is None:
+        return None
+    bound = np.nextafter(point.level, -np.inf)
+    candidate = _project_scored(ctx, *mixed, ceiling=_ceiling(point))
+    if _passes(candidate, point, bound) and candidate.res > point.res:
+        candidate = _project_scored(ctx, mixed[0], ctx.apply_k_support(mixed[0]), ceiling=_ceiling(point))
+    return candidate if _passes(candidate, point, bound) else None
+
+
+def _heavy_ball_rung(ctx, point, prev, image, armijo):
+    """Rung 3: w = G(v) + MOMENTUM (v - v_prev) from the previous accepted point prev, its
+    image from cached images, written over prev's arrays; None without a prev."""
+    if prev is None:
+        return None
+    w = np.subtract(point.v, prev.v, out=prev.v)
+    w *= MOMENTUM
+    w += image.v
+    kw = np.subtract(point.kv, prev.kv, out=prev.kv)
+    kw *= MOMENTUM
+    kw += image.kv
+    candidate = _project_scored(ctx, w, kw, ceiling=_ceiling(point))
+    return candidate if _passes(candidate, point, armijo) else None
+
+
+def _picard_rung(point, image, armijo):
+    """Rung 4: the full Picard step, the projected image G(v), already scored."""
+    return image if _passes(image, point, armijo) else None
+
+
+def _step(ctx, point, window, prev, iterations):
+    """Rungs 2 to 4 from point: the first candidate that passes the gate.
+
+    The Picard image G(v) = |Kv|^{p-2} Kv is projected and scored once, and
+    pushed to the Anderson window before the mix.  The heavy ball and the
+    Picard step share the Armijo bound J(v) - ARMIJO_C <J'(v), v - G(v)>.
+    Raises the cone exit when the image leaves U^+, and the stall exit when
+    no rung passes.
+    """
+    picard = odd_power(point.kv, ctx.exponents.p - 1.0)
+    image = _project_scored(ctx, picard, ctx.apply_k_support(picard))
+    if image is None:
+        raise _failure(ctx, point, iterations, "iteration left the admissible cone")
+    window.push(point.v, image.v, image.kv)
+    accepted = _anderson_rung(ctx, point, window)
+    if accepted is None:
+        armijo = point.level - ARMIJO_C * max(ctx.inner(point.g, point.v - image.v), 0.0)
+        accepted = _heavy_ball_rung(ctx, point, prev, image, armijo) or _picard_rung(point, image, armijo)
+    if accepted is None:
+        raise _failure(ctx, point, iterations, "line search stalled")
+    return accepted
+
+
+def _refreshed(ctx, point):
+    """The point with a fresh transform kv = K v, and J'(v) and the residual from it;
+    v and its norm are unchanged."""
+    kv = ctx.apply_k_support(point.v)
+    g = ctx.gradient_arrays(point.v, kv)
+    grad_norm = ctx.lp_norm(g, ctx.exponents.p)
+    res = grad_norm / point.v_norm ** (ctx.exponents.p_conj - 1.0)
+    return point._replace(kv=kv, res=res, grad_norm=grad_norm, g=g)
+
+
+def _record(ctx, point, scores):
+    """The SolutionRecord of the converged point, with the (level, ||J'||_p, ||v||_{p'})
+    `scores` of the start and of each accepted step."""
+    j_values, grad_norms, v_norms = zip(*scores)
+    return SolutionRecord(
+        v=point.v,
+        level=ctx.energy_arrays(point.v, point.kv),
+        dual_residual=point.res,
+        iterations=len(scores) - 1,
+        orbit_shift=(0,) * ctx.grid.dimension,
+        j_values=np.asarray(j_values),
+        grad_norms=np.asarray(grad_norms),
+        v_norms=np.asarray(v_norms),
+        bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
+    )
 
 
 def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> SolutionRecord:
@@ -521,134 +662,39 @@ def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> Solut
     support, without its grid fields or primal check (`finish_records`
     adds them).  Raises NotInUPlusError when the projected seed is
     inadmissible and MaxIterationsError when the budget runs out or a step
-    stalls.  The descent starts from v0 restricted to the support of Q,
-    which has the same quadratic form and a smaller norm, hence a lower
-    fibering level.
+    stalls or leaves the cone (`_failure`).  The descent starts from v0
+    restricted to the support of Q, which has the same quadratic form and a
+    smaller norm, hence a lower fibering level.  Each step takes the first
+    rung of the ladder that passes the gate: the snap (`_snap_rung`, at step
+    SNAP_AFTER only), then `_step`'s Anderson mix, heavy ball and Picard
+    step.
     """
-    pc = ctx.exponents.p_conj
-    p = ctx.exponents.p
     v = ctx.restrict(ctx._own(v0)) if isinstance(v0, Field) else v0
     if not np.any(v):
         raise NotInUPlusError("zero initial field is inadmissible")
-    projected = _project_scored(ctx, v, ctx.apply_k_support(v))
-    if projected is None:
+    point = _project_scored(ctx, v, ctx.apply_k_support(v))
+    if point is None:
         raise NotInUPlusError("initial field has nonpositive quadratic form")
-    v, kv, level, res, grad_norm, v_norm, g = projected
-
-    j_values = [level]
-    grad_norms = [grad_norm]
-    v_norms = [v_norm]
-
-    anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
-    v_prev = kv_prev = None  # the previous accepted iterate and its cached image
-    iterations = 0
+    scores = [(point.level, point.grad_norm, point.v_norm)]
+    window, prev = _AndersonWindow(ANDERSON_DEPTH, v.size), None
     # the box spans the grid: the profile can move over the whole box
-    snap_due = ctx.box == tuple(slice(0, n) for n in ctx.grid.shape)
-
-    def _passes(candidate, bound):
-        """Monotone gate: energy at most bound, or a plateau with residual progress."""
-        level_new, res_new = candidate[2], candidate[3]
-        return level_new <= bound or (
-            level_new <= level + plateau and res_new <= RESIDUAL_SHRINK * res
-        )
-
-    while True:
-        if res <= cfg.tol_residual:
-            kv = ctx.apply_k_support(v)  # fresh transform before declaring victory
-            res = ctx.dual_residual_arrays(v, kv)
-            if res <= cfg.tol_residual:
-                return SolutionRecord(
-                    v=v,
-                    level=ctx.energy_arrays(v, kv),
-                    dual_residual=res,
-                    iterations=iterations,
-                    orbit_shift=(0,) * ctx.grid.dimension,
-                    j_values=np.asarray(j_values),
-                    grad_norms=np.asarray(grad_norms),
-                    v_norms=np.asarray(v_norms),
-                    bound_constant=max(2.0 * max(j_values), max(grad_norms), 1e-300),
-                )
+    snaps = ctx.box == tuple(slice(0, n) for n in ctx.grid.shape)
+    for iterations in itertools.count():
+        if point.res <= cfg.tol_residual:  # confirm on a fresh transform before declaring victory
+            kv = ctx.apply_k_support(point.v)
+            point = point._replace(kv=kv, res=ctx.dual_residual_arrays(point.v, kv))
+            if point.res <= cfg.tol_residual:
+                return _record(ctx, point, scores)
         if iterations >= cfg.max_iters:
-            raise MaxIterationsError(
-                f"no convergence within {cfg.max_iters} iterations "
-                f"(residual {res:.3e})",
-                iterations=iterations, residual=res, level=level,
-            )
-
-        plateau = PLATEAU_SLACK * max(1.0, abs(level))
-        accepted = None
-
-        # -- once per start: snap the profile to its best position -----------
-        if snap_due and iterations >= SNAP_AFTER:
-            snap_due = False
-            snapped = _snap(ctx, v)
-            if snapped is not None and _passes(snapped, np.nextafter(level, -np.inf)):
-                accepted = snapped
-                # the window and the heavy ball's history describe the old position
-                anderson = _AndersonWindow(ANDERSON_DEPTH, v.size)
-                v_prev = kv_prev = None
-
-        # -- one descent step -------------------------------------------------
-        if accepted is None:
-            picard = odd_power(kv, p - 1.0)
-            image = _project_scored(ctx, picard, ctx.apply_k_support(picard))
-            if image is None:
-                raise MaxIterationsError(
-                    "iteration left the admissible cone",
-                    iterations=iterations, residual=res, level=level,
-                )
-            gv, kgv = image[0], image[1]
-            anderson.push(v, gv, kgv)
-
-            mixed = anderson.candidate()
-            if mixed is not None:
-                # strict energy decrease, or the plateau branch; a level above
-                # level + plateau fails both, so such a candidate is not scored further
-                bound = np.nextafter(level, -np.inf)
-                candidate = _project_scored(ctx, *mixed, ceiling=level + plateau)
-                if candidate is not None and _passes(candidate, bound) and candidate[3] > res:
-                    # a mix with large coefficients cancels, and its combined image
-                    # drifts from K of the mixed point: confirm on a fresh transform
-                    candidate = _project_scored(ctx, mixed[0], ctx.apply_k_support(mixed[0]),
-                                                ceiling=level + plateau)
-                if candidate is not None and _passes(candidate, bound):
-                    accepted = candidate
-
-            if accepted is None:
-                # the heavy ball and the full Picard step share the Armijo bound
-                armijo = level - ARMIJO_C * max(ctx.inner(g, v - gv), 0.0)
-                if v_prev is not None:
-                    # heavy ball w = G(v) + beta (v - v_prev), its image from cached images
-                    w = np.subtract(v, v_prev, out=v_prev)
-                    w *= MOMENTUM
-                    w += gv
-                    kw = np.subtract(kv, kv_prev, out=kv_prev)
-                    kw *= MOMENTUM
-                    kw += kgv
-                    candidate = _project_scored(ctx, w, kw, ceiling=level + plateau)
-                    if candidate is not None and _passes(candidate, armijo):
-                        accepted = candidate
-                # the full Picard step is the projected image G(v), already scored
-                if accepted is None and _passes(image, armijo):
-                    accepted = image
-
-            if accepted is None:
-                raise MaxIterationsError(
-                    f"line search stalled at residual {res:.3e}",
-                    iterations=iterations, residual=res, level=level,
-                )
-            v_prev, kv_prev = v, kv
-        v, kv, level, res, grad_norm, v_norm, g = accepted
-
-        iterations += 1
-        if iterations % KREFRESH == 0:
-            kv = ctx.apply_k_support(v)
-            g = ctx.gradient_arrays(v, kv)  # v and its norm are unchanged
-            grad_norm = ctx.lp_norm(g, p)
-            res = grad_norm / v_norm ** (pc - 1.0)
-        j_values.append(level)
-        grad_norms.append(grad_norm)
-        v_norms.append(v_norm)
+            raise _failure(ctx, point, iterations, f"no convergence within {cfg.max_iters} iterations")
+        snapped = _snap_rung(ctx, point) if snaps and iterations == SNAP_AFTER else None
+        if snapped is not None:  # the window and the heavy ball's prev describe the old position
+            point, window, prev = snapped, _AndersonWindow(ANDERSON_DEPTH, v.size), None
+        else:
+            point, prev = _step(ctx, point, window, prev, iterations), point
+        if (iterations + 1) % KREFRESH == 0:
+            point = _refreshed(ctx, point)
+        scores.append((point.level, point.grad_norm, point.v_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +968,9 @@ def _solve_one(args):
     there to the tolerance first, and the critical point, prolonged to the
     run's grid (`prolong`), is the start of the descent on n.  Each descent
     has the whole budget, and the record's iterations and trajectory are the
-    second's.  A half-grid descent that fails fails the start.
+    second's.  A half-grid descent that fails fails the start.  The detail of
+    a `max_iters` start is the error's message, which names its reason and
+    grid, and the residual it ended at.
     """
     ctx, coarse, cfg, index, seed_seq = args
     rng = np.random.default_rng(seed_seq)
@@ -997,7 +1045,6 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
             raise WorkerPoolError(f"a multistart worker process died: {exc}") from exc
     else:
         raw = [_solve_one(job) for job in jobs]
-    raw.sort(key=lambda item: item[0])
 
     outcomes = [(status, detail if isinstance(detail, str) else "") for _, status, detail in raw]
     records = [detail for _, status, detail in raw if status == "converged"]

@@ -271,7 +271,7 @@ class TestStallExit:
             out = project(*args, **kwargs)
             state["calls"] += 1
             if out is not None and state["calls"] > 1 and state["start"] == stalled_start:
-                out = out[:2] + (np.inf,) + out[3:]
+                out = out._replace(level=np.inf)
             return out
 
         monkeypatch.setattr(search, "find_critical_point", counted_find)
@@ -294,6 +294,57 @@ class TestStallExit:
         assert detail.startswith("line search stalled")
         # the other start is untouched
         assert result.outcomes[1] == mini_result.outcomes[1] == ("converged", "")
+
+
+class TestLadder:
+    """The order of the step ladder: the snap, the Anderson mix, the heavy ball, the Picard step."""
+
+    RUNGS = ("_snap_rung", "_anderson_rung", "_heavy_ball_rung", "_picard_rung")
+
+    def test_rung_order(self, mini_ctx, monkeypatch):
+        # mini_ctx's Q declared non-periodic: its snap searches the whole box
+        ctx = make_sine_context(n=48, periodic=False)
+        calls = []  # (step, rung, accepted, projections made inside the rung)
+        scored = [0]
+        project = search._project_scored
+
+        def counted_project(*args, **kwargs):
+            scored[0] += 1
+            return project(*args, **kwargs)
+
+        def spy(name, rung):
+            def wrapper(*args):
+                step = sum(accepted for _, _, accepted, _ in calls)
+                before = scored[0]
+                out = rung(*args)
+                calls.append((step, name, out is not None, scored[0] - before))
+                return out
+            return wrapper
+
+        for name in self.RUNGS:
+            monkeypatch.setattr(search, name, spy(name, getattr(search, name)))
+        monkeypatch.setattr(search, "_project_scored", counted_project)
+        v0 = initial_field(mini_ctx, np.random.default_rng(MINI_CFG.rng_seed))
+        rec = find_critical_point(ctx, v0, MINI_CFG)
+
+        assert [(step, accepted) for step, name, accepted, _ in calls if name == "_snap_rung"] == [
+            (SNAP_AFTER, True)]
+        assert sum(accepted for _, _, accepted, _ in calls) == rec.iterations
+        for k in range(rec.iterations):
+            step = [(name, accepted, made) for at, name, accepted, made in calls if at == k]
+            names = [name for name, _, _ in step]
+            if k == SNAP_AFTER:
+                assert names == ["_snap_rung"]
+                continue
+            # a rung is tried only when the rungs before it failed, and the last one tried passes
+            assert names == list(self.RUNGS[1:1 + len(names)])
+            assert [accepted for _, accepted, _ in step] == [False] * (len(names) - 1) + [True]
+        # on the first step and the step after the snap the window holds one image, so
+        # nothing is mixed, and the heavy ball has no previous point: it is skipped
+        for rung in ("_anderson_rung", "_heavy_ball_rung"):
+            assert [at for at, name, _, made in calls if name == rung and not made] == [0, SNAP_AFTER + 1]
+        accepted = Counter(name for _, name, ok, _ in calls if ok)
+        assert accepted["_heavy_ball_rung"] > 0 and accepted["_picard_rung"] > 0
 
 
 class TestProjectScored:
@@ -871,6 +922,14 @@ class TestCoarseStarts:
         assert result.outcomes[1] == mini_result.outcomes[1] == ("converged", "")
         # start 0 never reaches the run's grid; start 1 descends on both
         assert grids[:3] == [24, 24, 48]
+
+    def test_budget_exit_names_its_grid_and_residual_once(self, mini_ctx):
+        # the n = 48 sine solve at seed 12345 with 40 steps: start 0 runs out
+        # of steps on the half grid
+        seed = np.random.SeedSequence(12345).spawn(1)[0]
+        job = (mini_ctx, search._coarse(mini_ctx), DescentConfig(max_iters=40), 0, seed)
+        assert search._solve_one(job) == (
+            0, "max_iters", "no convergence within 40 iterations on the n = 24 grid (residual=3.635e-06)")
 
     def test_constant_q_starts_converge(self):
         # the constant-Q starts that crawled along a sub-grid translation valley
