@@ -26,6 +26,8 @@ from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
 from .search import DescentConfig, _admit, find_critical_point, grid_field, multistart_search
 
+CHAIN_TOL = 1e-10  # slack of each link of the transplant level chain; the invariant battery reads it too
+
 
 @dataclass(frozen=True)
 class BumpDescriptor:
@@ -152,7 +154,7 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     j_q_tv = ctx_q.energy(t_v * v)
     j_inf_tw = ctx_inf.energy(t_v * w)
     transplant_level = ctx_q.nehari_energy(v)
-    transplant_check = transplant_level <= j_inf_w + 1e-10
+    transplant_check = transplant_level <= j_inf_w + CHAIN_TOL
 
     records_q = list(result_q.records)
     try:

@@ -303,6 +303,11 @@ class FunctionalContext:
     Q must be nonnegative and not identically zero; `periodic` declares it
     unit-periodic, which needs a grid with unit shifts and is checked.  It
     is the setting of Z^N orbits, recentering and the position landscape.
+
+    The group that Q's orbits are taken over is stated once, as `cells`
+    shifts per axis of `cell_points` grid points each: round(L) unit-cell
+    shifts of n/L points for a unit-periodic Q, and the identity, one shift
+    whose cell is the whole box of n points, for any other Q.
     """
 
     def __init__(self, q: Field, p: float, periodic: bool = False):
@@ -313,6 +318,7 @@ class FunctionalContext:
         positive = vals > 0.0
         if not positive.any():
             raise DomainError("coefficient must not vanish identically")
+        self.cells, self.cell_points = 1, grid.points_per_axis  # the orbit group: the identity
         if periodic:
             shift = grid.unit_shift_points
             if shift is None:
@@ -322,6 +328,7 @@ class FunctionalContext:
             for axis in range(grid.dimension):
                 if not np.array_equal(np.roll(vals, shift, axis=axis), vals):
                     raise DomainError(f"coefficient not unit-periodic along axis {axis}")
+            self.cells, self.cell_points = round(grid.box_length), shift  # the unit-cell shifts
         self.grid = grid
         self.exponents = Exponents(grid.dimension, p)
         self.periodic = periodic

@@ -92,11 +92,13 @@ the record's iterations and trajectory are the second descent's.
 Everything after the starts (dedup, recentering, the placement, the
 primal check) runs on the run's grid.
 
-The orbit dedup asks only whether some cell shift (the identity alone for
-a Q that is not unit-periodic) and sign bring a record within the dedup
-radius of a kept one.  A lower bound on every such distance comes from the
-L2 distances, which one Gram matrix of unit-cell blocks gives for all shifts
-at once; the exact p'-norm is taken only where the bound allows a match.
+The orbit dedup asks only whether some shift of the context's orbit group
+(`FunctionalContext.cells`: the unit-cell shifts of a unit-periodic Q, the
+identity alone for any other Q) and sign bring a record within the dedup
+radius of a kept one; `orbit_distance` is its exact minimum.  A lower
+bound on every such distance comes from the L2 distances, which one Gram
+matrix of cell blocks gives for all shifts at once; the exact p'-norm is
+taken only where the bound allows a match.
 The test runs over both signs and every shift, so it compares the support
 vectors v, extended to the grid for a unit-periodic Q.
 
@@ -135,7 +137,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    GridMismatchError,
     MaxIterationsError,
     NoSolutionFoundError,
     NotInUPlusError,
@@ -418,15 +419,16 @@ def _snap(ctx, v):
 
     v is a support vector, and its profile comes from u = R(Q^{1/p} v), one
     `resolvent_array` over the support's box, which spans the grid here
-    (`find_critical_point` snaps only then).  The shifts range over the unit
-    cell for a unit-periodic Q and over the whole box otherwise.  Shifts on
+    (`find_critical_point` snaps only then).  The shifts range over the cell
+    of the context's orbit group (`ctx.cell_points` per axis): the unit cell
+    for a unit-periodic Q, the whole box otherwise.  Shifts on
     the stride extent/4 lattice first, then the neighbours of the best shift
     at half the stride, down to stride 1 (32 shifts for a 16-point cell in
     2d), on the landscape levels; a level within LEVEL_TIE of the best so far
     is a tie and keeps the earlier shift.  Returns the scored placement at
     the best shift, or None when no shift is in U^+.
     """
-    extent = ctx.grid.unit_shift_points if ctx.periodic else ctx.grid.points_per_axis
+    extent = ctx.cell_points
     dim = ctx.grid.dimension
     profile = _profile(ctx, ctx.resolvent_array(v))
     level = _landscape(ctx, profile)
@@ -520,7 +522,7 @@ def _place(ctx, record, cfg):
     so no placed start is snapped off its position; a start that has not met
     the tolerance by then is dropped.
     """
-    cell = ctx.grid.unit_shift_points
+    cell = ctx.cell_points
     profile = _profile(ctx, primal_field(ctx, record).values)
     level = _landscape(ctx, profile)
     shifts = itertools.product(range(cell), repeat=ctx.grid.dimension)
@@ -702,46 +704,45 @@ def find_critical_point(ctx: FunctionalContext, v0, cfg: DescentConfig) -> Solut
 # ---------------------------------------------------------------------------
 
 
-def _cell_roll(values, cell_shift, shift_pts):
-    """values(. - y) for the lattice shift y = cell_shift unit cells: one copy, none at y = 0."""
+def _cell_roll(ctx, values, cell_shift):
+    """values(. - y) for the shift y = cell_shift cells of the context's orbit
+    group (`ctx.cell_points` grid points per cell): one copy, none at y = 0."""
     if not any(cell_shift):
         return values
-    return np.roll(values, tuple(c * shift_pts for c in cell_shift), axis=tuple(range(values.ndim)))
+    return np.roll(values, tuple(c * ctx.cell_points for c in cell_shift), axis=tuple(range(values.ndim)))
 
 
 def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
-    """Min over integer lattice shifts and sign of ||v - (+-w)(. - y)||_{p'}.
+    """Min over the shifts y of the context's orbit group and both signs of
+    ||v - (+-w)(. - y)||_{p'}, for fields on the context's grid.
 
-    Zero exactly when w is a signed unit-cell translate of v.  Requires the
-    grid to support unit translations (points_per_axis divisible by L).
+    The group is the unit-cell shifts for a unit-periodic Q and the identity
+    alone for any other Q (`FunctionalContext.cells`), so the distance is
+    zero exactly when w is a signed member of v's orbit, on any grid.  It is
+    the exact minimum that the dedup's `_within_orbit` decides against.
     """
-    if v.grid != w.grid:
-        raise GridMismatchError("orbit distance needs fields on the same grid")
-    shift_pts = v.grid.unit_shift_points
-    if shift_pts is None:
-        raise GridMismatchError("grid does not support unit-cell translations")
     pc = ctx.exponents.p_conj
-    cells = int(round(v.grid.box_length))
+    v, w = ctx._own(v), ctx._own(w)
     best = np.inf
-    for cell_shift in itertools.product(range(cells), repeat=v.grid.dimension):
-        rolled = _cell_roll(w.values, cell_shift, shift_pts)
+    for cell_shift in itertools.product(range(ctx.cells), repeat=ctx.grid.dimension):
+        rolled = _cell_roll(ctx, w, cell_shift)
         for sign in (1.0, -1.0):
-            best = min(best, ctx.lp_norm(v.values - sign * rolled, pc))
+            best = min(best, ctx.lp_norm(v - sign * rolled, pc))
     return float(best)
 
 
 def _within_orbit(ctx, v, w, radius):
     """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
 
-    v and w are what the dedup compares (`_same_orbit`): grid arrays for a
-    unit-periodic Q, zero off its support.  For any other Q the only shift
-    is the identity (one cell, the support): v and w are the fields' vectors on the support of Q,
-    off which both vanish, and the test is min(||v - w||_{p'}, ||v + w||_{p'})
-    <= radius.
+    The shifts y are those of the context's orbit group.  v and w are what
+    the dedup compares (`_same_orbit`): grid arrays for a unit-periodic Q,
+    zero off its support.  For any other Q the group is the identity alone,
+    one cell: v and w are the fields' vectors on the support of Q, off which
+    both vanish, and the test is min(||v - w||_{p'}, ||v + w||_{p'}) <= radius.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
     h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
-    The squared L2 distances of all L^N cell shifts y and both signs s come
-    from ||v||^2 + ||w||^2 - 2 s <v, w_y>, and one Gram matrix of the unit-cell
+    The squared L2 distances of all cells^N shifts y and both signs s come
+    from ||v||^2 + ||w||^2 - 2 s <v, w_y>, and one Gram matrix of the cell
     blocks of v and w gives every <v, w_y>.  The expanded square is lowered by
     a bound on its rounding, 4 m eps (||v||^2 + ||w||^2) for vectors of m
     entries, which no BLAS blocking or thread count exceeds.  The exact
@@ -749,21 +750,15 @@ def _within_orbit(ctx, v, w, radius):
     bound is at most radius, so the answer is the same as the exact minimum's.
     """
     pc = ctx.exponents.p_conj
-    grid = ctx.grid
-    dim = grid.dimension
-    if ctx.periodic:
-        shift_pts = grid.unit_shift_points
-        cells = int(round(grid.box_length))
-    else:  # the identity alone: one cell, the support
-        shift_pts = None
-        cells = 1
+    dim = ctx.grid.dimension
+    cells = ctx.cells
 
-    def blocks(values):  # one row per unit cell, in row-major cell order
-        if cells == 1:
+    def blocks(values):  # one row per cell, in row-major cell order
+        if cells == 1:  # the whole vector, a support vector or a grid array
             return values.reshape(1, -1)
-        split = values.reshape((cells, shift_pts) * dim)
+        split = values.reshape((cells, ctx.cell_points) * dim)
         return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))).reshape(
-            cells ** dim, shift_pts ** dim)
+            cells ** dim, ctx.cell_points ** dim)
 
     gram = blocks(v) @ blocks(w).T
     index = np.indices((cells,) * dim).reshape(dim, -1)  # cells, and cell shifts in product order
@@ -783,7 +778,7 @@ def _within_orbit(ctx, v, w, radius):
     candidates = np.flatnonzero(floors.ravel() <= limit)
     for k in candidates[np.argsort(floors.ravel()[candidates], kind="stable")]:
         shift, sign = divmod(int(k), 2)
-        rolled = _cell_roll(w, tuple(int(c) for c in index[:, shift]), shift_pts)
+        rolled = _cell_roll(ctx, w, tuple(int(c) for c in index[:, shift]))
         if ctx.lp_norm(v - (1.0, -1.0)[sign] * rolled, pc) <= radius:
             return True
     return False
@@ -813,14 +808,13 @@ def recenter(ctx: FunctionalContext, record: SolutionRecord) -> SolutionRecord:
     unit-periodic Q the peak is read off the moved grid field; for any other
     Q, off the support vector.
     """
-    grid = ctx.grid
     values = record.v
     if ctx.periodic:
         values = ctx.extend(values)
-        centroid = mass_centroid(ctx, Field(grid, values))
-        cells = int(round(grid.box_length))
-        record.orbit_shift = tuple(int(np.rint(grid.box_length / 2.0 - c)) % cells for c in centroid)
-        values = _cell_roll(values, record.orbit_shift, grid.unit_shift_points)
+        centroid = mass_centroid(ctx, Field(ctx.grid, values))
+        middle = ctx.grid.box_length / 2.0
+        record.orbit_shift = tuple(int(np.rint(middle - c)) % ctx.cells for c in centroid)
+        values = _cell_roll(ctx, values, record.orbit_shift)
     if values.reshape(-1)[np.argmax(np.abs(values))] < 0.0:
         record.sign = -1
     return record
@@ -831,7 +825,7 @@ def grid_field(ctx: FunctionalContext, rec: SolutionRecord) -> Field:
     shift: -0.0 off the support when the sign is -1.  extend is a view of v
     on full support, and so is the roll at y = 0; any other array is fresh
     and negated in place.  Built on each call and kept by no record."""
-    values = _cell_roll(ctx.extend(rec.v), rec.orbit_shift, ctx.grid.unit_shift_points)
+    values = _cell_roll(ctx, ctx.extend(rec.v), rec.orbit_shift)
     if rec.sign < 0:
         values = np.negative(values, out=None if np.may_share_memory(values, rec.v) else values)
     return Field(ctx.grid, values)
@@ -842,11 +836,10 @@ def primal_field(ctx: FunctionalContext, rec: SolutionRecord) -> Field:
     formed from the unshifted support vector v and y its orbit shift: a new
     array, moved and negated in place where it can be.  Built on each call
     and kept by no record."""
-    grid = ctx.grid
-    u = _cell_roll(ctx.resolvent_array(rec.v), rec.orbit_shift, grid.unit_shift_points)
+    u = _cell_roll(ctx, ctx.resolvent_array(rec.v), rec.orbit_shift)
     if rec.sign < 0:
         np.negative(u, out=u)
-    return Field(grid, u)
+    return Field(ctx.grid, u)
 
 
 def finish_records(ctx: FunctionalContext, records: list) -> list:
@@ -962,7 +955,7 @@ def _coarse(ctx):
 
 
 def _solve_one(args):
-    """One random start: (index, status, record or failure detail).
+    """One random start: (status, record or failure detail).
 
     With a half-grid context (`_coarse`), the start's even grid points descend
     there to the tolerance first, and the critical point, prolonged to the
@@ -983,11 +976,11 @@ def _solve_one(args):
             v0 = ctx.restrict(prolong(coarse.extend(found.v), ctx.grid.shape))
         record = find_critical_point(ctx, v0, cfg)
         record.start_index = index
-        return index, "converged", record
+        return "converged", record
     except NotInUPlusError as exc:
-        return index, "not_in_u_plus", str(exc)
+        return "not_in_u_plus", str(exc)
     except MaxIterationsError as exc:
-        return index, "max_iters", f"{exc} (residual={exc.residual:.3e})"
+        return "max_iters", f"{exc} (residual={exc.residual:.3e})"
 
 
 def _by_level(ctx, records):
@@ -1046,8 +1039,8 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     else:
         raw = [_solve_one(job) for job in jobs]
 
-    outcomes = [(status, detail if isinstance(detail, str) else "") for _, status, detail in raw]
-    records = [detail for _, status, detail in raw if status == "converged"]
+    outcomes = [(status, detail if isinstance(detail, str) else "") for status, detail in raw]
+    records = [detail for status, detail in raw if status == "converged"]
     if not records:
         raise NoSolutionFoundError(
             f"all {cfg.multistart_count} starts failed: "

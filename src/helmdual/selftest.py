@@ -12,7 +12,8 @@ deterministic (fixed seeds).
 import numpy as np
 
 from . import config as cfgmod
-from .asymptotic import BumpDescriptor, build_asymptotic_coefficient, bump_profile, compare_levels, transplant
+from .asymptotic import (CHAIN_TOL, BumpDescriptor, build_asymptotic_coefficient, bump_profile,
+                         compare_levels, transplant)
 from .dual_functional import FunctionalContext, odd_power, sine_product
 from .errors import (
     BadMagicError,
@@ -36,8 +37,12 @@ FD_STEP = 1e-5            # the step of that central difference
 MONOTONE_TOL = 1e-12      # largest increase of J between accepted descent steps
 PRIMAL_TOL = 1e-6         # primal residual of a converged record
 PSI_TOL = 1e-15           # closed-form values of the free-space kernel, absolute
-CHAIN_TOL = 1e-10         # slack of each link of the transplant level chain
+# CHAIN_TOL, the slack of each link of the transplant level chain, is
+# asymptotic's, whose transplant check reads it
 LEVEL_TOL = 1e-3          # c <= c_inf up to LEVEL_TOL |c_inf|
+DECAY_WINDOW = (0.8, 1.2)  # fitted far-field decay exponent over its target, lowest and highest
+EXPANSION_TOL = 1e-16     # expansion error of a field built from its own far-field amplitude
+PSI_DECAY_TOL = 0.15      # fitted decay exponent of the sampled free-space kernel against 1
 ANTISYMMETRY_TOL = 1e-10  # far-field amplitude g(-x) + conj g(x) against max |g|
 SAMPLE_CHUNK = 8192       # samples per chunk of the reverse Hoelder slack
 
@@ -255,6 +260,13 @@ def level_excess(report):
     return (report.c_est - report.c_inf_est) / abs(report.c_inf_est)
 
 
+def decay_in_window(report):
+    """Whether the fitted decay exponent of a `decay_and_expansion_check`
+    report lies in DECAY_WINDOW times its target exponent."""
+    lo, hi = DECAY_WINDOW
+    return lo * report.target_exponent <= report.decay_exponent <= hi * report.target_exponent
+
+
 def conjugate_antisymmetry(samples):
     """max |g(-x) + conj g(x)| / max |g| over the antipodal pairs of
     `equal_area_directions` (its second half negates its first), for the
@@ -428,7 +440,7 @@ def check_farfield_synthetic():
         u[rows] = -2.0 * (2 * np.pi / rs) * np.real(np.exp(1j * (rs - np.pi / 2)) * g_grid)
     report = decay_and_expansion_check(ctx, Field(grid, u), SphereSamples(dirs, gvals))
     del u
-    ok = report.expansion_errors[-1] <= 1e-16 and report.trend_nonincreasing
+    ok = report.expansion_errors[-1] <= EXPANSION_TOL and report.trend_nonincreasing
 
     # sampled free-space kernel decays like 1/r
     psi = np.empty(grid.shape)
@@ -438,7 +450,7 @@ def check_farfield_synthetic():
         ctx, Field(grid, psi), SphereSamples(dirs, np.zeros(len(dirs), complex)),
         shell_count=6,
     )
-    ok &= abs(report2.decay_exponent - 1.0) <= 0.15
+    ok &= abs(report2.decay_exponent - 1.0) <= PSI_DECAY_TOL
     return ok, (f"synthetic err {report.expansion_errors[-1]:.1e}, "
                 f"psi exponent {report2.decay_exponent:.3f}")
 

@@ -343,7 +343,7 @@ class TestDecayAndExpansion:
         ctx = compact_context(dimension=3, n=48)
         u, samples = synthetic_expansion_field(ctx.grid)
         report = decay_and_expansion_check(ctx, u, samples)
-        assert np.max(report.expansion_errors) <= 1e-16
+        assert np.max(report.expansion_errors) <= selftest.EXPANSION_TOL
         assert report.trend_nonincreasing
         assert report.interpolation_residual <= 1e-10
 
@@ -371,7 +371,7 @@ class TestDecayAndExpansion:
             SphereSamples(equal_area_directions(3, 84), np.zeros(84, complex)),
             shell_count=6,
         )
-        assert abs(report.decay_exponent - 1.0) <= 0.15
+        assert abs(report.decay_exponent - 1.0) <= selftest.PSI_DECAY_TOL
 
     @pytest.mark.parametrize("dimension, count", [(2, 26), (3, 82)])
     def test_fewer_samples_than_monomials(self, dimension, count):

@@ -806,6 +806,27 @@ class TestOrbitDistance:
         with pytest.raises(GridMismatchError):
             orbit_distance(mini_ctx, v, random_field(other, rng))
 
+    def test_orbit_group_of_the_context(self, mini_ctx):
+        # round(L) unit-cell shifts of n/L points for a unit-periodic Q; the
+        # identity, one shift whose cell is the whole box, for any other Q
+        contexts = mini_ctx, make_sine_context(n=48, periodic=False), make_constant_context()
+        assert [(ctx.cells, ctx.cell_points) for ctx in contexts] == [(6, 8), (1, 48), (1, 32)]
+
+    @pytest.mark.parametrize("make", [
+        make_constant_context,                          # L = pi sqrt 2: no unit shifts
+        lambda: make_sine_context(n=48, periodic=False),
+    ], ids=["constant", "sine_not_periodic"])
+    def test_identity_group_takes_the_signs_alone(self, make):
+        # a Q that is not declared periodic has the identity as its only shift,
+        # on a grid with unit shifts or without: a cell translate of v is
+        # another orbit, and the distance is the minimum over the two signs
+        ctx = make()
+        pc = ctx.exponents.p_conj
+        v = random_field(ctx, np.random.default_rng(5))
+        for w in (random_field(ctx, np.random.default_rng(6)), Field(ctx.grid, np.roll(v.values, 8, axis=0))):
+            assert orbit_distance(ctx, v, w) == min((v - w).lp_norm(pc), (v + w).lp_norm(pc)) > 0.0
+        assert orbit_distance(ctx, v, -v) == 0.0
+
 
 class TestMultistart:
     def test_outcomes_accounted(self, mini_result):
@@ -895,7 +916,7 @@ class TestCoarseStarts:
         monkeypatch.setattr(search, "find_critical_point", recorded)
         coarse = search._coarse(mini_ctx)
         seed = np.random.SeedSequence(MINI_CFG.rng_seed).spawn(1)[0]
-        index, status, record = search._solve_one((mini_ctx, coarse, MINI_CFG, 0, seed))
+        status, record = search._solve_one((mini_ctx, coarse, MINI_CFG, 0, seed))
         assert status == "converged" and record.start_index == 0
         (n_first, v_first), (n_second, v_second) = calls
         start = initial_field(mini_ctx, np.random.default_rng(seed)).values
@@ -929,7 +950,7 @@ class TestCoarseStarts:
         seed = np.random.SeedSequence(12345).spawn(1)[0]
         job = (mini_ctx, search._coarse(mini_ctx), DescentConfig(max_iters=40), 0, seed)
         assert search._solve_one(job) == (
-            0, "max_iters", "no convergence within 40 iterations on the n = 24 grid (residual=3.635e-06)")
+            "max_iters", "no convergence within 40 iterations on the n = 24 grid (residual=3.635e-06)")
 
     def test_constant_q_starts_converge(self):
         # the constant-Q starts that crawled along a sub-grid translation valley

@@ -48,10 +48,11 @@ def periodic_context(kind, rng, n=48, p=7.0):
 )
 def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor, related, periodic):
     # w is a signed cell translate of v, moved off it by factor times the radius,
-    # or an unrelated field; the pruned test must decide as the exact minimum does.
-    # initial_field draws a bump with random low-mode texture, which no grid
-    # symmetry maps to itself.  For the Q declared non-periodic there is no cell
-    # shift, and the exact minimum is over the two signs only
+    # or an unrelated field; the pruned test must decide as the exact minimum,
+    # orbit_distance, does.  initial_field draws a bump with random low-mode
+    # texture, which no grid symmetry maps to itself.  The orbit group of the Q
+    # declared non-periodic is the identity, so there is no cell shift, and the
+    # exact minimum is over the two signs only
     ctx = CTX if periodic else FLAT_CTX
     if not periodic:
         cell_shift = (0, 0)
@@ -65,10 +66,7 @@ def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor
     base = v.values if related else initial_field(ctx, rng).values
     rolled = np.roll(base, tuple(c * shift_pts for c in cell_shift), axis=(0, 1))
     w = Field(ctx.grid, sign * rolled + offset)
-    if periodic:
-        expected = orbit_distance(ctx, v, w) <= radius
-    else:
-        expected = min((v - w).lp_norm(pc), (v + w).lp_norm(pc)) <= radius
+    expected = orbit_distance(ctx, v, w) <= radius
     # the dedup compares grid arrays for a unit-periodic Q, support vectors otherwise
     on_support = (lambda f: f.values) if periodic else (lambda f: ctx.restrict(f.values))
     assert _within_orbit(ctx, on_support(v), on_support(w), radius) == expected
