@@ -15,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    HypothesisViolatedError,
-    MaxIterationsError,
-    NotInUPlusError,
-    SupportOverflowError,
-)
+from .errors import DomainError, HypothesisViolatedError, SupportOverflowError
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import DescentConfig, _admit, find_critical_point, grid_field, multistart_search
+from .search import DescentConfig, _admit, _descend, grid_field, multistart_search
 
 CHAIN_TOL = 1e-10  # slack of each link of the transplant level chain; the invariant battery reads it too
 
@@ -135,10 +129,12 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     Both searches run from the same seed sequence.  The best background
     solution w is additionally transplanted; its fibering level on the
     perturbed side is verified against J_inf(w), and one extra descent from
-    the transplant (the same mechanism the level comparison rests on) is
-    recentered and deduplicated against the perturbed records like a
-    multistart record, with start index -2.  It joins them, and is finished,
-    only if it is a new orbit; c_est is the lowest level of the records listed.
+    the transplant (the same mechanism the level comparison rests on) runs
+    through the runner of every start (`search._descend`, no half grid) with
+    start index -2.  If it converges, it is recentered and deduplicated
+    against the perturbed records like a multistart record, and it joins
+    them, and is finished, only if it is a new orbit; a transplant that
+    fails is dropped.  c_est is the lowest level of the records listed.
     """
     ctx_q, ctx_inf = pair.ctx, pair.ctx_inf
 
@@ -157,12 +153,9 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     transplant_check = transplant_level <= j_inf_w + CHAIN_TOL
 
     records_q = list(result_q.records)
-    try:
-        transplant_rec = find_critical_point(ctx_q, v, cfg)
-        transplant_rec.start_index = -2
+    status, transplant_rec = _descend(ctx_q, None, v, cfg, -2)
+    if status == "converged":
         _admit(ctx_q, cfg, [transplant_rec], records_q)
-    except (MaxIterationsError, NotInUPlusError):
-        pass
 
     c_est = min(rec.level for rec in records_q)
     c_inf_est = result_inf.level_estimate

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .asymptotic import BumpDescriptor
 from .dual_functional import Exponents
-from .farfield import FIT_DEGREE, direction_floor, radius_window
+from .farfield import check_direction_floor, radius_window, sampled_directions
 from .kernel import Field, GridSpec
 from .search import DescentConfig
 
@@ -150,37 +150,36 @@ def _validate(cfg: RunConfig, lines: dict):
         raise MissingRequiredError("coefficient.path required when coefficient.kind = file")
     # the domain objects own their range rules, and their messages name the
     # offending field first; a resonant box is a run-time failure.  Both bumps
-    # are built whatever the mode and kind
+    # are built whatever the mode and kind, the far-field window and direction
+    # floor in far-field mode only
     grid_keys = ("grid.dimension", "grid.box_length", "grid.points_per_axis", "grid.shell_epsilon")
     descent_keys = ("descent.tol_residual", "descent.dedup_rel_threshold",
                     "descent.max_iters", "descent.multistart_count", "seed")
     coefficient_keys = ("coefficient.center", "coefficient.radius", "coefficient.amplitude")
     bump_keys = ("bump.center", "bump.radius", "bump.amplitude")
-    for keys, build in (
+    builders = [
         (grid_keys, lambda: GridSpec(cfg.grid_dimension, cfg.grid_box_length,
                                      cfg.grid_points_per_axis, cfg.grid_shell_epsilon)),
         (("exponents.p",), lambda: Exponents(cfg.grid_dimension, cfg.exponents_p)),
         (descent_keys, lambda: descent_config(cfg)),
         (coefficient_keys, lambda: coefficient_bump(cfg).check_dimension(cfg.grid_dimension)),
         (bump_keys, lambda: compare_bump(cfg).check_dimension(cfg.grid_dimension)),
-    ):
+    ]
+    if cfg.mode == "farfield":
+        builders += [
+            (("farfield.r_min", "farfield.r_max"),
+             lambda: radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
+                                   cfg.farfield_r_min, cfg.farfield_r_max)),
+            (("farfield.direction_count",),
+             lambda: check_direction_floor(cfg.grid_dimension, sampled_directions(cfg.farfield_direction_count))),
+        ]
+    for keys, build in builders:
         try:
             build()
         except ShellResonanceError:
             pass
         except ValueError as exc:
             raise _at_line(lines, _named_first(keys, str(exc)), str(exc)) from exc
-    if cfg.mode == "farfield":
-        try:
-            radius_window(cfg.grid_box_length, cfg.grid_box_length / cfg.grid_points_per_axis,
-                          cfg.farfield_r_min, cfg.farfield_r_max)
-        except ValueError as exc:  # DomainError
-            raise _at_line(lines, ("farfield.r_min", "farfield.r_max"), str(exc)) from exc
-        least = direction_floor(cfg.grid_dimension)
-        if cfg.farfield_direction_count < least:
-            raise _at_line(lines, ("farfield.direction_count",), (
-                f"farfield.direction_count = {cfg.farfield_direction_count} is below the "
-                f"{least} monomials of the degree-{FIT_DEGREE} sphere fit in {cfg.grid_dimension}d"))
 
 
 def _named_first(keys: tuple, message: str) -> tuple:

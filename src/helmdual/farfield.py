@@ -38,7 +38,7 @@ of that degree span, with 49 columns instead of 84 in 3d (13 instead of 28
 in 2d), and the design has full column rank.  The real and imaginary parts
 are one least-squares solve with two right-hand sides.  The number of
 directions must reach the count of all the monomials of that degree, the
-direction floor that the config checks too.
+direction floor (`check_direction_floor`) that the config checks too.
 """
 
 import math
@@ -74,13 +74,20 @@ class SphereSamples:
             raise DomainError("one amplitude per direction required")
 
 
+def sampled_directions(count: int) -> int:
+    """How many directions `equal_area_directions` gives for count: count
+    rounded up to an even number, and at least 2."""
+    return 2 * max(1, (count + 1) // 2)
+
+
 def equal_area_directions(dimension: int, count: int) -> np.ndarray:
-    """Antipodally symmetric, approximately equal-area unit directions.
+    """Antipodally symmetric, approximately equal-area unit directions, as
+    many as `sampled_directions(count)`.
 
     Uniform angles on the circle for N = 2; a symmetrized Fibonacci spiral
-    on the sphere for N = 3.  count is rounded up to an even number.
+    on the sphere for N = 3.
     """
-    half = max(1, (count + 1) // 2)
+    half = sampled_directions(count) // 2
     if dimension == 2:
         theta = np.pi * np.arange(half) / half
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -194,11 +201,17 @@ class FarfieldReport:
     attenuation_rate: float
 
 
-def direction_floor(dim: int) -> int:
-    """Fewest sampled directions the sphere fit takes: one per monomial of degree
-    <= FIT_DEGREE in dim variables (84 in 3d, 28 in 2d), though the fit itself runs
-    on the `_basis_size` harmonics."""
-    return math.comb(FIT_DEGREE + dim, dim)
+def check_direction_floor(dim: int, sampled: int):
+    """The direction floor: DomainError unless `sampled` directions reach one
+    per monomial of degree <= FIT_DEGREE in dim variables (84 in 3d, 28 in 2d),
+    though the fit itself runs on the `_basis_size` harmonics.  A run samples
+    `sampled_directions(farfield.direction_count)` directions."""
+    monomials = math.comb(FIT_DEGREE + dim, dim)
+    if sampled < monomials:
+        raise DomainError(
+            f"{sampled} sampled directions cannot fit the {monomials} "
+            f"monomials of degree {FIT_DEGREE} in {dim}d"
+        )
 
 
 def _basis_size(dim: int, degree: int) -> int:
@@ -408,12 +421,7 @@ def decay_and_expansion_check(
     decay_exponent = float(-coeffs[1])
 
     # smooth interpolation of the sampled amplitudes across the sphere
-    monomials = direction_floor(dim)
-    if samples.values.size < monomials:
-        raise DomainError(
-            f"{samples.values.size} sampled directions cannot fit the {monomials} "
-            f"monomials of degree {FIT_DEGREE} in {dim}d"
-        )
+    check_direction_floor(dim, samples.values.size)
     parts = np.stack([samples.values.real, samples.values.imag], axis=1)
     fit, *_ = np.linalg.lstsq(_monomial_design(samples.directions, FIT_DEGREE), parts, rcond=None)
     reproduced = _sphere_interpolant(samples.directions, fit, FIT_DEGREE)

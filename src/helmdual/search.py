@@ -90,16 +90,18 @@ steps a start on the reference solve, against 650 steps over its 20 starts
 on the run's grid alone.  A failed half-grid descent fails the start, and
 the record's iterations and trajectory are the second descent's.
 Everything after the starts (dedup, recentering, the placement, the
-primal check) runs on the run's grid.
+primal check) runs on the run's grid.  One runner (`_descend`) takes every
+start, random, placed or the transplant of `compare`, through its
+descents, and it alone maps their errors to the start's status.
 
-The orbit dedup asks only whether some shift of the context's orbit group
-(`FunctionalContext.cells`: the unit-cell shifts of a unit-periodic Q, the
-identity alone for any other Q) and sign bring a record within the dedup
-radius of a kept one; `orbit_distance` is its exact minimum.  A lower
-bound on every such distance comes from the L2 distances, which one Gram
-matrix of cell blocks gives for all shifts at once; the exact p'-norm is
-taken only where the bound allows a match.
-The test runs over both signs and every shift, so it compares the support
+The orbit distance is the minimum over the shifts of the context's orbit
+group (`FunctionalContext.cells`: the unit-cell shifts of a unit-periodic
+Q, the identity alone for any other Q) and both signs, and one pruned
+search (`_within_orbit`) computes it.  A lower bound on every such distance
+comes from the L2 distances, which one Gram matrix of cell blocks gives for
+all shifts at once, and exact p'-norms are taken in ascending order of the
+bound until it rules out the rest.  The dedup runs the search with its
+radius, and `orbit_distance` with none.  The dedup compares the support
 vectors v, extended to the grid for a unit-periodic Q.
 
 The iterate lives on the support of Q (see dual_functional): every power,
@@ -124,7 +126,8 @@ Every run ends in exactly one of two ways: a converged SolutionRecord or
 MaxIterationsError.  The energy cannot run away below zero: every level the
 descent compares is a fibering level (1/p' - 1/2) t^{p'} ||w||_{p'}^{p'} > 0.
 A placed record has start_index -1, and its trajectory and iterations are
-those of its descent from the placed start.
+those of its descent from the placed start; the transplant of `compare`
+has start_index -2.
 """
 
 import functools
@@ -184,11 +187,13 @@ class SolutionRecord:
     `finish_records` adds the `primal_residual` of the primal partner u;
     until then it is None.  A record keeps no grid array: the grid field of
     v is `grid_field(ctx, record)` and u is `primal_field(ctx, record)`,
-    each built on each call.  A record of the placement has `start_index`
-    -1, and its `iterations` count its descent from the placed start like
-    any other record's; a random start's count its descent on the run's
-    grid only (`_solve_one`).  `newton_steps` is always 0; the field and its CSV
-    column are kept because the CSV schema is public.
+    each built on each call.  The runner of every start (`_descend`) sets
+    `start_index`: the random start's index, -1 for a record of the
+    placement and -2 for the transplant of `compare`.  `iterations` count
+    the descent from the start on the run's grid only: from the placed or
+    transplanted start, and for a random start with a half grid from its
+    prolonged critical point.  `newton_steps` is always 0; the field and
+    its CSV column are kept because the CSV schema is public.
     """
 
     v: np.ndarray
@@ -517,10 +522,11 @@ def _place(ctx, record, cfg):
     continuous landscape, and a cluster member off the point's symmetry lines
     descends slowly onto an orbit its centre reaches in a few steps.  So each
     cluster is placed once, at its centre, and the cluster of shift 0 (the
-    record itself) is skipped.  Each placed start runs `find_critical_point`
-    with a budget of SNAP_AFTER steps, which ends where its snap would begin,
-    so no placed start is snapped off its position; a start that has not met
-    the tolerance by then is dropped.
+    record itself) is skipped.  Each placed start runs through the runner of
+    every start (`_descend`, no half grid, start index -1) with a budget of
+    SNAP_AFTER steps, which ends where its snap would begin, so no placed
+    start is snapped off its position; a start that has not met the
+    tolerance by then is dropped.
     """
     cell = ctx.cell_points
     profile = _profile(ctx, primal_field(ctx, record).values)
@@ -534,10 +540,9 @@ def _place(ctx, record, cfg):
         start = _placed(ctx, profile, shift)
         if start is None:
             continue  # an infinite peak of the landscape: outside U^+
-        try:
-            placed.append(find_critical_point(ctx, start.v, replace(cfg, max_iters=SNAP_AFTER)))
-        except MaxIterationsError:
-            pass  # not at the tolerance within its budget: dropped
+        status, found = _descend(ctx, None, start.v, replace(cfg, max_iters=SNAP_AFTER), -1)
+        if status == "converged":  # a start not at the tolerance within its budget is dropped
+            placed.append(found)
     return placed
 
 
@@ -719,35 +724,33 @@ def orbit_distance(ctx: FunctionalContext, v: Field, w: Field) -> float:
     The group is the unit-cell shifts for a unit-periodic Q and the identity
     alone for any other Q (`FunctionalContext.cells`), so the distance is
     zero exactly when w is a signed member of v's orbit, on any grid.  It is
-    the exact minimum that the dedup's `_within_orbit` decides against.
+    the dedup's own pruned search (`_within_orbit`) with no radius: the
+    exact norm is taken only where a lower bound does not rule the pair out.
     """
-    pc = ctx.exponents.p_conj
-    v, w = ctx._own(v), ctx._own(w)
-    best = np.inf
-    for cell_shift in itertools.product(range(ctx.cells), repeat=ctx.grid.dimension):
-        rolled = _cell_roll(ctx, w, cell_shift)
-        for sign in (1.0, -1.0):
-            best = min(best, ctx.lp_norm(v - sign * rolled, pc))
-    return float(best)
+    return float(_within_orbit(ctx, ctx._own(v), ctx._own(w)))
 
 
-def _within_orbit(ctx, v, w, radius):
-    """orbit_distance(ctx, v, w) <= radius, with an exact norm only where a bound allows it.
+def _within_orbit(ctx, v, w, radius=np.inf):
+    """The pruned search of the orbit distance: an exact ||v - s w_y||_{p'} at or
+    below a finite radius, or else the least exact distance it takes.
 
-    The shifts y are those of the context's orbit group.  v and w are what
-    the dedup compares (`_same_orbit`): grid arrays for a unit-periodic Q,
-    zero off its support.  For any other Q the group is the identity alone,
-    one cell: v and w are the fields' vectors on the support of Q, off which
-    both vanish, and the test is min(||v - w||_{p'}, ||v + w||_{p'}) <= radius.
+    The shifts y are those of the context's orbit group and s runs over both
+    signs.  v and w are grid arrays, or, for a Q whose group is the identity
+    alone (one cell), the fields' vectors on the support of Q, off which both
+    vanish.  The dedup (`_same_orbit`) asks whether the result is at most
+    its radius; `orbit_distance` runs the search with no radius, and the
+    result is the exact minimum.
     For p' < 2 and |x| <= M = max|v| + max|w|, |x|^{p'} >= |x|^2 M^{p'-2}, so
     h^N ||v - s w_y||_2^2 M^{p'-2} bounds ||v - s w_y||_{p'}^{p'} from below.
     The squared L2 distances of all cells^N shifts y and both signs s come
     from ||v||^2 + ||w||^2 - 2 s <v, w_y>, and one Gram matrix of the cell
     blocks of v and w gives every <v, w_y>.  The expanded square is lowered by
     a bound on its rounding, 4 m eps (||v||^2 + ||w||^2) for vectors of m
-    entries, which no BLAS blocking or thread count exceeds.  The exact
-    norm, computed as in orbit_distance, is taken only for the pairs whose
-    bound is at most radius, so the answer is the same as the exact minimum's.
+    entries, which no BLAS blocking or thread count exceeds.  The pairs are
+    taken in ascending order of that floor, and the search stops at the first
+    floor above the smaller of the radius and the least exact distance so
+    far, or at the first exact distance at or below a finite radius.  So the
+    pair that attains the minimum is never pruned.
     """
     pc = ctx.exponents.p_conj
     dim = ctx.grid.dimension
@@ -769,19 +772,22 @@ def _within_orbit(ctx, v, w, radius):
     slack = 4.0 * v.size * np.finfo(float).eps * norms
     peak = max(float(np.abs(v).max() + np.abs(w).max()), np.finfo(float).tiny)
     squares = np.maximum(norms - 2.0 * np.stack([inner, -inner], axis=1) - slack, 0.0)
-    floors = ctx.weight * squares * peak ** (pc - 2.0)
-    # the relative margin covers the rounding of the floors and of the exact norms
-    try:
-        limit = radius ** pc * (1.0 + 1e-12)
-    except OverflowError:  # a radius beyond every float bound: each pair gets the exact norm
-        limit = np.inf
-    candidates = np.flatnonzero(floors.ravel() <= limit)
-    for k in candidates[np.argsort(floors.ravel()[candidates], kind="stable")]:
+    floors = (ctx.weight * squares * peak ** (pc - 2.0)).ravel()
+    best = np.inf
+    for k in np.argsort(floors, kind="stable"):
+        # the relative margin covers the rounding of the floors and of the exact norms
+        try:
+            limit = min(best, radius) ** pc * (1.0 + 1e-12)
+        except OverflowError:  # a bound beyond every float: the pair gets the exact norm
+            limit = np.inf
+        if floors[k] > limit:
+            break
         shift, sign = divmod(int(k), 2)
         rolled = _cell_roll(ctx, w, tuple(int(c) for c in index[:, shift]))
-        if ctx.lp_norm(v - (1.0, -1.0)[sign] * rolled, pc) <= radius:
-            return True
-    return False
+        best = min(best, ctx.lp_norm(v - (1.0, -1.0)[sign] * rolled, pc))
+        if best <= radius < np.inf:
+            break
+    return best
 
 
 def mass_centroid(ctx: FunctionalContext, v: Field) -> np.ndarray:
@@ -954,33 +960,40 @@ def _coarse(ctx):
     return FunctionalContext(Field(half, even), ctx.exponents.p, periodic=ctx.periodic)
 
 
-def _solve_one(args):
-    """One random start: (status, record or failure detail).
+def _descend(ctx, coarse, v0, cfg, index):
+    """The one runner of a start, random, placed or transplanted: (status, record or detail).
 
-    With a half-grid context (`_coarse`), the start's even grid points descend
-    there to the tolerance first, and the critical point, prolonged to the
-    run's grid (`prolong`), is the start of the descent on n.  Each descent
-    has the whole budget, and the record's iterations and trajectory are the
-    second's.  A half-grid descent that fails fails the start.  The detail of
-    a `max_iters` start is the error's message, which names its reason and
-    grid, and the residual it ended at.
+    v0 is a Field or a support vector.  With a half-grid context `coarse`
+    (`_coarse`), v0's even grid points descend there to the tolerance first,
+    and the critical point, prolonged to the run's grid (`prolong`), is the
+    start of the descent on n.  Each descent has the whole budget, and the
+    record's iterations and trajectory are the second's.  A half-grid
+    descent that fails fails the start.  The status is "converged" with the
+    record, its `start_index` set to index, or "not_in_u_plus" or
+    "max_iters" with the failure's detail: for `max_iters` the error's
+    message, which names its reason and grid, and the residual it ended at.
+    No other code catches `find_critical_point`'s errors.
     """
-    ctx, coarse, cfg, index, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
-    # the start's values on the support only: its grid field is freed before the first step
-    v0 = ctx.restrict(initial_field(ctx, rng).values)
     try:
         if coarse is not None:
             even = ctx.extend(v0)[(slice(None, None, 2),) * ctx.grid.dimension]
             found = find_critical_point(coarse, coarse.restrict(even), cfg)
             v0 = ctx.restrict(prolong(coarse.extend(found.v), ctx.grid.shape))
         record = find_critical_point(ctx, v0, cfg)
-        record.start_index = index
-        return "converged", record
     except NotInUPlusError as exc:
         return "not_in_u_plus", str(exc)
     except MaxIterationsError as exc:
         return "max_iters", f"{exc} (residual={exc.residual:.3e})"
+    record.start_index = index
+    return "converged", record
+
+
+def _solve_one(args):
+    """One random start: its v0 drawn by `initial_field` from its seed, and run by `_descend`."""
+    ctx, coarse, cfg, index, seed_seq = args
+    rng = np.random.default_rng(seed_seq)
+    # the start's values on the support only: its grid field is freed before the first step
+    return _descend(ctx, coarse, ctx.restrict(initial_field(ctx, rng).values), cfg, index)
 
 
 def _by_level(ctx, records):
@@ -995,9 +1008,9 @@ def _same_orbit(ctx, a, b, threshold):
     threshold * max(||a||_{p'}, ||b||_{p'}) of b's orbit (`_within_orbit` at
     that radius).  The test runs over both signs and every cell shift, so it
     compares the support vectors v, extended to the grid for a unit-periodic Q."""
-    scale = max(ctx.lp_norm(rec.v, ctx.exponents.p_conj) for rec in (a, b))
+    radius = threshold * max(ctx.lp_norm(rec.v, ctx.exponents.p_conj) for rec in (a, b))
     v, w = (ctx.extend(rec.v) if ctx.periodic else rec.v for rec in (a, b))
-    return _within_orbit(ctx, v, w, threshold * scale)
+    return _within_orbit(ctx, v, w, radius) <= radius
 
 
 def _admit(ctx, cfg, records, kept):

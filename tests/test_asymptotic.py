@@ -1,6 +1,7 @@
 """Perturbed-coefficient construction and transplant identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from helmdual import (
     compare_levels,
     transplant,
 )
+from helmdual import asymptotic
 from helmdual.asymptotic import bump_profile
 from helmdual.selftest import IDENTITY_TOL, orbits_distinct, transplant_identity_error
 from conftest import make_sine_context, random_field
@@ -168,3 +170,32 @@ class TestCompareLevels:
         assert orbits_distinct(pair.ctx_inf, report.records_inf, cfg.dedup_rel_threshold)
         assert [rec.start_index for rec in report.records_q] == [0]
         assert report.c_est == min(rec.level for rec in report.records_q)
+
+    @pytest.mark.parametrize("fail, status", [
+        (lambda cfg, v0: (replace(cfg, max_iters=1), v0), "max_iters"),
+        (lambda cfg, v0: (cfg, Field(v0.grid, np.zeros(v0.grid.shape))), "not_in_u_plus"),
+    ], ids=["budget", "zero_start"])
+    def test_failed_transplant_is_dropped(self, pair, monkeypatch, fail, status):
+        # the transplanted start (index -2) runs through the runner of every
+        # start; made to fail there, by a budget of one step or a zero start, it
+        # is dropped: compare lists the multistart's records alone and keeps
+        # every level of the run whose transplant descends
+        cfg = DescentConfig(multistart_count=2, rng_seed=12345)
+        kept = compare_levels(pair, cfg)
+        runner = asymptotic._descend
+        seen = []
+
+        def failing(ctx, coarse, v0, cfg, index):
+            if index == -2:
+                cfg, v0 = fail(cfg, v0)
+            outcome = runner(ctx, coarse, v0, cfg, index)
+            seen.append((index, outcome[0]))
+            return outcome
+
+        monkeypatch.setattr(asymptotic, "_descend", failing)
+        report = compare_levels(pair, cfg)
+        assert seen == [(-2, status)]
+        assert [rec.start_index for rec in report.records_q] == [rec.start_index for rec in kept.records_q] == [0]
+        assert [rec.v.tobytes() for rec in report.records_q] == [rec.v.tobytes() for rec in kept.records_q]
+        assert (report.c_est, report.c_inf_est, report.level_chain) == (kept.c_est, kept.c_inf_est, kept.level_chain)
+        assert report.outcomes_q == kept.outcomes_q

@@ -1,6 +1,7 @@
-"""Property tests of the position layers: the landscape levels and the pruned orbit test."""
+"""Property tests of the position layers: the landscape levels and the pruned orbit search."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 from helmdual import Field, FunctionalContext, GridSpec, orbit_distance
 from helmdual.dual_functional import sine_product
-from helmdual.search import _landscape, _placed, _profile, _within_orbit, initial_field
-from conftest import make_sine_context
+from helmdual.search import _landscape, _placed, _profile, _same_orbit, initial_field
+from conftest import make_bump_context, make_sine_context
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
-CTX = make_sine_context(n=48)  # L = 6, 8 points per unit cell
-FLAT_CTX = make_sine_context(n=48, periodic=False)  # the same Q declared non-periodic
+CONTEXTS = {
+    "periodic": make_sine_context(n=48),  # L = 6, 8 points per unit cell
+    "flat": make_sine_context(n=48, periodic=False),  # the same Q declared non-periodic
+    "compact": make_bump_context(n=32),  # a bump whose support's box is smaller than the grid
+}
 
 
 def periodic_context(kind, rng, n=48, p=7.0):
@@ -37,6 +41,19 @@ def periodic_context(kind, rng, n=48, p=7.0):
     return FunctionalContext(Field(grid, q), p, periodic=True)
 
 
+def brute_force_orbit_distance(ctx, v, w):
+    """The oracle of `orbit_distance`: the exact norm of every shift of the
+    context's orbit group and both signs, for grid arrays v and w."""
+    pc = ctx.exponents.p_conj
+    axes = tuple(range(ctx.grid.dimension))
+    best = np.inf
+    for cell_shift in itertools.product(range(ctx.cells), repeat=ctx.grid.dimension):
+        rolled = np.roll(w, tuple(c * ctx.cell_points for c in cell_shift), axis=axes)
+        for sign in (1.0, -1.0):
+            best = min(best, ctx.lp_norm(v - sign * rolled, pc))
+    return float(best)
+
+
 @PROPERTY
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
@@ -44,32 +61,38 @@ def periodic_context(kind, rng, n=48, p=7.0):
     sign=st.sampled_from([1.0, -1.0]),
     factor=st.floats(0.5, 2.0),
     related=st.booleans(),
-    periodic=st.booleans(),
+    kind=st.sampled_from(["periodic", "flat", "compact"]),
 )
-def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor, related, periodic):
-    # w is a signed cell translate of v, moved off it by factor times the radius,
-    # or an unrelated field; the pruned test must decide as the exact minimum,
-    # orbit_distance, does.  initial_field draws a bump with random low-mode
-    # texture, which no grid symmetry maps to itself.  The orbit group of the Q
-    # declared non-periodic is the identity, so there is no cell shift, and the
-    # exact minimum is over the two signs only
-    ctx = CTX if periodic else FLAT_CTX
-    if not periodic:
+def test_pruned_orbit_test_matches_orbit_distance(seed, cell_shift, sign, factor, related, kind):
+    # w is a signed cell translate of v, moved off it by factor times the dedup
+    # radius, or an unrelated field.  orbit_distance, the pruned search with no
+    # radius, must equal the brute-force minimum bit for bit, and the dedup's
+    # decision must be that minimum's.  initial_field draws a bump with random
+    # low-mode texture, which no grid symmetry maps to itself.  The orbit group
+    # of the Q declared non-periodic and of the compact bump is the identity,
+    # so there is no cell shift, and the minimum is over the two signs only.
+    # The fields vanish off the support of Q, as the dedup's records do
+    ctx = CONTEXTS[kind]
+    if not ctx.periodic:
         cell_shift = (0, 0)
     rng = np.random.default_rng(seed)
     pc = ctx.exponents.p_conj
-    v = initial_field(ctx, rng)
-    radius = 1e-2 * v.lp_norm(pc)
-    offset = initial_field(ctx, rng).values
-    offset *= factor * radius / ctx.lp_norm(offset, pc)
-    shift_pts = ctx.grid.unit_shift_points
-    base = v.values if related else initial_field(ctx, rng).values
-    rolled = np.roll(base, tuple(c * shift_pts for c in cell_shift), axis=(0, 1))
+
+    def on_support(values):
+        return ctx.extend(ctx.restrict(values))
+
+    v = Field(ctx.grid, on_support(initial_field(ctx, rng).values))
+    threshold = 1e-2
+    offset = on_support(initial_field(ctx, rng).values)
+    offset *= factor * threshold * v.lp_norm(pc) / ctx.lp_norm(offset, pc)
+    base = v.values if related else on_support(initial_field(ctx, rng).values)
+    rolled = np.roll(base, tuple(c * ctx.cell_points for c in cell_shift), axis=(0, 1))
     w = Field(ctx.grid, sign * rolled + offset)
-    expected = orbit_distance(ctx, v, w) <= radius
-    # the dedup compares grid arrays for a unit-periodic Q, support vectors otherwise
-    on_support = (lambda f: f.values) if periodic else (lambda f: ctx.restrict(f.values))
-    assert _within_orbit(ctx, on_support(v), on_support(w), radius) == expected
+    exact = brute_force_orbit_distance(ctx, v.values, w.values)
+    assert orbit_distance(ctx, v, w) == exact
+    a, b = (SimpleNamespace(v=ctx.restrict(f.values)) for f in (v, w))
+    radius = threshold * max(v.lp_norm(pc), w.lp_norm(pc))
+    assert _same_orbit(ctx, a, b, threshold) == (exact <= radius)
 
 
 @settings(max_examples=12, deadline=None, database=None)
