@@ -17,6 +17,20 @@ same_outputs() {
   done
 }
 
+# same_for VAR MODE CONFIG OUT PATTERN...: `helmdual MODE` runs with VAR=1 into
+# OUT1 and with VAR=2 into OUT2, with `--config CONFIG` (CONFIG is - for
+# none), and then `same_outputs OUT1 OUT2 PATTERN...`.  VAR is exported in a
+# subshell, so that a shell function named helmdual sees it too.
+same_for() {
+  local var=$1 mode=$2 out=$4 value args=()
+  [ "$3" = - ] || args=(--config "$3")
+  shift 4
+  for value in 1 2; do
+    ( export "$var=$value"; helmdual "$mode" "${args[@]}" --out "$out$value" ) || return 1
+  done
+  same_outputs "${out}1" "${out}2" "$@"
+}
+
 # exits_with STATUS OUT CMD...: CMD exits with STATUS, and a config error
 # (status 2) leaves no output directory OUT behind.
 exits_with() {

@@ -36,18 +36,25 @@ keeps sigma as it is, so on full support the window is the grid with sigma
 itself.  K runs on `_pair`, a complex FFT pair whose forward passes skip
 the lines that hold exact zeros and whose inverse passes skip the lines that
 reach no point of the box (Markel 1971); on a box that spans the window
-nothing is skipped, and the passes are those of `fftn` and `ifftn`.
+nothing is skipped, and the passes are those of `fftn` and `ifftn`.  `_pair`
+is the one transform pruned to a box, since there the pruning pays: without
+it the 3d far-field run took 82.7 ms rather than 73.0 (median of 16
+alternating runs, slower in all 16).
 
 `resolvent_array` (`dual_to_primal`, the snap, `search.finish_records`)
 needs R on the whole grid.  Its source is real, so it runs on `_real_pair`,
-the passes of `rfftn` and `irfftn` (Sorensen et al. 1987): the `rfft` runs
-on the box's lines only, the complex passes on the half spectrum are pruned
-to the box, and sigma is taken on the half spectrum only, a block of rows at
-a time (`kernel.row_slices`, about `kernel.BLOCK_BYTES` of half spectrum
-per block): a view of the window spectrum on full support, formed per block
+the passes of `rfftn` and `irfftn` (Sorensen et al. 1987) over every line
+of the grid, in the source's own half spectrum: q_S v is scattered through
+the support's mask into the real view of a zeroed half spectrum, and the
+lines off the support's box are zero lines, which transform to exact
+zeros.  sigma is taken on the half spectrum only, a block of rows at a time
+(`kernel.row_slices`, about `kernel.BLOCK_BYTES` of half spectrum per
+block): a view of the window spectrum on full support, formed per block
 otherwise.  The result is written back into the half spectrum's own bytes,
 so R holds one array about the size of one real grid array, and a block.
-The box is always the support's bounding box.
+Pruning R's passes to the box, as K's are, saved about 1 ms of each
+compact-support call, three calls per 3d far-field run, and took a second
+routine.
 
 So a context keeps Q on its support (`q_on_support`), S as a boolean mask
 on its box, q_S = Q_S^{1/p} and the window spectrum.  Every move between
@@ -62,14 +69,13 @@ holds nothing the size of its grid.
 The primal check `primal_residual` works on the whole grid, since u = R(.)
 does not vanish off S.  It applies the operator that R inverts, the symbol
 s + eps^2/s with s = |k|^2 - 1 (`kernel.helmholtz_symbol`; -Delta - 1 at
-eps = 0), as one real pair over the whole grid run in u's own half spectrum
-(`_real_pair_in_place`), with the symbol formed a block of the half
-spectrum at a time, and forms Q |u|^{p-2} u on S only: off S the defect is
-the operator's image itself, so one power pass over the grid serves two of
-its three norms.  `primal_residual_support` checks u = R(Q^{1/p} v) in the
-half spectrum where R left it, so the check holds one array about the size
-of one real grid array, and a block; the public check copies u into a
-fresh half spectrum first.
+eps = 0), as R's `_real_pair` run in u's own half spectrum, and forms
+Q |u|^{p-2} u on S only: off S the defect is the operator's image itself,
+so one power pass over the grid serves two of its three norms.
+`primal_residual_support` checks u = R(Q^{1/p} v) in the half spectrum
+where R left it, so the check holds one array about the size of one real
+grid array, and a block; the public check copies u into a fresh half
+spectrum first.
 """
 
 import math
@@ -130,20 +136,39 @@ def _real_view(half: np.ndarray, shape: tuple) -> np.ndarray:
     return half.reshape(-1).view(float)[: math.prod(shape)].reshape(shape)
 
 
-def _real_pair(lines: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
-    """irfftn(symbol * rfftn(s)) over the grid of `shape`, as a C-contiguous real
-    array that lives in the pair's own half spectrum (its `base`), where s
-    holds `lines` on the last-axis lines through the box's leading slices and
-    zeros elsewhere, and symbol(rows) is the symbol on the axis-0 rows `rows`
-    of the half spectrum.
+def _real_pair(half: np.ndarray, shape: tuple, symbol) -> np.ndarray:
+    """irfftn(symbol * rfftn(u)) for the real grid array u held in the first bytes
+    of its own half spectrum `half` (`_real_view`), written back into those
+    bytes as a C-contiguous real array, where symbol(rows) is the symbol on
+    the axis-0 rows `rows` of the half spectrum.
 
-    The passes are those of `rfftn` and `irfftn`, in their order, so the result
-    is theirs bit for bit: one `rfft` on the box's lines into a zeroed half
-    spectrum (the last axis cut to n/2 + 1), then `_pair_in_half`.
+    The passes are those of `rfftn` and `irfftn`, in their order, over every
+    line, so the result is theirs bit for bit; a line of zeros transforms to
+    exact zeros.  The `rfft`, the product with the symbol and the `irfft` run
+    one block of axis-0 rows at a time (`kernel.row_slices` at a row of the
+    half spectrum), so the symbol is formed a block at a time.  The `rfft`
+    takes the blocks from the last to the first: a block's n/2 + 1 complex
+    values per line start at or after its n real ones, so its output never
+    reaches an earlier block's input.  The complex passes over axes
+    N-2, ..., 0 and back run in place, and the `irfft` writes each block's n
+    real values per line where the block's lines of n/2 + 1 complex values
+    begin: a block's result ends before the next block's input starts.  numpy
+    copies a block's own input, which its output overlaps, so nothing the
+    size of the grid is formed.
     """
-    half = _half_spectrum(shape)
-    np.fft.rfft(lines, out=half[box[:-1]])
-    return _pair_in_half(half, box, shape, symbol)
+    u = _real_view(half, shape)
+    blocks = row_slices(len(half), half[0].nbytes)
+    for rows in reversed(blocks):
+        np.fft.rfft(u[rows], out=half[rows])
+    for d in reversed(range(len(shape) - 1)):
+        np.fft.fft(half, axis=d, out=half)
+    for rows in blocks:
+        half[rows] *= symbol(rows)
+    for d in range(len(shape) - 1):
+        np.fft.ifft(half, axis=d, out=half)
+    for rows in blocks:
+        np.fft.irfft(half[rows], n=shape[-1], out=u[rows])
+    return u
 
 
 def prolong(values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -175,52 +200,6 @@ def prolong(values: np.ndarray, shape: tuple) -> np.ndarray:
     half = _half_spectrum(shape)
     half[np.ix_(*fine, last)] = coarse[np.ix_(*source, last)]
     return np.fft.irfftn(half, s=shape, axes=tuple(range(dim)))
-
-
-def _pair_in_half(half: np.ndarray, box: tuple, shape: tuple, symbol) -> np.ndarray:
-    """The rest of `_real_pair` after its `rfft`, on the half spectrum `half`.
-
-    The complex passes over axes N-2, ..., 0 run in place, each only on the
-    lines whose earlier axes lie in the box (the others hold exact zeros),
-    then the product with the symbol, the in-place `ifft`s and one `irfft`.
-    The product and the `irfft` run one block of axis-0 rows at a time
-    (`kernel.row_slices` at a row of the half spectrum), so the symbol is
-    formed a block at a time.  The `irfft` writes each block's n real
-    values per line into the bytes where the half spectrum's lines of
-    n/2 + 1 complex values begin: a block's result ends before the next
-    block's input starts, and numpy copies the block's own input, which it
-    overlaps.
-    """
-    for d in reversed(range(len(shape) - 1)):
-        block = half[box[:d]]
-        np.fft.fft(block, axis=d, out=block)
-    blocks = row_slices(len(half), half[0].nbytes)
-    for rows in blocks:
-        half[rows] *= symbol(rows)
-    for d in range(len(shape) - 1):
-        np.fft.ifft(half, axis=d, out=half)
-    out = _real_view(half, shape)
-    for rows in blocks:
-        np.fft.irfft(half[rows], n=shape[-1], out=out[rows])
-    return out
-
-
-def _real_pair_in_place(half: np.ndarray, shape: tuple, symbol) -> np.ndarray:
-    """irfftn(symbol * rfftn(u)) for the real grid array u held in the first bytes
-    of its own half spectrum `half` (`_real_view`), written back into those bytes.
-
-    The `rfft` runs a block of axis-0 rows at a time, from the last block to
-    the first: a block's n/2 + 1 complex values per line start at or after
-    its n real ones, so its output never reaches an earlier block's input,
-    and numpy copies the block's own input, which it overlaps.  The other
-    passes are `_pair_in_half`'s over the whole grid, so the result is
-    `_real_pair`'s over the whole grid bit for bit, and nothing the size of
-    the grid is formed.
-    """
-    u = _real_view(half, shape)
-    for rows in reversed(row_slices(len(half), half[0].nbytes)):
-        np.fft.rfft(u[rows], out=half[rows])
-    return _pair_in_half(half, tuple(slice(0, n) for n in shape), shape, symbol)
 
 
 def abs_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -424,18 +403,17 @@ class FunctionalContext:
 
     def resolvent_array(self, vs: np.ndarray) -> np.ndarray:
         """R(Q^{1/p} v) on the grid for a support vector v, as a new C-contiguous
-        real array in the memory of its own half spectrum: one `_real_pair`
-        with sigma on the half spectrum.
+        real array in the memory of its own half spectrum: q_S v is scattered
+        through the support's mask into the zeroed half spectrum's real view,
+        and one `_real_pair` runs there with sigma on the half spectrum.
 
-        The source sits on the lines through the support's box, so it is
-        scattered through the support's mask into a block of those lines
-        alone; on compact support sigma is formed one block of rows at a
-        time, so the half spectrum and one block are live at most.
+        On compact support sigma is formed one block of rows at a time, so
+        the half spectrum and one block are live at most.
         """
         shape = self.grid.shape
-        lines = np.zeros(tuple(span.stop - span.start for span in self.box[:-1]) + shape[-1:])
-        lines[..., self.box[-1]][self.support] = self.q_support * vs
-        return _real_pair(lines, self.box, shape, self.half_sigma)
+        half = _half_spectrum(shape)
+        _real_view(half, shape)[self.box][self.support] = self.q_support * vs
+        return _real_pair(half, shape, self.half_sigma)
 
     @cached_property
     def _k_window(self):
@@ -586,17 +564,17 @@ class FunctionalContext:
         half spectrum `half` (`_real_view`), which the pair overwrites.
 
         The nonlinearity rhs is formed from u on the support S of Q first; A u
-        is one `_real_pair_in_place` over the whole grid, with the symbol
-        formed a block of the half spectrum at a time.  Off S the rhs
-        vanishes, so ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'}
-        over the points off S, taken in one pass over the grid, and the rest
-        of all three norms are sums over S.  On full support that pass is
-        empty and the three sums are the whole-grid ones.
+        is one `_real_pair` in u's half spectrum, with the symbol formed a
+        block of the half spectrum at a time.  Off S the rhs vanishes, so
+        ||lhs - rhs|| and ||lhs|| share the sum of |lhs|^{p'} over the points
+        off S, taken in one pass over the grid, and the rest of all three
+        norms are sums over S.  On full support that pass is empty and the
+        three sums are the whole-grid ones.
         """
         p, pc = self.exponents.p, self.exponents.p_conj
         grid = self.grid
         rhs = self.q_on_support * odd_power(self.restrict(_real_view(half, grid.shape)), p - 1.0)
-        lhs = _real_pair_in_place(half, grid.shape, lambda rows: helmholtz_symbol(
+        lhs = _real_pair(half, grid.shape, lambda rows: helmholtz_symbol(
             grid.half_k_squared(rows) - 1.0, grid.shell_epsilon))
         lhs_s = self.restrict(lhs)
         off = 0.0

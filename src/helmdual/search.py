@@ -279,13 +279,14 @@ class _AndersonWindow:
     only when the first leaves ||w|| < ||d|| / sqrt(2), the test of Daniel,
     Gragg, Kaufman & Stewart (Math. Comp. 30, 1976) for a cancellation that
     the first pass cannot be trusted with.  The window restarts when it is
-    full, when a new difference is numerically dependent on its columns, or
-    when a diagonal of R would fall below lstsq's truncation threshold:
-    every column is dropped and only the previous image is kept, so the push
-    leaves 2 images and 1 column (1 image and no column when the difference
-    is exactly zero).  So every |r_ii| clears that threshold, and the mix
-    solves R gamma = Q^T f by back substitution.  The images G(v_j) and
-    K G(v_j) sit in a ring buffer, so the mixed candidate is one
+    full or when a new difference d_k is numerically dependent on its
+    columns, that is when its diagonal |r_kk| would not exceed
+    rcond ||d_k||, rcond being lstsq's truncation threshold: every column is
+    dropped and only the previous image is kept, so the push leaves 2
+    images and 1 column (1 image and no column when the difference is
+    exactly zero).  So each |r_kk| exceeds rcond ||d_k||, which is positive,
+    and the mix solves R gamma = Q^T f by back substitution.  The images
+    G(v_j) and K G(v_j) sit in a ring buffer, so the mixed candidate is one
     matrix-vector product per image.
     """
 
@@ -316,7 +317,7 @@ class _AndersonWindow:
 
     def _append(self, d):
         """Add the column d to Q R; False, adding nothing, when d is numerically
-        dependent on the columns or a diagonal of R falls below the threshold."""
+        dependent on the columns: its new diagonal would not exceed rcond ||d||."""
         k = self.cols
         q = self.q[:k]
         h = q @ d
@@ -327,8 +328,7 @@ class _AndersonWindow:
             w -= h2 @ q
             h += h2
             norm = np.linalg.norm(w)
-        diag = np.append(np.abs(np.diagonal(self.r)[:k]), norm)
-        if not (norm > self.rcond * d_norm and diag.min() > self.rcond * diag.max()):
+        if not norm > self.rcond * d_norm:
             return False
         self.r[:k, k] = h
         self.q[k] = w / norm

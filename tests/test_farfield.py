@@ -717,10 +717,11 @@ class TestGridArrays:
         v = Field(ctx.grid, ctx.extend(np.random.default_rng(3).standard_normal(ctx.q_support.size)))
         ctx.primal_residual(ctx.dual_to_primal(v))  # window and imports, outside the trace
         u, peak = traced_peak(ctx.dual_to_primal, v)
-        # the half spectrum (1.04), which takes the result, and one block of at
-        # most about 256 KiB (12 rows, 0.26 here) with its symbol: 1.37, against
-        # 2.13 when the symbol was formed on the whole half spectrum and the
-        # result took an array of its own
+        # the half spectrum (1.04), which takes the source and the result, and
+        # one block of at most about 256 KiB (12 rows, 0.26 here) with its
+        # symbol: 1.33 (1.37 with a copy of the source's lines), against 2.13
+        # when the symbol was formed on the whole half spectrum and the result
+        # took an array of its own
         assert peak <= 1.4 * unit
         _, peak = traced_peak(ctx.primal_residual, u)
         # the same pair, with the symbol s + eps^2/s formed a block at a time: 1.33
@@ -728,9 +729,9 @@ class TestGridArrays:
 
     def test_resolvent_peak_at_the_benchmark_size(self):
         # n = 64, the far-field benchmark's grid: the half spectrum (1.03) and a
-        # block of 7 of its 64 rows, 1.19 grid arrays (1.20 with blocks of 8),
-        # where the result in an array of its own peaked at 2.10 and the
-        # complex pair at 3.07
+        # block of 7 of its 64 rows, 1.15 grid arrays (1.19 with a copy of the
+        # source's lines), where the result in an array of its own peaked at
+        # 2.10 and the complex pair at 3.07
         ctx = farfield3d_context(n=64)
         unit = 8 * ctx.grid.size
         vs = np.random.default_rng(4).standard_normal(ctx.q_support.size)
