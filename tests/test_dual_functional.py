@@ -588,6 +588,34 @@ class TestRealPair:
             assert max(rows.stop - rows.start for rows in taken) * row_bytes <= kernel.BLOCK_BYTES
             assert (len(taken) == 1) == (dimension == 2)
 
+    @pytest.mark.parametrize("blocks", ["default", "five"])
+    @pytest.mark.parametrize("dimension, n", [(2, 48), (2, 96), (3, 32), (3, 64)])
+    def test_in_place_is_the_real_pair(self, dimension, n, blocks, monkeypatch):
+        # u in the first bytes of its own half spectrum, transformed there a
+        # block of rows at a time from the last block: the whole-grid real pair,
+        # one block over every row, bit for bit, in the same bytes
+        shape = (n,) * dimension
+        half_shape = shape[:-1] + (n // 2 + 1,)
+        rng = np.random.default_rng(n + dimension)
+        u = rng.standard_normal(shape)
+        symbol = rng.standard_normal(half_shape)
+        whole = dual_functional._half_spectrum(shape)
+        dual_functional._real_view(whole, shape)[...] = u
+        with monkeypatch.context() as one_block:
+            one_block.setattr(kernel, "BLOCK_BYTES", whole.nbytes)
+            want = dual_functional._real_pair(whole, shape, lambda rows: symbol[rows])
+        row_bytes = 16 * math.prod(half_shape[1:])
+        if blocks == "five":
+            monkeypatch.setattr(kernel, "BLOCK_BYTES", row_bytes * -(-n // 5))
+            assert len(kernel.row_slices(n, row_bytes)) == 5
+        half = dual_functional._half_spectrum(shape)
+        source = dual_functional._real_view(half, shape)
+        source[...] = u
+        got = dual_functional._real_pair(half, shape, lambda rows: symbol[rows])
+        assert got.tobytes() == want.tobytes()
+        assert got.base is half
+        assert got.__array_interface__["data"][0] == source.__array_interface__["data"][0]
+
     def test_full_support_resolvent_peak(self):
         # the half spectrum (1.04 grid arrays), which takes the result, and the
         # source q_S v (1.00): 2.07, where a separate copy of the source's lines
