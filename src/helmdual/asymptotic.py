@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, HypothesisViolatedError, SupportOverflowError
 from .dual_functional import FunctionalContext
 from .kernel import Field, GridSpec
-from .search import DescentConfig, _admit, _descend, grid_field, multistart_search
+from .search import DescentConfig, _admit, _descend, finish_records, grid_field, multistart_search
 
 CHAIN_TOL = 1e-10  # slack of each link of the transplant level chain; the invariant battery reads it too
 
@@ -32,6 +32,8 @@ class BumpDescriptor:
     amplitude: float
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.center):
+            raise DomainError(f"center entries must be finite, got {self.center!r}")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise DomainError(f"radius must be finite and positive, got {self.radius!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
@@ -130,8 +132,8 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     solution w is additionally transplanted; its fibering level on the
     perturbed side is verified against J_inf(w), and one extra descent from
     the transplant (the same mechanism the level comparison rests on) runs
-    through the runner of every start (`search._descend`, no half grid) with
-    start index -2.  If it converges, it is recentered and deduplicated
+    through the runner of every start (`search._descend`, on the run's grid)
+    with start index -2.  If it converges, it is recentered and deduplicated
     against the perturbed records like a multistart record, and it joins
     them, and is finished, only if it is a new orbit; a transplant that
     fails is dropped.  c_est is the lowest level of the records listed.
@@ -152,10 +154,9 @@ def compare_levels(pair: AsymptoticPair, cfg: DescentConfig, workers: int = 1) -
     transplant_level = ctx_q.nehari_energy(v)
     transplant_check = transplant_level <= j_inf_w + CHAIN_TOL
 
-    records_q = list(result_q.records)
-    status, transplant_rec = _descend(ctx_q, None, v, cfg, -2)
-    if status == "converged":
-        _admit(ctx_q, cfg, [transplant_rec], records_q)
+    status, transplant_rec = _descend(ctx_q, v, cfg, -2)
+    records_q = _admit(ctx_q, cfg, [transplant_rec] if status == "converged" else [], list(result_q.records))
+    finish_records(ctx_q, records_q[len(result_q.records):])
 
     c_est = min(rec.level for rec in records_q)
     c_inf_est = result_inf.level_estimate

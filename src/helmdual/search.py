@@ -78,21 +78,21 @@ scored in full by the fibering projection like any candidate:
   finds the saddle and maximum positions that random starts reach only by
   chance.
 
-A random start on a Q with full support descends on the half grid first
-when there is one (`_coarse`: n divisible by 4 and, for a unit-periodic Q,
-unit shifts at n/2), with Q sampled at the even grid points.  The start is
-drawn on the run's grid, and its even points descend to the tolerance; the
-critical point, carried to the run's grid by trigonometric interpolation
-(`prolong`), starts the same descent there (nested iteration, the first
-half of full multigrid: Briggs, Henson & McCormick, A Multigrid Tutorial,
-ch. 3).  Spectral levels converge fast in n, so that descent is short: 2
-steps a start on the reference solve, against 650 steps over its 20 starts
-on the run's grid alone.  A failed half-grid descent fails the start, and
-the record's iterations and trajectory are the second descent's.
-Everything after the starts (dedup, recentering, the placement, the
-primal check) runs on the run's grid.  One runner (`_descend`) takes every
-start, random, placed or the transplant of `compare`, through its
-descents, and it alone maps their errors to the start's status.
+The random starts run on the half grid first when there is one (`_coarse`:
+Q > 0 everywhere, n divisible by 4 and, for a unit-periodic Q, unit shifts
+at n/2), with Q sampled at the even grid points.  Each start is drawn on
+the run's grid, and its even points descend to the tolerance.  Those
+records are deduplicated on the half grid, and each distinct one, carried
+to the run's grid by trigonometric interpolation (`prolong`), starts one
+descent there under its start's index (nested iteration, the first half of
+full multigrid: Briggs, Henson & McCormick, A Multigrid Tutorial, ch. 3).
+Spectral levels converge fast in n, so that descent is short: 2 steps on
+the reference solve.  A start that fails on either grid has that status; a
+start merged on the half grid is "converged" and has no record of its own.
+Everything after (dedup, recentering, the placement, the primal check)
+runs on the run's grid.  One runner (`_descend`) takes each descent of a
+start, random, lifted, placed or the transplant of `compare`, on one grid,
+and it alone maps the descent's errors to the start's status.
 
 The orbit distance is the minimum over the shifts of the context's orbit
 group (`FunctionalContext.cells`: the unit-cell shifts of a unit-periodic
@@ -188,12 +188,12 @@ class SolutionRecord:
     until then it is None.  A record keeps no grid array: the grid field of
     v is `grid_field(ctx, record)` and u is `primal_field(ctx, record)`,
     each built on each call.  The runner of every start (`_descend`) sets
-    `start_index`: the random start's index, -1 for a record of the
-    placement and -2 for the transplant of `compare`.  `iterations` count
-    the descent from the start on the run's grid only: from the placed or
-    transplanted start, and for a random start with a half grid from its
-    prolonged critical point.  `newton_steps` is always 0; the field and
-    its CSV column are kept because the CSV schema is public.
+    `start_index`: the random start's index, on either grid, -1 for a record
+    of the placement and -2 for the transplant of `compare`.  `iterations`
+    count the record's own descent: from its start, or for a random start
+    with a half grid, on the run's grid from its prolonged critical point.
+    `newton_steps` is always 0; the field and its CSV column are kept
+    because the CSV schema is public.
     """
 
     v: np.ndarray
@@ -523,7 +523,7 @@ def _place(ctx, record, cfg):
     descends slowly onto an orbit its centre reaches in a few steps.  So each
     cluster is placed once, at its centre, and the cluster of shift 0 (the
     record itself) is skipped.  Each placed start runs through the runner of
-    every start (`_descend`, no half grid, start index -1) with a budget of
+    every start (`_descend`, start index -1) with a budget of
     SNAP_AFTER steps, which ends where its snap would begin, so no placed
     start is snapped off its position; a start that has not met the
     tolerance by then is dropped.
@@ -540,7 +540,7 @@ def _place(ctx, record, cfg):
         start = _placed(ctx, profile, shift)
         if start is None:
             continue  # an infinite peak of the landscape: outside U^+
-        status, found = _descend(ctx, None, start.v, replace(cfg, max_iters=SNAP_AFTER), -1)
+        status, found = _descend(ctx, start.v, replace(cfg, max_iters=SNAP_AFTER), -1)
         if status == "converged":  # a start not at the tolerance within its budget is dropped
             placed.append(found)
     return placed
@@ -960,25 +960,17 @@ def _coarse(ctx):
     return FunctionalContext(Field(half, even), ctx.exponents.p, periodic=ctx.periodic)
 
 
-def _descend(ctx, coarse, v0, cfg, index):
-    """The one runner of a start, random, placed or transplanted: (status, record or detail).
+def _descend(ctx, v0, cfg, index):
+    """The one runner of a start, random, placed, lifted or transplanted, on the
+    grid of ctx: (status, record or detail).
 
-    v0 is a Field or a support vector.  With a half-grid context `coarse`
-    (`_coarse`), v0's even grid points descend there to the tolerance first,
-    and the critical point, prolonged to the run's grid (`prolong`), is the
-    start of the descent on n.  Each descent has the whole budget, and the
-    record's iterations and trajectory are the second's.  A half-grid
-    descent that fails fails the start.  The status is "converged" with the
+    v0 is a Field or a support vector.  The status is "converged" with the
     record, its `start_index` set to index, or "not_in_u_plus" or
     "max_iters" with the failure's detail: for `max_iters` the error's
     message, which names its reason and grid, and the residual it ended at.
     No other code catches `find_critical_point`'s errors.
     """
     try:
-        if coarse is not None:
-            even = ctx.extend(v0)[(slice(None, None, 2),) * ctx.grid.dimension]
-            found = find_critical_point(coarse, coarse.restrict(even), cfg)
-            v0 = ctx.restrict(prolong(coarse.extend(found.v), ctx.grid.shape))
         record = find_critical_point(ctx, v0, cfg)
     except NotInUPlusError as exc:
         return "not_in_u_plus", str(exc)
@@ -989,11 +981,14 @@ def _descend(ctx, coarse, v0, cfg, index):
 
 
 def _solve_one(args):
-    """One random start: its v0 drawn by `initial_field` from its seed, and run by `_descend`."""
+    """One random start: its v0 drawn on the run's grid by `initial_field` from its seed,
+    and run by `_descend` on the half grid `coarse` (its even points) when there is one."""
     ctx, coarse, cfg, index, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
+    stage, step = (coarse, 2) if coarse is not None else (ctx, 1)
+    points = (slice(None, None, step),) * ctx.grid.dimension  # every grid point, or the even ones
     # the start's values on the support only: its grid field is freed before the first step
-    return _descend(ctx, coarse, ctx.restrict(initial_field(ctx, rng).values), cfg, index)
+    v0 = stage.restrict(initial_field(ctx, np.random.default_rng(seed_seq)).values[points])
+    return _descend(stage, v0, cfg, index)
 
 
 def _by_level(ctx, records):
@@ -1014,13 +1009,11 @@ def _same_orbit(ctx, a, b, threshold):
 
 
 def _admit(ctx, cfg, records, kept):
-    """Recenter `records`, sort them by level, append to `kept` each one farther than
-    the dedup threshold from every kept record, and finish those.  Returns kept."""
-    start = len(kept)
+    """Recenter `records`, sort them by level, and append to `kept` each one farther
+    than the dedup threshold from every kept record.  Returns kept."""
     for rec in _by_level(ctx, [recenter(ctx, rec) for rec in records]):
         if not any(_same_orbit(ctx, rec, other, cfg.dedup_rel_threshold) for other in kept):
             kept.append(rec)
-    finish_records(ctx, kept[start:])
     return kept
 
 
@@ -1031,10 +1024,11 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     (pairwise orbit distance above the configured threshold), sorted by
     (level, lexicographic field bytes).  Deterministic for a fixed seed
     regardless of the worker count.  A worker process that dies (killed, or
-    out of memory) raises WorkerPoolError.  Starts return support vectors;
-    only the records kept by the dedup are finished (`finish_records`).  The
-    half-grid context of the starts (`_coarse`) is built once and sent with
-    each start, like the context itself.
+    out of memory) raises WorkerPoolError.  With a half grid (`_coarse`,
+    built once and sent with each start like the context), the starts'
+    half-grid records are deduplicated there, and each distinct one descends
+    on n once, in this process, under its start's index.  Only the final
+    records are finished (`finish_records`).
     """
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.multistart_count)
     coarse = _coarse(ctx)
@@ -1052,20 +1046,24 @@ def multistart_search(ctx: FunctionalContext, cfg: DescentConfig, workers: int =
     else:
         raw = [_solve_one(job) for job in jobs]
 
-    outcomes = [(status, detail if isinstance(detail, str) else "") for status, detail in raw]
+    outcomes = list(raw)
+    if coarse is not None:  # each distinct half-grid orbit descends once on n, under its start's index
+        kept = _admit(coarse, cfg, [detail for status, detail in raw if status == "converged"], [])
+        raw = [_descend(ctx, ctx.restrict(prolong(coarse.extend(rec.v), ctx.grid.shape)), cfg, rec.start_index)
+               for rec in kept]
+        for rec, outcome in zip(kept, raw):
+            outcomes[rec.start_index] = outcome
     records = [detail for status, detail in raw if status == "converged"]
     if not records:
-        raise NoSolutionFoundError(
-            f"all {cfg.multistart_count} starts failed: "
-            + ", ".join(status for status, _ in outcomes)
-        )
+        raise NoSolutionFoundError(f"no start converged on the n = {ctx.grid.points_per_axis} grid: "
+                                   + ", ".join(status for status, _ in outcomes))
 
     distinct = _admit(ctx, cfg, records, [])
     if ctx.periodic:
         distinct = _by_level(ctx, _admit(ctx, cfg, _place(ctx, distinct[0], cfg), distinct))
 
     return MultistartResult(
-        records=distinct,
+        records=finish_records(ctx, distinct),
         level_estimate=min(rec.level for rec in distinct),
-        outcomes=outcomes,
+        outcomes=[(status, detail if isinstance(detail, str) else "") for status, detail in outcomes],
     )

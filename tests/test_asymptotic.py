@@ -161,14 +161,17 @@ class TestTransplant:
 
 class TestCompareLevels:
     def test_tables_list_each_orbit_once(self, pair):
-        # the n = 48 compare config of CI: the descent from the transplanted
-        # background ground state lands on start 0's orbit, so it is not listed
-        # again, and c_est is start 0's level
+        # the n = 48 compare config of CI: the bumped side's 4 starts are one
+        # orbit on the half grid, where start 1 sorts first (its level ties
+        # start 2's, and its field bytes come first), so start 1 alone
+        # descends on n = 48; the descent from the transplanted background
+        # ground state lands on that orbit, so it is not listed again, and
+        # c_est is start 1's level
         cfg = DescentConfig(multistart_count=4, rng_seed=12345)
         report = compare_levels(pair, cfg)
         assert orbits_distinct(pair.ctx, report.records_q, cfg.dedup_rel_threshold)
         assert orbits_distinct(pair.ctx_inf, report.records_inf, cfg.dedup_rel_threshold)
-        assert [rec.start_index for rec in report.records_q] == [0]
+        assert [rec.start_index for rec in report.records_q] == [1]
         assert report.c_est == min(rec.level for rec in report.records_q)
 
     @pytest.mark.parametrize("fail, status", [
@@ -179,23 +182,24 @@ class TestCompareLevels:
         # the transplanted start (index -2) runs through the runner of every
         # start; made to fail there, by a budget of one step or a zero start, it
         # is dropped: compare lists the multistart's records alone and keeps
-        # every level of the run whose transplant descends
+        # every level of the run whose transplant descends.  Both bumped starts
+        # are one orbit on the half grid, and start 1 sorts first there
         cfg = DescentConfig(multistart_count=2, rng_seed=12345)
         kept = compare_levels(pair, cfg)
         runner = asymptotic._descend
         seen = []
 
-        def failing(ctx, coarse, v0, cfg, index):
+        def failing(ctx, v0, cfg, index):
             if index == -2:
                 cfg, v0 = fail(cfg, v0)
-            outcome = runner(ctx, coarse, v0, cfg, index)
+            outcome = runner(ctx, v0, cfg, index)
             seen.append((index, outcome[0]))
             return outcome
 
         monkeypatch.setattr(asymptotic, "_descend", failing)
         report = compare_levels(pair, cfg)
         assert seen == [(-2, status)]
-        assert [rec.start_index for rec in report.records_q] == [rec.start_index for rec in kept.records_q] == [0]
+        assert [rec.start_index for rec in report.records_q] == [rec.start_index for rec in kept.records_q] == [1]
         assert [rec.v.tobytes() for rec in report.records_q] == [rec.v.tobytes() for rec in kept.records_q]
         assert (report.c_est, report.c_inf_est, report.level_chain) == (kept.c_est, kept.c_inf_est, kept.level_chain)
         assert report.outcomes_q == kept.outcomes_q

@@ -273,15 +273,19 @@ class TestErrors:
         assert main(["solve", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["bump.center = 1.0, 2.0, 3.0", "bump.radius = -1.0"])
-    def test_unbuildable_bump_is_config_error(self, tmp_path, line):
+    # a NaN centre passes both comparisons of the box check and gives no bump:
+    # compare would run on the background alone
+    @pytest.mark.parametrize("line", ["bump.center = 1.0, 2.0, 3.0", "bump.radius = -1.0", "bump.center = nan, 3.0"])
+    def test_unbuildable_bump_is_config_error(self, tmp_path, capsys, line):
         cfg_file = tmp_path / "bad_bump.cfg"
         cfg_file.write_text(f"mode = compare\ngrid.points_per_axis = 48\n{line}\n")
         out = tmp_path / "bad_bump"
         assert main(["compare", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert not out.exists()
+        assert "config error: line 3: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["coefficient.radius = inf", "coefficient.amplitude = -1"])
+    @pytest.mark.parametrize("line", ["coefficient.radius = inf", "coefficient.amplitude = -1",
+                                      "coefficient.center = nan, 3.0"])
     def test_unbuildable_coefficient_bump_is_config_error(self, tmp_path, capsys, line):
         # the compact-bump coefficient is built at parse time, as the bump of compare is
         cfg_file = tmp_path / "bad_coefficient.cfg"

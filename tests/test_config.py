@@ -116,6 +116,9 @@ grid.points_per_axis = 48
         "bump.amplitude = inf",
         "coefficient.kind = compact_bump\ncoefficient.radius = inf",
         "coefficient.kind = compact_bump\ncoefficient.amplitude = -1",
+        "bump.center = nan, 3.0",
+        "bump.center = 3.0, -inf",
+        "coefficient.kind = compact_bump\ncoefficient.center = nan, 3.0",
     ])
     def test_unbuildable_values_rejected(self, line):
         # the last line of each case is the rejected one, after mode on line 1;

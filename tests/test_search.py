@@ -16,6 +16,7 @@ from helmdual import (
     GridMismatchError,
     GridSpec,
     MaxIterationsError,
+    NoSolutionFoundError,
     NotInUPlusError,
     build_asymptotic_coefficient,
     compare_levels,
@@ -937,8 +938,9 @@ class TestCoarseStarts:
         assert coarse.q.tobytes() == np.ascontiguousarray(ctx.q[::2, ::2]).tobytes()
 
     def test_start_descends_on_both_grids(self, mini_ctx, monkeypatch):
-        # the even points of the start descend on n = 24, and the prolonged
-        # critical point is the start of the descent on n = 48
+        # `_solve_one` draws the start on n = 48 and descends its even points on
+        # n = 24 only: the multistart takes the distinct half-grid records on to
+        # n = 48 (test_kept_record_is_its_starts_two_grid_descent)
         find = search.find_critical_point
         calls = []
 
@@ -951,14 +953,82 @@ class TestCoarseStarts:
         seed = np.random.SeedSequence(MINI_CFG.rng_seed).spawn(1)[0]
         status, record = search._solve_one((mini_ctx, coarse, MINI_CFG, 0, seed))
         assert status == "converged" and record.start_index == 0
-        (n_first, v_first), (n_second, v_second) = calls
+        [(n_first, v_first)] = calls
         start = initial_field(mini_ctx, np.random.default_rng(seed)).values
-        assert (n_first, n_second) == (24, 48)
+        assert n_first == 24
         assert v_first.tobytes() == np.ascontiguousarray(start[::2, ::2]).reshape(-1).tobytes()
+        # the record is the half-grid critical point, with its steps
         found = find(coarse, v_first, MINI_CFG)
-        assert v_second.tobytes() == dual_functional.prolong(coarse.extend(found.v), (48, 48)).reshape(-1).tobytes()
-        # the record's steps are those on the run's grid
-        assert record.iterations == len(record.j_values) - 1 < found.iterations
+        assert record.v.tobytes() == found.v.tobytes() and record.v.size == 24 * 24
+        assert record.iterations == found.iterations == len(record.j_values) - 1
+
+    def test_kept_record_is_its_starts_two_grid_descent(self, mini_ctx, mini_result, monkeypatch):
+        # each kept random start's record is, bit for bit, the descent on n = 48
+        # from the prolonged critical point of its even points' descent on
+        # n = 24, and only the records the half-grid dedup keeps (2 of 5 here)
+        # descend on n = 48
+        coarse = search._coarse(mini_ctx)
+        half = []
+        for i, seed in enumerate(np.random.SeedSequence(MINI_CFG.rng_seed).spawn(MINI_CFG.multistart_count)):
+            start = initial_field(mini_ctx, np.random.default_rng(seed)).values
+            half.append(replace(find_critical_point(coarse, coarse.restrict(start[::2, ::2]), MINI_CFG),
+                                start_index=i))
+        descend, lifted = search._descend, []
+
+        def counted(*args):  # the runner's context comes first and the start's index last
+            if args[0] is mini_ctx and args[-1] >= 0:
+                lifted.append(args[-1])
+            return descend(*args)
+
+        monkeypatch.setattr(search, "_descend", counted)
+        result = multistart_search(mini_ctx, MINI_CFG)
+        assert len(lifted) == len(search._admit(coarse, MINI_CFG, half, [])) == 2
+        kept = [rec for rec in result.records if rec.start_index >= 0]
+        assert sorted(rec.start_index for rec in kept) == sorted(lifted)
+        for rec in kept:
+            v0 = mini_ctx.restrict(dual_functional.prolong(coarse.extend(half[rec.start_index].v), (48, 48)))
+            assert rec.v.tobytes() == find_critical_point(mini_ctx, v0, MINI_CFG).v.tobytes()
+        assert [r.v.tobytes() for r in result.records] == [r.v.tobytes() for r in mini_result.records]
+
+    def test_failed_descent_on_n_is_its_starts_outcome(self, mini_ctx, mini_result, monkeypatch):
+        # the first distinct half-grid orbit's descent on n = 48 gets one step:
+        # its start's outcome is that failure, and the other orbit carries on
+        descend, failed = search._descend, []
+
+        def first_lift_fails(ctx, v0, cfg, index):
+            if ctx is mini_ctx and index >= 0 and not failed:
+                failed.append(index)
+                cfg = replace(cfg, max_iters=1)
+            return descend(ctx, v0, cfg, index)
+
+        monkeypatch.setattr(search, "_descend", first_lift_fails)
+        result = multistart_search(mini_ctx, MINI_CFG)
+        [index] = failed
+        status, detail = result.outcomes[index]
+        assert status == "max_iters"
+        assert detail.startswith("no convergence within 1 iterations on the n = 48 grid (residual=")
+        assert [o for i, o in enumerate(result.outcomes) if i != index] == [("converged", "")] * 4
+        assert index not in [rec.start_index for rec in result.records]
+        assert [rec.start_index for rec in result.records if rec.start_index >= 0] == [
+            rec.start_index for rec in mini_result.records if rec.start_index not in (-1, index)]
+
+    def test_every_failed_descent_on_n_is_no_solution(self, mini_ctx, monkeypatch):
+        # every distinct half-grid orbit fails on n = 48: no record, and the
+        # error lists each start's status, merged starts as converged
+        descend, failed = search._descend, []
+
+        def lifts_fail(ctx, v0, cfg, index):
+            if ctx is mini_ctx:
+                failed.append(index)
+                cfg = replace(cfg, max_iters=1)
+            return descend(ctx, v0, cfg, index)
+
+        monkeypatch.setattr(search, "_descend", lifts_fail)
+        with pytest.raises(NoSolutionFoundError) as err:
+            multistart_search(mini_ctx, MINI_CFG)
+        statuses = ["max_iters" if i in failed else "converged" for i in range(MINI_CFG.multistart_count)]
+        assert len(failed) == 2
+        assert str(err.value) == "no start converged on the n = 48 grid: " + ", ".join(statuses)
 
     def test_failed_coarse_descent_fails_the_start(self, mini_ctx, mini_result, monkeypatch):
         find = search.find_critical_point
